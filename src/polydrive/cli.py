@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -109,6 +110,21 @@ def cmd_augment(cfg: dict, out: str) -> None:
     print(f"augmented {len(samples)} -> {len(augmented)} samples ({aug_cfg.mode})")
 
 
+def _log_epoch(rec: dict) -> None:
+    line = f"epoch {rec['epoch']:3d}  train {rec['train_loss']:10.2f}"
+    if "val_ego" in rec:  # an empty val split has no validation fields
+        line += f"  val {rec['val_loss']:10.2f}  ego {rec['val_ego']:.3f} m"
+    print(line)
+
+
+def _nan_to_null(rec: dict) -> dict:
+    """JSON has no NaN: a val field with nothing to measure is written as null."""
+    return {
+        k: None if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in rec.items()
+    }
+
+
 def cmd_train(cfg: dict, out: str) -> None:
     train_samples, _ = dataset.read_dataset(_require(cfg, "train"))
     val_samples, _ = dataset.read_dataset(_require(cfg, "val"))
@@ -119,18 +135,13 @@ def cmd_train(cfg: dict, out: str) -> None:
         seed=int(cfg["seed"]),
         neighbor_loss=bool(cfg.get("neighbor_loss", True)),
     )
-    params, history = model.train(
-        train_samples,
-        val_samples,
-        tc,
-        log_fn=lambda rec: print(
-            f"epoch {rec['epoch']:3d}  train {rec['train_loss']:10.2f}  "
-            f"val {rec['val_loss']:10.2f}  ego {rec['val_ego']:.3f} m"
-        ),
-    )
+    params, history = model.train(train_samples, val_samples, tc, log_fn=_log_epoch)
     model.save_checkpoint(params, out, tc, extra={"config_hash": config_hash(cfg)})
     with open(out + ".history.json", "w") as f:
-        json.dump({"config_hash": config_hash(cfg), "history": history}, f, indent=2)
+        history = [_nan_to_null(rec) for rec in history]
+        json.dump(
+            {"config_hash": config_hash(cfg), "history": history}, f, indent=2, allow_nan=False
+        )
     print(f"saved checkpoint to {out}")
 
 

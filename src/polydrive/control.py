@@ -281,9 +281,13 @@ def drive_task(
                     sample, noise_sigma[0], noise_sigma[1], (noise_seed, tick, 0x31)
                 )
             if map_perturb != (0.0, 0.0):
-                sample = augment.perturb_map_occupancy(
-                    sample, map_perturb[0], map_perturb[1], (noise_seed, tick, 0x32)
+                m = augment.perturb_map_occupancy(
+                    augment.ProximityMap(sample.m_cells, sample.m_labels),
+                    map_perturb[0],
+                    map_perturb[1],
+                    (noise_seed, tick, 0x32),
                 )
+                sample = replace(sample, m_cells=m.cells, m_labels=m.labels)
             steer, accel, pid = policy(sample, ego, pid)
             ego_cmd = (steer, accel)
         cmds = world.step(ego_command=ego_cmd)

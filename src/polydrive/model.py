@@ -134,15 +134,25 @@ def _mlp2_tanh_forward(params, prefix, x):
     return np.tanh(z1), cache + (np.tanh(z1),)
 
 
-def _mlp2_backward(params, prefix, grads, dz1, cache):
+def _mlp2_backward(params, prefix, grads, dz1, cache, sparse_rows=False):
+    """Accumulate the block's gradients; returns dz0, the first layer's.
+
+    With ``sparse_rows`` the first-layer weight gets its gradient only on the
+    rows whose input is non-zero somewhere in the batch; every other row of
+    ``x.T @ dz0`` is a sum of zero products, so it stays exactly 0.
+    """
     x, a0 = cache[0], cache[1]
     grads[f"{prefix}.W1"] += a0.T @ dz1
     grads[f"{prefix}.b1"] += dz1.sum(axis=0)
     da0 = dz1 @ params[f"{prefix}.W1"].T
     dz0 = da0 * (1.0 - a0 * a0)
-    grads[f"{prefix}.W0"] += x.T @ dz0
+    if sparse_rows:
+        occ = np.flatnonzero(x.any(axis=0))
+        grads[f"{prefix}.W0"][occ] += x[:, occ].T @ dz0
+    else:
+        grads[f"{prefix}.W0"] += x.T @ dz0
     grads[f"{prefix}.b0"] += dz0.sum(axis=0)
-    return dz0 @ params[f"{prefix}.W0"].T
+    return dz0
 
 
 def _ctx_forward(params, x):
@@ -207,6 +217,12 @@ def coeffs_to_points(coeffs: np.ndarray) -> np.ndarray:
     return np.stack([px, py], axis=-1)
 
 
+def _coeff_grad(g_pts: np.ndarray) -> np.ndarray:
+    """Adjoint of coeffs_to_points: (B, 20, 2) point grads -> (B, 10)."""
+    d = np.einsum("bti,tj->bji", g_pts, _VAND)
+    return np.concatenate([d[:, :, 0], d[:, :, 1]], axis=1)
+
+
 def loss_and_grad(params, feats, neighbor_loss: bool = True):
     """Batch-mean point L2 loss and analytic gradients over all parameters."""
     b = feats["xe"].shape[0]
@@ -223,11 +239,7 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     grads = zero_like_params(params)
     # d loss / d coefficient vectors.
     ge_pts = 2.0 * (pe - feats["ye"]) / b  # (B, 20, 2)
-    d_ego = np.concatenate(
-        [np.einsum("bti,tj->bji", ge_pts, _VAND)[:, :, 0],
-         np.einsum("bti,tj->bji", ge_pts, _VAND)[:, :, 1]],
-        axis=1,
-    )
+    d_ego = _coeff_grad(ge_pts)
     d_context = np.zeros_like(cache["context"])
 
     # Ego heads: per-branch masked backward.
@@ -255,14 +267,10 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     if neighbor_loss:
         gv_pts = 2.0 * ((pv - feats["yv"]) * mask[:, :, None, None]) / b
         for k in range(N_NEIGHBORS):
-            gk = gv_pts[:, k]
-            d_nbr = np.concatenate(
-                [np.einsum("bti,tj->bji", gk, _VAND)[:, :, 0],
-                 np.einsum("bti,tj->bji", gk, _VAND)[:, :, 1]],
-                axis=1,
-            )
+            d_nbr = _coeff_grad(gv_pts[:, k])
             enc_cache, dec_cache = cache["nbr"][k]
-            d_hv = _mlp2_backward(params, "nbr_dec", grads, d_nbr, dec_cache)
+            dz0 = _mlp2_backward(params, "nbr_dec", grads, d_nbr, dec_cache)
+            d_hv = dz0 @ params["nbr_dec.W0"].T
             d_context += d_hv[:, :80]
             d_enc_a = d_hv[:, 80:]
             a1 = enc_cache[2]
@@ -274,7 +282,8 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     d_ctx_a = d_context[:, 64:]
     map_a = cache["map_a"]
     dz1_map = d_map_a * (1.0 - map_a * map_a)
-    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"])
+    # Most proximity-map cells are empty, so most map inputs of a batch are 0.
+    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"], sparse_rows=True)
     _ctx_backward(params, grads, d_ctx_a, feats["xc"], cache["ctx_a"])
 
     # Ego encoder.
@@ -299,34 +308,58 @@ def predict(params, sample: Sample):
 # -- optimizer -----------------------------------------------------------------
 
 
+# Adam updates a weight in slices of this many rows (256 KB per array for
+# map_enc.W0), so that the 14 passes of the update stay in cache.
+ADAM_ROWS = 256
+
+
 def init_adam_state(params) -> dict:
+    """Moments, step count and two scratch buffers for the in-place update."""
+    size = max(p[:ADAM_ROWS].size for p in params.values())
     return {
         "m": zero_like_params(params),
         "v": zero_like_params(params),
         "t": 0,
+        "scratch": (np.empty(size), np.empty(size)),
     }
+
+
+def _adam_update(p, g, m, v, config: TrainConfig, t: int, scratch) -> None:
+    """One Adam update of p, m and v in place.
+
+    The operations run in the order of the expressions
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p - lr*m_hat/(sqrt(v_hat)+eps)``, so every element is bitwise what
+    evaluating them on fresh arrays gives.
+    """
+    b1, b2 = config.beta1, config.beta2
+    s1 = scratch[0][: p.size].reshape(p.shape)
+    s2 = scratch[1][: p.size].reshape(p.shape)
+    np.multiply(m, b1, out=m)
+    np.multiply(g, 1 - b1, out=s1)
+    np.add(m, s1, out=m)
+    np.multiply(v, b2, out=v)
+    np.multiply(g, 1 - b2, out=s1)
+    np.multiply(s1, g, out=s1)
+    np.add(v, s1, out=v)
+    np.divide(v, 1 - b2**t, out=s1)
+    np.sqrt(s1, out=s1)
+    np.add(s1, config.epsilon, out=s1)
+    np.divide(m, 1 - b1**t, out=s2)
+    np.multiply(s2, config.learning_rate, out=s2)
+    np.divide(s2, s1, out=s2)
+    np.subtract(p, s2, out=p)
 
 
 def adam_step(params, grads, state, config: TrainConfig):
-    """Standard bias-corrected Adam update (in-place on copies)."""
-    state = {
-        "m": dict(state["m"]),
-        "v": dict(state["v"]),
-        "t": state["t"] + 1,
-    }
-    t = state["t"]
-    b1, b2 = config.beta1, config.beta2
-    new_params = {}
+    """Bias-corrected Adam (Kingma & Ba); updates params and state in place."""
+    state["t"] += 1
     for key, p in params.items():
-        g = grads[key]
-        m = b1 * state["m"][key] + (1 - b1) * g
-        v = b2 * state["v"][key] + (1 - b2) * g * g
-        state["m"][key] = m
-        state["v"][key] = v
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_params[key] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-    return new_params, state
+        g, m, v = grads[key], state["m"][key], state["v"][key]
+        for start in range(0, len(p), ADAM_ROWS):
+            rows = slice(start, start + ADAM_ROWS)
+            _adam_update(p[rows], g[rows], m[rows], v[rows], config, state["t"], state["scratch"])
+    return params, state
 
 
 # -- training ------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DataFormatError, SpawnError
+from .errors import DataFormatError, InvalidInputError, SpawnError
 from .trajectory import Pose2D
 
 TICK = 0.1
@@ -211,7 +211,7 @@ def build_town(town_id: str, scale: float | None = None) -> RoadNetwork:
         block = scale if scale else 70.0
         diagonal = ((0, 0), (1, 1))
     else:
-        raise ValueError(f"unknown town {town_id!r}")
+        raise InvalidInputError(f"unknown town {town_id!r}")
 
     nodes: list[Node] = []
     grid: dict[tuple[int, int], int] = {}

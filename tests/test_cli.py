@@ -73,6 +73,12 @@ class TestExitCodes:
         rc = main(["record", "--config", str(p), "--out", str(tmp_path / "d")])
         assert rc == 1
 
+    def test_unknown_town_is_2(self, tmp_path, capsys):
+        rc = main(["record", "--out", str(tmp_path / "d"), "town = eval"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "polydrive record: unknown town 'eval'\n"
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
@@ -127,6 +133,33 @@ class TestPipeline:
         assert rc == 0
         block = json.loads((tmp_path / "mae.json").read_text())
         assert set(block["mae"]) >= {"ego", "ego_2s", "neighbors", "neighbors_2s"}
+
+    def test_one_episode_recording_trains(self, tmp_path, capsys):
+        # One episode goes wholly to the train split, so val is empty.
+        rc = main(
+            ["record", "--seed", "4", "--out", str(tmp_path),
+             "episodes = 1", "duration = 8.0"]
+        )
+        assert rc == 0
+        val, _ = dataset.read_dataset(tmp_path / "val.jsonl")
+        assert val == []
+        capsys.readouterr()
+        rc = main(
+            ["train", "--seed", "0", "--out", str(tmp_path / "m.npz"),
+             f'train = "{tmp_path}/train.jsonl"', f'val = "{tmp_path}/val.jsonl"',
+             "epochs = 1"]
+        )
+        assert rc == 0
+        assert (tmp_path / "m.npz").exists()
+        assert "epoch   0  train" in capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (tmp_path / "m.npz.history.json").read_text()
+        (rec,) = json.loads(text, parse_constant=reject)["history"]
+        assert rec["val_loss"] is None
+        assert rec["train_loss"] > 0
 
     def test_corrupt_checkpoint_is_2(self, tiny_dataset, tmp_path, capsys):
         bad = tmp_path / "bad.npz"

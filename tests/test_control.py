@@ -221,6 +221,24 @@ class TestDriveTask:
         infr = bench.detect_infractions(res.trace, town)
         assert not [e for e in infr if e.kind.startswith("collision")]
 
+    def test_map_perturbation_reaches_the_model(self, town):
+        task = [t for t in bench.generate_suite("train", 3) if t.kind == "straight"][0]
+        params = model.init_params(0)
+
+        def drive(map_perturb):
+            route = task.route(town)
+            world = sw.spawn_scenario(town, task.n_cars, task.n_pedestrians, task.seed)
+            x0, y0, h0 = task.start_pose(town)
+            ego = world.agents[0]
+            ego.x, ego.y, ego.heading, ego.speed = x0, y0, h0, 0.0
+            return drive_task(params, world, route, timeout=2.0, map_perturb=map_perturb)
+
+        clean = drive((0.0, 0.0))
+        noisy = drive((0.5, 0.3))
+        again = drive((0.5, 0.3))
+        np.testing.assert_array_equal(noisy.trace.states, again.trace.states)
+        assert not np.array_equal(noisy.trace.states, clean.trace.states)
+
     def test_expert_reaches_goal_deterministically(self, town):
         tasks = [t for t in bench.generate_suite("train", 3) if t.kind == "straight"]
         r1 = bench.run_task(town, tasks[0], expert=True)

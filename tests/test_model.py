@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -106,15 +108,34 @@ class TestGradients:
                 assert (grads[key] == 0.0).all()
 
     def test_masked_neighbors_contribute_nothing(self, samples):
-        lonely = [s for s in samples if not s.v_mask.any()]
-        if not lonely:
-            pytest.skip("no neighbor-free windows in fixture episode")
-        feats = featurize(lonely[:4])
+        populated = [s for s in samples if s.v_mask.any()][:4]
+        assert populated
+        lonely = [
+            dataclasses.replace(s, v_mask=np.zeros_like(s.v_mask)) for s in populated
+        ]
+        feats = featurize(lonely)
         params = init_params(seed=5)
-        _, grads = loss_and_grad(params, feats)
+        loss, grads = loss_and_grad(params, feats)
+        ego_loss, ego_grads = loss_and_grad(params, feats, neighbor_loss=False)
+        assert loss == ego_loss
         for key in grads:
             if key.startswith(("nbr_enc", "nbr_dec")):
                 assert (grads[key] == 0.0).all()
+            else:
+                np.testing.assert_array_equal(grads[key], ego_grads[key])
+
+    def test_sparse_map_rows_match_dense_gradient(self, batch):
+        # The map encoder takes its first-layer gradient on occupied rows
+        # only; it must equal the dense x.T @ dz0 bit for bit.
+        params = init_params(seed=6)
+        _, _, cache = forward_batch(params, batch)
+        dz1 = np.random.default_rng(6).standard_normal((len(batch["xm"]), 64))
+        grads = zero_like_params(params)
+        dz0 = model._mlp2_backward(params, "map_enc", grads, dz1, cache["map"], sparse_rows=True)
+        x = cache["map"][0]
+        occ = x.any(axis=0)
+        assert 0 < occ.sum() < occ.size
+        np.testing.assert_array_equal(grads["map_enc.W0"], x.T @ dz0)
 
 
 class TestForward:
@@ -169,15 +190,82 @@ class TestForward:
             np.testing.assert_allclose(pts[i, :, 1], np.polyval(coeffs[i, 5:], t))
 
 
+def reference_adam_step(params, grads, state, config):
+    """Textbook Adam on fresh arrays, the reference for the in-place adam_step."""
+    state = {"m": dict(state["m"]), "v": dict(state["v"]), "t": state["t"] + 1}
+    t = state["t"]
+    b1, b2 = config.beta1, config.beta2
+    new_params = {}
+    for key, p in params.items():
+        g = grads[key]
+        m = b1 * state["m"][key] + (1 - b1) * g
+        v = b2 * state["v"][key] + (1 - b2) * g * g
+        state["m"][key] = m
+        state["v"][key] = v
+        m_hat = m / (1 - b1**t)
+        v_hat = v / (1 - b2**t)
+        new_params[key] = p - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    return new_params, state
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = init_params(seed=9)
+        before = {k: v.copy() for k, v in params.items()}
         grads = zero_like_params(params)
         state = init_adam_state(params)
         cfg = TrainConfig()
         new_params, _ = adam_step(params, grads, state, cfg)
-        for k in params:
-            np.testing.assert_array_equal(new_params[k], params[k])
+        for k in before:
+            np.testing.assert_array_equal(new_params[k], before[k])
+
+    def test_matches_reference_adam_bitwise(self, batch, samples):
+        # Two batches with different map occupancy, alternated, so that rows
+        # occupied only in one of them keep moving on their momentum while
+        # the other batch is trained on.
+        other = featurize(samples[-8:])
+        occ_a, occ_b = batch["xm"].any(axis=0), other["xm"].any(axis=0)
+        assert (occ_a != occ_b).any()
+        batches = [batch, other] * 10
+        cfg = TrainConfig(learning_rate=1e-3)
+        init = init_params(seed=14)
+
+        params = {k: v.copy() for k, v in init.items()}
+        state = init_adam_state(params)
+        ref = {k: v.copy() for k, v in init.items()}
+        ref_state = {"m": zero_like_params(ref), "v": zero_like_params(ref), "t": 0}
+        for feats in batches:
+            _, grads = loss_and_grad(params, feats)
+            params, state = adam_step(params, grads, state, cfg)
+            _, grads = loss_and_grad(ref, feats)
+            ref, ref_state = reference_adam_step(ref, grads, ref_state, cfg)
+
+        for k in ref:
+            np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
+            np.testing.assert_array_equal(state["m"][k], ref_state["m"][k], err_msg=k)
+            np.testing.assert_array_equal(state["v"][k], ref_state["v"][k], err_msg=k)
+        assert state["t"] == ref_state["t"] == len(batches)
+        ever = occ_a | occ_b
+        assert (~ever).any()
+        w0, w0_init = params["map_enc.W0"], init["map_enc.W0"]
+        np.testing.assert_array_equal(w0[~ever], w0_init[~ever])
+        assert (w0[ever] != w0_init[ever]).any(axis=1).all()
+
+    def test_dense_gradients_match_reference_bitwise(self):
+        # Every element gets a gradient, so a row the update misses shows.
+        rng = np.random.default_rng(15)
+        cfg = TrainConfig(learning_rate=1e-3)
+        params = init_params(seed=15)
+        ref = {k: v.copy() for k, v in params.items()}
+        state = init_adam_state(params)
+        ref_state = {"m": zero_like_params(ref), "v": zero_like_params(ref), "t": 0}
+        for _ in range(3):
+            grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+            params, state = adam_step(params, grads, state, cfg)
+            ref, ref_state = reference_adam_step(ref, grads, ref_state, cfg)
+        for k in ref:
+            np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
+            np.testing.assert_array_equal(state["v"][k], ref_state["v"][k], err_msg=k)
 
     def test_scalar_hand_check(self):
         cfg = TrainConfig(learning_rate=1e-3)
