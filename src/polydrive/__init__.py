@@ -1,7 +1,5 @@
 """Conditional polynomial trajectory prediction with a desk-scale 2D
 driving simulator, label augmentation, and a closed-loop benchmark."""
 
-from .accel import BACKEND
-
 __version__ = "0.1.0"
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -10,7 +10,7 @@ velocity and curvature of the nominal future at the rejoin time.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,9 +20,7 @@ from .dataset import (
     N_NEIGHBORS,
     T_STEPS,
     _FUTURE_T,
-    NavigationCommand,
     Sample,
-    fit_future_points,
 )
 from .errors import SkipSample
 from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS

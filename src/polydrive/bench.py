@@ -10,7 +10,7 @@ from the serialized episode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class BenchTask:
         route = self.route(network)
         pos, u = route.point_at(0.0)
         return float(pos[0]), float(pos[1]), float(np.arctan2(u[1], u[0]))
-
-    def goal_pos(self, network: RoadNetwork):
-        route = self.route(network)
-        return route.points[-1].copy()
 
 
 @dataclass(frozen=True)
@@ -406,12 +402,12 @@ def render_text(report: dict) -> str:
         mae = report["offline_mae"]
         lines.append("")
         lines.append(f"{'offline MAE (m)':<18} {'mean':>8} {'at 2 s':>8}")
-        lines.append(f"{'ego':<18} {mae.get('ego', float('nan')):>8.3f} "
-                     f"{mae.get('ego_2s', float('nan')):>8.3f}")
-        lines.append(f"{'neighbors':<18} {mae.get('neighbors', float('nan')):>8.3f} "
-                     f"{mae.get('neighbors_2s', float('nan')):>8.3f}")
+        for key in ("ego", "neighbors"):
+            cells = [mae.get(k) for k in (key, f"{key}_2s")]
+            cells = ["n/a" if v is None else f"{v:.3f}" for v in cells]
+            lines.append(f"{key:<18} {cells[0]:>8} {cells[1]:>8}")
     return "\n".join(lines) + "\n"
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)

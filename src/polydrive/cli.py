@@ -118,7 +118,7 @@ def _log_epoch(rec: dict) -> None:
 
 
 def _nan_to_null(rec: dict) -> dict:
-    """JSON has no NaN: a val field with nothing to measure is written as null."""
+    """JSON has no NaN: a field with nothing to measure is written as null."""
     return {
         k: None if isinstance(v, float) and not math.isfinite(v) else v
         for k, v in rec.items()
@@ -148,13 +148,12 @@ def cmd_train(cfg: dict, out: str) -> None:
 def cmd_eval_offline(cfg: dict, out: str | None) -> None:
     params, _ = model.load_checkpoint(_require(cfg, "checkpoint"))
     samples, _ = dataset.read_dataset(_require(cfg, "data"))
-    mae = model.eval_mae(params, samples)
     block = {
         "config_hash": config_hash(cfg),
         "n_samples": len(samples),
-        "mae": {k: float(v) for k, v in mae.items()},
+        "mae": _nan_to_null(model.eval_mae(params, samples)),
     }
-    text = json.dumps(block, indent=2, sort_keys=True)
+    text = json.dumps(block, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as f:
             f.write(text + "\n")
@@ -248,7 +247,7 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     offline_eval = None
     if cfg.get("offline_data") and not expert:
         samples, _ = dataset.read_dataset(cfg["offline_data"])
-        offline_eval = {k: float(v) for k, v in model.eval_mae(params, samples).items()}
+        offline_eval = _nan_to_null(model.eval_mae(params, samples))
     _emit_report(results, offline_eval, cfg, out)
 
 
@@ -273,6 +272,8 @@ def cmd_report(cfg: dict, out: str) -> None:
     if cfg.get("offline_eval"):
         with open(cfg["offline_eval"]) as f:
             offline_eval = json.load(f).get("mae")
+        if offline_eval:  # files written before null replaced NaN
+            offline_eval = _nan_to_null(offline_eval)
     os.makedirs(out, exist_ok=True)
     _emit_report(results, offline_eval, cfg, out)
 

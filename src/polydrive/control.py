@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dataset import (
-    N_NEIGHBORS,
     NC_LOOKAHEAD_S,
     NC_TURN_DEG,
     NC_ZONE_RADIUS,
@@ -36,6 +35,7 @@ from .simworld import (
     Route,
     World,
     autopilot_command,
+    clamp,
 )
 from .trajectory import PolyTrajectory2D, Pose2D, sample_trajectory
 
@@ -57,7 +57,7 @@ class PidChannel:
         self, error: float, dt: float, lo: float = -np.inf, hi: float = np.inf
     ) -> tuple[float, "PidChannel"]:
         integral = self.integral + error * dt
-        integral = float(np.clip(integral, -INTEGRAL_CLAMP, INTEGRAL_CLAMP))
+        integral = clamp(integral, -INTEGRAL_CLAMP, INTEGRAL_CLAMP)
         deriv = 0.0 if self.prev_error is None else (error - self.prev_error) / dt
         out = self.kp * error + self.ki * integral + self.kd * deriv
         # anti-windup: while the output saturates and the error keeps pushing
@@ -88,15 +88,64 @@ def pid_track(
     """One control tick; the polynomial must be in the current ego frame."""
     lat_error = float(np.polyval(poly.cy, LOOKAHEAD_S))
     steer_raw, lateral = pid.lateral.update(lat_error, pid.dt, -MAX_STEER, MAX_STEER)
-    steer = float(np.clip(steer_raw, -MAX_STEER, MAX_STEER))
+    steer = clamp(steer_raw, -MAX_STEER, MAX_STEER)
 
     speed_error = trajectory_speed_target(poly) - state.speed
     accel_raw, speed = pid.speed.update(speed_error, pid.dt, ACCEL_MIN, ACCEL_MAX)
-    accel = float(np.clip(accel_raw, ACCEL_MIN, ACCEL_MAX))
+    accel = clamp(accel_raw, ACCEL_MIN, ACCEL_MAX)
     return steer, accel, PidState(lateral=lateral, speed=speed, dt=pid.dt)
 
 
 # -- live sample construction ---------------------------------------------------
+
+
+# Radial margin (m) between the zone test and the route's junction spans that
+# decide where it can be skipped; floating error here is about 1e-10 m.
+ZONE_MARGIN = 1e-3
+
+
+def _zone_crossing(route: Route, s_now: float, step: float, network: RoadNetwork):
+    """Arc lengths (s_in, s_out) where the walk enters and leaves the first
+    junction zone it meets, or None when it meets none.
+
+    The result is what testing every point of the walk gives.  But a point
+    is tested only inside the route's junction spans for a radius
+    ZONE_MARGIN larger, and the exit walk only adds up its steps while the
+    spans for a radius ZONE_MARGIN smaller hold it inside.
+    """
+    n_steps = int(round(NC_LOOKAHEAD_S / TICK))
+    length = route.length
+    spans = route.junction_spans(NC_ZONE_RADIUS + ZONE_MARGIN)
+    s_last = max(min(s_now + n_steps * step, length), 0.0)
+    k = 0
+    for i in range(n_steps + 1):
+        s_in = min(s_now + i * step, length)
+        at = max(s_in, 0.0)  # where point_at looks
+        while k < len(spans) and spans[k][1] < at:
+            k += 1
+        if k == len(spans) or s_last < spans[k][0]:
+            return None
+        if at < spans[k][0]:
+            continue
+        node_id, d = network.nearest_junction(route.point_at(s_in)[0])
+        if d < NC_ZONE_RADIUS:
+            break
+    else:
+        return None
+    node_pos = network.nodes[node_id].pos
+    inside_to = s_in
+    for lo, hi, nid in route.junction_spans(NC_ZONE_RADIUS - ZONE_MARGIN):
+        if nid == node_id and lo <= max(s_in, 0.0) < hi:
+            inside_to = min(hi, length)
+    s = s_in
+    while s < inside_to:  # surely inside the zone: the test below would not stop
+        s += step
+    while s < length:
+        pos, _ = route.point_at(s)
+        if float(np.linalg.norm(pos - node_pos)) >= NC_ZONE_RADIUS:
+            break
+        s += step
+    return s_in, min(s, length)
 
 
 def live_navigation_command(
@@ -108,28 +157,11 @@ def live_navigation_command(
     lookahead; if a junction zone (15 m radius) is entered, the route-tangent
     heading change across the zone decides left / right / cross.
     """
-    step = max(speed, 0.5) * TICK
-    n_steps = int(round(NC_LOOKAHEAD_S / TICK))
-    entry = None
-    for i in range(n_steps + 1):
-        s = min(s_now + i * step, route.length)
-        pos, _ = route.point_at(s)
-        node_id, d = network.nearest_junction(pos)
-        if d < NC_ZONE_RADIUS:
-            entry = (s, node_id)
-            break
-    if entry is None:
+    crossing = _zone_crossing(route, s_now, max(speed, 0.5) * TICK, network)
+    if crossing is None:
         return NavigationCommand.KEEP_LANE
-    s_in, node_id = entry
-    node_pos = network.nodes[node_id].pos
-    s = s_in
-    while s < route.length:
-        pos, _ = route.point_at(s)
-        if float(np.linalg.norm(pos - node_pos)) >= NC_ZONE_RADIUS:
-            break
-        s += step if step > 1e-9 else 0.5
-    _, u_in = route.point_at(s_in)
-    _, u_out = route.point_at(min(s, route.length))
+    _, u_in = route.point_at(crossing[0])
+    _, u_out = route.point_at(crossing[1])
     h_in = float(np.arctan2(u_in[1], u_in[0]))
     h_out = float(np.arctan2(u_out[1], u_out[0]))
     dh = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
@@ -217,8 +249,7 @@ def _model_policy(params):
     from . import model
 
     def policy(sample: Sample, ego: AgentState, pid: PidState):
-        poly, _ = model.predict(params, sample)
-        return pid_track(poly, ego, pid)
+        return pid_track(model.predict(params, sample), ego, pid)
 
     return policy
 

@@ -9,7 +9,7 @@ degree-4 polynomials and resampled on the 0.1 s grid).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -18,14 +18,7 @@ from . import kernels, simworld
 from .errors import DataFormatError
 from .kernels import MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
 from .simworld import AgentState, EpisodeLog, RoadNetwork
-from .trajectory import (
-    DT,
-    HORIZON,
-    PointSeries,
-    Pose2D,
-    sample_times,
-    xy_to_frame,
-)
+from .trajectory import PointSeries, Pose2D, sample_times, xy_to_frame
 
 T_STEPS = 20
 K_WINDOW = 3
@@ -76,9 +69,6 @@ class Sample:
     def ego_future_series(self) -> PointSeries:
         return PointSeries(_FUTURE_T, self.ego_future)
 
-    def neigh_future_series(self, k: int) -> PointSeries:
-        return PointSeries(_FUTURE_T, self.neigh_future[k])
-
 
 def samples_equal(a: Sample, b: Sample, atol: float = 0.0) -> bool:
     for name in ("e", "v", "m_cells", "ctx", "ego_future", "neigh_future"):
@@ -91,18 +81,16 @@ def samples_equal(a: Sample, b: Sample, atol: float = 0.0) -> bool:
     )
 
 
+_HISTORY_INDEX = np.maximum(np.arange(T_STEPS)[:, None] - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)
+
+
 def history_tensor(track: np.ndarray) -> np.ndarray:
     """(T, 2) positions -> (T, K, 2) sliding windows, oldest first.
 
     Window k at index i holds the position at tick i - K + 1 + k; missing
     past is padded by repeating the oldest known position.
     """
-    track = np.asarray(track, dtype=np.float64)
-    out = np.empty((T_STEPS, K_WINDOW, 2))
-    for k in range(K_WINDOW):
-        idx = np.maximum(np.arange(T_STEPS) - (K_WINDOW - 1) + k, 0)
-        out[:, k, :] = track[idx]
-    return out
+    return np.asarray(track, dtype=np.float64)[_HISTORY_INDEX]
 
 
 def fit_future_points(xy: np.ndarray) -> np.ndarray:
@@ -241,11 +229,12 @@ def assemble_sample(
     peds: list[tuple[float, float]],
     light_green,
     nc: NavigationCommand,
-) -> Sample:
+) -> tuple[Sample, list[int]]:
     """Build the model inputs for one window (shared offline / live path).
 
     ego_past   : (T, 2) world positions, oldest first, ending at the center.
     car_tracks : per other car (agent_id, (T, 2) world track, center state).
+    Returns the sample and the agent ids of its neighbor slots, in order.
     """
     rel_ego = xy_to_frame(ego_past, frame)
     e = history_tensor(rel_ego)
@@ -253,30 +242,24 @@ def assemble_sample(
     order = select_neighbors(
         np.array([frame.x, frame.y]), [(aid, trk[-1]) for aid, trk, _ in car_tracks]
     )
-    by_id = {aid: (trk, st) for aid, trk, st in car_tracks}
+    rel = {aid: xy_to_frame(trk, frame) for aid, trk, _ in car_tracks}
     v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
     v_mask = np.zeros(N_NEIGHBORS, dtype=bool)
     for k, aid in enumerate(order):
-        v[k] = history_tensor(xy_to_frame(by_id[aid][0], frame))
+        v[k] = history_tensor(rel[aid])
         v_mask[k] = True
 
     rel_tracks = np.empty((1 + len(car_tracks), T_STEPS, 2))
     rel_tracks[0] = rel_ego
     dists = np.empty(1 + len(car_tracks))
     dists[0] = 0.0
-    ids_sorted = sorted(by_id)
-    for row, aid in enumerate(ids_sorted, start=1):
-        rel_tracks[row] = xy_to_frame(by_id[aid][0], frame)
+    for row, aid in enumerate(sorted(rel), start=1):
+        rel_tracks[row] = rel[aid]
         dists[row] = float(np.linalg.norm(rel_tracks[row][-1]))
     m_cells, m_labels = build_proximity_map(rel_tracks, dists)
 
-    ctx = compute_context(
-        network,
-        (frame.x, frame.y, frame.heading, ego_speed),
-        [st for _, _, st in [(a, t, s) for a, t, s in car_tracks]],
-        peds,
-        light_green,
-    )
+    ego_state = (frame.x, frame.y, frame.heading, ego_speed)
+    ctx = compute_context(network, ego_state, [st for _, _, st in car_tracks], peds, light_green)
     return Sample(
         e=e,
         v=v,

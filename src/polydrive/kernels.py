@@ -1,15 +1,12 @@
-"""Hot inner loops, shared by the numba and pure-numpy backends.
+"""Hot inner loops: scalar loops over preallocated numpy arrays.
 
-All functions are scalar loops over preallocated numpy arrays so the jitted
-and fallback paths produce bit-identical results.  See
-``benchmarks/backend_bench.py`` for a speed comparison.
+Callers that vectorize one of these computations elsewhere keep the same
+floating point operations in the same order, so results stay bit-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .accel import maybe_njit
 
 # Proximity map geometry (meters).
 MAP_ROWS = 13
@@ -20,7 +17,6 @@ CELL_LONG = MAP_EXTENT_LONG / MAP_ROWS  # 5.0
 CELL_LAT = MAP_EXTENT_LAT / MAP_COLS  # 3.5
 
 
-@maybe_njit
 def bin_proximity(rel, dists, window, cells, labels):
     """Bin vehicle track fragments into the ego-centered occupancy grid.
 
@@ -62,7 +58,6 @@ def bin_proximity(rel, dists, window, cells, labels):
                 cells[row, col, i, 2 * k + 1] = rel[a, j, 1]
 
 
-@maybe_njit
 def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
     """Arc-length progress of (px, py) along a polyline, near a previous s.
 
@@ -71,15 +66,19 @@ def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
     s_prev : previous progress; only segments in [s_prev-back, s_prev+ahead]
              are searched, which keeps tracking stable at self-near routes.
     Returns (s, lateral_sq) of the closest point in the search window.
+
+    cumlen is non-decreasing, so the segments that reach into the window
+    (cumlen[i + 1] >= lo and cumlen[i] <= hi) are one contiguous run, found by
+    bisection; they are visited in ascending order, so ties keep the first.
     """
     n = pts.shape[0]
     best_d = 1e30
     best_s = s_prev
     lo = s_prev - back
     hi = s_prev + ahead
-    for i in range(n - 1):
-        if cumlen[i + 1] < lo or cumlen[i] > hi:
-            continue
+    first = max(int(cumlen.searchsorted(lo)) - 1, 0)
+    stop = min(int(cumlen.searchsorted(hi, side="right")), n - 1)
+    for i in range(first, stop):
         ax = pts[i, 0]
         ay = pts[i, 1]
         bx = pts[i + 1, 0]
@@ -103,7 +102,6 @@ def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
     return best_s, best_d
 
 
-@maybe_njit
 def polyline_point(pts, cumlen, s):
     """Point and unit direction at arc length ``s`` (clamped to the ends)."""
     n = pts.shape[0]
@@ -129,7 +127,6 @@ def polyline_point(pts, cumlen, s):
     return ax + t * dx, ay + t * dy, dx / norm, dy / norm
 
 
-@maybe_njit
 def integrate_cars(states, cmds, is_car, dt, wheelbase, v_max):
     """Advance car states one tick by the kinematic bicycle model, in place.
 
@@ -164,7 +161,6 @@ def integrate_cars(states, cmds, is_car, dt, wheelbase, v_max):
         states[a, 3] = v
 
 
-@maybe_njit
 def segment_features(px, py, a_pts, b_pts, dist_out, s_out, lat_out):
     """Distance, along-segment progress and signed lateral per road segment.
 

@@ -16,11 +16,11 @@ sampling grid, so coefficient scales never enter the objective.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_NEIGHBORS, NavigationCommand, Sample
+from .dataset import N_NEIGHBORS, Sample
 from .errors import DataFormatError, NumericalError
 from .trajectory import PolyTrajectory2D, sample_times
 
@@ -167,20 +167,33 @@ def _ctx_backward(params, grads, da, x, a):
     grads["ctx_enc.b0"] += dz.sum(axis=0)
 
 
-def forward_batch(params, feats):
-    """All-branch forward; returns coefficient outputs and the cache."""
+def _encode(params, feats):
+    """Shared trunk: the cache up to the context C and the heads' input [C, ego]."""
     ego_a, ego_cache = _mlp2_tanh_forward(params, "ego_enc", feats["xe"])
     map_a, map_cache = _mlp2_tanh_forward(params, "map_enc", feats["xm"])
     ctx_a = _ctx_forward(params, feats["xc"])
     context = np.concatenate([map_a, ctx_a], axis=1)
+    return {
+        "ego": ego_cache,
+        "map": map_cache,
+        "ctx_a": ctx_a,
+        "context": context,
+        "he": np.concatenate([context, ego_a], axis=1),
+        "map_a": map_a,
+        "ego_a": ego_a,
+    }
 
-    he = np.concatenate([context, ego_a], axis=1)
+
+def forward_batch(params, feats):
+    """All-branch forward; returns coefficient outputs and the cache."""
+    cache = _encode(params, feats)
+    context = cache["context"]
     head_out = []
     head_cache = []
     for h in range(N_HEADS):
-        out, cache = _mlp2_forward(params, f"head{h}", he)
+        out, h_cache = _mlp2_forward(params, f"head{h}", cache["he"])
         head_out.append(out)
-        head_cache.append(cache)
+        head_cache.append(h_cache)
     b = feats["xe"].shape[0]
     nc = feats["nc"]
     ego_coeffs = np.stack(head_out, axis=0)[nc, np.arange(b)]
@@ -193,18 +206,8 @@ def forward_batch(params, feats):
         out, dec_cache = _mlp2_forward(params, "nbr_dec", hv)
         nbr_coeffs[:, k] = out
         nbr_caches.append((enc_cache, dec_cache))
-
-    cache = {
-        "ego": ego_cache,
-        "map": map_cache,
-        "ctx_a": ctx_a,
-        "context": context,
-        "he": he,
-        "heads": head_cache,
-        "nbr": nbr_caches,
-        "map_a": map_a,
-        "ego_a": ego_a,
-    }
+    cache["heads"] = head_cache
+    cache["nbr"] = nbr_caches
     return ego_coeffs, nbr_coeffs, cache
 
 
@@ -293,16 +296,16 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     return loss, grads
 
 
-def predict(params, sample: Sample):
-    """Single-sample forward to trajectory objects."""
-    feats = featurize([sample])
-    ego_coeffs, nbr_coeffs, _ = forward_batch(params, feats)
-    ego = PolyTrajectory2D.from_coeff_vector(ego_coeffs[0])
-    nbrs = [
-        PolyTrajectory2D.from_coeff_vector(nbr_coeffs[0, k])
-        for k in range(N_NEIGHBORS)
-    ]
-    return ego, nbrs
+def predict(params, sample: Sample) -> PolyTrajectory2D:
+    """Ego trajectory of one sample, from the head its command selects.
+
+    Only the trunk and that head run; the batch-1 shapes are forward_batch's,
+    so the result is bitwise its selected row.  Neighbor futures need
+    forward_batch.
+    """
+    he = _encode(params, featurize([sample]))["he"]
+    out, _ = _mlp2_forward(params, f"head{int(sample.nc)}", he)
+    return PolyTrajectory2D.from_coeff_vector(out[0])
 
 
 # -- optimizer -----------------------------------------------------------------

@@ -7,7 +7,7 @@ seeded and replayable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,6 +113,11 @@ class RoadNetwork:
         self.lane_p1 = np.array([l.p1 for l in lanes])
         self.lane_dir = np.array([l.direction for l in lanes])
         self.lane_len = np.array([l.length for l in lanes])
+        # Unit vectors p0 -> p1 by the segment_features kernel's own scalar
+        # expressions, so that nearest_lane's vectorized s and lat match it.
+        d = [(l.p1[0] - l.p0[0], l.p1[1] - l.p0[1]) for l in lanes]
+        n = [(dx * dx + dy * dy) ** 0.5 for dx, dy in d]
+        self.lane_u = np.array([(dx / m, dy / m) for (dx, dy), m in zip(d, n)]).T.copy()
         self._successors: dict[int, list[tuple[int, str]]] = {}
         by_from: dict[int, list[Lane]] = {}
         for l in lanes:
@@ -168,12 +173,10 @@ class RoadNetwork:
         Returns None when the position is not within any lane corridor
         (e.g. inside a junction core).
         """
-        x, y = float(xy[0]), float(xy[1])
-        n = len(self.lanes)
-        dist = np.empty(n)
-        s = np.empty(n)
-        lat = np.empty(n)
-        kernels.segment_features(x, y, self.lane_p0, self.lane_p1, dist, s, lat)
+        (ux, uy), (x0, y0) = self.lane_u, self.lane_p0.T
+        rx, ry = float(xy[0]) - x0, float(xy[1]) - y0
+        s = rx * ux + ry * uy
+        lat = -rx * uy + ry * ux
         ok = (np.abs(lat) <= LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= self.lane_len + 1.0)
         if heading is not None:
             hvec = np.array([np.cos(heading), np.sin(heading)])
@@ -320,23 +323,6 @@ class LightGroup:
         return max(0.0, self.green - phase)
 
 
-@dataclass(frozen=True)
-class TrafficLightState:
-    group_id: int
-    phase: str  # "red" | "green"
-    time_in_phase: float
-    cycle: tuple[float, float]
-
-
-def light_state(group: LightGroup, clock: float) -> TrafficLightState:
-    phase = (clock + group.offset) % (group.green + group.red)
-    if phase < group.green:
-        return TrafficLightState(group.group_id, "green", phase, (group.green, group.red))
-    return TrafficLightState(
-        group.group_id, "red", phase - group.green, (group.green, group.red)
-    )
-
-
 def make_light_groups(network: RoadNetwork, rng: np.random.Generator) -> list[LightGroup]:
     """Two complementary groups per lit junction.
 
@@ -381,6 +367,7 @@ class Route:
         self.points = np.zeros((0, 2))
         self.cumlen = np.zeros(0)
         self.events: list[RouteEvent] = []
+        self._spans: dict[float, tuple[int, list]] = {}
         for lid in lane_ids:
             self.extend(lid)
 
@@ -440,6 +427,42 @@ class Route:
         )
         return float(s)
 
+    def junction_spans(self, radius: float) -> list[tuple[float, float, int]]:
+        """Arc-length intervals (lo, hi, node_id), sorted, where the route runs
+        within ``radius`` of a junction.
+
+        Solved per segment from |a + t (b - a) - c| = radius, with t mapped to
+        arc length the way point_at maps it back, and joined where they
+        touch.  Computed on first use, and again once the route has grown.
+        """
+        n_points, spans = self._spans.get(radius, (-1, []))
+        if n_points == self.points.shape[0]:
+            return spans
+        start, seg_len = self.cumlen[:-1, None], np.diff(self.cumlen)[:, None]
+        dx, dy = np.diff(self.points, axis=0).T[:, :, None]
+        jx, jy = self.network.junction_pos.T
+        rx = self.points[:-1, 0, None] - jx
+        ry = self.points[:-1, 1, None] - jy
+        qa = dx * dx + dy * dy
+        qb = rx * dx + ry * dy
+        disc = qb * qb - qa * (rx * rx + ry * ry - radius * radius)
+        root = np.sqrt(np.maximum(disc, 0.0))
+        t0 = np.maximum((-qb - root) / qa, 0.0)
+        t1 = np.minimum((-qb + root) / qa, 1.0)
+        lo = start + t0 * seg_len
+        hi = np.where(t1 >= 1.0, self.cumlen[1:, None], start + t1 * seg_len)
+        seg, junction = np.nonzero((disc > 0.0) & (t0 < t1))
+        order = np.lexsort((seg, junction))  # by junction, then along the route
+        seg, junction = seg[order], junction[order]
+        lo, hi = lo[seg, junction], hi[seg, junction]
+        first = np.ones(junction.size, dtype=bool)
+        first[1:] = (junction[1:] != junction[:-1]) | (lo[1:] > hi[:-1])
+        last = np.roll(first, -1)
+        ids = np.asarray(self.network.junction_ids)[junction[first]]
+        spans = sorted(zip(lo[first].tolist(), hi[last].tolist(), ids.tolist()))
+        self._spans[radius] = (self.points.shape[0], spans)
+        return spans
+
     def next_event(self, s: float, committed: float = 0.3) -> RouteEvent | None:
         for ev in self.events:
             if ev.s_stop > s - committed and s < ev.s_exit:
@@ -447,9 +470,6 @@ class Route:
             if ev.s_stop > s:
                 return ev
         return None
-
-    def turn_count(self) -> int:
-        return sum(1 for ev in self.events if ev.turn in ("left", "right"))
 
 
 def _left_normal(h: float) -> np.ndarray:
@@ -566,6 +586,11 @@ class AgentState:
         return np.array([self.x, self.y])
 
 
+def clamp(x: float, lo: float, hi: float) -> float:
+    """np.clip for one Python float, bit for bit: a bound ties to x, NaN passes."""
+    return min(max(x, lo), hi)
+
+
 def pure_pursuit_steer(agent: AgentState, lookahead: float = LOOKAHEAD) -> float:
     target, _ = agent.route.point_at(agent.route_s + lookahead)
     dx = target[0] - agent.x
@@ -577,7 +602,7 @@ def pure_pursuit_steer(agent: AgentState, lookahead: float = LOOKAHEAD) -> float
     if dist_sq < 1e-12:
         return 0.0
     steer = float(np.arctan2(2.0 * WHEELBASE * ly, dist_sq))
-    return float(np.clip(steer, -MAX_STEER, MAX_STEER))
+    return clamp(steer, -MAX_STEER, MAX_STEER)
 
 
 def _relative(agent: AgentState, other_xy) -> tuple[float, float]:
@@ -709,6 +734,18 @@ class World:
             pick = succ[int(self.rng.integers(len(succ)))]
             route.extend(pick[0])
 
+    def _car_near(self, xy: np.ndarray, radius: float) -> bool:
+        """Whether any car is closer than radius, by np.linalg.norm per car.
+
+        That 1-D norm is a BLAS dot, which may round differently in the last
+        bit from a row-wise norm; so a vectorized pass with a margin picks
+        the candidates and the per-car norm decides.
+        """
+        cars = self.cars
+        rows = np.array([(car.x, car.y) for car in cars]).reshape(-1, 2)
+        near = np.flatnonzero(np.linalg.norm(rows - xy, axis=1) < radius + 1e-6)
+        return any(np.linalg.norm(cars[i].xy - xy) < radius for i in near)
+
     def _step_pedestrian(self, ped: AgentState, dt: float) -> None:
         if ped.ped_path is None:
             ped.speed = 0.0
@@ -725,10 +762,7 @@ class World:
         # of the kerb; once committed, the cars' pedestrian gates take over.
         origin = ped.ped_path[1 - ped.ped_target]
         at_kerb = float(np.linalg.norm(origin - ped.xy)) < 1e-6
-        if at_kerb and any(
-            np.linalg.norm(car.xy - ped.xy) < PED_CROSSING_CLEARANCE
-            for car in self.cars
-        ):
+        if at_kerb and self._car_near(ped.xy, PED_CROSSING_CLEARANCE):
             ped.speed = 0.0
             return
         if dist <= step:
@@ -756,7 +790,7 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
         return (0.0, 0.0)
     if route.length - agent.route_s < 1.0:
         # Route exhausted: brake to a stop.
-        return (0.0, float(np.clip(-2.5 * agent.speed, ACCEL_MIN, 0.0)))
+        return (0.0, clamp(-2.5 * agent.speed, ACCEL_MIN, 0.0))
 
     steer = pure_pursuit_steer(agent)
     stop_distances: list[float] = []
@@ -792,7 +826,7 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
         v_target = JUNCTION_SPEED
     for d in stop_distances:
         v_target = min(v_target, float(np.sqrt(2.0 * BRAKE_COMFORT * max(d, 0.0))))
-    accel = float(np.clip(2.5 * (v_target - agent.speed), ACCEL_MIN, ACCEL_MAX))
+    accel = clamp(2.5 * (v_target - agent.speed), ACCEL_MIN, ACCEL_MAX)
     return (steer, accel)
 
 

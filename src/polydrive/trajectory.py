@@ -6,7 +6,7 @@ stored highest-degree first, i.e. x(t) = cx[0] t^4 + ... + cx[4].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,10 +138,6 @@ def from_frame(points: PointSeries, frame: Pose2D) -> PointSeries:
 
 def xy_to_frame(xy: np.ndarray, frame: Pose2D) -> np.ndarray:
     return (np.asarray(xy, dtype=np.float64) - frame.xy) @ _rotation(frame.heading)
-
-
-def xy_from_frame(xy: np.ndarray, frame: Pose2D) -> np.ndarray:
-    return np.asarray(xy, dtype=np.float64) @ _rotation(frame.heading).T + frame.xy
 
 
 def point_l2_loss(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -202,6 +203,35 @@ class TestClosedLoopAndReport:
         a.pop("config_hash")
         b.pop("config_hash")
         assert a == b
+
+    def test_neighbor_free_offline_mae_is_null(self, expert_run, tiny_dataset, tmp_path, capsys):
+        # eval_mae has no neighbor error to report without neighbor windows;
+        # mae.json and the report carry null there (JSON has no NaN).
+        samples, _ = dataset.read_dataset(tiny_dataset / "val.jsonl")
+        lone = [dataclasses.replace(s, v_mask=np.zeros_like(s.v_mask)) for s in samples]
+        dataset.write_dataset(lone, tmp_path / "lone.jsonl")
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        rc = main(
+            ["eval-offline", "--out", str(tmp_path / "mae.json"),
+             f'checkpoint = "{tmp_path}/m.npz"', f'data = "{tmp_path}/lone.jsonl"']
+        )
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        mae = json.loads((tmp_path / "mae.json").read_text(), parse_constant=reject)["mae"]
+        assert mae["neighbors"] is None and mae["neighbors_2s"] is None
+        assert mae["ego"] > 0.0
+        rc = main(
+            ["report", "--out", str(tmp_path / "r"), f'traces = "{expert_run}/traces"',
+             f'offline_eval = "{tmp_path}/mae.json"']
+        )
+        assert rc == 0
+        report = json.loads((tmp_path / "r" / "report.json").read_text(), parse_constant=reject)
+        assert report["offline_mae"] == mae
+        text = (tmp_path / "r" / "report.txt").read_text()
+        assert f"{'neighbors':<18} {'n/a':>8} {'n/a':>8}" in text.splitlines()
 
     def test_unknown_kind_is_2(self, tmp_path, capsys):
         rc = main(

@@ -112,7 +112,104 @@ class TestTimeout:
         assert abs(route_timeout(400.0) - 432.0) < 1e-9
 
 
+def reference_zone_crossing(route, s_now, step, network):
+    """The zone walk testing every sample point: (s_in, s_out) or None."""
+    n_steps = int(round(dataset.NC_LOOKAHEAD_S / TICK))
+    entry = None
+    for i in range(n_steps + 1):
+        s = min(s_now + i * step, route.length)
+        pos, _ = route.point_at(s)
+        node_id, d = network.nearest_junction(pos)
+        if d < dataset.NC_ZONE_RADIUS:
+            entry = (s, node_id)
+            break
+    if entry is None:
+        return None
+    s_in, node_id = entry
+    node_pos = network.nodes[node_id].pos
+    s = s_in
+    while s < route.length:
+        pos, _ = route.point_at(s)
+        if float(np.linalg.norm(pos - node_pos)) >= dataset.NC_ZONE_RADIUS:
+            break
+        s += step if step > 1e-9 else 0.5
+    return s_in, min(s, route.length)
+
+
+def reference_command(route, crossing):
+    if crossing is None:
+        return NavigationCommand.KEEP_LANE
+    _, u_in = route.point_at(crossing[0])
+    _, u_out = route.point_at(crossing[1])
+    h_in = float(np.arctan2(u_in[1], u_in[0]))
+    h_out = float(np.arctan2(u_out[1], u_out[0]))
+    dh = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
+    if dh > np.deg2rad(dataset.NC_TURN_DEG):
+        return NavigationCommand.LEFT
+    if dh < -np.deg2rad(dataset.NC_TURN_DEG):
+        return NavigationCommand.RIGHT
+    return NavigationCommand.CROSS
+
+
+def assert_same_walk(route, s_now, speed, network):
+    step = max(speed, 0.5) * TICK
+    crossing = reference_zone_crossing(route, s_now, step, network)
+    assert control._zone_crossing(route, s_now, step, network) == crossing
+    command = reference_command(route, crossing)
+    assert live_navigation_command(route, s_now, speed, network) == command
+    return command
+
+
 class TestLiveNavigationCommand:
+    @pytest.mark.parametrize("town_id", ["train", "test"])
+    def test_matches_reference_walk(self, town_id):
+        # Every tick of an expert drive, at the ego's speed and at fixed
+        # speeds from 0 to the world cap; the ego's route grows as it drives.
+        net = sw.build_town(town_id)
+        world = sw.spawn_scenario(net, n_cars=6, n_pedestrians=2, seed=17)
+        ego = world.agents[0]
+        speeds = np.linspace(0.0, sw.SPEED_LIMIT, 5)
+        seen = set()
+        for _ in range(300):
+            for speed in (ego.speed, *speeds):
+                seen.add(assert_same_walk(ego.route, ego.route_s, speed, net))
+            world.step(ego_command=sw.autopilot_command(ego, world))
+        assert NavigationCommand.KEEP_LANE in seen and len(seen) >= 3
+
+    def test_matches_reference_along_whole_routes(self, town):
+        # Progress values off the driven line too: before the start, on
+        # junction-zone edges and at the route end.
+        world = sw.spawn_scenario(town, n_cars=3, n_pedestrians=0, seed=2)
+        rng = np.random.default_rng(8)
+        for car in world.cars:
+            route = car.route
+            edges = [v for lo, hi, _ in route.junction_spans(dataset.NC_ZONE_RADIUS)
+                     for v in (lo, hi)]
+            for s_now in (-3.0, 0.0, route.length, *edges, *rng.uniform(0.0, route.length, 25)):
+                for speed in (0.0, 0.7, 3.3, sw.SPEED_LIMIT):
+                    assert_same_walk(route, s_now, speed, town)
+
+    def test_junction_spans_bound_the_zone_test(self, town):
+        # Where the zone test passes, the wider spans hold the point; inside
+        # the narrower spans of a junction, its zone test passes.  Checked
+        # on a fine grid and right at every span edge.
+        radius = dataset.NC_ZONE_RADIUS
+        route = sw.spawn_scenario(town, n_cars=1, n_pedestrians=0, seed=6).agents[0].route
+        outer = route.junction_spans(radius + control.ZONE_MARGIN)
+        inner = route.junction_spans(radius - control.ZONE_MARGIN)
+        assert len(inner) == len(outer) >= 5
+        edges = [v + e for lo, hi, _ in outer + inner for v in (lo, hi)
+                 for e in (-1e-9, 0.0, 1e-9)]
+        for s in (*np.arange(0.0, route.length, 0.05), *edges):
+            s = min(max(float(s), 0.0), route.length)
+            pos, _ = route.point_at(s)
+            _, d = town.nearest_junction(pos)
+            if d < radius:
+                assert any(lo <= s <= hi for lo, hi, _ in outer)
+            for lo, hi, node_id in inner:
+                if lo <= s < hi:
+                    assert np.linalg.norm(pos - town.nodes[node_id].pos) < radius
+
     def test_matches_offline_on_expert_episode(self, town):
         # Replay an expert episode; the live route-based classifier must agree
         # with the offline motion-based one except within a short skew window

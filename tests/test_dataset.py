@@ -42,10 +42,12 @@ class TestHistoryTensor:
         track = np.arange(T_STEPS * 2, dtype=float).reshape(T_STEPS, 2)
         h = history_tensor(track)
         assert h.shape == (T_STEPS, K_WINDOW, 2)
-        # window k at index i holds the position at tick i - K + 1 + k
-        for i in range(K_WINDOW - 1, T_STEPS):
+        assert h.flags.c_contiguous and not np.shares_memory(h, track)
+        # window k at index i holds the position at tick i - K + 1 + k,
+        # clamped to the oldest tick
+        for i in range(T_STEPS):
             for k in range(K_WINDOW):
-                np.testing.assert_array_equal(h[i, k], track[i - K_WINDOW + 1 + k])
+                np.testing.assert_array_equal(h[i, k], track[max(i - K_WINDOW + 1 + k, 0)])
 
     def test_early_ticks_pad_with_oldest(self):
         track = np.arange(T_STEPS * 2, dtype=float).reshape(T_STEPS, 2)

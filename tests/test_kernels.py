@@ -1,80 +1,103 @@
-"""Backend parity: the jitted kernels and the pure-Python fallbacks must
-compute identical results (same operations, same order)."""
+"""Kernel behaviour, and the windowed polyline projection against the full
+scan it replaced (bitwise)."""
 
 import numpy as np
 import pytest
 
-from polydrive import accel, kernels
+from polydrive import kernels, simworld as sw
 
 
-def fallback(fn):
-    return getattr(fn, "py_func", fn)
+def reference_polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
+    """The full scan: every segment is tested against the search window."""
+    n = pts.shape[0]
+    best_d = 1e30
+    best_s = s_prev
+    lo = s_prev - back
+    hi = s_prev + ahead
+    for i in range(n - 1):
+        if cumlen[i + 1] < lo or cumlen[i] > hi:
+            continue
+        ax = pts[i, 0]
+        ay = pts[i, 1]
+        bx = pts[i + 1, 0]
+        by = pts[i + 1, 1]
+        dx = bx - ax
+        dy = by - ay
+        seg_len_sq = dx * dx + dy * dy
+        if seg_len_sq <= 0.0:
+            continue
+        t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        cx = ax + t * dx
+        cy = ay + t * dy
+        d = (px - cx) * (px - cx) + (py - cy) * (py - cy)
+        if d < best_d:
+            best_d = d
+            best_s = cumlen[i] + t * (seg_len_sq**0.5)
+    return best_s, best_d
 
 
-needs_jit = pytest.mark.skipif(
-    accel.BACKEND != "numba", reason="numba backend inactive"
-)
+def _cumlen(pts):
+    return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
 
 
-@needs_jit
-def test_bin_proximity_parity():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        n_agents, n_ticks, window = 6, 20, 3
-        rel = rng.normal(0.0, 12.0, (n_agents, n_ticks, 2))
-        dists = np.linalg.norm(rel[:, -1, :], axis=1)
-        a_cells = np.zeros((13, 3, n_ticks, 2 * window))
-        a_labels = np.full((13, 3, n_ticks), -1, dtype=np.int64)
-        b_cells = a_cells.copy()
-        b_labels = a_labels.copy()
-        kernels.bin_proximity(rel, dists, window, a_cells, a_labels)
-        fallback(kernels.bin_proximity)(rel, dists, window, b_cells, b_labels)
-        np.testing.assert_array_equal(a_cells, b_cells)
-        np.testing.assert_array_equal(a_labels, b_labels)
+def _assert_same_projection(pts, cumlen, s_prev, px, py, back=8.0, ahead=20.0):
+    got = kernels.polyline_project(pts, cumlen, s_prev, px, py, back, ahead)
+    want = reference_polyline_project(pts, cumlen, s_prev, px, py, back, ahead)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
 
 
-@needs_jit
-def test_polyline_parity():
-    rng = np.random.default_rng(0)
-    pts = np.cumsum(rng.uniform(0.3, 2.0, (200, 2)), axis=0)
-    cumlen = np.concatenate(
-        [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))]
-    )
-    for s in (0.0, 10.0, 55.5, cumlen[-1], cumlen[-1] + 5.0):
-        assert kernels.polyline_point(pts, cumlen, s) == fallback(
-            kernels.polyline_point
-        )(pts, cumlen, s)
-        q = np.asarray(kernels.polyline_point(pts, cumlen, s)[:2]) + [0.4, -0.7]
-        assert kernels.polyline_project(
-            pts, cumlen, s, q[0], q[1], 8.0, 20.0
-        ) == fallback(kernels.polyline_project)(pts, cumlen, s, q[0], q[1], 8.0, 20.0)
+class TestWindowedProjection:
+    def test_random_polylines(self):
+        rng = np.random.default_rng(0)
+        for trial in range(40):
+            n = int(rng.integers(2, 60))
+            pts = np.cumsum(rng.normal(0.0, 3.0, (n, 2)), axis=0)
+            if trial % 4 == 0:
+                pts[n // 2] = pts[n // 2 - 1]  # a zero-length segment
+            cumlen = _cumlen(pts)
+            total = cumlen[-1]
+            for s_prev in (0.0, total, -30.0, -8.0, total + 8.0, total + 25.0,
+                           *rng.uniform(-10.0, total + 10.0, 8), *cumlen[::3]):
+                for _ in range(3):
+                    q = pts[rng.integers(n)] + rng.normal(0.0, 4.0, 2)
+                    _assert_same_projection(pts, cumlen, float(s_prev), q[0], q[1])
+                    _assert_same_projection(
+                        pts, cumlen, float(s_prev), q[0], q[1],
+                        float(rng.uniform(0.0, 15.0)), float(rng.uniform(0.0, 15.0)),
+                    )
 
+    def test_window_edges_on_vertices(self):
+        # s_prev - back and s_prev + ahead land exactly on vertex arc lengths.
+        pts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [8.0, 4.0], [8.0, 8.0]])
+        cumlen = _cumlen(pts)
+        for s_prev in cumlen:
+            for back, ahead in ((4.0, 4.0), (0.0, 0.0), (8.0, 0.0), (0.0, 12.0)):
+                for q in (*pts, *(pts + [1.0, -1.0])):
+                    _assert_same_projection(pts, cumlen, float(s_prev), q[0], q[1], back, ahead)
 
-@needs_jit
-def test_integrate_cars_parity():
-    rng = np.random.default_rng(1)
-    states = rng.normal(0.0, 5.0, (10, 4))
-    states[:, 3] = np.abs(states[:, 3])
-    cmds = rng.normal(0.0, 0.4, (10, 2))
-    is_car = rng.random(10) > 0.3
-    a = states.copy()
-    b = states.copy()
-    kernels.integrate_cars(a, cmds, is_car, 0.1, 2.5, 8.33)
-    fallback(kernels.integrate_cars)(b, cmds, is_car, 0.1, 2.5, 8.33)
-    np.testing.assert_array_equal(a, b)
-
-
-@needs_jit
-def test_segment_features_parity():
-    rng = np.random.default_rng(2)
-    a_pts = rng.normal(0.0, 50.0, (30, 2))
-    b_pts = a_pts + rng.normal(0.0, 30.0, (30, 2))
-    out_a = [np.empty(30) for _ in range(3)]
-    out_b = [np.empty(30) for _ in range(3)]
-    kernels.segment_features(3.0, -7.0, a_pts, b_pts, *out_a)
-    fallback(kernels.segment_features)(3.0, -7.0, a_pts, b_pts, *out_b)
-    for x, y in zip(out_a, out_b):
-        np.testing.assert_array_equal(x, y)
+    def test_route_extended_over_many_lanes(self):
+        town = sw.build_town("train")
+        world = sw.spawn_scenario(town, n_cars=6, n_pedestrians=0, seed=5)
+        rng = np.random.default_rng(3)
+        for car in world.cars:
+            route = car.route
+            for _ in range(12):
+                succ = town.successors(route.lane_ids[-1])
+                if not succ:
+                    break
+                route.extend(succ[int(rng.integers(len(succ)))][0])
+            assert len(route.lane_ids) > 12
+            for s_prev in np.linspace(-10.0, route.length + 10.0, 120):
+                xy, u = route.point_at(s_prev + rng.uniform(-5.0, 25.0))
+                q = xy + rng.normal(0.0, 2.0, 2)
+                _assert_same_projection(
+                    route.points, route.cumlen, float(s_prev), q[0], q[1]
+                )
 
 
 def test_integrate_cars_speed_clamped():

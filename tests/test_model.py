@@ -141,10 +141,20 @@ class TestGradients:
 class TestForward:
     def test_zero_params_give_zero_trajectories(self, samples):
         params = zero_like_params(init_params(0))
-        ego, nbrs = predict(params, samples[0])
+        ego = predict(params, samples[0])
         assert (ego.cx == 0.0).all() and (ego.cy == 0.0).all()
-        for nb in nbrs:
-            assert (nb.cx == 0.0).all()
+        _, nbr_coeffs, _ = forward_batch(params, featurize(samples[:1]))
+        assert (nbr_coeffs == 0.0).all()
+
+    def test_predict_is_forward_batch_selected_head_bitwise(self, samples):
+        params = init_params(seed=4)
+        for s in samples[::25]:
+            for nc in NavigationCommand:
+                sample = dataclasses.replace(s, nc=nc)
+                ego_coeffs, _, _ = forward_batch(params, featurize([sample]))
+                ego = predict(params, sample)
+                got = np.concatenate([ego.cx, ego.cy])
+                assert got.tobytes() == ego_coeffs[0].tobytes()
 
     def test_nc_switch_changes_only_ego(self, samples):
         s = samples[len(samples) // 2]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polydrive import simworld as sw
+from polydrive import kernels, simworld as sw
 from polydrive.errors import DataFormatError, SpawnError
 
 
@@ -55,6 +55,96 @@ class TestNetwork:
             mid = (cw.p0 + cw.p1) / 2.0
             gap = np.linalg.norm(mid - node.pos) - stop_d
             assert gap > sw.CAR_RADIUS + sw.PED_RADIUS
+
+
+def reference_nearest_lane(net, xy, heading=None):
+    """nearest_lane computed through the segment_features kernel."""
+    x, y = float(xy[0]), float(xy[1])
+    n = len(net.lanes)
+    dist, s, lat = np.empty(n), np.empty(n), np.empty(n)
+    kernels.segment_features(x, y, net.lane_p0, net.lane_p1, dist, s, lat)
+    ok = (np.abs(lat) <= sw.LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= net.lane_len + 1.0)
+    if heading is not None:
+        ok &= net.lane_dir @ np.array([np.cos(heading), np.sin(heading)]) > 0.0
+    if not ok.any():
+        return None
+    idx = np.flatnonzero(ok)
+    best = idx[np.argmin(np.abs(lat[idx]))]
+    return int(best), float(s[best]), float(lat[best])
+
+
+def random_network(seed):
+    """Lanes at random angles: their unit vectors are not exact like the
+    towns' axis-aligned ones, so a rounding difference shows."""
+    rng = np.random.default_rng(seed)
+    nodes = [sw.Node(i, rng.uniform(0.0, 300.0, 2), "junction", True) for i in range(12)]
+    segments, lanes = [], []
+    for k in range(20):
+        a, b = (int(i) for i in rng.choice(12, 2, replace=False))
+        segments.append(sw.Segment(k, a, b, 2))
+        for f, t in ((a, b), (b, a)):
+            p0 = nodes[f].pos + rng.normal(0.0, 2.0, 2)
+            p1 = nodes[t].pos + rng.normal(0.0, 2.0, 2)
+            length = float(np.linalg.norm(p1 - p0))
+            lanes.append(sw.Lane(len(lanes), k, f, t, p0, p1, (p1 - p0) / length, length))
+    return sw.RoadNetwork("random", nodes, segments, lanes, [])
+
+
+class TestNearestLane:
+    @pytest.mark.parametrize("town_id", ["train", "test", "random"])
+    def test_matches_segment_features_kernel(self, town_id):
+        net = random_network(9) if town_id == "random" else sw.build_town(town_id)
+        lo = net.lane_p0.min(axis=0) - 5.0
+        hi = net.lane_p0.max(axis=0) + 5.0
+        hits = 0
+        for x in np.linspace(lo[0], hi[0], 23):
+            for y in np.linspace(lo[1], hi[1], 23):
+                for heading in (None, 0.0, 0.5 * np.pi, np.pi, -2.5):
+                    want = reference_nearest_lane(net, (x, y), heading)
+                    assert net.nearest_lane((x, y), heading) == want
+                    hits += want is not None
+        # Points on and beside every lane, where the lane tests are decided.
+        for lane in net.lanes:
+            normal = np.array([-lane.direction[1], lane.direction[0]])
+            for s in (-1.0, lane.length / 3.0, lane.length + 1.0):
+                for off in (0.0, -2.625, 2.625):
+                    xy = lane.p0 + lane.direction * s + normal * off
+                    for heading in (None, lane.heading, lane.heading + np.pi / 2.0):
+                        want = reference_nearest_lane(net, xy, heading)
+                        assert net.nearest_lane(xy, heading) == want
+                        hits += want is not None
+        assert hits > 1000
+
+
+class TestClamp:
+    def test_matches_np_clip_bitwise(self):
+        rng = np.random.default_rng(0)
+        values = [*rng.normal(0.0, 5.0, 500), 0.0, -0.0, np.inf, -np.inf, np.nan]
+        bounds = [(-sw.MAX_STEER, sw.MAX_STEER), (sw.ACCEL_MIN, sw.ACCEL_MAX),
+                  (sw.ACCEL_MIN, 0.0), (-0.0, 0.0), (0.0, 0.0), (-10.0, 10.0)]
+        for lo, hi in bounds:
+            for x in [*values, lo, hi, -lo, -hi]:
+                want = float(np.clip(x, lo, hi))
+                got = sw.clamp(float(x), lo, hi)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestPedestrianKerb:
+    def test_car_near_matches_per_car_norm(self, train_town):
+        world = sw.spawn_scenario(train_town, 12, 0, 4)
+        rng = np.random.default_rng(5)
+        cars = world.cars
+        for _ in range(300):
+            car = cars[int(rng.integers(len(cars)))]
+            direction = rng.normal(size=2)
+            direction /= np.linalg.norm(direction)
+            # On and within a few ulps of the clearance circle, and far off it.
+            r = sw.PED_CROSSING_CLEARANCE * (1.0 + rng.choice([0.0, 1e-15, -1e-15, 0.3, -0.3]))
+            xy = car.xy + direction * r
+            want = any(
+                np.linalg.norm(c.xy - xy) < sw.PED_CROSSING_CLEARANCE for c in cars
+            )
+            assert world._car_near(xy, sw.PED_CROSSING_CLEARANCE) == want
 
 
 class TestLights:
