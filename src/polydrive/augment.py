@@ -330,9 +330,12 @@ def perturb_map_occupancy(
 # -- dataset-level orchestration ---------------------------------------------
 
 
+MODES = ("none", "partial", "full")
+
+
 @dataclass
 class AugmentConfig:
-    mode: str = "full"  # "none" | "partial" | "full"
+    mode: str = "full"  # one of MODES
     fraction: float = 0.2  # share of episodes whose samples are deviated
     sigma_long: float = 0.0
     sigma_lat: float = 0.0

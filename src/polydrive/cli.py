@@ -64,15 +64,29 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _value(cfg: dict, key: str, default, cast=float, ok=None, need: str = ""):
+    """cfg[key], or the default, as cast; a value that is not a finite
+    number (for a numeric cast), or that fails ok, is a usage error."""
+    raw = cfg.get(key, default)
+    try:
+        value = cast(raw)
+        number = cast is not float or math.isfinite(value)
+    except (TypeError, ValueError, OverflowError):
+        number = False
+    if not number:
+        need = "a finite number"
+    elif ok is None or ok(value):
+        return value
+    raise argparse.ArgumentTypeError(f"config key {key!r} must be {need}, got {raw!r}")
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_record(cfg: dict, out: str) -> None:
     town = cfg.get("town", "train")
-    episodes = int(cfg.get("episodes", 10))
-    duration = float(cfg.get("duration", 180.0))
-    if episodes <= 0:
-        raise PolydriveError("record: 'episodes' must be positive")
+    episodes = _value(cfg, "episodes", 10, int, lambda n: n >= 1, "at least 1")
+    duration = _value(cfg, "duration", 180.0, float, lambda t: t > 0.0, "positive")
     network = simworld.build_town(town)
     seed = int(cfg["seed"])
     per_episode: list[list[dataset.Sample]] = []
@@ -90,15 +104,15 @@ def cmd_record(cfg: dict, out: str) -> None:
 
 
 def cmd_augment(cfg: dict, out: str) -> None:
-    samples, header = dataset.read_dataset(_require(cfg, "input"))
     aug_cfg = augment.AugmentConfig(
-        mode=cfg.get("mode", "full"),
-        fraction=float(cfg.get("fraction", 0.2)),
-        sigma_long=float(cfg.get("sigma_long", 0.0)),
-        sigma_lat=float(cfg.get("sigma_lat", 0.0)),
-        p_remove=float(cfg.get("p_remove", 0.0)),
-        p_add=float(cfg.get("p_add", 0.0)),
+        mode=_value(cfg, "mode", "full", str, augment.MODES.__contains__, "none, partial or full"),
+        fraction=_value(cfg, "fraction", 0.2),
+        sigma_long=_value(cfg, "sigma_long", 0.0),
+        sigma_lat=_value(cfg, "sigma_lat", 0.0),
+        p_remove=_value(cfg, "p_remove", 0.0),
+        p_add=_value(cfg, "p_add", 0.0),
     )
+    samples, header = dataset.read_dataset(_require(cfg, "input"))
     augmented = augment.augment_samples(samples, aug_cfg, int(cfg["seed"]))
     meta = {
         "config_hash": config_hash(cfg),
@@ -126,15 +140,15 @@ def _nan_to_null(rec: dict) -> dict:
 
 
 def cmd_train(cfg: dict, out: str) -> None:
-    train_samples, _ = dataset.read_dataset(_require(cfg, "train"))
-    val_samples, _ = dataset.read_dataset(_require(cfg, "val"))
     tc = model.TrainConfig(
-        learning_rate=float(cfg.get("learning_rate", 1e-5)),
-        batch_size=int(cfg.get("batch_size", 8)),
-        epochs=int(cfg.get("epochs", 30)),
+        learning_rate=_value(cfg, "learning_rate", 1e-5),
+        batch_size=_value(cfg, "batch_size", 8, int, lambda n: n >= 1, "at least 1"),
+        epochs=_value(cfg, "epochs", 30, int, lambda n: n >= 0, "at least 0"),
         seed=int(cfg["seed"]),
         neighbor_loss=bool(cfg.get("neighbor_loss", True)),
     )
+    train_samples, _ = dataset.read_dataset(_require(cfg, "train"))
+    val_samples, _ = dataset.read_dataset(_require(cfg, "val"))
     params, history = model.train(train_samples, val_samples, tc, log_fn=_log_epoch)
     model.save_checkpoint(params, out, tc, extra={"config_hash": config_hash(cfg)})
     with open(out + ".history.json", "w") as f:
@@ -210,7 +224,7 @@ def _emit_report(results, offline_eval, cfg: dict, out: str) -> None:
 
 def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     town = cfg.get("town", "train")
-    suite_seed = int(cfg.get("suite_seed", cfg["seed"]))
+    suite_seed = _value(cfg, "suite_seed", cfg["seed"], int)
     expert = bool(cfg.get("expert", False))
     params = None
     if not expert:
@@ -225,8 +239,8 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
         if unknown:
             raise PolydriveError(f"unknown task kinds: {sorted(unknown)}")
         tasks = [t for t in tasks if t.kind in kinds]
-    noise = (float(cfg.get("sigma_long", 0.0)), float(cfg.get("sigma_lat", 0.0)))
-    perturb = (float(cfg.get("p_remove", 0.0)), float(cfg.get("p_add", 0.0)))
+    noise = (_value(cfg, "sigma_long", 0.0), _value(cfg, "sigma_lat", 0.0))
+    perturb = (_value(cfg, "p_remove", 0.0), _value(cfg, "p_add", 0.0))
     os.makedirs(os.path.join(out, TRACE_DIRNAME), exist_ok=True)
     results = bench.run_suite(
         network,

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels, simworld
 from .errors import DataFormatError
 from .kernels import MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
-from .simworld import AgentState, EpisodeLog, RoadNetwork
+from .simworld import EpisodeLog, RoadNetwork
 from .trajectory import PointSeries, Pose2D, sample_times, xy_to_frame
 
 T_STEPS = 20
@@ -165,22 +165,29 @@ def compute_context(
                 d_light = min(d_end, CTX_LIGHT_CAP)
                 phase = 0.0 if light_green(to_node.node_id, axis) else 1.0
 
-    probe = AgentState(agent_id=-1, kind="car", x=x, y=y, heading=h, speed=v)
-    others = [
-        AgentState(agent_id=i, kind="car", x=c[0], y=c[1], heading=c[2], speed=c[3])
-        for i, c in enumerate(cars)
-    ]
-    lead = simworld.leading_vehicle(probe, others)
-    d_lead, lead_dv = (CTX_LEAD_CAP, 0.0)
-    if lead is not None:
-        d_lead, lead_dv = min(lead[0], CTX_LEAD_CAP), lead[1]
-    ped_agents = [
-        AgentState(agent_id=-2, kind="pedestrian", x=p[0], y=p[1], heading=0.0, speed=0.0)
-        for p in peds
-    ]
-    d_ped = simworld.crossing_ped_distance(probe, ped_agents)
-    d_ped = CTX_PED_CAP if d_ped is None else min(d_ped, CTX_PED_CAP)
+    ego_row = np.array([[x, y, h, v]])
+    car_rows = np.array(cars, dtype=np.float64).reshape(-1, 4)
+    car_ids = np.arange(len(cars))
+    gap, lead_dv = simworld.leading_vehicles(ego_row, np.array([-1]), car_rows, car_ids)
+    ped_rows = np.array([(px, py, 0.0, 0.0) for px, py in peds]).reshape(-1, 4)
+    d_ped = simworld.crossing_ped_distances(ego_row, ped_rows)[0]
+    d_lead, lead_dv, d_ped = min(gap[0], CTX_LEAD_CAP), lead_dv[0], min(d_ped, CTX_PED_CAP)
     return np.array([d_light, phase, d_inter, float(lat), herr, d_lead, lead_dv, d_ped])
+
+
+def _zone_exit(track: np.ndarray, i: int, node_pos: np.ndarray) -> int:
+    """First tick from i on, short of the last, at least NC_ZONE_RADIUS from
+    node_pos by the 1-D np.linalg.norm (a BLAS dot, which may round apart
+    from a row-wise norm), else the last: row norms with a margin pick the
+    candidates, 64 ticks at a time, and the 1-D norm decides."""
+    n = len(track)
+    for lo in range(i, n - 1, 64):
+        hi = min(lo + 64, n - 1)
+        d = np.linalg.norm(track[lo:hi] - node_pos, axis=1)
+        for j in lo + np.flatnonzero(d >= NC_ZONE_RADIUS - 1e-6):
+            if float(np.linalg.norm(track[j] - node_pos)) >= NC_ZONE_RADIUS:
+                return int(j)
+    return n - 1
 
 
 def compute_navigation_command(
@@ -194,22 +201,15 @@ def compute_navigation_command(
     """
     n = len(log)
     horizon = min(n - 1, center_tick + int(round(NC_LOOKAHEAD_S / simworld.TICK)))
-    entry = None
-    for i in range(center_tick, horizon + 1):
-        node_id, d = network.nearest_junction(log.states[i][0, :2])
-        if d < NC_ZONE_RADIUS:
-            entry = (i, node_id)
-            break
-    if entry is None:
+    track = log.states[:, 0, :2]
+    # nearest_junction's row norms, for every tick of the lookahead at once.
+    d = np.linalg.norm(network.junction_pos - track[center_tick : horizon + 1, None], axis=2)
+    inside = np.flatnonzero(d.min(axis=1) < NC_ZONE_RADIUS)
+    if not inside.size:
         return NavigationCommand.KEEP_LANE
-    i, node_id = entry
-    node_pos = network.nodes[node_id].pos
-    j = i
-    while (
-        j < n - 1
-        and float(np.linalg.norm(log.states[j][0, :2] - node_pos)) < NC_ZONE_RADIUS
-    ):
-        j += 1
+    i = center_tick + int(inside[0])
+    node_id = network.junction_ids[int(np.argmin(d[inside[0]]))]
+    j = _zone_exit(track, i, network.nodes[node_id].pos)
     dh = float(
         (log.states[j][0, 2] - log.states[i][0, 2] + np.pi) % (2 * np.pi) - np.pi
     )
@@ -340,11 +340,14 @@ def dataset_header(extra: dict | None = None) -> dict:
 
 
 def _sample_to_record(s: Sample) -> dict:
-    occupied = np.argwhere(s.m_labels >= 0)
+    occupied = s.m_labels >= 0
     m_sparse = [
-        [int(r), int(c), int(t), int(s.m_labels[r, c, t])]
-        + [float(x) for x in s.m_cells[r, c, t]]
-        for r, c, t in occupied
+        [*rct, label, *cell]
+        for rct, label, cell in zip(
+            np.argwhere(occupied).tolist(),
+            s.m_labels[occupied].tolist(),
+            s.m_cells[occupied].tolist(),
+        )
     ]
     present = np.flatnonzero(s.v_mask)
     return {

@@ -1,7 +1,7 @@
-"""Hot inner loops: scalar loops over preallocated numpy arrays.
-
-Callers that vectorize one of these computations elsewhere keep the same
-floating point operations in the same order, so results stay bit-identical.
+"""Hot inner loops over preallocated numpy arrays: bin_proximity is
+vectorized over agents and ticks, the others are scalar loops.  Callers that
+vectorize one of these computations elsewhere keep the same floating point
+operations in the same order, so results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -28,34 +28,26 @@ def bin_proximity(rel, dists, window, cells, labels):
     labels  : (13, 3, T) int64 output, -1 initialized; receives the agent
               row index that owns each occupied cell.
     """
-    n_agents = rel.shape[0]
-    n_ticks = rel.shape[1]
     half_long = MAP_EXTENT_LONG / 2.0
     half_lat = MAP_EXTENT_LAT / 2.0
-    for i in range(n_ticks):
-        for a in range(n_agents):
-            x = rel[a, i, 0]
-            y = rel[a, i, 1]
-            if x < -half_long or x >= half_long:
-                continue
-            if y < -half_lat or y >= half_lat:
-                continue
-            row = int((x + half_long) / CELL_LONG)
-            col = int((y + half_lat) / CELL_LAT)
-            if row >= MAP_ROWS:
-                row = MAP_ROWS - 1
-            if col >= MAP_COLS:
-                col = MAP_COLS - 1
-            prev = labels[row, col, i]
-            if prev >= 0 and dists[prev] <= dists[a]:
-                continue
-            labels[row, col, i] = a
-            for k in range(window):
-                j = i - (window - 1) + k
-                if j < 0:
-                    j = 0
-                cells[row, col, i, 2 * k] = rel[a, j, 0]
-                cells[row, col, i, 2 * k + 1] = rel[a, j, 1]
+    x, y = rel[:, :, 0], rel[:, :, 1]
+    agent, tick = np.nonzero(
+        (x >= -half_long) & (x < half_long) & (y >= -half_lat) & (y < half_lat)
+    )
+    x, y = x[agent, tick], y[agent, tick]
+    row = np.minimum(((x + half_long) / CELL_LONG).astype(np.int64), MAP_ROWS - 1)
+    col = np.minimum(((y + half_lat) / CELL_LAT).astype(np.int64), MAP_COLS - 1)
+    # Per cell and tick, the nearer agent wins, and the earlier row of equal
+    # distances: the first entry of each cell key in this order.
+    key = (row * MAP_COLS + col) * rel.shape[1] + tick
+    order = np.lexsort((agent, dists[agent], key))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    win = order[first]
+    agent, tick, row, col = agent[win], tick[win], row[win], col[win]
+    labels[row, col, tick] = agent
+    past = np.maximum(tick[:, None] - (window - 1) + np.arange(window), 0)
+    cells[row, col, tick] = rel[agent[:, None], past].reshape(-1, 2 * window)
 
 
 def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):

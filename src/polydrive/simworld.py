@@ -13,7 +13,6 @@ import numpy as np
 
 from . import kernels
 from .errors import DataFormatError, InvalidInputError, SpawnError
-from .trajectory import Pose2D
 
 TICK = 0.1
 LANE_WIDTH = 3.5
@@ -133,7 +132,7 @@ class RoadNetwork:
             self._successors[l.lane_id] = sorted(succ)
         self.junction_ids = [n.node_id for n in nodes if n.kind == "junction"]
         self.junction_pos = np.array([nodes[i].pos for i in self.junction_ids])
-        self._junction_index = {nid: k for k, nid in enumerate(self.junction_ids)}
+        self._route_pieces: dict[tuple[int | None, int], tuple] = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -142,6 +141,10 @@ class RoadNetwork:
 
     def lane_ends_at_junction(self, lane_id: int) -> bool:
         return self.nodes[self.lanes[lane_id].to_node].kind == "junction"
+
+    def onward(self, lane_id: int) -> list[tuple[int, str]]:
+        """The successors that end at a junction, so a route can go on."""
+        return [(m, turn) for m, turn in self._successors[lane_id] if self.lane_ends_at_junction(m)]
 
     def _segment_features(self, x: float, y: float):
         n = len(self.segments)
@@ -375,46 +378,16 @@ class Route:
     def length(self) -> float:
         return float(self.cumlen[-1]) if self.cumlen.size else 0.0
 
-    def _append_points(self, pts: np.ndarray) -> None:
-        last = self.points[-1] if self.points.shape[0] else None
-        keep = []
-        for p in pts:
-            if last is not None and np.linalg.norm(p - last) <= 1e-9:
-                continue
-            keep.append(p)
-            last = p
-        if not keep:
-            return
-        self.points = np.vstack([self.points, np.array(keep)])
-        d = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        self.cumlen = np.concatenate([[0.0], np.cumsum(d)])
-
     def extend(self, lane_id: int) -> None:
-        net = self.network
-        lane = net.lanes[lane_id]
-        if self.lane_ids:
-            prev = net.lanes[self.lane_ids[-1]]
-            node = net.nodes[prev.to_node]
-            turn = _turn_of(prev.heading, lane.heading)
-            s_stop = float(self.cumlen[-1])
-            conn, s_join = _connector(prev.p1, prev.direction, lane)
-            join = lane.p0 + lane.direction * s_join
-            self._append_points(conn)
-            seg = net.segments[prev.seg_id]
-            self.events.append(
-                RouteEvent(
-                    s_stop,
-                    float(self.cumlen[-1]),
-                    node.node_id,
-                    seg.axis if seg.axis != 2 else 0,
-                    turn or "cross",
-                    node.lit,
-                )
-            )
-        if self.lane_ids:
-            self._append_points(np.vstack([join, lane.p1]))
-        else:
-            self._append_points(np.vstack([lane.p0, lane.p1]))
+        prev_id = self.lane_ids[-1] if self.lane_ids else None
+        pts, steps, n_conn, event = _route_piece(self.network, prev_id, lane_id)
+        # np.cumsum adds in sequence, so going on from the last value gives
+        # the bits of a sum over the whole route.
+        cum = np.cumsum(np.concatenate([self.cumlen[-1:] if self.lane_ids else [0.0], steps]))
+        self.points = np.vstack([self.points, pts])
+        self.cumlen = np.concatenate([self.cumlen, cum[1:]])
+        if event is not None:  # from the stop line to the connector's last point
+            self.events.append(RouteEvent(float(cum[0]), float(cum[n_conn]), *event))
         self.lane_ids.append(lane_id)
 
     def point_at(self, s: float):
@@ -470,6 +443,39 @@ class Route:
             if ev.s_stop > s:
                 return ev
         return None
+
+
+def _route_piece(net: RoadNetwork, prev_id: int | None, lane_id: int) -> tuple:
+    """Points a route ending on lane prev_id (None: empty) gains from lane_id,
+    their steps from the point before, how many are connector points, and the
+    event's fields after s_stop, s_exit: built once per lane pair and network,
+    as a route always ends on its last lane's p1."""
+    if (prev_id, lane_id) in net._route_pieces:
+        return net._route_pieces[(prev_id, lane_id)]
+    lane = net.lanes[lane_id]
+    if prev_id is None:
+        parts, last, anchor, event = [np.vstack([lane.p0, lane.p1])], None, lane.p0, None
+    else:
+        prev = net.lanes[prev_id]
+        node = net.nodes[prev.to_node]
+        seg = net.segments[prev.seg_id]
+        conn, s_join = _connector(prev.p1, prev.direction, lane)
+        join = lane.p0 + lane.direction * s_join
+        parts, last, anchor = [conn, np.vstack([join, lane.p1])], prev.p1, prev.p1
+        turn = _turn_of(prev.heading, lane.heading) or "cross"
+        event = (node.node_id, seg.axis if seg.axis != 2 else 0, turn, node.lit)
+    keep, sizes = [], []
+    for part in parts:
+        for p in part:
+            if last is not None and np.linalg.norm(p - last) <= 1e-9:
+                continue
+            keep.append(p)
+            last = p
+        sizes.append(len(keep))
+    pts = np.array(keep).reshape(-1, 2)
+    steps = np.linalg.norm(np.diff(np.vstack([anchor, pts]), axis=0), axis=1)
+    piece = net._route_pieces[(prev_id, lane_id)] = (pts, steps, sizes[0], event)
+    return piece
 
 
 def _left_normal(h: float) -> np.ndarray:
@@ -578,10 +584,6 @@ class AgentState:
     ped_wait: float = 0.0
 
     @property
-    def pose(self) -> Pose2D:
-        return Pose2D(self.x, self.y, self.heading)
-
-    @property
     def xy(self) -> np.ndarray:
         return np.array([self.x, self.y])
 
@@ -605,52 +607,48 @@ def pure_pursuit_steer(agent: AgentState, lookahead: float = LOOKAHEAD) -> float
     return clamp(steer, -MAX_STEER, MAX_STEER)
 
 
-def _relative(agent: AgentState, other_xy) -> tuple[float, float]:
-    dx = other_xy[0] - agent.x
-    dy = other_xy[1] - agent.y
-    c, s = np.cos(agent.heading), np.sin(agent.heading)
-    return c * dx + s * dy, -s * dx + c * dy
+def _ego_frame(ego: np.ndarray, others: np.ndarray):
+    """cos, sin of each (x, y, heading, speed) ego row's heading, and every
+    other row's position in its frame, lx ahead and ly left, (E, O) each."""
+    c, s = np.cos(ego[:, 2:3]), np.sin(ego[:, 2:3])
+    dx = others[:, 0] - ego[:, 0:1]
+    dy = others[:, 1] - ego[:, 1:2]
+    return c, s, c * dx + s * dy, -s * dx + c * dy
 
 
-def leading_vehicle(agent: AgentState, cars: list[AgentState]):
-    """Nearest car ahead in the agent's corridor: (gap, relative speed)."""
-    best = None
-    for other in cars:
-        if other.agent_id == agent.agent_id:
-            continue
-        # Oncoming traffic is handled by lane geometry and junction
-        # exclusion, not by the follow gap.
-        if np.cos(other.heading - agent.heading) <= 0.0:
-            continue
-        lx, ly = _relative(agent, (other.x, other.y))
-        if 0.0 < lx <= 25.0 and abs(ly) <= 2.2:
-            if best is None or lx < best[0]:
-                rel_v = other.speed * np.cos(other.heading - agent.heading) - agent.speed
-                best = (lx, float(rel_v))
-    return best
+def leading_vehicles(ego, ego_ids, cars, car_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest car ahead in each ego row's corridor: (gap, relative speed), inf
+    and 0.0 where none.  No car leads itself (equal id); equal gaps: first."""
+    if not cars.shape[0]:
+        return np.full(len(ego), np.inf), np.zeros(len(ego))
+    _, _, lx, ly = _ego_frame(ego, cars)
+    cos_dh = np.cos(cars[:, 2] - ego[:, 2:3])
+    # Oncoming traffic is handled by lane geometry and junction
+    # exclusion, not by the follow gap.
+    ok = (car_ids != ego_ids[:, None]) & (cos_dh > 0.0)
+    ok &= (0.0 < lx) & (lx <= 25.0) & (np.abs(ly) <= 2.2)
+    rows, lx = np.arange(len(ego)), np.where(ok, lx, np.inf)
+    k = lx.argmin(axis=1)
+    gap = lx[rows, k]
+    return gap, np.where(gap < np.inf, cars[k, 3] * cos_dh[rows, k] - ego[:, 3], 0.0)
 
 
-def crossing_ped_distance(agent: AgentState, peds: list[AgentState]) -> float | None:
-    best = None
-    for ped in peds:
-        # A pedestrian standing at its kerb is yielding (it will not step
-        # off while a car is near) and does not gate traffic.
-        if ped.ped_path is not None:
-            kerb = ped.ped_path[1 - ped.ped_target]
-            if ped.speed == 0.0 and float(np.linalg.norm(kerb - ped.xy)) < 1e-6:
-                continue
-        lx, ly = _relative(agent, (ped.x, ped.y))
-        c, s = np.cos(agent.heading), np.sin(agent.heading)
-        lvy = ped.speed * (-s * np.cos(ped.heading) + c * np.sin(ped.heading))
-        approaching = ly * lvy < -1e-9  # walking toward the car's centerline
-        band = 6.0 if approaching else 3.0
-        if 0.0 < lx <= 16.0 and abs(ly) <= band:
-            if best is None or lx < best:
-                best = lx
-        elif -3.0 < lx <= 0.0 and abs(ly) <= band and approaching:
-            # Alongside and still closing: hold the stop until it has passed.
-            best = 0.0
-    return best
+def crossing_ped_distances(ego, peds) -> np.ndarray:
+    """Distance from each ego row to the nearest pedestrian crossing ahead;
+    0.0 while one is alongside and still closing, inf where there is none."""
+    c, s, lx, ly = _ego_frame(ego, peds)
+    lvy = peds[:, 3] * (-s * np.cos(peds[:, 2]) + c * np.sin(peds[:, 2]))
+    approaching = ly * lvy < -1e-9  # walking toward the car's centerline
+    near = np.abs(ly) <= np.where(approaching, 6.0, 3.0)
+    d = np.where(near & (0.0 < lx) & (lx <= 16.0), lx, np.inf)
+    # Alongside and still closing: hold the stop until it has passed.
+    d[near & approaching & (-3.0 < lx) & (lx <= 0.0)] = 0.0
+    return d.min(axis=1, initial=np.inf)
+
+
+def _at_kerb(ped: AgentState) -> bool:
+    """Whether a pedestrian stands at the kerb its crossing leg starts from."""
+    return float(np.linalg.norm(ped.ped_path[1 - ped.ped_target] - ped.xy)) < 1e-6
 
 
 class World:
@@ -666,6 +664,7 @@ class World:
         self.clock = 0.0
         self.seed = seed
         self.rng = np.random.default_rng((seed, 0xE0))
+        self._traffic: dict[int, tuple[float, float, float]] | None = None
 
     @property
     def cars(self) -> list[AgentState]:
@@ -686,6 +685,24 @@ class World:
         if group is None:
             return np.inf
         return group.time_to_red(self.clock)
+
+    def traffic(self) -> dict[int, tuple[float, float, float]]:
+        """Per car id at this tick, computed for every car at once and kept
+        until the world steps: leader gap and relative speed, and crossing
+        pedestrian distance (inf, 0.0 and inf where there is none)."""
+        if self._traffic is None:
+            cars = self.cars
+            table = np.array([(a.x, a.y, a.heading, a.speed) for a in cars]).reshape(-1, 4)
+            ids = np.array([a.agent_id for a in cars])
+            # A pedestrian standing at its kerb is yielding (it will not step
+            # off while a car is near) and does not gate traffic.
+            peds = [(p.x, p.y, p.heading, p.speed) for p in self.pedestrians
+                    if p.ped_path is None or p.speed != 0.0 or not _at_kerb(p)]
+            gap, rel_v = leading_vehicles(table, ids, table, ids)
+            ped_d = crossing_ped_distances(table, np.array(peds).reshape(-1, 4))
+            rows = zip(gap.tolist(), rel_v.tolist(), ped_d.tolist())
+            self._traffic = dict(zip(ids.tolist(), rows))
+        return self._traffic
 
     def snapshot(self) -> np.ndarray:
         return np.array([[a.x, a.y, a.heading, a.speed] for a in self.agents])
@@ -719,16 +736,13 @@ class World:
             else:
                 self._step_pedestrian(agent, dt)
         self.clock += dt
+        self._traffic = None
         return cmds
 
     def _maybe_extend_route(self, agent: AgentState) -> None:
         route = agent.route
         while route.length - agent.route_s < 60.0:
-            succ = [
-                (lid, turn)
-                for lid, turn in self.network.successors(route.lane_ids[-1])
-                if self.network.nodes[self.network.lanes[lid].to_node].kind == "junction"
-            ]
+            succ = self.network.onward(route.lane_ids[-1])
             if not succ:
                 break
             pick = succ[int(self.rng.integers(len(succ)))]
@@ -760,9 +774,7 @@ class World:
         step = PED_SPEED * dt
         # Look both ways: a crossing leg only starts once every car is clear
         # of the kerb; once committed, the cars' pedestrian gates take over.
-        origin = ped.ped_path[1 - ped.ped_target]
-        at_kerb = float(np.linalg.norm(origin - ped.xy)) < 1e-6
-        if at_kerb and self._car_near(ped.xy, PED_CROSSING_CLEARANCE):
+        if _at_kerb(ped) and self._car_near(ped.xy, PED_CROSSING_CLEARANCE):
             ped.speed = 0.0
             return
         if dist <= step:
@@ -783,7 +795,9 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
 
     Stops before red (or about-to-switch) lights, keeps an 8 m gap to the
     leader, yields to crossing pedestrians and enforces one-car-at-a-time
-    junction cores (priority to the lowest waiting agent id).
+    junction cores (priority to the lowest waiting agent id).  The agent is
+    one of the world's cars; its leader and pedestrian come from
+    ``World.traffic``.
     """
     route = agent.route
     if route is None or route.points.shape[0] < 2:
@@ -813,13 +827,9 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
             if must_stop:
                 stop_distances.append(d - STOP_MARGIN)
 
-    lead = leading_vehicle(agent, world.cars)
-    if lead is not None:
-        stop_distances.append(lead[0] - FOLLOW_GAP)
-
-    ped_d = crossing_ped_distance(agent, world.pedestrians)
-    if ped_d is not None:
-        stop_distances.append(ped_d - PED_GAP)
+    # inf where no car or pedestrian is ahead: such a stop never binds.
+    gap, _, ped_d = world.traffic()[agent.agent_id]
+    stop_distances += [gap - FOLLOW_GAP, ped_d - PED_GAP]
 
     v_target = TARGET_SPEED
     if ev is not None and ev.s_stop - 2.0 <= agent.route_s <= ev.s_exit:
@@ -875,11 +885,7 @@ def _internal_lanes(network: RoadNetwork) -> list[int]:
 def _random_route(network: RoadNetwork, rng: np.random.Generator, start_lane: int) -> Route:
     lane_ids = [start_lane]
     for _ in range(12):
-        succ = [
-            (lid, turn)
-            for lid, turn in network.successors(lane_ids[-1])
-            if network.nodes[network.lanes[lid].to_node].kind == "junction"
-        ]
+        succ = network.onward(lane_ids[-1])
         if not succ:
             break
         lane_ids.append(succ[int(rng.integers(len(succ)))][0])

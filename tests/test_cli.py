@@ -74,6 +74,33 @@ class TestExitCodes:
         rc = main(["record", "--config", str(p), "--out", str(tmp_path / "d")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("record", "episodes = abc"),
+            ("record", "episodes = 0"),
+            ("record", "episodes = Infinity"),
+            ("record", "duration = -5"),
+            ("record", "duration = NaN"),
+            ("train", "batch_size = 0"),
+            ("train", "batch_size = 1e999"),
+            ("train", "epochs = x"),
+            ("train", "epochs = -1"),
+            ("augment", "fraction = abc"),
+            ("augment", "mode = bogus"),
+        ],
+    )
+    def test_bad_config_value_is_1(self, command, setting, tmp_path, capsys):
+        # Checked before any input is read or output is written.
+        inputs = ['train = "t.jsonl"', 'val = "v.jsonl"', 'input = "i.jsonl"']
+        rc = main([command, "--out", str(tmp_path / "out"), setting, *inputs])
+        assert rc == 1
+        err = capsys.readouterr().err
+        key = setting.split()[0]
+        assert err.startswith(f"polydrive {command}: config key {key!r} must be ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_town_is_2(self, tmp_path, capsys):
         rc = main(["record", "--out", str(tmp_path / "d"), "town = eval"])
         assert rc == 2

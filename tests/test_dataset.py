@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +171,84 @@ class TestNavigationCommand:
         assert compute_navigation_command(self._turn_log(town, -1), 0, town) == NavigationCommand.RIGHT
 
 
+def reference_navigation_command(log, center_tick, network):
+    """The per-tick walk: nearest_junction for the entry, 1-D norms for the exit."""
+    n = len(log)
+    horizon = min(n - 1, center_tick + int(round(dataset.NC_LOOKAHEAD_S / sw.TICK)))
+    entry = None
+    for i in range(center_tick, horizon + 1):
+        node_id, d = network.nearest_junction(log.states[i][0, :2])
+        if d < dataset.NC_ZONE_RADIUS:
+            entry = (i, node_id)
+            break
+    if entry is None:
+        return NavigationCommand.KEEP_LANE
+    i, node_id = entry
+    node_pos = network.nodes[node_id].pos
+    j = i
+    while (
+        j < n - 1
+        and float(np.linalg.norm(log.states[j][0, :2] - node_pos)) < dataset.NC_ZONE_RADIUS
+    ):
+        j += 1
+    dh = float((log.states[j][0, 2] - log.states[i][0, 2] + np.pi) % (2 * np.pi) - np.pi)
+    if dh > np.deg2rad(dataset.NC_TURN_DEG):
+        return NavigationCommand.LEFT
+    if dh < -np.deg2rad(dataset.NC_TURN_DEG):
+        return NavigationCommand.RIGHT
+    return NavigationCommand.CROSS
+
+
+def _assert_same_commands(log, network):
+    got = [compute_navigation_command(log, c, network) for c in range(len(log))]
+    want = [reference_navigation_command(log, c, network) for c in range(len(log))]
+    assert got == want
+    return set(got)
+
+
+class TestNavigationCommandParity:
+    @pytest.mark.parametrize("town_id", ["train", "test"])
+    def test_every_tick_of_recorded_episodes(self, town_id):
+        net = sw.build_town(town_id)
+        seen = set()
+        for seed in (1, 2, 3):
+            seen |= _assert_same_commands(sw.record_episode(net, seed, 30.0), net)
+        assert NavigationCommand.KEEP_LANE in seen and len(seen) >= 3
+
+    @pytest.mark.parametrize("town_id", ["train", "test"])
+    def test_ego_exactly_on_the_zone_radius(self, town_id):
+        # Offsets of exactly 15 m at random angles put the ego within an ulp
+        # of the zone edge; a quarter of the ticks are such points where the
+        # row-wise and the 1-D norm fall on either side of it.  The others
+        # sit at 15 m, or well inside or outside the zone.
+        net = sw.build_town(town_id)
+        rng = np.random.default_rng(12)
+        radius = dataset.NC_ZONE_RADIUS
+
+        def on_edge(node, n):
+            theta = rng.uniform(-np.pi, np.pi, n)
+            return node + radius * np.column_stack([np.cos(theta), np.sin(theta)])
+
+        for node in net.junction_pos[:3]:
+            edge = on_edge(node, 20000)
+            row = np.linalg.norm(edge - node, axis=1) < radius
+            one = np.array([np.linalg.norm(p - node) < radius for p in edge])
+            split = edge[row != one]
+            assert (row & ~one).any() and (one & ~row).any()
+            n = 600
+            kind = rng.integers(4, size=n)
+            xy = split[rng.integers(len(split), size=n)]
+            xy[kind == 0] = on_edge(node, n)[kind == 0]
+            xy[kind == 2] = node + 9.0
+            xy[kind == 3] = node + 40.0
+            states = np.zeros((n, 1, 4))
+            states[:, 0, :2] = xy
+            states[:, 0, 2] = rng.uniform(-np.pi, np.pi, n)
+            log = sw.EpisodeLog({}, ["car"], [0], [], np.arange(n) * sw.TICK, states,
+                                np.zeros((n, 1, 2)), np.zeros((n, 0)))
+            assert len(_assert_same_commands(log, net)) == 3
+
+
 class TestExtractWindows:
     def test_window_count(self, log, samples):
         assert len(samples) == len(log) - WINDOW_TICKS + 1
@@ -202,6 +284,58 @@ class TestExtractWindows:
         again = extract_windows(log, town)
         assert len(again) == len(samples)
         assert all(samples_equal(a, b) for a, b in zip(samples[:50], again[:50]))
+
+
+def reference_sample_to_record(s):
+    """The per-element int()/float() conversion of the sparse map."""
+    occupied = np.argwhere(s.m_labels >= 0)
+    m_sparse = [
+        [int(r), int(c), int(t), int(s.m_labels[r, c, t])]
+        + [float(x) for x in s.m_cells[r, c, t]]
+        for r, c, t in occupied
+    ]
+    present = np.flatnonzero(s.v_mask)
+    return {
+        "e": s.e.ravel().tolist(),
+        "v": {int(k): s.v[k].ravel().tolist() for k in present},
+        "mask": s.v_mask.astype(int).tolist(),
+        "m": m_sparse,
+        "ctx": s.ctx.tolist(),
+        "nc": int(s.nc),
+        "ef": s.ego_future.ravel().tolist(),
+        "vf": {int(k): s.neigh_future[k].ravel().tolist() for k in present},
+        "ep": s.episode_seed,
+        "ct": s.center_tick,
+        "dev": int(s.deviated),
+    }
+
+
+# sha256 of write_dataset's bytes for one seeded episode per town, captured
+# before the record path was vectorized: any change to what it computes shows.
+GOLDEN = {
+    ("train", 11): "f5f7fd153683b66ab265d857d4e3cc3d7f947cb3e92d13d4b4de6165847282b4",
+    ("test", 12): "d465ed2ca860d4027b7fec2a5e610070b9dbe5e15576b618d28df6266b7e26fd",
+}
+
+
+class TestRecordBytes:
+    @pytest.mark.parametrize("town_id, seed", sorted(GOLDEN))
+    def test_record_path_golden_bytes(self, town_id, seed, tmp_path):
+        net = sw.build_town(town_id)
+        samples = extract_windows(sw.record_episode(net, seed, 15.0), net)
+        write_dataset(samples, tmp_path / "d.jsonl", {"town": town_id})
+        digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
+        assert digest == GOLDEN[(town_id, seed)]
+
+    def test_record_bytes_match_reference(self, samples):
+        # Signed zeros, extreme magnitudes and repeating fractions in the map.
+        rng = np.random.default_rng(3)
+        cells = samples[7].m_cells.copy()
+        occupied = samples[7].m_labels >= 0
+        cells[occupied] *= rng.choice([-0.0, 1e-300, 1e300, 1.0 / 3.0], cells[occupied].shape)
+        for s in samples + [dataclasses.replace(samples[7], m_cells=cells)]:
+            got = json.dumps(dataset._sample_to_record(s))
+            assert got == json.dumps(reference_sample_to_record(s))
 
 
 class TestSerialization:

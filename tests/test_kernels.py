@@ -1,5 +1,5 @@
-"""Kernel behaviour, and the windowed polyline projection against the full
-scan it replaced (bitwise)."""
+"""Kernel behaviour, and the windowed polyline projection and the vectorized
+proximity binning against the scalar loops they replaced (bitwise)."""
 
 import numpy as np
 import pytest
@@ -98,6 +98,97 @@ class TestWindowedProjection:
                 _assert_same_projection(
                     route.points, route.cumlen, float(s_prev), q[0], q[1]
                 )
+
+
+def reference_bin_proximity(rel, dists, window, cells, labels):
+    """The scalar loop over ticks and agents: nearer wins, earlier row on ties."""
+    n_agents = rel.shape[0]
+    n_ticks = rel.shape[1]
+    half_long = kernels.MAP_EXTENT_LONG / 2.0
+    half_lat = kernels.MAP_EXTENT_LAT / 2.0
+    for i in range(n_ticks):
+        for a in range(n_agents):
+            x = rel[a, i, 0]
+            y = rel[a, i, 1]
+            if x < -half_long or x >= half_long:
+                continue
+            if y < -half_lat or y >= half_lat:
+                continue
+            row = int((x + half_long) / kernels.CELL_LONG)
+            col = int((y + half_lat) / kernels.CELL_LAT)
+            if row >= kernels.MAP_ROWS:
+                row = kernels.MAP_ROWS - 1
+            if col >= kernels.MAP_COLS:
+                col = kernels.MAP_COLS - 1
+            prev = labels[row, col, i]
+            if prev >= 0 and dists[prev] <= dists[a]:
+                continue
+            labels[row, col, i] = a
+            for k in range(window):
+                j = i - (window - 1) + k
+                if j < 0:
+                    j = 0
+                cells[row, col, i, 2 * k] = rel[a, j, 0]
+                cells[row, col, i, 2 * k + 1] = rel[a, j, 1]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_binning(rel, dists, window=3):
+    shape = (kernels.MAP_ROWS, kernels.MAP_COLS, rel.shape[1])
+    out = [(np.zeros(shape + (2 * window,)), np.full(shape, -1, dtype=np.int64)) for _ in "ab"]
+    kernels.bin_proximity(rel, dists, window, *out[0])
+    reference_bin_proximity(rel, dists, window, *out[1])
+    for got, want in zip(*out):
+        assert_same_bits(got, want)
+    return out[0][1]
+
+
+class TestBinProximity:
+    def test_random_tracks(self):
+        rng = np.random.default_rng(4)
+        for trial in range(60):
+            n_agents, n_ticks = int(rng.integers(1, 14)), int(rng.integers(1, 25))
+            rel = rng.uniform([-40.0, -8.0], [40.0, 8.0], (n_agents, n_ticks, 2))
+            dists = rng.uniform(0.0, 40.0, n_agents)
+            if trial % 3 == 0:
+                dists = np.round(dists / 10.0) * 10.0  # many equal distances
+            _assert_same_binning(rel, dists, window=int(rng.integers(1, 5)))
+
+    def test_equal_distances_keep_the_earlier_row(self):
+        rel = np.zeros((4, 20, 2))
+        rel[1:] += 0.25  # every agent in the ego's cell at every tick
+        labels = _assert_same_binning(rel, np.array([3.0, 1.0, 1.0, 1.0]))
+        assert set(labels[labels >= 0].tolist()) == {1}
+        labels = _assert_same_binning(rel, np.array([0.0, -0.0, 0.0, 0.0]))
+        assert set(labels[labels >= 0].tolist()) == {0}
+
+    def test_cell_and_map_edges(self):
+        # Positions on every cell boundary, on and beside the map edges,
+        # and signed zeros, in every combination.
+        xs = [-32.5 + 5.0 * k for k in range(14)]
+        ys = [-5.25 + 3.5 * k for k in range(4)]
+        xs += [np.nextafter(v, d) for v in (-32.5, 32.5) for d in (-np.inf, np.inf)]
+        ys += [np.nextafter(v, d) for v in (-5.25, 5.25) for d in (-np.inf, np.inf)]
+        xs += [0.0, -0.0, 1e-300, -1e-300]
+        ys += [0.0, -0.0, 1.75, -1.75]
+        grid = np.array([(x, y) for x in xs for y in ys])
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            n_agents = 6
+            rel = grid[rng.integers(len(grid), size=(n_agents, 20))]
+            dists = rng.choice([0.0, -0.0, 5.0, 5.0, 7.5], n_agents)
+            _assert_same_binning(rel, dists)
+
+    def test_padded_first_ticks(self):
+        # The first K-1 ticks repeat the oldest position in the window.
+        rng = np.random.default_rng(6)
+        rel = rng.uniform(-3.0, 3.0, (3, 20, 2))
+        for window in (1, 2, 3, 4, 25):
+            _assert_same_binning(rel, np.array([0.0, 2.0, 1.0]), window)
 
 
 def test_integrate_cars_speed_clamped():

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from test_kernels import assert_same_bits
 
 from polydrive import kernels, simworld as sw
 from polydrive.errors import DataFormatError, SpawnError
@@ -236,6 +239,239 @@ class TestRoutes:
         assert sw._turn_of(0.0, -np.pi / 2) == "right"
         assert sw._turn_of(0.0, 0.0) == "cross"
         assert sw._turn_of(0.0, np.pi) is None  # U-turns are forbidden
+
+
+class ReferenceRoute(sw.Route):
+    """Route.extend without the lane-pair cache: every point is tested against
+    the last, and cumlen is re-summed over the whole route at each append."""
+
+    def _append_points(self, pts):
+        last = self.points[-1] if self.points.shape[0] else None
+        keep = []
+        for p in pts:
+            if last is not None and np.linalg.norm(p - last) <= 1e-9:
+                continue
+            keep.append(p)
+            last = p
+        if not keep:
+            return
+        self.points = np.vstack([self.points, np.array(keep)])
+        d = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
+        self.cumlen = np.concatenate([[0.0], np.cumsum(d)])
+
+    def extend(self, lane_id):
+        net = self.network
+        lane = net.lanes[lane_id]
+        if self.lane_ids:
+            prev = net.lanes[self.lane_ids[-1]]
+            node = net.nodes[prev.to_node]
+            turn = sw._turn_of(prev.heading, lane.heading)
+            s_stop = float(self.cumlen[-1])
+            conn, s_join = sw._connector(prev.p1, prev.direction, lane)
+            join = lane.p0 + lane.direction * s_join
+            self._append_points(conn)
+            seg = net.segments[prev.seg_id]
+            axis = seg.axis if seg.axis != 2 else 0
+            self.events.append(sw.RouteEvent(
+                s_stop, float(self.cumlen[-1]), node.node_id, axis, turn or "cross", node.lit
+            ))
+            self._append_points(np.vstack([join, lane.p1]))
+        else:
+            self._append_points(np.vstack([lane.p0, lane.p1]))
+        self.lane_ids.append(lane_id)
+
+
+def _assert_same_route(net, lane_ids):
+    want = ReferenceRoute(net, lane_ids)
+    for _ in range(2):  # the first build may fill the cache, the second reads it
+        got = sw.Route(net, lane_ids)
+        assert_same_bits(got.points, want.points)
+        assert_same_bits(got.cumlen, want.cumlen)
+        assert [dataclasses.astuple(e) for e in got.events] == [
+            dataclasses.astuple(e) for e in want.events
+        ]
+
+
+class TestRoutePieces:
+    @pytest.mark.parametrize("town_id", ["train", "test"])
+    def test_every_successor_pair(self, town_id):
+        net = sw.build_town(town_id)
+        preds = {lb: la for la in range(len(net.lanes)) for lb, _ in net.successors(la)}
+        for la in range(len(net.lanes)):
+            _assert_same_route(net, [la])
+            for lb, _ in net.successors(la):
+                _assert_same_route(net, [la, lb])
+                if la in preds:
+                    _assert_same_route(net, [preds[la], la, lb])
+
+    @pytest.mark.parametrize("town_id", ["train", "test"])
+    def test_routes_extended_twelve_times(self, town_id):
+        net = sw.build_town(town_id)
+        rng = np.random.default_rng(9)
+        for _ in range(25):
+            ids = [int(rng.integers(len(net.lanes)))]
+            for _ in range(12):
+                succ = net.successors(ids[-1])
+                if not succ:
+                    break
+                ids.append(succ[int(rng.integers(len(succ)))][0])
+            _assert_same_route(net, ids)
+
+
+def reference_leading_vehicle(agent, cars):
+    """Per agent, a loop over the other cars: (gap, relative speed) or None."""
+    best = None
+    c, s = np.cos(agent.heading), np.sin(agent.heading)
+    for other in cars:
+        if other.agent_id == agent.agent_id:
+            continue
+        if np.cos(other.heading - agent.heading) <= 0.0:
+            continue
+        dx, dy = other.x - agent.x, other.y - agent.y
+        lx, ly = c * dx + s * dy, -s * dx + c * dy
+        if 0.0 < lx <= 25.0 and abs(ly) <= 2.2:
+            if best is None or lx < best[0]:
+                rel_v = other.speed * np.cos(other.heading - agent.heading) - agent.speed
+                best = (lx, float(rel_v))
+    return best
+
+
+def reference_crossing_ped_distance(agent, peds):
+    """Per agent, a loop over the pedestrians, each tested for yielding."""
+    best = None
+    for ped in peds:
+        if ped.ped_path is not None:
+            kerb = ped.ped_path[1 - ped.ped_target]
+            if ped.speed == 0.0 and float(np.linalg.norm(kerb - ped.xy)) < 1e-6:
+                continue
+        c, s = np.cos(agent.heading), np.sin(agent.heading)
+        dx, dy = ped.x - agent.x, ped.y - agent.y
+        lx, ly = c * dx + s * dy, -s * dx + c * dy
+        lvy = ped.speed * (-s * np.cos(ped.heading) + c * np.sin(ped.heading))
+        approaching = ly * lvy < -1e-9
+        band = 6.0 if approaching else 3.0
+        if 0.0 < lx <= 16.0 and abs(ly) <= band:
+            if best is None or lx < best:
+                best = lx
+        elif -3.0 < lx <= 0.0 and abs(ly) <= band and approaching:
+            best = 0.0
+    return best
+
+
+def reference_autopilot_command(agent, world):
+    route = agent.route
+    if route is None or route.points.shape[0] < 2:
+        return (0.0, 0.0)
+    if route.length - agent.route_s < 1.0:
+        return (0.0, sw.clamp(-2.5 * agent.speed, sw.ACCEL_MIN, 0.0))
+    steer = sw.pure_pursuit_steer(agent)
+    stop_distances = []
+    ev = route.next_event(agent.route_s)
+    if ev is not None:
+        d = ev.s_stop - agent.route_s
+        if -0.3 <= d <= 50.0:
+            must_stop = False
+            if ev.lit and d > 0.3:
+                if not world.light_green(ev.node_id, ev.axis):
+                    must_stop = True
+                else:
+                    eta = d / max(agent.speed, 1.0)
+                    if world.light_time_to_red(ev.node_id, ev.axis) < eta + 0.8:
+                        must_stop = True
+            if not must_stop and 0.3 < d <= 15.0:
+                if not sw._may_enter_junction(agent, world, ev, d):
+                    must_stop = True
+            if must_stop:
+                stop_distances.append(d - sw.STOP_MARGIN)
+    lead = reference_leading_vehicle(agent, world.cars)
+    if lead is not None:
+        stop_distances.append(lead[0] - sw.FOLLOW_GAP)
+    ped_d = reference_crossing_ped_distance(agent, world.pedestrians)
+    if ped_d is not None:
+        stop_distances.append(ped_d - sw.PED_GAP)
+    v_target = sw.TARGET_SPEED
+    if ev is not None and ev.s_stop - 2.0 <= agent.route_s <= ev.s_exit:
+        v_target = sw.JUNCTION_SPEED
+    for d in stop_distances:
+        v_target = min(v_target, float(np.sqrt(2.0 * sw.BRAKE_COMFORT * max(d, 0.0))))
+    return (steer, sw.clamp(2.5 * (v_target - agent.speed), sw.ACCEL_MIN, sw.ACCEL_MAX))
+
+
+class ReferenceWorld(sw.World):
+    """Each car's autopilot asked on its own, with per-agent loops."""
+
+    def commands(self, ego_command=None):
+        cmds = np.zeros((len(self.agents), 2))
+        for i, agent in enumerate(self.agents):
+            if agent.kind != "car":
+                continue
+            if i == 0 and ego_command is not None:
+                cmds[i] = ego_command
+            else:
+                cmds[i] = reference_autopilot_command(agent, self)
+        return cmds
+
+
+class TestTrafficTables:
+    # Seeds whose first 150 ticks have both followers and crossing pedestrians.
+    @pytest.mark.parametrize("town_id, seed", [("train", 14), ("test", 4)])
+    def test_step_matches_per_agent_reference(self, town_id, seed):
+        net = sw.build_town(town_id)
+        world = sw.spawn_scenario(net, 15, 6, seed)
+        twin = sw.spawn_scenario(net, 15, 6, seed)
+        ref = ReferenceWorld(net, twin.agents, twin.light_groups, twin.seed)
+        leaders = crossings = 0
+        for tick in range(150):
+            traffic = world.traffic().values()
+            leaders += sum(gap < np.inf for gap, _, _ in traffic)
+            crossings += sum(ped_d < np.inf for _, _, ped_d in traffic)
+            if tick % 2:  # the ego's command first, as an expert drive asks it
+                got = world.step(ego_command=sw.autopilot_command(world.agents[0], world))
+                want = ref.step(ego_command=reference_autopilot_command(ref.agents[0], ref))
+            else:
+                got, want = world.step(), ref.step()
+            assert_same_bits(got, want)
+            assert_same_bits(world.snapshot(), ref.snapshot())
+        assert leaders > 100 and crossings > 100
+
+    def test_pedestrian_yielding_at_its_kerb(self, train_town):
+        # A pedestrian stopped 8 m ahead of the ego gates it, unless it is
+        # standing at the kerb it starts its crossing from.
+        cars = sw.spawn_scenario(train_town, 3, 0, seed=1).agents
+        ego = cars[0]
+        ahead = ego.xy + 8.0 * np.array([np.cos(ego.heading), np.sin(ego.heading)])
+        for kerb in (ahead, ahead + 2.0):
+            ped = sw.AgentState(3, "pedestrian", *ahead, 0.0, 0.0, ped_path=(kerb, kerb + 9.0))
+            world = sw.World(train_town, cars + [ped], [], seed=1)
+            want = reference_crossing_ped_distance(ego, [ped])
+            assert (want is None) == (kerb is ahead)
+            assert world.traffic()[0][2] == (np.inf if want is None else want)
+
+    def test_context_queries_match_reference(self):
+        # compute_context's form: one probe (id -1) against the other cars,
+        # and pedestrians without a crossing path.  In half the trials the
+        # probe heads along x and the others share a few x, so gaps tie.
+        rng = np.random.default_rng(2)
+        lo, hi = [-30.0, -8.0, -np.pi, 0.0], [30.0, 8.0, np.pi, 8.0]
+        found = alongside = 0
+        for trial in range(300):
+            ego = rng.uniform(lo, hi)
+            cars = rng.uniform(lo, hi, (int(rng.integers(0, 8)), 4))
+            peds = rng.uniform(lo, hi, (int(rng.integers(0, 5)), 4))
+            if trial % 2:
+                ego[2] = 0.0
+                cars[:, 0] = ego[0] + rng.choice([5.0, 10.0], len(cars))
+                peds[:, 0] = ego[0] + rng.choice([-1.0, 5.0, 10.0], len(peds))
+            probe = sw.AgentState(-1, "car", *ego)
+            others = [sw.AgentState(i, "car", *c) for i, c in enumerate(cars)]
+            walkers = [sw.AgentState(-2, "pedestrian", *p) for p in peds]
+            gap, rel_v = sw.leading_vehicles(ego[None], np.array([-1]), cars, np.arange(len(cars)))
+            assert (gap[0], rel_v[0]) == (reference_leading_vehicle(probe, others) or (np.inf, 0.0))
+            want = reference_crossing_ped_distance(probe, walkers)
+            found, alongside = found + (want is not None), alongside + (want == 0.0)
+            want = np.inf if want is None else want
+            assert sw.crossing_ped_distances(ego[None], peds)[0] == want
+        assert found > 40 and alongside > 5
 
 
 class TestSpawn:
