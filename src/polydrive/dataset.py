@@ -8,7 +8,9 @@ degree-4 polynomials and resampled on the 0.1 s grid).
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -24,7 +26,7 @@ T_STEPS = 20
 K_WINDOW = 3
 N_NEIGHBORS = 5
 WINDOW_TICKS = 2 * T_STEPS  # 2 s past + 2 s future
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 # Context feature caps (meters / rad / m/s); see ContextFeatures order below.
 CTX_LIGHT_CAP = 50.0
@@ -78,6 +80,8 @@ def samples_equal(a: Sample, b: Sample, atol: float = 0.0) -> bool:
         bool(np.array_equal(a.v_mask, b.v_mask))
         and bool(np.array_equal(a.m_labels, b.m_labels))
         and a.nc == b.nc
+        and (a.episode_seed, a.center_tick, a.deviated)
+        == (b.episode_seed, b.center_tick, b.deviated)
     )
 
 
@@ -339,59 +343,115 @@ def dataset_header(extra: dict | None = None) -> dict:
     return header
 
 
-def _sample_to_record(s: Sample) -> dict:
-    occupied = s.m_labels >= 0
-    m_sparse = [
-        [*rct, label, *cell]
-        for rct, label, cell in zip(
-            np.argwhere(occupied).tolist(),
-            s.m_labels[occupied].tolist(),
-            s.m_cells[occupied].tolist(),
+# Format 2: a JSON header line, then one JSON object per sample.  Arrays are
+# base64 strings of little-endian bytes: e, ctx and ef whole, v and vf for
+# the present neighbor slots only, and m as one _MAP_ENTRY per occupied map
+# cell.  mask, nc, ep, ct and dev are plain JSON ints.
+_F8 = np.dtype("<f8")
+# One occupied map cell: flat index into the (13, 3, T) grid, label, payload.
+_MAP_ENTRY = np.dtype([("cell", "<u2"), ("label", "<i8"), ("xy", "<f8", (2 * K_WINDOW,))])
+_MAP_SIZE = MAP_ROWS * MAP_COLS * T_STEPS
+
+
+def _pack(a: np.ndarray, dtype: np.dtype = _F8) -> str:
+    """Base64 of the array's little-endian bytes."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype).tobytes()).decode()
+
+
+def _unpack(rec: dict, key: str, row_shape: tuple, dtype: np.dtype = _F8) -> np.ndarray:
+    """A read-only (n, *row_shape) view of the rows packed in rec[key]."""
+    text = rec[key]
+    if not isinstance(text, str):
+        raise ValueError(f"field {key!r} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"field {key!r} is not base64: {e}") from None
+    row_bytes = dtype.itemsize * math.prod(row_shape)
+    if len(raw) % row_bytes:
+        raise ValueError(
+            f"field {key!r} has {len(raw)} bytes, which do not fit rows of {row_shape}"
         )
-    ]
+    return np.frombuffer(raw, dtype).reshape(-1, *row_shape)
+
+
+def _unpack_rows(rec: dict, key: str, n: int, row_shape: tuple) -> np.ndarray:
+    """Exactly n float64 rows packed in rec[key]."""
+    a = _unpack(rec, key, row_shape)
+    if len(a) != n:
+        raise ValueError(f"field {key!r} holds {len(a)} rows, expected {n}")
+    return a
+
+
+def _int(rec: dict, key: str) -> int:
+    value = rec[key]
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} is not an integer")
+    return value
+
+
+def _sample_to_record(s: Sample) -> dict:
+    labels = s.m_labels.ravel()
+    cells = np.flatnonzero(labels >= 0)
+    m = np.empty(len(cells), _MAP_ENTRY)
+    m["cell"] = cells
+    m["label"] = labels[cells]
+    m["xy"] = s.m_cells.reshape(-1, 2 * K_WINDOW)[cells]
     present = np.flatnonzero(s.v_mask)
     return {
-        "e": s.e.ravel().tolist(),
-        "v": {int(k): s.v[k].ravel().tolist() for k in present},
+        "e": _pack(s.e),
+        "v": _pack(s.v[present]),
         "mask": s.v_mask.astype(int).tolist(),
-        "m": m_sparse,
-        "ctx": s.ctx.tolist(),
+        "m": _pack(m, _MAP_ENTRY),
+        "ctx": _pack(s.ctx),
         "nc": int(s.nc),
-        "ef": s.ego_future.ravel().tolist(),
-        "vf": {int(k): s.neigh_future[k].ravel().tolist() for k in present},
-        "ep": s.episode_seed,
-        "ct": s.center_tick,
+        "ef": _pack(s.ego_future),
+        "vf": _pack(s.neigh_future[present]),
+        "ep": int(s.episode_seed),
+        "ct": int(s.center_tick),
         "dev": int(s.deviated),
     }
 
 
 def _record_to_sample(rec: dict) -> Sample:
-    e = np.array(rec["e"]).reshape(T_STEPS, K_WINDOW, 2)
+    if not isinstance(rec, dict):
+        raise ValueError("record is not a JSON object")
+    mask = rec["mask"]
+    if not (
+        isinstance(mask, list)
+        and len(mask) == N_NEIGHBORS
+        and all(type(x) is int for x in mask)
+    ):
+        raise ValueError(f"field 'mask' is not a list of {N_NEIGHBORS} integers")
+    v_mask = np.array(mask, dtype=bool)
+    present = np.flatnonzero(v_mask)
     v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
+    v[present] = _unpack_rows(rec, "v", len(present), (T_STEPS, K_WINDOW, 2))
     vf = np.zeros((N_NEIGHBORS, T_STEPS, 2))
-    for k, vals in rec["v"].items():
-        v[int(k)] = np.array(vals).reshape(T_STEPS, K_WINDOW, 2)
-    for k, vals in rec["vf"].items():
-        vf[int(k)] = np.array(vals).reshape(T_STEPS, 2)
+    vf[present] = _unpack_rows(rec, "vf", len(present), (T_STEPS, 2))
+    m = _unpack(rec, "m", (), _MAP_ENTRY)
+    if len(m) and m["cell"].max() >= _MAP_SIZE:
+        raise ValueError(
+            f"map cell {m['cell'].max()} outside the {MAP_ROWS}x{MAP_COLS}x{T_STEPS} grid"
+        )
     m_cells = np.zeros((MAP_ROWS, MAP_COLS, T_STEPS, 2 * K_WINDOW))
+    m_cells.reshape(-1, 2 * K_WINDOW)[m["cell"]] = m["xy"]
     m_labels = np.full((MAP_ROWS, MAP_COLS, T_STEPS), -1, dtype=np.int64)
-    for entry in rec["m"]:
-        r, c, t, label = int(entry[0]), int(entry[1]), int(entry[2]), int(entry[3])
-        m_labels[r, c, t] = label
-        m_cells[r, c, t] = entry[4:]
+    m_labels.reshape(-1)[m["cell"]] = m["label"]
+    # astype copies: the arrays own writeable memory, unlike frombuffer views.
     return Sample(
-        e=e,
+        e=_unpack_rows(rec, "e", 1, (T_STEPS, K_WINDOW, 2))[0].astype(np.float64),
         v=v,
-        v_mask=np.array(rec["mask"], dtype=bool),
+        v_mask=v_mask,
         m_cells=m_cells,
         m_labels=m_labels,
-        ctx=np.array(rec["ctx"]),
-        nc=NavigationCommand(rec["nc"]),
-        ego_future=np.array(rec["ef"]).reshape(T_STEPS, 2),
+        ctx=_unpack_rows(rec, "ctx", 1, (8,))[0].astype(np.float64),
+        nc=NavigationCommand(_int(rec, "nc")),
+        ego_future=_unpack_rows(rec, "ef", 1, (T_STEPS, 2))[0].astype(np.float64),
         neigh_future=vf,
-        episode_seed=int(rec.get("ep", 0)),
-        center_tick=int(rec.get("ct", 0)),
-        deviated=bool(rec.get("dev", 0)),
+        episode_seed=_int(rec, "ep"),
+        center_tick=_int(rec, "ct"),
+        deviated=bool(_int(rec, "dev")),
     )
 
 
@@ -402,23 +462,38 @@ def write_dataset(samples: list[Sample], path, extra_meta: dict | None = None) -
             f.write(json.dumps(_sample_to_record(s)) + "\n")
 
 
+def _check_header(header) -> dict:
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    version = header.get("format_version")
+    if version != DATASET_FORMAT_VERSION:
+        raise ValueError(
+            f"format_version {version!r} unsupported, expected {DATASET_FORMAT_VERSION}"
+            " (re-record older files)"
+        )
+    for key, want in dataset_header().items():
+        if header.get(key) != want:
+            raise ValueError(f"header {key} is {header.get(key)!r}, expected {want!r}")
+    return header
+
+
+def _parse_line(path, lineno: int, line: bytes, decode):
+    try:
+        return decode(json.loads(line))
+    except KeyError as e:
+        raise DataFormatError(f"{path}: line {lineno}: missing field {e}") from e
+    except ValueError as e:  # JSON, UTF-8 and base64 errors are ValueErrors too
+        raise DataFormatError(f"{path}: line {lineno}: {e}") from e
+
+
 def read_dataset(path) -> tuple[list[Sample], dict]:
-    with open(path) as f:
+    with open(path, "rb") as f:
         lines = f.read().splitlines()
     if not lines:
         raise DataFormatError(f"{path}: empty dataset file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: corrupt header at line 1") from e
-    if header.get("format_version") != DATASET_FORMAT_VERSION:
-        raise DataFormatError(
-            f"{path}: format_version {header.get('format_version')} unsupported"
-        )
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            samples.append(_record_to_sample(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as e:
-            raise DataFormatError(f"{path}: corrupt record at line {lineno}") from e
+    header = _parse_line(path, 1, lines[0], _check_header)
+    samples = [
+        _parse_line(path, lineno, line, _record_to_sample)
+        for lineno, line in enumerate(lines[1:], start=2)
+    ]
     return samples, header

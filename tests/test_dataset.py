@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from polydrive import dataset, simworld as sw
+from polydrive.augment import AugmentConfig, augment_samples
+from polydrive.cli import main
 from polydrive.dataset import (
     K_WINDOW,
     N_NEIGHBORS,
@@ -23,6 +26,7 @@ from polydrive.dataset import (
     write_dataset,
 )
 from polydrive.errors import DataFormatError
+from polydrive.model import init_params, save_checkpoint
 from polydrive.trajectory import PointSeries, fit_polynomial, sample_times
 
 
@@ -286,8 +290,8 @@ class TestExtractWindows:
         assert all(samples_equal(a, b) for a, b in zip(samples[:50], again[:50]))
 
 
-def reference_sample_to_record(s):
-    """The per-element int()/float() conversion of the sparse map."""
+def v1_record(s):
+    """Format 1: every array as JSON numbers, the map as [r, c, t, label, *payload]."""
     occupied = np.argwhere(s.m_labels >= 0)
     m_sparse = [
         [int(r), int(c), int(t), int(s.m_labels[r, c, t])]
@@ -310,32 +314,144 @@ def reference_sample_to_record(s):
     }
 
 
-# sha256 of write_dataset's bytes for one seeded episode per town, captured
-# before the record path was vectorized: any change to what it computes shows.
-GOLDEN = {
-    ("train", 11): "f5f7fd153683b66ab265d857d4e3cc3d7f947cb3e92d13d4b4de6165847282b4",
-    ("test", 12): "d465ed2ca860d4027b7fec2a5e610070b9dbe5e15576b618d28df6266b7e26fd",
+def v1_sample(rec):
+    e = np.array(rec["e"]).reshape(T_STEPS, K_WINDOW, 2)
+    v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
+    vf = np.zeros((N_NEIGHBORS, T_STEPS, 2))
+    for k, vals in rec["v"].items():
+        v[int(k)] = np.array(vals).reshape(T_STEPS, K_WINDOW, 2)
+    for k, vals in rec["vf"].items():
+        vf[int(k)] = np.array(vals).reshape(T_STEPS, 2)
+    m_cells = np.zeros((dataset.MAP_ROWS, dataset.MAP_COLS, T_STEPS, 2 * K_WINDOW))
+    m_labels = np.full(m_cells.shape[:3], -1, dtype=np.int64)
+    for entry in rec["m"]:
+        r, c, t, label = int(entry[0]), int(entry[1]), int(entry[2]), int(entry[3])
+        m_labels[r, c, t] = label
+        m_cells[r, c, t] = entry[4:]
+    return dataset.Sample(
+        e=e,
+        v=v,
+        v_mask=np.array(rec["mask"], dtype=bool),
+        m_cells=m_cells,
+        m_labels=m_labels,
+        ctx=np.array(rec["ctx"]),
+        nc=NavigationCommand(rec["nc"]),
+        ego_future=np.array(rec["ef"]).reshape(T_STEPS, 2),
+        neigh_future=vf,
+        episode_seed=int(rec.get("ep", 0)),
+        center_tick=int(rec.get("ct", 0)),
+        deviated=bool(rec.get("dev", 0)),
+    )
+
+
+def v1_write_dataset(samples, path):
+    """The format 1 writer and reader, kept as the reference for format 2."""
+    with open(path, "w") as f:
+        f.write(json.dumps({**dataset.dataset_header(), "format_version": 1}) + "\n")
+        for s in samples:
+            f.write(json.dumps(v1_record(s)) + "\n")
+
+
+def v1_read_dataset(path):
+    with open(path) as f:
+        return [v1_sample(json.loads(line)) for line in f.read().splitlines()[1:]]
+
+
+FIELDS = (
+    ("e", "<f8"),
+    ("v", "<f8"),
+    ("v_mask", "u1"),
+    ("m_cells", "<f8"),
+    ("m_labels", "<i8"),
+    ("ctx", "<f8"),
+    ("ego_future", "<f8"),
+    ("neigh_future", "<f8"),
+)
+
+
+def decoded_digest(samples):
+    """sha256 over every array and scalar of the samples, in FIELDS order."""
+    h = hashlib.sha256()
+    for s in samples:
+        for name, dtype in FIELDS:
+            h.update(np.ascontiguousarray(getattr(s, name), dtype=dtype).tobytes())
+        h.update(np.array([s.nc, s.episode_seed, s.center_tick, s.deviated], "<i8").tobytes())
+    return h.hexdigest()
+
+
+def assert_same_bits(a, b):
+    for name, _ in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert (a.nc, a.episode_seed, a.center_tick, a.deviated) == (
+        b.nc, b.episode_seed, b.center_tick, b.deviated
+    )
+
+
+# One 15 s episode per town, extracted, written and read back.  DECODED is
+# the sha256 of the decoded samples (decoded_digest), captured with the
+# format 1 reader, so it pins extract_windows whatever the file encoding.
+# FILE is the sha256 of write_dataset's format 2 bytes.
+DECODED = {
+    ("train", 11): "ca4d2d59c9f69368d4c02dbf42d00858612828e45912047e887169b51df9132f",
+    ("test", 12): "9da939934b461186185dac32cc342edd6a3018e8ebc3c334edf55ccf5cd71708",
+}
+FILE = {
+    ("train", 11): "de5cd0476e2e80e647515db2b91c55de48016b497498246edb5a9dd282ea1904",
+    ("test", 12): "90be5ee9a79780eff5cd955b66eef9ad7952e5aff12d31ada1be45cfe3870c20",
 }
 
 
+def _extreme(sample):
+    """The sample with signed zeros, +-1e300 and NaN in its map payload,
+    and signed zeros and extremes in e and ctx."""
+    rng = np.random.default_rng(3)
+    values = [-0.0, 0.0, 1e300, -1e300, np.nan, 5e-324, 1.0 / 3.0]
+    occupied = sample.m_labels >= 0
+    cells = sample.m_cells.copy()
+    cells[occupied] = rng.choice(values, cells[occupied].shape)
+    e = sample.e.copy()
+    e[0] = -0.0
+    ctx = sample.ctx.copy()
+    ctx[:3] = [-0.0, 1e300, -1e300]
+    return dataclasses.replace(sample, m_cells=cells, e=e, ctx=ctx)
+
+
 class TestRecordBytes:
-    @pytest.mark.parametrize("town_id, seed", sorted(GOLDEN))
+    @pytest.mark.parametrize("town_id, seed", sorted(FILE))
     def test_record_path_golden_bytes(self, town_id, seed, tmp_path):
         net = sw.build_town(town_id)
         samples = extract_windows(sw.record_episode(net, seed, 15.0), net)
         write_dataset(samples, tmp_path / "d.jsonl", {"town": town_id})
         digest = hashlib.sha256((tmp_path / "d.jsonl").read_bytes()).hexdigest()
-        assert digest == GOLDEN[(town_id, seed)]
+        assert digest == FILE[(town_id, seed)]
+        back, _ = read_dataset(tmp_path / "d.jsonl")
+        assert decoded_digest(back) == DECODED[(town_id, seed)]
+        assert decoded_digest(samples) == DECODED[(town_id, seed)]
 
-    def test_record_bytes_match_reference(self, samples):
-        # Signed zeros, extreme magnitudes and repeating fractions in the map.
-        rng = np.random.default_rng(3)
-        cells = samples[7].m_cells.copy()
-        occupied = samples[7].m_labels >= 0
-        cells[occupied] *= rng.choice([-0.0, 1e-300, 1e300, 1.0 / 3.0], cells[occupied].shape)
-        for s in samples + [dataclasses.replace(samples[7], m_cells=cells)]:
-            got = json.dumps(dataset._sample_to_record(s))
-            assert got == json.dumps(reference_sample_to_record(s))
+    def test_decodes_like_v1_reference(self, samples, tmp_path):
+        augmented = augment_samples(
+            samples,
+            AugmentConfig(mode="full", fraction=1.0, sigma_long=0.1, sigma_lat=0.05,
+                          p_remove=0.2, p_add=0.05),
+            4,
+        )
+        assert any(s.deviated for s in augmented)
+        assert any((s.m_labels >= 1000).any() for s in augmented)
+        data = samples + augmented + [_extreme(samples[7]), _extreme(augmented[7])]
+        v1_write_dataset(data, tmp_path / "v1.jsonl")
+        write_dataset(data, tmp_path / "v2.jsonl")
+        want = v1_read_dataset(tmp_path / "v1.jsonl")
+        got, _ = read_dataset(tmp_path / "v2.jsonl")
+        assert len(got) == len(want) == len(data)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        # v2 also keeps what v1 reads back differently: a NaN's sign bit.
+        nan = dataclasses.replace(samples[0], ctx=-np.full(8, np.nan))
+        write_dataset([nan], tmp_path / "nan.jsonl")
+        (back,), _ = read_dataset(tmp_path / "nan.jsonl")
+        assert back.ctx.tobytes() == nan.ctx.tobytes()
 
 
 class TestSerialization:
@@ -345,17 +461,37 @@ class TestSerialization:
         write_dataset(subset, path, {"config_hash": "abc"})
         back, header = read_dataset(path)
         assert header["config_hash"] == "abc"
-        assert header["format_version"] == dataset.DATASET_FORMAT_VERSION
+        assert header["format_version"] == dataset.DATASET_FORMAT_VERSION == 2
         assert len(back) == len(subset)
-        assert all(samples_equal(a, b, atol=1e-12) for a, b in zip(subset, back))
+        for a, b in zip(subset, back):
+            assert_same_bits(a, b)
+            for name, _ in FIELDS:
+                arr = getattr(b, name)
+                assert arr.flags.owndata and arr.flags.writeable, name
+                assert arr.dtype.isnative, name
+
+    def test_neighbor_free_and_empty_map_round_trip(self, samples, tmp_path):
+        s = samples[0]
+        lone = dataclasses.replace(
+            s,
+            v=np.zeros_like(s.v),
+            v_mask=np.zeros_like(s.v_mask),
+            neigh_future=np.zeros_like(s.neigh_future),
+            m_cells=np.zeros_like(s.m_cells),
+            m_labels=np.full_like(s.m_labels, -1),
+        )
+        write_dataset([lone], tmp_path / "d.jsonl")
+        (back,), _ = read_dataset(tmp_path / "d.jsonl")
+        assert_same_bits(back, lone)
 
     def test_rejects_bad_version(self, samples, tmp_path):
         path = tmp_path / "d.jsonl"
         write_dataset(samples[:2], path)
         lines = path.read_text().splitlines()
-        header = lines[0].replace('"format_version": 1', '"format_version": 99')
-        path.write_text("\n".join([header] + lines[1:]))
-        with pytest.raises(DataFormatError):
+        header = json.loads(lines[0])
+        header["format_version"] = 99
+        path.write_text("\n".join([json.dumps(header)] + lines[1:]))
+        with pytest.raises(DataFormatError, match="line 1: format_version 99 unsupported"):
             read_dataset(path)
 
     def test_rejects_corrupt_record(self, samples, tmp_path):
@@ -363,5 +499,115 @@ class TestSerialization:
         write_dataset(samples[:2], path)
         with open(path, "a") as f:
             f.write("{broken\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match="line 4: "):
             read_dataset(path)
+
+
+def _b64(edit):
+    """A record edit on the decoded bytes of one base64 field."""
+    def apply(rec, key):
+        rec[key] = base64.b64encode(edit(base64.b64decode(rec[key]))).decode()
+    return apply
+
+
+def _map_cell(rec, key):
+    m = np.frombuffer(base64.b64decode(rec[key]), dataset._MAP_ENTRY).copy()
+    m["cell"][-1] = dataset.MAP_ROWS * dataset.MAP_COLS * T_STEPS
+    rec[key] = base64.b64encode(m.tobytes()).decode()
+
+
+# (line, field, edit, message): each makes read_dataset refuse the file.
+# Line 1 is the header; the edits on records hit line 3, the second sample.
+CORRUPTIONS = {
+    "truncated_base64": (3, "e", lambda rec, k: rec.update({k: rec[k][:-3]}), "not base64"),
+    # A non-strict decoder would skip the "*" and read the right bytes.
+    "invalid_base64": (3, "ctx", lambda rec, k: rec.update({k: "*" + rec[k]}), "not base64"),
+    "short_array": (3, "ef", _b64(lambda raw: raw[:-8]), "do not fit"),
+    "long_array": (3, "v", _b64(lambda raw: raw + bytes(8)), "do not fit"),
+    "cut_map_entry": (3, "m", _b64(lambda raw: raw[:-1]), "do not fit"),
+    "extra_row": (3, "vf", _b64(lambda raw: raw + bytes(8 * 2 * T_STEPS)), "rows, expected"),
+    "empty_array": (3, "e", _b64(lambda raw: b""), "holds 0 rows, expected 1"),
+    "array_not_string": (3, "ctx", lambda rec, k: rec.update({k: 5}), "not a base64 string"),
+    "non_ascii_base64": (3, "ef", lambda rec, k: rec.update({k: "é" + rec[k]}), "not base64"),
+    "map_index_outside_grid": (3, "m", _map_cell, "outside the 13x3x20 grid"),
+    "missing_field": (3, "ct", lambda rec, k: rec.pop(k), "missing field 'ct'"),
+    "mask_length": (3, "mask", lambda rec, k: rec[k].append(0), "field 'mask'"),
+    "mask_not_ints": (3, "mask", lambda rec, k: rec.update({k: ["a"] * 5}), "field 'mask'"),
+    "scalar_null": (3, "ep", lambda rec, k: rec.update({k: None}), "field 'ep' is not an"),
+    "scalar_float": (3, "ct", lambda rec, k: rec.update({k: 1.5}), "field 'ct' is not an"),
+    "header_T": (1, "T", lambda rec, k: rec.update({k: T_STEPS + 1}), "header T is 21"),
+    "header_K": (1, "K", lambda rec, k: rec.update({k: K_WINDOW - 1}), "header K is 2"),
+    "header_N": (1, "N", lambda rec, k: rec.update({k: N_NEIGHBORS + 1}), "header N is 6"),
+    "header_map_dims": (1, "map_dims", lambda rec, k: rec.update({k: [13, 4]}), "map_dims"),
+    "header_missing": (1, "K", lambda rec, k: rec.pop(k), "header K is None"),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.npz"
+    save_checkpoint(init_params(0), path)
+    return path
+
+
+def write_corrupt(samples, path, case):
+    """Three samples whose file carries one corruption (or "v1": format 1)."""
+    if case == "v1":
+        v1_write_dataset(samples[:3], path)
+        return 1, "format_version 1 unsupported"
+    write_dataset(samples[:3], path)
+    lineno, key, edit, message = CORRUPTIONS[case]
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec, key)
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    return lineno, message
+
+
+class TestCorruptFiles:
+    @pytest.mark.parametrize("case", ["v1", *CORRUPTIONS])
+    def test_refused_naming_the_line(self, samples, tmp_path, case):
+        # samples[1] has present neighbors, so "v" holds rows to lengthen.
+        assert samples[1].v_mask.any()
+        lineno, message = write_corrupt(samples, tmp_path / "d.jsonl", case)
+        with pytest.raises(DataFormatError, match=f"d.jsonl: line {lineno}: ") as err:
+            read_dataset(tmp_path / "d.jsonl")
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("command", ["augment", "train", "eval-offline"])
+    @pytest.mark.parametrize("case", ["v1", *CORRUPTIONS])
+    def test_cli_exits_2_with_one_line(self, samples, checkpoint, tmp_path, capsys,
+                                       command, case):
+        path = tmp_path / "d.jsonl"
+        lineno, _ = write_corrupt(samples, path, case)
+        out = tmp_path / "out"
+        inputs = {
+            "augment": [f'input = "{path}"'],
+            "train": [f'train = "{path}"', f'val = "{path}"'],
+            "eval-offline": [f'checkpoint = "{checkpoint}"', f'data = "{path}"'],
+        }[command]
+        assert main([command, "--out", str(out), *inputs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polydrive {command}: {path}: line {lineno}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_non_utf8_line(self, samples, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_dataset(samples[:2], path)
+        with open(path, "ab") as f:
+            f.write(b'{"e": "\xff"}\n')
+        with pytest.raises(DataFormatError, match="line 4: "):
+            read_dataset(path)
+
+
+class TestSamplesEqual:
+    @pytest.mark.parametrize(
+        "field, value", [("center_tick", -1), ("episode_seed", -1), ("deviated", True)]
+    )
+    def test_bookkeeping_fields_count(self, samples, field, value):
+        s = samples[3]
+        assert getattr(s, field) != value
+        assert samples_equal(s, dataclasses.replace(s))
+        assert not samples_equal(s, dataclasses.replace(s, **{field: value}))
