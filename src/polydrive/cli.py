@@ -80,6 +80,25 @@ def _value(cfg: dict, key: str, default, cast=float, ok=None, need: str = ""):
     raise argparse.ArgumentTypeError(f"config key {key!r} must be {need}, got {raw!r}")
 
 
+def _flag(cfg: dict, key: str, default: bool) -> bool:
+    """cfg[key] as JSON true or false; a string such as "False" is refused."""
+    return _value(cfg, key, default, lambda v: v, lambda v: isinstance(v, bool), "true or false")
+
+
+_PROBABILITY = (lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
+_SIGMA = (lambda s: s >= 0.0, "0 or more")
+
+
+def _perturbation(cfg: dict) -> dict:
+    """The input-noise and map-perturbation knobs of augment and eval-closedloop."""
+    return {
+        "sigma_long": _value(cfg, "sigma_long", 0.0, float, *_SIGMA),
+        "sigma_lat": _value(cfg, "sigma_lat", 0.0, float, *_SIGMA),
+        "p_remove": _value(cfg, "p_remove", 0.0, float, *_PROBABILITY),
+        "p_add": _value(cfg, "p_add", 0.0, float, *_PROBABILITY),
+    }
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -106,11 +125,8 @@ def cmd_record(cfg: dict, out: str) -> None:
 def cmd_augment(cfg: dict, out: str) -> None:
     aug_cfg = augment.AugmentConfig(
         mode=_value(cfg, "mode", "full", str, augment.MODES.__contains__, "none, partial or full"),
-        fraction=_value(cfg, "fraction", 0.2),
-        sigma_long=_value(cfg, "sigma_long", 0.0),
-        sigma_lat=_value(cfg, "sigma_lat", 0.0),
-        p_remove=_value(cfg, "p_remove", 0.0),
-        p_add=_value(cfg, "p_add", 0.0),
+        fraction=_value(cfg, "fraction", 0.2, float, *_PROBABILITY),
+        **_perturbation(cfg),
     )
     samples, header = dataset.read_dataset(_require(cfg, "input"))
     augmented = augment.augment_samples(samples, aug_cfg, int(cfg["seed"]))
@@ -145,7 +161,7 @@ def cmd_train(cfg: dict, out: str) -> None:
         batch_size=_value(cfg, "batch_size", 8, int, lambda n: n >= 1, "at least 1"),
         epochs=_value(cfg, "epochs", 30, int, lambda n: n >= 0, "at least 0"),
         seed=int(cfg["seed"]),
-        neighbor_loss=bool(cfg.get("neighbor_loss", True)),
+        neighbor_loss=_flag(cfg, "neighbor_loss", True),
     )
     train_samples, _ = dataset.read_dataset(_require(cfg, "train"))
     val_samples, _ = dataset.read_dataset(_require(cfg, "val"))
@@ -225,30 +241,33 @@ def _emit_report(results, offline_eval, cfg: dict, out: str) -> None:
 def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     town = cfg.get("town", "train")
     suite_seed = _value(cfg, "suite_seed", cfg["seed"], int)
-    expert = bool(cfg.get("expert", False))
+    expert = _flag(cfg, "expert", False)
+    knobs = _perturbation(cfg)
+    kinds = _value(
+        cfg, "kinds", [], lambda v: v,
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(type(k) is str for k in v),
+        "a comma-separated string or a list of task kinds",
+    )
+    if isinstance(kinds, str):
+        kinds = [k.strip() for k in kinds.split(",") if k.strip()]
+    unknown = set(kinds) - set(bench.TASK_KINDS)
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown task kinds: {sorted(unknown)}")
     params = None
     if not expert:
         params, _ = model.load_checkpoint(_require(cfg, "checkpoint"))
-    kinds = cfg.get("kinds")
-    if isinstance(kinds, str):
-        kinds = [k.strip() for k in kinds.split(",") if k.strip()]
     network = simworld.build_town(town)
     tasks = bench.generate_suite(town, suite_seed)
     if kinds:
-        unknown = set(kinds) - set(bench.TASK_KINDS)
-        if unknown:
-            raise PolydriveError(f"unknown task kinds: {sorted(unknown)}")
         tasks = [t for t in tasks if t.kind in kinds]
-    noise = (_value(cfg, "sigma_long", 0.0), _value(cfg, "sigma_lat", 0.0))
-    perturb = (_value(cfg, "p_remove", 0.0), _value(cfg, "p_add", 0.0))
     os.makedirs(os.path.join(out, TRACE_DIRNAME), exist_ok=True)
     results = bench.run_suite(
         network,
         tasks,
         params,
         expert=expert,
-        noise_sigma=noise,
-        map_perturb=perturb,
+        noise_sigma=(knobs["sigma_long"], knobs["sigma_lat"]),
+        map_perturb=(knobs["p_remove"], knobs["p_add"]),
         progress=lambda i, t, r: print(
             f"[{i + 1:3d}/{len(tasks)}] {t.kind:<12} seed {t.seed}  "
             f"{'ok' if r.reached_goal else 'FAIL'}  "

@@ -74,10 +74,6 @@ class PolyTrajectory2D:
         object.__setattr__(self, "cx", cx)
         object.__setattr__(self, "cy", cy)
 
-    def coeff_vector(self) -> np.ndarray:
-        """(x_0..x_4, y_0..y_4) layout used by the model output."""
-        return np.concatenate([self.cx, self.cy])
-
     @classmethod
     def from_coeff_vector(cls, vec, horizon: float = HORIZON) -> "PolyTrajectory2D":
         vec = np.asarray(vec, dtype=np.float64)
@@ -130,33 +126,8 @@ def to_frame(points: PointSeries, frame: Pose2D) -> PointSeries:
     return PointSeries(points.t, rel)
 
 
-def from_frame(points: PointSeries, frame: Pose2D) -> PointSeries:
-    """Inverse of :func:`to_frame`."""
-    world = points.xy @ _rotation(frame.heading).T + frame.xy
-    return PointSeries(points.t, world)
-
-
 def xy_to_frame(xy: np.ndarray, frame: Pose2D) -> np.ndarray:
     return (np.asarray(xy, dtype=np.float64) - frame.xy) @ _rotation(frame.heading)
-
-
-def point_l2_loss(
-    ego_pred: PointSeries,
-    ego_gt: PointSeries,
-    neigh_pred: list[PointSeries] = (),
-    neigh_gt: list[PointSeries] = (),
-) -> float:
-    """Sum of squared point distances over ego and all neighbor tracks."""
-    if len(ego_pred) != len(ego_gt):
-        raise ShapeError("ego series length mismatch")
-    if len(neigh_pred) != len(neigh_gt):
-        raise ShapeError("neighbor count mismatch")
-    total = float(np.sum((ego_pred.xy - ego_gt.xy) ** 2))
-    for p, g in zip(neigh_pred, neigh_gt):
-        if len(p) != len(g):
-            raise ShapeError("neighbor series length mismatch")
-        total += float(np.sum((p.xy - g.xy) ** 2))
-    return total
 
 
 def mae(pred: PointSeries, gt: PointSeries) -> float:
@@ -164,14 +135,3 @@ def mae(pred: PointSeries, gt: PointSeries) -> float:
     if len(pred) != len(gt):
         raise ShapeError("series length mismatch")
     return float(np.mean(np.linalg.norm(pred.xy - gt.xy, axis=1)))
-
-
-def mae_at(pred: PointSeries, gt: PointSeries, t: float) -> float:
-    """Euclidean distance at the single sampled instant ``t``."""
-    if len(pred) != len(gt):
-        raise ShapeError("series length mismatch")
-    idx = np.flatnonzero(np.abs(pred.t - t) < 1e-9)
-    if idx.size == 0:
-        raise InvalidInputError(f"t={t} is not a sampled instant")
-    i = int(idx[0])
-    return float(np.linalg.norm(pred.xy[i] - gt.xy[i]))

@@ -6,8 +6,12 @@ import os
 import numpy as np
 import pytest
 
-from polydrive import cli, dataset, model
+from polydrive import bench, cli, dataset, model
 from polydrive.cli import config_hash, load_config, main, parse_config_text
+
+
+class _Stop(Exception):
+    """Raised by a stub to end a command once it has seen its arguments."""
 
 
 class TestConfigParsing:
@@ -88,18 +92,84 @@ class TestExitCodes:
             ("train", "epochs = -1"),
             ("augment", "fraction = abc"),
             ("augment", "mode = bogus"),
+            # Booleans are JSON true or false only: bool("False") is True.
+            ("train", "neighbor_loss = False"),
+            ("train", "neighbor_loss = no"),
+            ("train", 'neighbor_loss = "false"'),
+            ("train", "neighbor_loss = 0"),
+            ("eval-closedloop", "expert = no"),
+            ("eval-closedloop", "expert = False"),
+            ("eval-closedloop", "expert = 1"),
+            ("augment", "fraction = 2"),
+            ("augment", "fraction = -0.5"),
+            ("augment", "p_remove = 1.5"),
+            ("augment", "p_add = -1"),
+            ("augment", "sigma_long = -1"),
+            ("augment", "sigma_lat = -0.1"),
+            ("eval-closedloop", "p_remove = 5"),
+            ("eval-closedloop", "p_add = -1"),
+            ("eval-closedloop", "sigma_long = -1"),
+            ("eval-closedloop", "sigma_lat = NaN"),
+            ("eval-closedloop", "kinds = 5"),
+            ("eval-closedloop", "kinds = [1]"),
         ],
     )
     def test_bad_config_value_is_1(self, command, setting, tmp_path, capsys):
         # Checked before any input is read or output is written.
-        inputs = ['train = "t.jsonl"', 'val = "v.jsonl"', 'input = "i.jsonl"']
+        inputs = [
+            'train = "t.jsonl"', 'val = "v.jsonl"', 'input = "i.jsonl"', 'checkpoint = "c.npz"'
+        ]
         rc = main([command, "--out", str(tmp_path / "out"), setting, *inputs])
         assert rc == 1
         err = capsys.readouterr().err
         key = setting.split()[0]
         assert err.startswith(f"polydrive {command}: config key {key!r} must be ")
         assert err.count("\n") == 1
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_unknown_kind_is_1(self, tmp_path, capsys):
+        rc = main(
+            ["eval-closedloop", "--out", str(tmp_path / "out"),
+             'checkpoint = "c.npz"', "kinds = straight,warp_drive,bogus"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "polydrive eval-closedloop: unknown task kinds: ['bogus', 'warp_drive']\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("setting, value", [("false", False), ("true", True), (None, True)])
+    def test_neighbor_loss_reaches_train_config(self, setting, value, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_train(train_samples, val_samples, config, log_fn=None):
+            seen.append(config)
+            raise _Stop
+
+        monkeypatch.setattr(dataset, "read_dataset", lambda path: ([], {}))
+        monkeypatch.setattr(model, "train", fake_train)
+        extra = [] if setting is None else [f"neighbor_loss = {setting}"]
+        with pytest.raises(_Stop):
+            main(["train", "--out", str(tmp_path / "m.npz"), 'train = "t"', 'val = "v"', *extra])
+        assert seen[0].neighbor_loss is value
+
+    @pytest.mark.parametrize("setting, value", [("false", False), ("true", True), (None, False)])
+    def test_expert_reaches_drive_task(self, setting, value, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_drive_task(*args, expert, **kwargs):
+            seen.append(expert)
+            raise _Stop
+
+        monkeypatch.setattr(bench, "drive_task", fake_drive_task)
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        extra = [] if setting is None else [f"expert = {setting}"]
+        with pytest.raises(_Stop):
+            main(
+                ["eval-closedloop", "--out", str(tmp_path / "cl"), "kinds = straight",
+                 f'checkpoint = "{tmp_path}/m.npz"', *extra]
+            )
+        assert seen[0] is value
 
     def test_unknown_town_is_2(self, tmp_path, capsys):
         rc = main(["record", "--out", str(tmp_path / "d"), "town = eval"])
@@ -259,13 +329,6 @@ class TestClosedLoopAndReport:
         assert report["offline_mae"] == mae
         text = (tmp_path / "r" / "report.txt").read_text()
         assert f"{'neighbors':<18} {'n/a':>8} {'n/a':>8}" in text.splitlines()
-
-    def test_unknown_kind_is_2(self, tmp_path, capsys):
-        rc = main(
-            ["eval-closedloop", "--out", str(tmp_path),
-             "expert = true", "kinds = warp_drive"]
-        )
-        assert rc == 2
 
     def test_empty_trace_dir_is_2(self, tmp_path, capsys):
         empty = tmp_path / "none"
