@@ -20,11 +20,13 @@ from .dataset import (
     N_NEIGHBORS,
     T_STEPS,
     _FUTURE_T,
+    _HISTORY_INDEX,
     Sample,
+    build_proximity_map,
 )
 from .errors import SkipSample
 from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
-from .trajectory import DT, PointSeries, fit_polynomial
+from .trajectory import DT, PointSeries, _rotation, fit_polynomial
 
 LATERAL_AMPLITUDES = (0.2, 0.4, 0.6, 0.8)
 RECOVERY_RANGE = (0.5, 2.0)
@@ -74,11 +76,6 @@ def _past_tick_times() -> np.ndarray:
     return (np.arange(T_STEPS) - (T_STEPS - 1)) * DT
 
 
-def _rot(a: float) -> np.ndarray:
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s], [s, c]])
-
-
 def _poly_derivatives(coeffs: np.ndarray, t: float) -> tuple[float, float, float]:
     p = np.polyval(coeffs, t)
     d1 = np.polyval(np.polyder(coeffs), t)
@@ -116,7 +113,7 @@ def synthesize_recovery(
     if speed0 < MIN_NOMINAL_SPEED:
         raise SkipSample("nominal future is degenerate (near-stationary)")
 
-    rot = _rot(-angular)
+    rot = _rotation(-angular)
     offset = np.array([0.0, lateral])
 
     def nominal_in_dev(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,63 +147,43 @@ def _warp_past(xy: np.ndarray, t: np.ndarray, params: DeviationParams) -> np.nda
     out = np.empty_like(xy)
     for i in range(xy.shape[0]):
         r = ramp[i]
-        out[i] = _rot(r * ang) @ xy[i] + np.array([0.0, r * lat])
+        out[i] = _rotation(r * ang) @ xy[i] + np.array([0.0, r * lat])
     return out
 
 
 def _to_deviated(xy: np.ndarray, params: DeviationParams) -> np.ndarray:
-    rot = _rot(-params.angular_amplitude)
+    rot = _rotation(-params.angular_amplitude)
     return (xy - np.array([0.0, params.lateral_signed])) @ rot.T
 
 
-def _rebuild_map(
-    m: ProximityMap, transform_ego, transform_other
-) -> ProximityMap:
-    """Transform per-track positions recovered from the map and re-bin."""
-    cells, labels = m
-    # Recover per-label tracks: position at tick t from any payload slot.
-    tracks: dict[int, np.ndarray] = {}
-    present: dict[int, np.ndarray] = {}
-    for r, c, t in np.argwhere(labels >= 0):
-        a = int(labels[r, c, t])
-        if a not in tracks:
-            tracks[a] = np.zeros((T_STEPS, 2))
-            present[a] = np.zeros(T_STEPS, dtype=bool)
-        payload = cells[r, c, t]
-        for k in range(K_WINDOW):
-            j = max(0, t - (K_WINDOW - 1) + k)
-            tracks[a][j] = payload[2 * k : 2 * k + 2]
-            present[a][j] = True
-    new_cells = np.zeros_like(cells)
-    new_labels = np.full_like(labels, -1)
+def _rebuild_map(m: ProximityMap, params: DeviationParams) -> ProximityMap:
+    """Deviate the tracks recovered from the map (the ego's past warped, the
+    others by the frame change alone) and re-bin them with the extraction
+    kernel.
+
+    Tracks are kernel rows in ascending label order, NaN at the ticks no
+    payload slot holds.  A track's distance is the norm of its last tick
+    before the transform (1e9 when absent), so the track nearer at the window
+    center wins a cell, and the lower label of equal distances.
+    """
+    r, c, t = np.nonzero(m.labels >= 0)
+    ids, row = np.unique(m.labels[r, c, t], return_inverse=True)
+    tracks = np.full((len(ids), T_STEPS, 2), np.nan)
+    # Payload slot k of tick t holds tick _HISTORY_INDEX[t, k]; the last write wins.
+    tracks[row[:, None], _HISTORY_INDEX[t]] = m.cells[r, c, t].reshape(-1, K_WINDOW, 2)
     ticks = _past_tick_times()
-    order = sorted(
-        tracks,
-        key=lambda a: (
-            float(np.linalg.norm(tracks[a][-1])) if present[a][-1] else 1e9,
-            a,
-        ),
-    )
-    half_long, half_lat = MAP_EXTENT_LONG / 2.0, MAP_EXTENT_LAT / 2.0
-    for a in order:
-        fn = transform_ego if a == 0 else transform_other
-        moved = fn(tracks[a], ticks)
-        for t in range(T_STEPS):
-            if not present[a][t]:
-                continue
-            x, y = moved[t]
-            if not (-half_long <= x < half_long and -half_lat <= y < half_lat):
-                continue
-            row = min(int((x + half_long) / CELL_LONG), MAP_ROWS - 1)
-            col = min(int((y + half_lat) / CELL_LAT), MAP_COLS - 1)
-            if new_labels[row, col, t] >= 0:
-                continue  # nearer track already owns the cell
-            new_labels[row, col, t] = a
-            for k in range(K_WINDOW):
-                j = max(0, t - (K_WINDOW - 1) + k)
-                if present[a][j]:
-                    new_cells[row, col, t, 2 * k : 2 * k + 2] = moved[j]
-    return ProximityMap(new_cells, new_labels)
+    moved = np.empty_like(tracks)
+    dists = np.full(len(ids), 1e9)
+    for i, a in enumerate(ids):
+        track = _warp_past(tracks[i], ticks, params) if a == 0 else tracks[i]
+        moved[i] = _to_deviated(track, params)
+        if not np.isnan(tracks[i, -1, 0]):
+            dists[i] = np.linalg.norm(tracks[i, -1])
+    cells, labels = build_proximity_map(moved, dists)
+    cells[np.isnan(cells)] = 0.0  # payload slots of absent ticks
+    occupied = labels >= 0
+    labels[occupied] = ids[labels[occupied]]
+    return ProximityMap(cells, labels)
 
 
 def inject_deviation(
@@ -233,24 +210,14 @@ def inject_deviation(
 
     # Neighbor histories: pure frame change; futures are per-neighbor shifts
     # and only rotate.
-    rot = _rot(-params.angular_amplitude)
+    rot = _rotation(-params.angular_amplitude)
     for n in range(N_NEIGHBORS):
         if not sample.v_mask[n]:
             continue
         for k in range(K_WINDOW):
             out.v[n, :, k, :] = _to_deviated(sample.v[n, :, k, :], params)
         out.neigh_future[n] = sample.neigh_future[n] @ rot.T
-
-    def tf_ego(track, t):
-        return _to_deviated(_warp_past(track, t, params), params)
-
-    def tf_other(track, t):
-        return _to_deviated(track, params)
-
-    new_map = _rebuild_map(
-        ProximityMap(sample.m_cells, sample.m_labels), tf_ego, tf_other
-    )
-    out.m_cells, out.m_labels = new_map.cells, new_map.labels
+    out.m_cells, out.m_labels = _rebuild_map(ProximityMap(sample.m_cells, sample.m_labels), params)
 
     out.ego_future = future
     # Context: the deviated pose shifts the lane-frame lateral offset and

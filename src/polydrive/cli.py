@@ -65,16 +65,20 @@ def _require(cfg: dict, key: str):
 
 
 def _value(cfg: dict, key: str, default, cast=float, ok=None, need: str = ""):
-    """cfg[key], or the default, as cast; a value that is not a finite
-    number (for a numeric cast), or that fails ok, is a usage error."""
+    """cfg[key], or the default, as cast; a value that fails ok is a usage
+    error, and so is one that is not a finite number (for float) or a whole
+    number (for int).  int() and float() would take true as 1 and cut 8.7
+    to 8, so a boolean is refused, and a fraction for int."""
     raw = cfg.get(key, default)
     try:
         value = cast(raw)
-        number = cast is not float or math.isfinite(value)
+        whole = cast is not int or not isinstance(raw, float) or value == raw
+        finite = cast is not float or math.isfinite(value)
+        number = whole and finite and not (cast in (int, float) and isinstance(raw, bool))
     except (TypeError, ValueError, OverflowError):
         number = False
     if not number:
-        need = "a finite number"
+        need = "a whole number" if cast is int else "a finite number"
     elif ok is None or ok(value):
         return value
     raise argparse.ArgumentTypeError(f"config key {key!r} must be {need}, got {raw!r}")

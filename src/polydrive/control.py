@@ -16,12 +16,12 @@ import numpy as np
 
 from .dataset import (
     NC_LOOKAHEAD_S,
-    NC_TURN_DEG,
     NC_ZONE_RADIUS,
     T_STEPS,
     NavigationCommand,
     Sample,
     assemble_sample,
+    turn_command,
 )
 from .simworld import (
     ACCEL_MAX,
@@ -164,12 +164,7 @@ def live_navigation_command(
     _, u_out = route.point_at(crossing[1])
     h_in = float(np.arctan2(u_in[1], u_in[0]))
     h_out = float(np.arctan2(u_out[1], u_out[0]))
-    dh = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
-    if dh > np.deg2rad(NC_TURN_DEG):
-        return NavigationCommand.LEFT
-    if dh < -np.deg2rad(NC_TURN_DEG):
-        return NavigationCommand.RIGHT
-    return NavigationCommand.CROSS
+    return turn_command(h_in, h_out)
 
 
 class LiveSampler:

@@ -194,6 +194,17 @@ def _zone_exit(track: np.ndarray, i: int, node_pos: np.ndarray) -> int:
     return n - 1
 
 
+def turn_command(h_in, h_out) -> NavigationCommand:
+    """Left, right or cross from the signed heading change across a junction
+    zone, wrapped to [-pi, pi)."""
+    dh = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
+    if dh > np.deg2rad(NC_TURN_DEG):
+        return NavigationCommand.LEFT
+    if dh < -np.deg2rad(NC_TURN_DEG):
+        return NavigationCommand.RIGHT
+    return NavigationCommand.CROSS
+
+
 def compute_navigation_command(
     log: EpisodeLog, center_tick: int, network: RoadNetwork
 ) -> NavigationCommand:
@@ -214,14 +225,7 @@ def compute_navigation_command(
     i = center_tick + int(inside[0])
     node_id = network.junction_ids[int(np.argmin(d[inside[0]]))]
     j = _zone_exit(track, i, network.nodes[node_id].pos)
-    dh = float(
-        (log.states[j][0, 2] - log.states[i][0, 2] + np.pi) % (2 * np.pi) - np.pi
-    )
-    if dh > np.deg2rad(NC_TURN_DEG):
-        return NavigationCommand.LEFT
-    if dh < -np.deg2rad(NC_TURN_DEG):
-        return NavigationCommand.RIGHT
-    return NavigationCommand.CROSS
+    return turn_command(log.states[i][0, 2], log.states[j][0, 2])
 
 
 def assemble_sample(

@@ -234,6 +234,15 @@ def _coeff_grad(g_pts: np.ndarray) -> np.ndarray:
     return np.concatenate([d[:, :, 0], d[:, :, 1]], axis=1)
 
 
+def _squared_errors(pe, pv, feats, neighbor_loss: bool) -> tuple[float, float]:
+    """Summed squared point errors of the ego and of the present neighbors
+    (0.0 without the neighbor loss)."""
+    ego = float(np.sum((pe - feats["ye"]) ** 2))
+    if not neighbor_loss:
+        return ego, 0.0
+    return ego, float(np.sum(((pv - feats["yv"]) ** 2) * feats["vmask"][:, :, None, None]))
+
+
 def loss_and_grad(params, feats, neighbor_loss: bool = True):
     """Batch-mean point L2 loss and analytic gradients over all parameters."""
     b = feats["xe"].shape[0]
@@ -241,11 +250,8 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     pe = coeffs_to_points(ego_coeffs)
     pv = coeffs_to_points(nbr_coeffs)
     mask = feats["vmask"]
-    loss = float(np.sum((pe - feats["ye"]) ** 2) / b)
-    if neighbor_loss:
-        loss += float(
-            np.sum(((pv - feats["yv"]) ** 2) * mask[:, :, None, None]) / b
-        )
+    ego_sum, nbr_sum = _squared_errors(pe, pv, feats, neighbor_loss)
+    loss = ego_sum / b + nbr_sum / b
 
     grads = zero_like_params(params)
     # d loss / d coefficient vectors.
@@ -417,14 +423,9 @@ def eval_loss(params, samples, config: TrainConfig, batch: int = 256) -> float:
         chunk = samples[i : i + batch]
         feats = featurize(chunk)
         ego_coeffs, nbr_coeffs, _ = forward_batch(params, feats)
-        pe = coeffs_to_points(ego_coeffs)
-        l = float(np.sum((pe - feats["ye"]) ** 2))
-        if config.neighbor_loss:
-            pv = coeffs_to_points(nbr_coeffs)
-            l += float(
-                np.sum(((pv - feats["yv"]) ** 2) * feats["vmask"][:, :, None, None])
-            )
-        total += l
+        pe, pv = coeffs_to_points(ego_coeffs), coeffs_to_points(nbr_coeffs)
+        ego_sum, nbr_sum = _squared_errors(pe, pv, feats, config.neighbor_loss)
+        total += ego_sum + nbr_sum
         n += len(chunk)
     return total / max(n, 1)
 

@@ -1,4 +1,4 @@
-"""Polynomial trajectory representation, fitting, sampling and metrics.
+"""Polynomial trajectory representation, fitting, sampling and frame changes.
 
 Trajectories are degree-4 polynomials of time per axis with coefficients
 stored highest-degree first, i.e. x(t) = cx[0] t^4 + ... + cx[4].
@@ -120,18 +120,5 @@ def _rotation(heading: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def to_frame(points: PointSeries, frame: Pose2D) -> PointSeries:
-    """Express world points in the given frame (rigid transform, t unchanged)."""
-    rel = (points.xy - frame.xy) @ _rotation(frame.heading)
-    return PointSeries(points.t, rel)
-
-
 def xy_to_frame(xy: np.ndarray, frame: Pose2D) -> np.ndarray:
     return (np.asarray(xy, dtype=np.float64) - frame.xy) @ _rotation(frame.heading)
-
-
-def mae(pred: PointSeries, gt: PointSeries) -> float:
-    """Mean Euclidean distance between matched points."""
-    if len(pred) != len(gt):
-        raise ShapeError("series length mismatch")
-    return float(np.mean(np.linalg.norm(pred.xy - gt.xy, axis=1)))

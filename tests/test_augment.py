@@ -14,11 +14,18 @@ from polydrive.augment import (
     perturb_positions,
     random_deviation_params,
     synthesize_recovery,
-    _rot,
 )
-from polydrive.dataset import samples_equal
+from polydrive.dataset import K_WINDOW, T_STEPS, samples_equal
 from polydrive.errors import SkipSample
-from polydrive.trajectory import PointSeries, sample_times
+from polydrive.kernels import (
+    CELL_LAT,
+    CELL_LONG,
+    MAP_COLS,
+    MAP_EXTENT_LAT,
+    MAP_EXTENT_LONG,
+    MAP_ROWS,
+)
+from polydrive.trajectory import PointSeries, _rotation, sample_times
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +55,7 @@ def straight_future(speed=5.0):
 
 
 def to_nominal_frame(xy_dev, params):
-    rot = _rot(-params.angular_amplitude)
+    rot = _rotation(-params.angular_amplitude)
     return xy_dev @ rot + np.array([0.0, params.lateral_signed])
 
 
@@ -142,13 +149,158 @@ class TestInjectDeviation:
     def test_neighbor_futures_only_rotate(self, moving_sample):
         p = DeviationParams(0.6, np.arctan(0.06), 1.0, 1.2, "right")
         out = inject_deviation(moving_sample, p, moving_sample.ego_future_series())
-        rot = _rot(-p.angular_amplitude)
+        rot = _rotation(-p.angular_amplitude)
         for n in range(dataset.N_NEIGHBORS):
             if moving_sample.v_mask[n]:
                 np.testing.assert_allclose(
                     out.neigh_future[n], moving_sample.neigh_future[n] @ rot.T,
                     atol=1e-12,
                 )
+
+
+def reference_rebuild_map(m, transform_ego, transform_other):
+    """The per-track Python loop that re-binned deviated maps before they
+    went through the extraction kernel; kept as the parity reference."""
+    cells, labels = m
+    tracks: dict[int, np.ndarray] = {}
+    present: dict[int, np.ndarray] = {}
+    for r, c, t in np.argwhere(labels >= 0):
+        a = int(labels[r, c, t])
+        if a not in tracks:
+            tracks[a] = np.zeros((T_STEPS, 2))
+            present[a] = np.zeros(T_STEPS, dtype=bool)
+        payload = cells[r, c, t]
+        for k in range(K_WINDOW):
+            j = max(0, t - (K_WINDOW - 1) + k)
+            tracks[a][j] = payload[2 * k : 2 * k + 2]
+            present[a][j] = True
+    new_cells = np.zeros_like(cells)
+    new_labels = np.full_like(labels, -1)
+    ticks = augment._past_tick_times()
+    order = sorted(
+        tracks,
+        key=lambda a: (
+            float(np.linalg.norm(tracks[a][-1])) if present[a][-1] else 1e9,
+            a,
+        ),
+    )
+    half_long, half_lat = MAP_EXTENT_LONG / 2.0, MAP_EXTENT_LAT / 2.0
+    for a in order:
+        fn = transform_ego if a == 0 else transform_other
+        moved = fn(tracks[a], ticks)
+        for t in range(T_STEPS):
+            if not present[a][t]:
+                continue
+            x, y = moved[t]
+            if not (-half_long <= x < half_long and -half_lat <= y < half_lat):
+                continue
+            row = min(int((x + half_long) / CELL_LONG), MAP_ROWS - 1)
+            col = min(int((y + half_lat) / CELL_LAT), MAP_COLS - 1)
+            if new_labels[row, col, t] >= 0:
+                continue  # nearer track already owns the cell
+            new_labels[row, col, t] = a
+            for k in range(K_WINDOW):
+                j = max(0, t - (K_WINDOW - 1) + k)
+                if present[a][j]:
+                    new_cells[row, col, t, 2 * k : 2 * k + 2] = moved[j]
+    return ProximityMap(new_cells, new_labels)
+
+
+def recovered_ticks(m):
+    """Per label, the ticks whose position some payload slot of the map holds."""
+    present = {}
+    for r, c, t in np.argwhere(m.labels >= 0):
+        ticks = present.setdefault(int(m.labels[r, c, t]), np.zeros(T_STEPS, dtype=bool))
+        ticks[np.maximum(t - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)] = True
+    return present
+
+
+def deviation_transforms(params):
+    def tf_ego(track, t):
+        return augment._to_deviated(augment._warp_past(track, t, params), params)
+
+    def tf_other(track, t):
+        return augment._to_deviated(track, params)
+
+    return tf_ego, tf_other
+
+
+@pytest.fixture(scope="module")
+def busy_windows(town):
+    """Every window of three recorded episodes with 8 to 12 cars."""
+    out = []
+    for seed, n_cars in ((7, 12), (8, 10), (9, 8)):
+        log = sw.record_episode(town, seed=seed, duration=30.0, n_cars=n_cars, n_pedestrians=2)
+        out.extend(dataset.extract_windows(log, town))
+    return out
+
+
+class TestMapRebinParity:
+    def _check(self, windows, seed):
+        rng = np.random.default_rng(seed)
+        absent_last = zeroed_slot = deviated = 0
+        for s in windows:
+            params = random_deviation_params(rng)
+            m = ProximityMap(s.m_cells, s.m_labels)
+            ref = reference_rebuild_map(m, *deviation_transforms(params))
+            try:
+                out = inject_deviation(s, params, s.ego_future_series())
+                got = ProximityMap(out.m_cells, out.m_labels)
+                deviated += 1
+            except SkipSample:
+                got = augment._rebuild_map(m, params)
+            assert got.cells.tobytes() == ref.cells.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+            present = recovered_ticks(m)
+            absent_last += sum(not p[-1] for p in present.values())
+            for r, c, t in np.argwhere(ref.labels >= 0):
+                slots = np.maximum(t - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)
+                zeroed_slot += int(not present[int(ref.labels[r, c, t])][slots].all())
+        return absent_last, zeroed_slot, deviated
+
+    def test_matches_reference_loop_on_recorded_windows(self, busy_windows):
+        absent_last, zeroed_slot, deviated = self._check(busy_windows, 5)
+        assert len(busy_windows) == 3 * 261
+        assert deviated > len(busy_windows) // 2
+        # The fixture reaches both corner cases: a track absent at the last
+        # tick takes distance 1e9, and a re-binned tick whose oldest payload
+        # ticks no slot recovered keeps zeros there.
+        assert absent_last > 0
+        assert zeroed_slot > 0
+
+    def test_matches_reference_loop_on_noisy_maps(self, busy_windows):
+        # Independent noise per payload slot: a tick's position differs
+        # between the slots that hold it, and the later slot wins in both.
+        noisy = [perturb_positions(s, 0.3, 0.15, i) for i, s in enumerate(busy_windows[::7])]
+        self._check(noisy, 6)
+
+    def test_contested_cells(self):
+        # Stationary tracks that the deviation (0.8 m to the left) moves into
+        # one cell; the winner is the track nearer before the deviation.
+        at = {
+            0: (0.0, 0.0),  # the ego
+            1: (11.9375, 2.0), 2: (12.0625, 1.0),  # equally far: the lower label wins
+            3: (20.0, 2.0), 4: (20.05, -0.5),  # 4 is nearer before, 3 after
+            5: (-20.0, 2.0), 6: (-20.0, -0.5),  # 5 leaves the map at the last tick
+        }
+        tracks = np.array([np.tile(xy, (T_STEPS, 1)) for xy in at.values()])
+        tracks[5, -1] = (-40.0, 0.0)
+        dists = np.linalg.norm(tracks[:, -1], axis=1)
+        m = ProximityMap(*dataset.build_proximity_map(tracks, dists))
+        params = DeviationParams(0.8, 0.0, 1.0, 1.5, "left")
+        got = augment._rebuild_map(m, params)
+        ref = reference_rebuild_map(m, *deviation_transforms(params))
+        assert got.cells.tobytes() == ref.cells.tobytes()
+        assert got.labels.tobytes() == ref.labels.tobytes()
+        assert dists[1] == dists[2]
+        # Rows 8, 10 and 2 of the middle column, at every tick.
+        assert (got.labels[[8, 10, 2], 1] == np.array([[1], [4], [6]])).all()
+
+    def test_empty_map(self, moving_sample):
+        m = ProximityMap(np.zeros_like(moving_sample.m_cells),
+                         np.full_like(moving_sample.m_labels, -1))
+        got = augment._rebuild_map(m, DeviationParams(0.4, 0.0, 1.0, 1.5))
+        assert not got.cells.any() and (got.labels == -1).all()
 
 
 class TestPositionNoise:

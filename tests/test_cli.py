@@ -112,6 +112,11 @@ class TestExitCodes:
             ("eval-closedloop", "sigma_lat = NaN"),
             ("eval-closedloop", "kinds = 5"),
             ("eval-closedloop", "kinds = [1]"),
+            # int() and float() would cut 8.7 to 8 and take true as 1.
+            ("train", "batch_size = 8.7"),
+            ("record", "episodes = true"),
+            ("train", "learning_rate = true"),
+            ("eval-closedloop", "suite_seed = 1.5"),
         ],
     )
     def test_bad_config_value_is_1(self, command, setting, tmp_path, capsys):
@@ -137,6 +142,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "polydrive eval-closedloop: unknown task kinds: ['bogus', 'warp_drive']\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "setting, field, value",
+        [("batch_size = 8.0", "batch_size", 8), ("epochs = 2", "epochs", 2),
+         ("learning_rate = 1", "learning_rate", 1.0)],
+    )
+    def test_whole_numbers_reach_train_config(self, setting, field, value, monkeypatch, tmp_path):
+        seen = []
+
+        def fake_train(train_samples, val_samples, config, log_fn=None):
+            seen.append(config)
+            raise _Stop
+
+        monkeypatch.setattr(dataset, "read_dataset", lambda path: ([], {}))
+        monkeypatch.setattr(model, "train", fake_train)
+        with pytest.raises(_Stop):
+            main(["train", "--out", str(tmp_path / "m.npz"), 'train = "t"', 'val = "v"', setting])
+        got = getattr(seen[0], field)
+        assert got == value and type(got) is type(value)
 
     @pytest.mark.parametrize("setting, value", [("false", False), ("true", True), (None, True)])
     def test_neighbor_loss_reaches_train_config(self, setting, value, monkeypatch, tmp_path):

@@ -23,6 +23,7 @@ from polydrive.dataset import (
     read_dataset,
     samples_equal,
     select_neighbors,
+    turn_command,
     write_dataset,
 )
 from polydrive.errors import DataFormatError
@@ -208,6 +209,24 @@ def _assert_same_commands(log, network):
     want = [reference_navigation_command(log, c, network) for c in range(len(log))]
     assert got == want
     return set(got)
+
+
+class TestTurnCommand:
+    @pytest.mark.parametrize(
+        "h_in, h_out, want",
+        [
+            (0.0, np.deg2rad(31.0), NavigationCommand.LEFT),
+            (0.0, np.deg2rad(-31.0), NavigationCommand.RIGHT),
+            (0.0, np.deg2rad(29.0), NavigationCommand.CROSS),
+            # The change wraps: 170 deg to -170 deg is +20 deg, -170 to 100 is -90.
+            (np.deg2rad(170.0), np.deg2rad(-170.0), NavigationCommand.CROSS),
+            (np.deg2rad(-170.0), np.deg2rad(100.0), NavigationCommand.RIGHT),
+            (np.deg2rad(150.0), np.deg2rad(-120.0), NavigationCommand.LEFT),
+        ],
+    )
+    def test_heading_change_decides(self, h_in, h_out, want):
+        assert turn_command(h_in, h_out) == want
+        assert turn_command(np.float64(h_in), np.float64(h_out)) == want
 
 
 class TestNavigationCommandParity:

@@ -10,6 +10,7 @@ from polydrive.model import (
     TrainConfig,
     adam_step,
     coeffs_to_points,
+    eval_loss,
     eval_mae,
     featurize,
     forward_batch,
@@ -123,6 +124,24 @@ class TestGradients:
                 assert (grads[key] == 0.0).all()
             else:
                 np.testing.assert_array_equal(grads[key], ego_grads[key])
+
+    @pytest.mark.parametrize("neighbor_loss", [True, False])
+    def test_loss_values_bitwise(self, samples, neighbor_loss):
+        # loss_and_grad divides the ego and the neighbor sums by the batch
+        # size one at a time; eval_loss adds the sums of all chunks first.
+        params = init_params(seed=3)
+        chunks = [samples[i : i + 5] for i in range(0, 15, 5)]
+        sums = []
+        for chunk in chunks:
+            feats = featurize(chunk)
+            ego, nbr, _ = forward_batch(params, feats)
+            se = np.sum((coeffs_to_points(ego) - feats["ye"]) ** 2)
+            sv = np.sum(((coeffs_to_points(nbr) - feats["yv"]) ** 2) * feats["vmask"][:, :, None, None])
+            sv = sv if neighbor_loss else 0.0
+            assert loss_and_grad(params, feats, neighbor_loss)[0] == float(se / 5) + float(sv / 5)
+            sums.append(float(se) + float(sv))
+        config = TrainConfig(neighbor_loss=neighbor_loss)
+        assert eval_loss(params, samples[:15], config, batch=5) == (sums[0] + sums[1] + sums[2]) / 15
 
     def test_sparse_map_rows_match_dense_gradient(self, batch):
         # The map encoder takes its first-layer gradient on occupied rows
