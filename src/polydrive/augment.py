@@ -15,15 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import (
-    K_WINDOW,
-    N_NEIGHBORS,
-    T_STEPS,
-    _FUTURE_T,
-    _HISTORY_INDEX,
-    Sample,
-    build_proximity_map,
-)
+from . import kernels
+from .dataset import _FUTURE_T, _HISTORY_INDEX, K_WINDOW, N_NEIGHBORS, T_STEPS, Sample
 from .errors import SkipSample
 from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
 from .trajectory import DT, PointSeries, _rotation, fit_polynomial
@@ -179,7 +172,7 @@ def _rebuild_map(m: ProximityMap, params: DeviationParams) -> ProximityMap:
         moved[i] = _to_deviated(track, params)
         if not np.isnan(tracks[i, -1, 0]):
             dists[i] = np.linalg.norm(tracks[i, -1])
-    cells, labels = build_proximity_map(moved, dists)
+    cells, labels = kernels.bin_proximity(moved, dists, K_WINDOW)
     cells[np.isnan(cells)] = 0.0  # payload slots of absent ticks
     occupied = labels >= 0
     labels[occupied] = ids[labels[occupied]]

@@ -18,6 +18,17 @@ from . import augment, bench, dataset, model, simworld
 from .errors import NumericalError, PolydriveError
 
 TRACE_DIRNAME = "traces"
+# Config keys that name a file or a directory; each must be a string.
+PATH_KEYS = frozenset(
+    {"input", "train", "val", "checkpoint", "data", "offline_data", "traces", "offline_eval"}
+)
+# Every key that a command below reads, but seed, which comes from --seed.  A
+# config may set any of them, so that one file can serve the whole pipeline.
+CONFIG_KEYS = PATH_KEYS | {
+    "town", "episodes", "duration", "mode", "fraction", "sigma_long", "sigma_lat", "p_remove",
+    "p_add", "learning_rate", "batch_size", "epochs", "neighbor_loss", "suite_seed", "expert",
+    "kinds",
+}
 
 
 # -- config plumbing ---------------------------------------------------------
@@ -43,12 +54,22 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str | None, overrides: list[str], seed: int) -> dict:
+    """The config file's keys, then the overrides, then seed; a key that no
+    command reads, seed itself, or a path that is not a string is refused."""
     cfg: dict = {}
     if path:
         with open(path) as f:
             cfg.update(parse_config_text(f.read()))
     for item in overrides:
         cfg.update(parse_config_text(item))
+    if "seed" in cfg:
+        raise ValueError("config key 'seed' is not accepted; pass --seed instead")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
+    for key in sorted(PATH_KEYS & set(cfg)):
+        if not isinstance(cfg[key], str):
+            raise ValueError(f"config key {key!r} must be a path string, got {cfg[key]!r}")
     cfg["seed"] = seed
     return cfg
 
@@ -257,9 +278,12 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     unknown = set(kinds) - set(bench.TASK_KINDS)
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown task kinds: {sorted(unknown)}")
-    params = None
+    params = offline_eval = None
     if not expert:
         params, _ = model.load_checkpoint(_require(cfg, "checkpoint"))
+        if cfg.get("offline_data"):  # before the suite drives, so a bad file fails fast
+            samples, _ = dataset.read_dataset(cfg["offline_data"])
+            offline_eval = _nan_to_null(model.eval_mae(params, samples))
     network = simworld.build_town(town)
     tasks = bench.generate_suite(town, suite_seed)
     if kinds:
@@ -281,10 +305,6 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     for task, result in results:
         path = os.path.join(out, TRACE_DIRNAME, f"task_{task.seed}.jsonl")
         _write_trace(path, task, result)
-    offline_eval = None
-    if cfg.get("offline_data") and not expert:
-        samples, _ = dataset.read_dataset(cfg["offline_data"])
-        offline_eval = _nan_to_null(model.eval_mae(params, samples))
     _emit_report(results, offline_eval, cfg, out)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import augment, model
 from .dataset import (
     NC_LOOKAHEAD_S,
     NC_ZONE_RADIUS,
@@ -53,12 +54,11 @@ class PidChannel:
     integral: float = 0.0
     prev_error: float | None = None
 
-    def update(
-        self, error: float, dt: float, lo: float = -np.inf, hi: float = np.inf
-    ) -> tuple[float, "PidChannel"]:
-        integral = self.integral + error * dt
+    def update(self, error: float, lo: float, hi: float) -> tuple[float, "PidChannel"]:
+        """One tick's output before clamping to [lo, hi], and the next state."""
+        integral = self.integral + error * TICK
         integral = clamp(integral, -INTEGRAL_CLAMP, INTEGRAL_CLAMP)
-        deriv = 0.0 if self.prev_error is None else (error - self.prev_error) / dt
+        deriv = 0.0 if self.prev_error is None else (error - self.prev_error) / TICK
         out = self.kp * error + self.ki * integral + self.kd * deriv
         # anti-windup: while the output saturates and the error keeps pushing
         # into the limit, stop accumulating the integral
@@ -71,7 +71,6 @@ class PidChannel:
 class PidState:
     lateral: PidChannel = field(default_factory=lambda: PidChannel(1.2, 0.0, 0.05))
     speed: PidChannel = field(default_factory=lambda: PidChannel(1.0, 0.1, 0.0))
-    dt: float = TICK
 
 
 def trajectory_speed_target(poly: PolyTrajectory2D) -> float:
@@ -87,13 +86,13 @@ def pid_track(
 ) -> tuple[float, float, PidState]:
     """One control tick; the polynomial must be in the current ego frame."""
     lat_error = float(np.polyval(poly.cy, LOOKAHEAD_S))
-    steer_raw, lateral = pid.lateral.update(lat_error, pid.dt, -MAX_STEER, MAX_STEER)
+    steer_raw, lateral = pid.lateral.update(lat_error, -MAX_STEER, MAX_STEER)
     steer = clamp(steer_raw, -MAX_STEER, MAX_STEER)
 
     speed_error = trajectory_speed_target(poly) - state.speed
-    accel_raw, speed = pid.speed.update(speed_error, pid.dt, ACCEL_MIN, ACCEL_MAX)
+    accel_raw, speed = pid.speed.update(speed_error, ACCEL_MIN, ACCEL_MAX)
     accel = clamp(accel_raw, ACCEL_MIN, ACCEL_MAX)
-    return steer, accel, PidState(lateral=lateral, speed=speed, dt=pid.dt)
+    return steer, accel, PidState(lateral=lateral, speed=speed)
 
 
 # -- live sample construction ---------------------------------------------------
@@ -168,16 +167,15 @@ def live_navigation_command(
 
 
 class LiveSampler:
-    """Rolling 2 s history over a stepped world, mirroring offline extraction."""
+    """Rolling 2 s history over a stepped world, mirroring offline extraction;
+    agent 0 is the ego."""
 
-    def __init__(self, world: World, ego_index: int = 0):
+    def __init__(self, world: World):
         self.world = world
-        self.ego_index = ego_index
-        self.kinds = [a.kind for a in world.agents]
+        kinds = [a.kind for a in world.agents]
         self.agent_ids = [a.agent_id for a in world.agents]
-        self.car_rows = [i for i, k in enumerate(self.kinds) if k == "car"]
-        self.ped_rows = [i for i, k in enumerate(self.kinds) if k == "pedestrian"]
-        self.other_rows = [r for r in self.car_rows if r != ego_index]
+        self.other_rows = [i for i, k in enumerate(kinds) if k == "car" and i != 0]
+        self.ped_rows = [i for i, k in enumerate(kinds) if k == "pedestrian"]
         self.history: list[np.ndarray] = []
 
     def observe(self) -> None:
@@ -189,26 +187,25 @@ class LiveSampler:
         if len(self.history) > T_STEPS:
             self.history.pop(0)
 
-    def build(self, nc: NavigationCommand | None = None) -> Sample:
+    def build(self) -> Sample:
         """Assemble the model inputs for the most recent observed tick."""
         past = np.stack(self.history)  # (T, A, 4)
-        ego = self.world.agents[self.ego_index]
-        frame_state = past[-1, self.ego_index]
+        ego = self.world.agents[0]
+        frame_state = past[-1, 0]
         frame = Pose2D(*frame_state[:3])
         car_tracks = [
             (self.agent_ids[r], past[:, r, :2], tuple(past[-1, r]))
             for r in self.other_rows
         ]
         peds = [tuple(past[-1, r, :2]) for r in self.ped_rows]
-        if nc is None:
-            nc = live_navigation_command(
-                ego.route, ego.route_s, float(frame_state[3]), self.world.network
-            )
+        nc = live_navigation_command(
+            ego.route, ego.route_s, float(frame_state[3]), self.world.network
+        )
         sample, _ = assemble_sample(
             self.world.network,
             frame,
             float(frame_state[3]),
-            past[:, self.ego_index, :2],
+            past[:, 0, :2],
             car_tracks,
             peds,
             self.world.light_green,
@@ -240,20 +237,11 @@ def route_timeout(route_length: float) -> float:
     return 3.0 * route_length / TIMEOUT_SPEED
 
 
-def _model_policy(params):
-    from . import model
-
-    def policy(sample: Sample, ego: AgentState, pid: PidState):
-        return pid_track(model.predict(params, sample), ego, pid)
-
-    return policy
-
-
 def drive_task(
     params,
     world: World,
     route: Route,
-    timeout: float | None = None,
+    timeout: float,
     expert: bool = False,
     noise_sigma: tuple[float, float] = (0.0, 0.0),
     map_perturb: tuple[float, float] = (0.0, 0.0),
@@ -265,8 +253,6 @@ def drive_task(
     Optional test-time corruption applies position noise and proximity-map
     occupancy perturbation to each live sample before the forward pass.
     """
-    from . import augment
-
     ego = world.agents[0]
     if ego.kind != "car":
         raise ValueError("agent 0 must be the ego car")
@@ -274,15 +260,12 @@ def drive_task(
     ego.route_s = route.project(ego.xy, 0.0)
     goal_xy = route.points[-1].copy()
     goal_s = route.length
-    if timeout is None:
-        timeout = route_timeout(route.length)
     n_ticks = int(np.ceil(timeout / TICK))
 
     sampler = LiveSampler(world)
     pid = PidState()
-    policy = None if expert else _model_policy(params)
 
-    clock, states, cmds_log, lights = [], [], [], []
+    rows, cmds_log = [], []
     lit_events = [ev for ev in route.events if ev.lit]
     passed = [False] * len(lit_events)
     lights_encountered = 0
@@ -290,13 +273,10 @@ def drive_task(
     reached = False
     distance = 0.0
     tick = 0
-    start_xy = ego.xy.copy()
-    prev_xy = start_xy
+    prev_xy = ego.xy.copy()
     while tick < n_ticks:
         sampler.observe()
-        clock.append(world.clock)
-        states.append(world.snapshot())
-        lights.append([g.is_green(world.clock) for g in world.light_groups])
+        rows.append(world.log_row())
 
         if expert:
             ego_cmd = autopilot_command(ego, world)
@@ -314,10 +294,9 @@ def drive_task(
                     (noise_seed, tick, 0x32),
                 )
                 sample = replace(sample, m_cells=m.cells, m_labels=m.labels)
-            steer, accel, pid = policy(sample, ego, pid)
+            steer, accel, pid = pid_track(model.predict(params, sample), ego, pid)
             ego_cmd = (steer, accel)
-        cmds = world.step(ego_command=ego_cmd)
-        cmds_log.append(cmds)
+        cmds_log.append(world.step(ego_command=ego_cmd))
         tick += 1
 
         xy = ego.xy
@@ -340,30 +319,12 @@ def drive_task(
             reached = True
             break
 
-    groups = [
-        (g.node_id, g.axis, g.green, g.red, g.offset) for g in world.light_groups
-    ]
-    trace = EpisodeLog(
-        {
-            "seed": world.seed,
-            "town": world.network.town_id,
-            "n_cars": len(world.cars),
-            "n_pedestrians": len(world.pedestrians),
-            "tick_s": TICK,
-            "policy": "expert" if expert else "model",
-        },
-        sampler.kinds,
-        sampler.agent_ids,
-        groups,
-        np.array(clock),
-        np.array(states),
-        np.array(cmds_log),
-        np.array(lights, dtype=np.uint8),
-    )
     return DriveResult(
         reached_goal=reached,
         elapsed=tick * TICK,
-        trace=trace,
+        trace=EpisodeLog.from_world(
+            world, rows, cmds_log, policy="expert" if expert else "model"
+        ),
         lights_encountered=lights_encountered,
         lights_run=lights_run,
         distance_m=distance,

@@ -72,13 +72,11 @@ class Sample:
         return PointSeries(_FUTURE_T, self.ego_future)
 
 
-def samples_equal(a: Sample, b: Sample, atol: float = 0.0) -> bool:
-    for name in ("e", "v", "m_cells", "ctx", "ego_future", "neigh_future"):
-        if not np.allclose(getattr(a, name), getattr(b, name), atol=atol, rtol=0.0):
-            return False
+def samples_equal(a: Sample, b: Sample) -> bool:
+    """Whether two samples hold equal values (NaN equals nothing)."""
+    arrays = ("e", "v", "v_mask", "m_cells", "m_labels", "ctx", "ego_future", "neigh_future")
     return (
-        bool(np.array_equal(a.v_mask, b.v_mask))
-        and bool(np.array_equal(a.m_labels, b.m_labels))
+        all(np.array_equal(getattr(a, name), getattr(b, name)) for name in arrays)
         and a.nc == b.nc
         and (a.episode_seed, a.center_tick, a.deviated)
         == (b.episode_seed, b.center_tick, b.deviated)
@@ -111,27 +109,6 @@ def select_neighbors(
         (float(np.linalg.norm(xy - ego_xy)), agent_id) for agent_id, xy in cars
     )
     return [agent_id for _, agent_id in scored[:N_NEIGHBORS]]
-
-
-def build_proximity_map(
-    rel_tracks: np.ndarray, center_dists: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bin all car tracks (ego row first) into the occupancy grid.
-
-    rel_tracks   : (A, T, 2) ego-frame positions, row 0 is the ego itself.
-    center_dists : (A,) distance to the ego at the window center (nearer
-                   vehicle wins a contested cell).
-    """
-    cells = np.zeros((MAP_ROWS, MAP_COLS, T_STEPS, 2 * K_WINDOW))
-    labels = np.full((MAP_ROWS, MAP_COLS, T_STEPS), -1, dtype=np.int64)
-    kernels.bin_proximity(
-        np.ascontiguousarray(rel_tracks, dtype=np.float64),
-        np.ascontiguousarray(center_dists, dtype=np.float64),
-        K_WINDOW,
-        cells,
-        labels,
-    )
-    return cells, labels
 
 
 def compute_context(
@@ -264,7 +241,7 @@ def assemble_sample(
     for row, aid in enumerate(sorted(rel), start=1):
         rel_tracks[row] = rel[aid]
         dists[row] = float(np.linalg.norm(rel_tracks[row][-1]))
-    m_cells, m_labels = build_proximity_map(rel_tracks, dists)
+    m_cells, m_labels = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
 
     ego_state = (frame.x, frame.y, frame.heading, ego_speed)
     ctx = compute_context(network, ego_state, [st for _, _, st in car_tracks], peds, light_green)

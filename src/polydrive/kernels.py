@@ -1,7 +1,7 @@
-"""Hot inner loops over preallocated numpy arrays: bin_proximity is
-vectorized over agents and ticks, the others are scalar loops.  Callers that
-vectorize one of these computations elsewhere keep the same floating point
-operations in the same order, so results stay bit-identical.
+"""Hot inner loops over numpy arrays: bin_proximity is vectorized over
+agents and ticks, the others are scalar loops.  Callers that vectorize one
+of these computations elsewhere keep the same floating point operations in
+the same order, so results stay bit-identical.
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ CELL_LONG = MAP_EXTENT_LONG / MAP_ROWS  # 5.0
 CELL_LAT = MAP_EXTENT_LAT / MAP_COLS  # 3.5
 
 
-def bin_proximity(rel, dists, window, cells, labels):
+def bin_proximity(rel, dists, window):
     """Bin vehicle track fragments into the ego-centered occupancy grid.
 
     rel     : (A, T, 2) positions relative to the ego frame, agent-major.
     dists   : (A,) distance of each agent to the ego at the window center;
               when two agents land in one cell at one tick the nearer wins.
     window  : K, the number of consecutive positions stored per cell.
-    cells   : (13, 3, T, 2*K) output, zero-initialized.
-    labels  : (13, 3, T) int64 output, -1 initialized; receives the agent
-              row index that owns each occupied cell.
+    Returns cells (13, 3, T, 2*K), zero where empty, and labels (13, 3, T)
+    int64, the agent row index that owns each occupied cell, -1 where empty.
     """
+    cells = np.zeros((MAP_ROWS, MAP_COLS, rel.shape[1], 2 * window))
+    labels = np.full((MAP_ROWS, MAP_COLS, rel.shape[1]), -1, dtype=np.int64)
     half_long = MAP_EXTENT_LONG / 2.0
     half_lat = MAP_EXTENT_LAT / 2.0
     x, y = rel[:, :, 0], rel[:, :, 1]
@@ -48,6 +49,7 @@ def bin_proximity(rel, dists, window, cells, labels):
     labels[row, col, tick] = agent
     past = np.maximum(tick[:, None] - (window - 1) + np.arange(window), 0)
     cells[row, col, tick] = rel[agent[:, None], past].reshape(-1, 2 * window)
+    return cells, labels
 
 
 def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
@@ -153,15 +155,18 @@ def integrate_cars(states, cmds, is_car, dt, wheelbase, v_max):
         states[a, 3] = v
 
 
-def segment_features(px, py, a_pts, b_pts, dist_out, s_out, lat_out):
+def segment_features(px, py, a_pts, b_pts):
     """Distance, along-segment progress and signed lateral per road segment.
 
     a_pts, b_pts : (S, 2) segment endpoints.
-    Outputs are filled per segment: clamped-point distance, progress of the
+    Returns three (S,) arrays: clamped-point distance, progress of the
     unclamped projection, and the signed lateral offset (positive left of
     the a->b direction).
     """
     n = a_pts.shape[0]
+    dist_out = np.empty(n)
+    s_out = np.empty(n)
+    lat_out = np.empty(n)
     for i in range(n):
         ax = a_pts[i, 0]
         ay = a_pts[i, 1]
@@ -184,3 +189,4 @@ def segment_features(px, py, a_pts, b_pts, dist_out, s_out, lat_out):
         dist_out[i] = ((px - cx) ** 2 + (py - cy) ** 2) ** 0.5
         s_out[i] = s
         lat_out[i] = lat
+    return dist_out, s_out, lat_out

@@ -259,23 +259,14 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     d_ego = _coeff_grad(ge_pts)
     d_context = np.zeros_like(cache["context"])
 
-    # Ego heads: per-branch masked backward.
-    nc = feats["nc"]
-    he = cache["he"]
-    d_he = np.zeros_like(he)
+    # Ego heads: each backward over the rows its command selects.
+    d_he = np.zeros_like(cache["he"])
     for h in range(N_HEADS):
-        sel = nc == h
+        sel = feats["nc"] == h
         if not sel.any():
             continue
-        dz1 = np.zeros((b, 10))
-        dz1[sel] = d_ego[sel]
         x_h, a0_h = cache["heads"][h]
-        grads[f"head{h}.W1"] += a0_h[sel].T @ dz1[sel]
-        grads[f"head{h}.b1"] += dz1[sel].sum(axis=0)
-        da0 = dz1[sel] @ params[f"head{h}.W1"].T
-        dz0 = da0 * (1.0 - a0_h[sel] * a0_h[sel])
-        grads[f"head{h}.W0"] += x_h[sel].T @ dz0
-        grads[f"head{h}.b0"] += dz0.sum(axis=0)
+        dz0 = _mlp2_backward(params, f"head{h}", grads, d_ego[sel], (x_h[sel], a0_h[sel]))
         d_he[sel] += dz0 @ params[f"head{h}.W0"].T
     d_context += d_he[:, :80]
     d_ego_a = d_he[:, 80:]
@@ -388,11 +379,15 @@ def adam_step(params, grads, state, config: TrainConfig):
 # -- training ------------------------------------------------------------------
 
 
-def eval_mae(params, samples: list[Sample], batch: int = 256) -> dict[str, float]:
+# Samples per forward pass in eval_mae and eval_loss.
+EVAL_BATCH = 256
+
+
+def eval_mae(params, samples: list[Sample]) -> dict[str, float]:
     """Offline MAE block: ego / ego@2s / neighbors / neighbors@2s."""
     ego_d, ego2_d, nbr_d, nbr2_d = [], [], [], []
-    for i in range(0, len(samples), batch):
-        feats = featurize(samples[i : i + batch])
+    for i in range(0, len(samples), EVAL_BATCH):
+        feats = featurize(samples[i : i + EVAL_BATCH])
         ego_coeffs, nbr_coeffs, _ = forward_batch(params, feats)
         pe = coeffs_to_points(ego_coeffs)
         pv = coeffs_to_points(nbr_coeffs)
@@ -417,10 +412,10 @@ def eval_mae(params, samples: list[Sample], batch: int = 256) -> dict[str, float
     return out
 
 
-def eval_loss(params, samples, config: TrainConfig, batch: int = 256) -> float:
+def eval_loss(params, samples, config: TrainConfig) -> float:
     total, n = 0.0, 0
-    for i in range(0, len(samples), batch):
-        chunk = samples[i : i + batch]
+    for i in range(0, len(samples), EVAL_BATCH):
+        chunk = samples[i : i + EVAL_BATCH]
         feats = featurize(chunk)
         ego_coeffs, nbr_coeffs, _ = forward_batch(params, feats)
         pe, pv = coeffs_to_points(ego_coeffs), coeffs_to_points(nbr_coeffs)

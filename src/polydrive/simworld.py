@@ -70,7 +70,6 @@ class Lane:
     p1: np.ndarray
     direction: np.ndarray
     length: float
-    width: float = LANE_WIDTH
 
     @property
     def heading(self) -> float:
@@ -147,12 +146,7 @@ class RoadNetwork:
         return [(m, turn) for m, turn in self._successors[lane_id] if self.lane_ends_at_junction(m)]
 
     def _segment_features(self, x: float, y: float):
-        n = len(self.segments)
-        dist = np.empty(n)
-        s = np.empty(n)
-        lat = np.empty(n)
-        kernels.segment_features(x, y, self.seg_a, self.seg_b, dist, s, lat)
-        return dist, s, lat
+        return kernels.segment_features(x, y, self.seg_a, self.seg_b)
 
     def in_junction_core(self, xy, radius: float = CORE_RADIUS) -> bool:
         d = np.linalg.norm(self.junction_pos - np.asarray(xy), axis=1)
@@ -201,7 +195,7 @@ class RoadNetwork:
             assert self.nodes[s.node_b].kind in ("junction", "boundary")
 
 
-def build_town(town_id: str, scale: float | None = None) -> RoadNetwork:
+def build_town(town_id: str) -> RoadNetwork:
     """Construct one of the two fixed towns.
 
     train: 4x4 junction grid, 100 m blocks, boundary stubs on the perimeter
@@ -209,13 +203,9 @@ def build_town(town_id: str, scale: float | None = None) -> RoadNetwork:
     diagonal connector; topologically distinct from the train town.
     """
     if town_id == "train":
-        nx_, ny_ = 4, 4
-        block = scale if scale else 100.0
-        diagonal = None
+        nx_, ny_, block, diagonal = 4, 4, 100.0, None
     elif town_id == "test":
-        nx_, ny_ = 3, 5
-        block = scale if scale else 70.0
-        diagonal = ((0, 0), (1, 1))
+        nx_, ny_, block, diagonal = 3, 5, 70.0, ((0, 0), (1, 1))
     else:
         raise InvalidInputError(f"unknown town {town_id!r}")
 
@@ -310,7 +300,6 @@ def build_town(town_id: str, scale: float | None = None) -> RoadNetwork:
 class LightGroup:
     """One signal group: a junction approach axis with its own cycle."""
 
-    group_id: int
     node_id: int
     axis: int  # 0: x-aligned approaches, 1: y-aligned
     green: float
@@ -339,12 +328,10 @@ def make_light_groups(network: RoadNetwork, rng: np.random.Generator) -> list[Li
         if not node.lit:
             continue
         offset = float(rng.uniform(0.0, CYCLE_S))
-        groups.append(LightGroup(len(groups), node.node_id, 1, GREEN_S, RED_S, offset))
+        groups.append(LightGroup(node.node_id, 1, GREEN_S, RED_S, offset))
         # (clock + offset + RED_S) % cycle < RED_S  <=>  y-group phase in
         # [GREEN_S, cycle): exactly the y-group's red window.
-        groups.append(
-            LightGroup(len(groups), node.node_id, 0, RED_S, GREEN_S, offset + RED_S)
-        )
+        groups.append(LightGroup(node.node_id, 0, RED_S, GREEN_S, offset + RED_S))
     return groups
 
 
@@ -436,9 +423,11 @@ class Route:
         self._spans[radius] = (self.points.shape[0], spans)
         return spans
 
-    def next_event(self, s: float, committed: float = 0.3) -> RouteEvent | None:
+    def next_event(self, s: float) -> RouteEvent | None:
+        """The junction event ahead, or the one up to 0.3 m past its stop
+        line, which the car is committed to."""
         for ev in self.events:
-            if ev.s_stop > s - committed and s < ev.s_exit:
+            if ev.s_stop > s - 0.3 and s < ev.s_exit:
                 return ev
             if ev.s_stop > s:
                 return ev
@@ -593,8 +582,8 @@ def clamp(x: float, lo: float, hi: float) -> float:
     return min(max(x, lo), hi)
 
 
-def pure_pursuit_steer(agent: AgentState, lookahead: float = LOOKAHEAD) -> float:
-    target, _ = agent.route.point_at(agent.route_s + lookahead)
+def pure_pursuit_steer(agent: AgentState) -> float:
+    target, _ = agent.route.point_at(agent.route_s + LOOKAHEAD)
     dx = target[0] - agent.x
     dy = target[1] - agent.y
     c, s = np.cos(agent.heading), np.sin(agent.heading)
@@ -674,11 +663,11 @@ class World:
     def pedestrians(self) -> list[AgentState]:
         return [a for a in self.agents if a.kind == "pedestrian"]
 
-    def light_green(self, node_id: int, axis: int, clock: float | None = None) -> bool:
+    def light_green(self, node_id: int, axis: int) -> bool:
         group = self._groups_by_node.get((node_id, axis))
         if group is None:
             return True
-        return group.is_green(self.clock if clock is None else clock)
+        return group.is_green(self.clock)
 
     def light_time_to_red(self, node_id: int, axis: int) -> float:
         group = self._groups_by_node.get((node_id, axis))
@@ -707,6 +696,11 @@ class World:
     def snapshot(self) -> np.ndarray:
         return np.array([[a.x, a.y, a.heading, a.speed] for a in self.agents])
 
+    def log_row(self) -> tuple[float, np.ndarray, list[bool]]:
+        """This tick's clock, agent states and light phases, as an EpisodeLog
+        records them before the world steps."""
+        return self.clock, self.snapshot(), [g.is_green(self.clock) for g in self.light_groups]
+
     # -- stepping ----------------------------------------------------------
 
     def commands(self, ego_command=None) -> np.ndarray:
@@ -720,12 +714,11 @@ class World:
                 cmds[i] = autopilot_command(agent, self)
         return cmds
 
-    def step(self, dt: float = TICK, ego_command=None, cmds: np.ndarray | None = None):
-        if cmds is None:
-            cmds = self.commands(ego_command)
+    def step(self, ego_command=None):
+        cmds = self.commands(ego_command)
         states = self.snapshot()
         is_car = np.array([1 if a.kind == "car" else 0 for a in self.agents], dtype=np.uint8)
-        kernels.integrate_cars(states, cmds, is_car, dt, WHEELBASE, SPEED_LIMIT)
+        kernels.integrate_cars(states, cmds, is_car, TICK, WHEELBASE, SPEED_LIMIT)
         for i, agent in enumerate(self.agents):
             if agent.kind == "car":
                 agent.x, agent.y = float(states[i, 0]), float(states[i, 1])
@@ -734,8 +727,8 @@ class World:
                     agent.route_s = agent.route.project(agent.xy, agent.route_s)
                     self._maybe_extend_route(agent)
             else:
-                self._step_pedestrian(agent, dt)
-        self.clock += dt
+                self._step_pedestrian(agent)
+        self.clock += TICK
         self._traffic = None
         return cmds
 
@@ -760,18 +753,18 @@ class World:
         near = np.flatnonzero(np.linalg.norm(rows - xy, axis=1) < radius + 1e-6)
         return any(np.linalg.norm(cars[i].xy - xy) < radius for i in near)
 
-    def _step_pedestrian(self, ped: AgentState, dt: float) -> None:
+    def _step_pedestrian(self, ped: AgentState) -> None:
         if ped.ped_path is None:
             ped.speed = 0.0
             return
         if ped.ped_wait > 0.0:
-            ped.ped_wait = max(0.0, ped.ped_wait - dt)
+            ped.ped_wait = max(0.0, ped.ped_wait - TICK)
             ped.speed = 0.0
             return
         target = ped.ped_path[ped.ped_target]
         delta = target - ped.xy
         dist = float(np.linalg.norm(delta))
-        step = PED_SPEED * dt
+        step = PED_SPEED * TICK
         # Look both ways: a crossing leg only starts once every car is clear
         # of the kerb; once committed, the cars' pedestrian gates take over.
         if _at_kerb(ped) and self._car_near(ped.xy, PED_CROSSING_CLEARANCE):
@@ -965,6 +958,21 @@ class EpisodeLog:
         self.lights = np.asarray(lights, dtype=np.uint8)  # (n, G) 1 = green
         self.group_index = {(g[0], g[1]): k for k, g in enumerate(self.groups)}
 
+    @classmethod
+    def from_world(cls, world: World, rows: list, cmds: list, **meta) -> "EpisodeLog":
+        """The log of a world's ticks: each tick's World.log_row and the
+        commands its step applied.  ``meta`` follows the world's own keys."""
+        n, n_agents, n_groups = len(rows), len(world.agents), len(world.light_groups)
+        clock, states, lights = zip(*rows) if rows else ((), (), ())
+        meta = {"seed": world.seed, "town": world.network.town_id, "n_cars": len(world.cars),
+                "n_pedestrians": len(world.pedestrians), "tick_s": TICK, **meta}
+        groups = [(g.node_id, g.axis, g.green, g.red, g.offset) for g in world.light_groups]
+        return cls(
+            meta, [a.kind for a in world.agents], [a.agent_id for a in world.agents], groups,
+            clock, np.reshape(states, (n, n_agents, 4)), np.reshape(cmds, (n, n_agents, 2)),
+            np.reshape(lights, (n, n_groups)),
+        )
+
     def __len__(self) -> int:
         return self.clock.size
 
@@ -1055,36 +1063,11 @@ def record_episode(
     if n_pedestrians is None:
         n_pedestrians = int(rng.integers(2, 7))
     world = spawn_scenario(network, n_cars, n_pedestrians, seed)
-    n_ticks = int(round(duration / TICK))
-    clock = np.empty(n_ticks)
-    states = np.empty((n_ticks, len(world.agents), 4))
-    cmds = np.empty((n_ticks, len(world.agents), 2))
-    lights = np.empty((n_ticks, len(world.light_groups)), dtype=np.uint8)
-    for i in range(n_ticks):
-        clock[i] = world.clock
-        states[i] = world.snapshot()
-        lights[i] = [g.is_green(world.clock) for g in world.light_groups]
-        cmds[i] = world.step()
-    meta = {
-        "seed": seed,
-        "town": network.town_id,
-        "n_cars": n_cars,
-        "n_pedestrians": n_pedestrians,
-        "tick_s": TICK,
-    }
-    groups = [
-        (g.node_id, g.axis, g.green, g.red, g.offset) for g in world.light_groups
-    ]
-    return EpisodeLog(
-        meta,
-        [a.kind for a in world.agents],
-        [a.agent_id for a in world.agents],
-        groups,
-        clock,
-        states,
-        cmds,
-        lights,
-    )
+    rows, cmds = [], []
+    for _ in range(int(round(duration / TICK))):
+        rows.append(world.log_row())
+        cmds.append(world.step())
+    return EpisodeLog.from_world(world, rows, cmds)
 
 
 def replay_episode(network: RoadNetwork, log: EpisodeLog) -> np.ndarray:

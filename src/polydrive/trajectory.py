@@ -62,7 +62,6 @@ class PolyTrajectory2D:
 
     cx: np.ndarray
     cy: np.ndarray
-    horizon: float = HORIZON
 
     def __post_init__(self):
         cx = np.asarray(self.cx, dtype=np.float64)
@@ -75,42 +74,34 @@ class PolyTrajectory2D:
         object.__setattr__(self, "cy", cy)
 
     @classmethod
-    def from_coeff_vector(cls, vec, horizon: float = HORIZON) -> "PolyTrajectory2D":
+    def from_coeff_vector(cls, vec) -> "PolyTrajectory2D":
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (2 * (DEGREE + 1),):
             raise ShapeError("coefficient vector must have 10 entries")
-        return cls(vec[: DEGREE + 1], vec[DEGREE + 1 :], horizon)
+        return cls(vec[: DEGREE + 1], vec[DEGREE + 1 :])
 
 
-def fit_polynomial(points: PointSeries, degree: int = DEGREE) -> PolyTrajectory2D:
-    """Least-squares polynomial fit per axis over the given timed points."""
-    if len(points) < degree + 1:
+def fit_polynomial(points: PointSeries) -> PolyTrajectory2D:
+    """Least-squares degree-4 fit per axis over the given timed points."""
+    if len(points) < DEGREE + 1:
         raise InsufficientDataError(
-            f"need at least {degree + 1} points, got {len(points)}"
+            f"need at least {DEGREE + 1} points, got {len(points)}"
         )
     if not (np.isfinite(points.t).all() and np.isfinite(points.xy).all()):
         raise InvalidInputError("non-finite values in fit input")
-    cx = np.polyfit(points.t, points.xy[:, 0], degree)
-    cy = np.polyfit(points.t, points.xy[:, 1], degree)
-    pad = DEGREE + 1 - cx.size
-    if pad > 0:
-        cx = np.concatenate([np.zeros(pad), cx])
-        cy = np.concatenate([np.zeros(pad), cy])
+    cx = np.polyfit(points.t, points.xy[:, 0], DEGREE)
+    cy = np.polyfit(points.t, points.xy[:, 1], DEGREE)
     return PolyTrajectory2D(cx, cy)
 
 
-def sample_times(dt: float = DT, horizon: float = HORIZON) -> np.ndarray:
-    n = int(round(horizon / dt))
-    return dt * np.arange(1, n + 1)
+def sample_times() -> np.ndarray:
+    """t = DT, 2*DT, ..., HORIZON."""
+    return DT * np.arange(1, int(round(HORIZON / DT)) + 1)
 
 
-def sample_trajectory(
-    poly: PolyTrajectory2D, dt: float = DT, horizon: float = HORIZON
-) -> PointSeries:
-    """Evaluate the trajectory at t = dt, 2*dt, ..., horizon."""
-    if dt <= 0 or horizon <= 0:
-        raise InvalidInputError("dt and horizon must be positive")
-    t = sample_times(dt, horizon)
+def sample_trajectory(poly: PolyTrajectory2D) -> PointSeries:
+    """Evaluate the trajectory at sample_times()."""
+    t = sample_times()
     xy = np.stack([np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=1)
     return PointSeries(t, xy)
 

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 
-from polydrive import augment, dataset, simworld as sw
+from polydrive import augment, dataset, kernels, simworld as sw
 from polydrive.augment import (
     AugmentConfig,
     DeviationParams,
@@ -286,7 +286,7 @@ class TestMapRebinParity:
         tracks = np.array([np.tile(xy, (T_STEPS, 1)) for xy in at.values()])
         tracks[5, -1] = (-40.0, 0.0)
         dists = np.linalg.norm(tracks[:, -1], axis=1)
-        m = ProximityMap(*dataset.build_proximity_map(tracks, dists))
+        m = ProximityMap(*kernels.bin_proximity(tracks, dists, K_WINDOW))
         params = DeviationParams(0.8, 0.0, 1.0, 1.5, "left")
         got = augment._rebuild_map(m, params)
         ref = reference_rebuild_map(m, *deviation_transforms(params))

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -50,6 +52,29 @@ class TestConfigParsing:
         a = config_hash({"x": 1, "y": 2})
         b = config_hash({"y": 2, "x": 1})
         assert a == b and len(a) == 12
+
+    def test_config_keys_are_the_keys_the_commands_read(self):
+        # Literal keys of cfg[key], cfg.get(key), and helpers called as f(cfg, key, ...).
+        found = []
+        for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                if getattr(node.value, "id", None) == "cfg":
+                    found.append(node.slice)
+            elif isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "cfg":
+                    found += args[:1]
+                elif len(args) > 1 and getattr(args[0], "id", None) == "cfg":
+                    found.append(args[1])
+        read = {k.value for k in found if isinstance(k, ast.Constant)}
+        assert "seed" in read  # set from --seed only
+        assert read - {"seed"} == cli.CONFIG_KEYS
+        assert cli.PATH_KEYS <= cli.CONFIG_KEYS
+
+    def test_keys_of_every_command_are_accepted(self):
+        # One config file can serve the whole pipeline.
+        cfg = load_config(None, [f'{key} = "x"' for key in sorted(cli.CONFIG_KEYS)], seed=3)
+        assert set(cfg) == cli.CONFIG_KEYS | {"seed"}
 
 
 class TestExitCodes:
@@ -132,6 +157,54 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, setting, others",
+        [
+            ("augment", "input = 0", []),
+            ("train", "train = 1.5", ['val = "v.jsonl"']),
+            ("train", "val = true", ['train = "t.jsonl"']),
+            ("eval-offline", "checkpoint = 3", ['data = "d.jsonl"']),
+            ("eval-offline", "data = null", ['checkpoint = "c.npz"']),
+            ("eval-closedloop", "checkpoint = 3", ["kinds = straight"]),
+            ("eval-closedloop", "offline_data = [1]", ['checkpoint = "c.npz"']),
+            ("report", "traces = 0", []),
+            ("report", "offline_eval = {}", ['traces = "traces"']),
+        ],
+    )
+    def test_path_key_must_be_a_string(self, command, setting, others, tmp_path, capsys):
+        # A number would reach open() as a file descriptor (input = 0 is stdin).
+        rc = main([command, "--out", str(tmp_path / "out"), *others, setting])
+        assert rc == 1
+        captured = capsys.readouterr()
+        key, _, value = setting.partition(" = ")
+        assert captured.err == (
+            f"polydrive {command}: bad config: config key {key!r} must be a path string, "
+            f"got {json.loads(value)!r}\n"
+        )
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_key_is_1(self, tmp_path, capsys):
+        # A typo must not leave the run on the knob's default without a word.
+        rc = main(["record", "--out", str(tmp_path / "d"), "epsiodes = 3"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "polydrive record: bad config: unknown config key 'epsiodes'\n"
+        )
+        assert not (tmp_path / "d").exists()
+
+    def test_seed_in_config_is_1(self, tmp_path, capsys):
+        # --seed's default 0 would overwrite it without a word.
+        p = tmp_path / "c.cfg"
+        p.write_text("seed = 5\nepisodes = 1\n")
+        rc = main(["record", "--config", str(p), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "polydrive record: bad config: config key 'seed' is not accepted; pass --seed instead\n"
+        )
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_kind_is_1(self, tmp_path, capsys):
         rc = main(
@@ -353,6 +426,23 @@ class TestClosedLoopAndReport:
         assert report["offline_mae"] == mae
         text = (tmp_path / "r" / "report.txt").read_text()
         assert f"{'neighbors':<18} {'n/a':>8} {'n/a':>8}" in text.splitlines()
+
+    def test_missing_offline_data_fails_before_driving(self, monkeypatch, tmp_path, capsys):
+        # 25 straight tasks take most of a minute to drive; a bad file must not wait for them.
+        def drive_task(*args, **kwargs):
+            raise AssertionError("the suite drove before offline_data was read")
+
+        monkeypatch.setattr(bench, "drive_task", drive_task)
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        out = tmp_path / "cl"
+        rc = main(
+            ["eval-closedloop", "--out", str(out), "kinds = straight",
+             f'checkpoint = "{tmp_path}/m.npz"', f'offline_data = "{tmp_path}/missing.jsonl"']
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing.jsonl" in err
+        assert not (out / "traces").exists()
 
     def test_empty_trace_dir_is_2(self, tmp_path, capsys):
         empty = tmp_path / "none"

@@ -336,6 +336,20 @@ class TestDriveTask:
         np.testing.assert_array_equal(noisy.trace.states, again.trace.states)
         assert not np.array_equal(noisy.trace.states, clean.trace.states)
 
+    def test_trace_layout(self, town):
+        # drive_task logs through EpisodeLog.from_world, as record_episode does.
+        task = [t for t in bench.generate_suite("train", 3) if t.kind == "straight"][0]
+        world = sw.spawn_scenario(town, 4, 2, task.seed)
+        a, g = len(world.agents), len(world.light_groups)
+        for timeout, n in ((0.0, 0), (0.25, 3)):
+            res = drive_task(None, world, task.route(town), timeout, expert=True)
+            trace = res.trace
+            assert list(trace.meta) == ["seed", "town", "n_cars", "n_pedestrians", "tick_s", "policy"]
+            assert trace.meta == {"seed": task.seed, "town": "train", "n_cars": 4,
+                                  "n_pedestrians": 2, "tick_s": sw.TICK, "policy": "expert"}
+            assert trace.clock.shape == (n,) and trace.lights.shape == (n, g)
+            assert trace.states.shape == (n, a, 4) and trace.cmds.shape == (n, a, 2)
+
     def test_expert_reaches_goal_deterministically(self, town):
         tasks = [t for t in bench.generate_suite("train", 3) if t.kind == "straight"]
         r1 = bench.run_task(town, tasks[0], expert=True)

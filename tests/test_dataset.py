@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from polydrive import dataset, simworld as sw
+from polydrive import dataset, kernels, simworld as sw
 from polydrive.augment import AugmentConfig, augment_samples
 from polydrive.cli import main
 from polydrive.dataset import (
@@ -15,7 +15,6 @@ from polydrive.dataset import (
     T_STEPS,
     WINDOW_TICKS,
     NavigationCommand,
-    build_proximity_map,
     compute_navigation_command,
     extract_windows,
     fit_future_points,
@@ -96,27 +95,27 @@ class TestNeighbors:
 class TestProximityMap:
     def test_ego_occupies_center_cell(self):
         tracks = np.zeros((1, T_STEPS, 2))
-        cells, labels = build_proximity_map(tracks, np.zeros(1))
+        cells, labels = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
         center = labels[labels.shape[0] // 2, labels.shape[1] // 2]
         assert (center == 0).all()
 
     def test_outside_extent_ignored(self):
         tracks = np.full((1, T_STEPS, 2), 1e4)
-        cells, labels = build_proximity_map(tracks, np.zeros(1))
+        cells, labels = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
         assert (labels == -1).all()
         assert (cells == 0.0).all()
 
     def test_nearer_vehicle_wins_contested_cell(self):
         tracks = np.zeros((2, T_STEPS, 2))
         tracks[1] += 0.01  # same cell
-        cells, labels = build_proximity_map(tracks, np.array([5.0, 1.0]))
+        cells, labels = kernels.bin_proximity(tracks, np.array([5.0, 1.0]), K_WINDOW)
         occupied = labels[labels >= 0]
         assert (occupied == 1).all()
 
     def test_cell_stores_k_window_fragment(self):
         rng = np.random.default_rng(1)
         tracks = rng.normal(0.0, 1.0, (1, T_STEPS, 2))
-        cells, labels = build_proximity_map(tracks, np.zeros(1))
+        cells, labels = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
         i = T_STEPS - 1
         pos = np.argwhere(labels[:, :, i] == 0)
         assert pos.size  # the track ends near the origin

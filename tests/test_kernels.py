@@ -139,12 +139,12 @@ def assert_same_bits(got, want):
 
 def _assert_same_binning(rel, dists, window=3):
     shape = (kernels.MAP_ROWS, kernels.MAP_COLS, rel.shape[1])
-    out = [(np.zeros(shape + (2 * window,)), np.full(shape, -1, dtype=np.int64)) for _ in "ab"]
-    kernels.bin_proximity(rel, dists, window, *out[0])
-    reference_bin_proximity(rel, dists, window, *out[1])
-    for got, want in zip(*out):
-        assert_same_bits(got, want)
-    return out[0][1]
+    want = (np.zeros(shape + (2 * window,)), np.full(shape, -1, dtype=np.int64))
+    reference_bin_proximity(rel, dists, window, *want)
+    got = kernels.bin_proximity(rel, dists, window)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)
+    return got[1]
 
 
 class TestBinProximity:

@@ -126,7 +126,7 @@ class TestGradients:
                 np.testing.assert_array_equal(grads[key], ego_grads[key])
 
     @pytest.mark.parametrize("neighbor_loss", [True, False])
-    def test_loss_values_bitwise(self, samples, neighbor_loss):
+    def test_loss_values_bitwise(self, samples, neighbor_loss, monkeypatch):
         # loss_and_grad divides the ego and the neighbor sums by the batch
         # size one at a time; eval_loss adds the sums of all chunks first.
         params = init_params(seed=3)
@@ -141,7 +141,8 @@ class TestGradients:
             assert loss_and_grad(params, feats, neighbor_loss)[0] == float(se / 5) + float(sv / 5)
             sums.append(float(se) + float(sv))
         config = TrainConfig(neighbor_loss=neighbor_loss)
-        assert eval_loss(params, samples[:15], config, batch=5) == (sums[0] + sums[1] + sums[2]) / 15
+        monkeypatch.setattr(model, "EVAL_BATCH", 5)
+        assert eval_loss(params, samples[:15], config) == (sums[0] + sums[1] + sums[2]) / 15
 
     def test_sparse_map_rows_match_dense_gradient(self, batch):
         # The map encoder takes its first-layer gradient on occupied rows

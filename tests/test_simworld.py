@@ -63,9 +63,7 @@ class TestNetwork:
 def reference_nearest_lane(net, xy, heading=None):
     """nearest_lane computed through the segment_features kernel."""
     x, y = float(xy[0]), float(xy[1])
-    n = len(net.lanes)
-    dist, s, lat = np.empty(n), np.empty(n), np.empty(n)
-    kernels.segment_features(x, y, net.lane_p0, net.lane_p1, dist, s, lat)
+    dist, s, lat = kernels.segment_features(x, y, net.lane_p0, net.lane_p1)
     ok = (np.abs(lat) <= sw.LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= net.lane_len + 1.0)
     if heading is not None:
         ok &= net.lane_dir @ np.array([np.cos(heading), np.sin(heading)]) > 0.0
@@ -170,7 +168,7 @@ class TestLights:
             assert not any(both)
 
     def test_light_state_machine(self):
-        g = sw.LightGroup(0, 0, 0, sw.GREEN_S, sw.RED_S, 0.0)
+        g = sw.LightGroup(0, 0, sw.GREEN_S, sw.RED_S, 0.0)
         assert g.is_green(0.0)
         assert not g.is_green(sw.GREEN_S + 0.01)
         assert g.is_green(sw.CYCLE_S + 0.01)
@@ -509,6 +507,20 @@ class TestEpisodes:
         np.testing.assert_array_equal(log.states, again.states)
         np.testing.assert_array_equal(log.cmds, again.cmds)
         np.testing.assert_array_equal(log.lights, again.lights)
+
+    def test_log_layout(self, train_town, log):
+        a, g = 8, len(log.groups)
+        assert list(log.meta) == ["seed", "town", "n_cars", "n_pedestrians", "tick_s"]
+        assert log.meta == {"seed": 5, "town": "train", "n_cars": 6, "n_pedestrians": 2,
+                            "tick_s": sw.TICK}
+        empty = sw.record_episode(train_town, seed=5, duration=0.0, n_cars=6, n_pedestrians=2)
+        for n, rec in ((300, log), (0, empty)):
+            assert rec.clock.shape == (n,) and rec.lights.shape == (n, g)
+            assert rec.states.shape == (n, a, 4) and rec.cmds.shape == (n, a, 2)
+            assert rec.lights.dtype == np.uint8
+        # The clock before each step: 0.0, then TICK added once per tick.
+        np.testing.assert_array_equal(log.clock[1:], np.cumsum(np.full(299, sw.TICK)))
+        assert log.clock[0] == 0.0
 
     def test_replay_reproduces_states(self, train_town, log):
         replayed = sw.replay_episode(train_town, log)

@@ -97,3 +97,87 @@ def test_uncalled_functions_are_found():
     strings = ast.parse("x = ('simworld', 'World.step')\ny = 'not a name'")
     assert imported_names(strings) == set()
     assert imported_names(strings, strings=True) == {"simworld", "World", "step"}
+
+
+# Defaults that no call in src/ or perfbench/ passes, kept on purpose.
+DEFAULT_UNPASSED_ALLOWED = {"cli.main(argv)"}  # the console script calls main()
+
+
+def defaulted_parameters(modules: dict[str, ast.Module]) -> list[tuple[str, str, str, int | None]]:
+    """(label, call name, parameter, position) of each parameter with a default,
+    of every module-level function and class method.  A method's position
+    leaves out self, an __init__ is called by its class name, and a
+    keyword-only parameter has no position."""
+    found = []
+
+    def scan(fn, label, call, skip):
+        args = fn.args.posonlyargs + fn.args.args
+        first = len(args) - len(fn.args.defaults)
+        found.extend((f"{label}({a.arg})", call, a.arg, i - skip) for i, a in enumerate(args) if i >= first)
+        found.extend(
+            (f"{label}({a.arg})", call, a.arg, None)
+            for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None
+        )
+
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                scan(node, f"{name}.{node.name}", node.name, 0)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+                        call = node.name if fn.name == "__init__" else fn.name
+                        scan(fn, f"{name}.{node.name}.{fn.name}", call, 0 if static else 1)
+    return found
+
+
+def unpassed_defaults(modules: dict[str, ast.Module], callers: list[ast.AST]) -> list[str]:
+    """Defaulted parameters that no call of the same name in ``callers``
+    passes, by keyword or by position; a call with *args or **kwargs passes
+    whatever it may."""
+    passed: dict[str, list[tuple[int, set, bool]]] = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                passed.setdefault(name, []).append((len(node.args), keywords, star))
+    return sorted(
+        label
+        for label, call, param, pos in defaulted_parameters(modules)
+        if not any(
+            param in keywords or None in keywords or pos is not None and (pos < n or star)
+            for n, keywords, star in passed.get(call, [])
+        )
+    )
+
+
+def test_every_default_is_passed_somewhere():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    callers = list(modules.values())
+    callers += [ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert [f for f in unpassed_defaults(modules, callers) if f not in DEFAULT_UNPASSED_ALLOWED] == []
+
+
+def test_unpassed_defaults_are_found():
+    source = (
+        "def f(a, b=1, c=2, *, d=3): pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0): pass\n"
+        "    def m(self, y=0, z=0): pass\n"
+        "    @staticmethod\n"
+        "    def s(w=0): pass\n"
+    )
+    modules = {"mod": ast.parse(source)}
+    assert unpassed_defaults(modules, []) == [
+        "mod.K.__init__(x)", "mod.K.m(y)", "mod.K.m(z)", "mod.K.s(w)",
+        "mod.f(b)", "mod.f(c)", "mod.f(d)",
+    ]
+    calls = ast.parse("f(0, 1)\nf(0, d=4)\nK(1)\nk.m(1)\nK.s(1)\ng(*args)\n")
+    assert unpassed_defaults(modules, [calls]) == ["mod.K.m(z)", "mod.f(c)"]
+    assert unpassed_defaults(modules, [ast.parse("f(*a)\nk.m(**kw)")]) == [
+        "mod.K.__init__(x)", "mod.K.s(w)", "mod.f(d)",
+    ]

@@ -64,14 +64,6 @@ class TestFit:
         with pytest.raises(InvalidInputError):
             fit_polynomial(PointSeries(t, xy))
 
-    def test_lower_degree_pads_high_coefficients(self):
-        t = np.linspace(0.0, 2.0, 10)
-        xy = np.stack([3.0 * t + 1.0, -2.0 * t + 0.5], axis=1)
-        poly = fit_polynomial(PointSeries(t, xy), degree=1)
-        assert poly.cx.shape == (DEGREE + 1,)
-        np.testing.assert_allclose(poly.cx[:3], 0.0, atol=1e-12)
-        np.testing.assert_allclose(poly.cx[3:], [3.0, 1.0], atol=1e-9)
-
 
 class TestSampling:
     def test_sample_times_grid(self):
@@ -89,13 +81,6 @@ class TestSampling:
         pts = sample_trajectory(poly)
         np.testing.assert_allclose(pts.xy[:, 0], np.polyval(poly.cx, pts.t))
         np.testing.assert_allclose(pts.xy[:, 1], np.polyval(poly.cy, pts.t))
-
-    def test_sample_rejects_bad_grid(self):
-        poly = PolyTrajectory2D(np.zeros(5), np.zeros(5))
-        with pytest.raises(InvalidInputError):
-            sample_trajectory(poly, dt=0.0)
-        with pytest.raises(InvalidInputError):
-            sample_trajectory(poly, horizon=-1.0)
 
 
 class TestFrames:
