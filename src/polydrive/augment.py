@@ -9,22 +9,23 @@ velocity and curvature of the nominal future at the rejoin time.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .dataset import _FUTURE_T, _HISTORY_INDEX, K_WINDOW, N_NEIGHBORS, T_STEPS, Sample
+from .dataset import _FUTURE_T, _HISTORY_INDEX, K_WINDOW, T_STEPS, Sample
 from .errors import SkipSample
-from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
+from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG
 from .trajectory import DT, PointSeries, _rotation, fit_polynomial
 
 LATERAL_AMPLITUDES = (0.2, 0.4, 0.6, 0.8)
 RECOVERY_RANGE = (0.5, 2.0)
 DEVIATION_START_RANGE = (0.5, 2.0)
 MIN_NOMINAL_SPEED = 0.5  # below this the nominal future is degenerate
+_PAST_T = (np.arange(T_STEPS) - (T_STEPS - 1)) * DT  # history index 0..T-1, window center 0
 
 
 class ProximityMap(NamedTuple):
@@ -64,18 +65,6 @@ def _smoothstep(u: np.ndarray) -> np.ndarray:
     return u * u * (3.0 - 2.0 * u)
 
 
-def _past_tick_times() -> np.ndarray:
-    """t of history index 0..T-1, relative to the window center."""
-    return (np.arange(T_STEPS) - (T_STEPS - 1)) * DT
-
-
-def _poly_derivatives(coeffs: np.ndarray, t: float) -> tuple[float, float, float]:
-    p = np.polyval(coeffs, t)
-    d1 = np.polyval(np.polyder(coeffs), t)
-    d2 = np.polyval(np.polyder(coeffs, 2), t)
-    return float(p), float(d1), float(d2)
-
-
 def _recovery_axis(p0, v0, pd, vd, ad, d) -> np.ndarray:
     """Degree-4 coefficients (highest first) for one axis of the recovery."""
     rows = np.array(
@@ -97,51 +86,45 @@ def synthesize_recovery(
     """Future label points (T, 2) in the deviated frame.
 
     The nominal future is given in the nominal ego frame; the deviated frame
-    sits at (0, lateral) rotated by ``angular``.
+    sits at (0, lateral) rotated by ``angular``.  The recovery runs up to
+    ``duration``; the later ticks follow the nominal future.
     """
     poly = fit_polynomial(nominal_future)
-    _, vx0, _ = _poly_derivatives(poly.cx, 0.0)
-    _, vy0, _ = _poly_derivatives(poly.cy, 0.0)
-    speed0 = float(np.hypot(vx0, vy0))
+    vel = np.polyder(poly.cx), np.polyder(poly.cy)
+    speed0 = float(np.hypot(np.polyval(vel[0], 0.0), np.polyval(vel[1], 0.0)))
     if speed0 < MIN_NOMINAL_SPEED:
         raise SkipSample("nominal future is degenerate (near-stationary)")
 
     rot = _rotation(-angular)
-    offset = np.array([0.0, lateral])
-
-    def nominal_in_dev(t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        px, vx, ax = _poly_derivatives(poly.cx, t)
-        py, vy, ay = _poly_derivatives(poly.cy, t)
-        p = rot @ (np.array([px, py]) - offset)
-        v = rot @ np.array([vx, vy])
-        a = rot @ np.array([ax, ay])
-        return p, v, a
-
     d = float(duration)
-    pd, vd, ad = nominal_in_dev(d)
-    cx = _recovery_axis(0.0, speed0, pd[0], vd[0], ad[0], d)
-    cy = _recovery_axis(0.0, 0.0, pd[1], vd[1], ad[1], d)
+    late = _FUTURE_T > d + 1e-12
+    # The nominal position at d and at the late ticks, then its velocity and
+    # acceleration at d, all in the deviated frame.  Stacked matrix-vector
+    # products round as the per-point rot @ v does; (n, 2) @ rot.T would not.
+    t = np.concatenate([[d], _FUTURE_T[late]])
+    nominal = np.stack([np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=-1)
+    nominal = (rot @ (nominal - [0.0, lateral])[..., None])[..., 0]
+    vd = rot @ np.array([np.polyval(c, d) for c in vel])
+    ad = rot @ np.array([np.polyval(np.polyder(c), d) for c in vel])
+    cx = _recovery_axis(0.0, speed0, nominal[0, 0], vd[0], ad[0], d)
+    cy = _recovery_axis(0.0, 0.0, nominal[0, 1], vd[1], ad[1], d)
 
     out = np.empty((T_STEPS, 2))
-    for i, t in enumerate(_FUTURE_T):
-        if t <= d + 1e-12:
-            out[i, 0] = np.polyval(cx, t)
-            out[i, 1] = np.polyval(cy, t)
-        else:
-            out[i] = nominal_in_dev(float(t))[0]
+    early = _FUTURE_T[~late]
+    out[~late] = np.stack([np.polyval(cx, early), np.polyval(cy, early)], axis=-1)
+    out[late] = nominal[1:]
     return out
 
 
 def _warp_past(xy: np.ndarray, t: np.ndarray, params: DeviationParams) -> np.ndarray:
-    """Apply the deviation ramp to nominal-frame past positions."""
-    lat = params.lateral_signed
-    ang = params.angular_amplitude
+    """Apply the deviation ramp to nominal-frame past positions (..., 2) at
+    times t (...): one rotation per point, stacked."""
     ramp = _smoothstep((t + params.deviation_start) / params.deviation_start)
-    out = np.empty_like(xy)
-    for i in range(xy.shape[0]):
-        r = ramp[i]
-        out[i] = _rotation(r * ang) @ xy[i] + np.array([0.0, r * lat])
-    return out
+    c, s = np.cos(ramp * params.angular_amplitude), np.sin(ramp * params.angular_amplitude)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(*ramp.shape, 2, 2)
+    # The shift is added on both axes, x by 0.0, as the per-point code did.
+    shift = np.stack([np.zeros_like(ramp), ramp * params.lateral_signed], axis=-1)
+    return (rot @ xy[..., None])[..., 0] + shift
 
 
 def _to_deviated(xy: np.ndarray, params: DeviationParams) -> np.ndarray:
@@ -164,15 +147,10 @@ def _rebuild_map(m: ProximityMap, params: DeviationParams) -> ProximityMap:
     tracks = np.full((len(ids), T_STEPS, 2), np.nan)
     # Payload slot k of tick t holds tick _HISTORY_INDEX[t, k]; the last write wins.
     tracks[row[:, None], _HISTORY_INDEX[t]] = m.cells[r, c, t].reshape(-1, K_WINDOW, 2)
-    ticks = _past_tick_times()
-    moved = np.empty_like(tracks)
-    dists = np.full(len(ids), 1e9)
-    for i, a in enumerate(ids):
-        track = _warp_past(tracks[i], ticks, params) if a == 0 else tracks[i]
-        moved[i] = _to_deviated(track, params)
-        if not np.isnan(tracks[i, -1, 0]):
-            dists[i] = np.linalg.norm(tracks[i, -1])
-    cells, labels = kernels.bin_proximity(moved, dists, K_WINDOW)
+    dists = np.array([1e9 if np.isnan(p[0]) else np.linalg.norm(p) for p in tracks[:, -1]])
+    if len(ids) and ids[0] == 0:
+        tracks[0] = _warp_past(tracks[0], _PAST_T, params)
+    cells, labels = kernels.bin_proximity(_to_deviated(tracks, params), dists, K_WINDOW)
     cells[np.isnan(cells)] = 0.0  # payload slots of absent ticks
     occupied = labels >= 0
     labels[occupied] = ids[labels[occupied]]
@@ -192,35 +170,25 @@ def inject_deviation(
         params.angular_amplitude,
         params.recovery_duration,
     )
-    out = copy.deepcopy(sample)
-    ticks = _past_tick_times()
-
     # Ego history: warp in the nominal frame, then express in the deviated one.
-    for k in range(K_WINDOW):
-        idx = np.maximum(np.arange(T_STEPS) - (K_WINDOW - 1) + k, 0)
-        warped = _warp_past(sample.e[:, k, :], ticks[idx], params)
-        out.e[:, k, :] = _to_deviated(warped, params)
-
+    e = _to_deviated(_warp_past(sample.e, _PAST_T[_HISTORY_INDEX], params), params)
     # Neighbor histories: pure frame change; futures are per-neighbor shifts
-    # and only rotate.
-    rot = _rotation(-params.angular_amplitude)
-    for n in range(N_NEIGHBORS):
-        if not sample.v_mask[n]:
-            continue
-        for k in range(K_WINDOW):
-            out.v[n, :, k, :] = _to_deviated(sample.v[n, :, k, :], params)
-        out.neigh_future[n] = sample.neigh_future[n] @ rot.T
-    out.m_cells, out.m_labels = _rebuild_map(ProximityMap(sample.m_cells, sample.m_labels), params)
-
-    out.ego_future = future
+    # and only rotate.  Empty slots keep their values.
+    present = np.flatnonzero(sample.v_mask)
+    v, neigh_future = sample.v.copy(), sample.neigh_future.copy()
+    v[present] = _to_deviated(sample.v[present], params)
+    neigh_future[present] = sample.neigh_future[present] @ _rotation(-params.angular_amplitude).T
+    m = _rebuild_map(ProximityMap(sample.m_cells, sample.m_labels), params)
     # Context: the deviated pose shifts the lane-frame lateral offset and
     # heading error; the other scalars are unchanged at these amplitudes.
     herr = sample.ctx[4]
-    out.ctx = sample.ctx.copy()
-    out.ctx[3] = sample.ctx[3] + params.lateral_signed * np.cos(herr)
-    out.ctx[4] = (herr + params.angular_amplitude + np.pi) % (2 * np.pi) - np.pi
-    out.deviated = True
-    return out
+    ctx = sample.ctx.copy()
+    ctx[3] = sample.ctx[3] + params.lateral_signed * np.cos(herr)
+    ctx[4] = (herr + params.angular_amplitude + np.pi) % (2 * np.pi) - np.pi
+    return replace(
+        sample, e=e, v=v, m_cells=m.cells, m_labels=m.labels, ctx=ctx, ego_future=future,
+        neigh_future=neigh_future, deviated=True,
+    )
 
 
 def perturb_positions(
@@ -231,14 +199,17 @@ def perturb_positions(
         return sample
     rng = np.random.default_rng(seed)
     sig = np.array([sigma_long, sigma_lat])
-    out = copy.deepcopy(sample)
-    out.e = sample.e + rng.normal(0.0, 1.0, sample.e.shape) * sig
+    e = sample.e + rng.normal(0.0, 1.0, sample.e.shape) * sig
     noise_v = rng.normal(0.0, 1.0, sample.v.shape) * sig
-    out.v = sample.v + noise_v * sample.v_mask[:, None, None, None]
+    v = sample.v + noise_v * sample.v_mask[:, None, None, None]
     occupied = sample.m_labels >= 0
     noise_m = rng.normal(0.0, 1.0, sample.m_cells.shape) * np.tile(sig, K_WINDOW)
-    out.m_cells = sample.m_cells + noise_m * occupied[..., None]
-    return out
+    return replace(sample, e=e, v=v, m_cells=sample.m_cells + noise_m * occupied[..., None])
+
+
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """rng.uniform(lo, hi) from the rng.random() draw u, as numpy computes it."""
+    return lo + (hi - lo) * u
 
 
 def perturb_map_occupancy(
@@ -247,43 +218,46 @@ def perturb_map_occupancy(
     """Randomly drop vehicle tracks and add spurious short tracks.
 
     Track label 0 (the ego) is never removed.  Additions run one Bernoulli
-    draw per free (row, col, tick) cell and spawn a K-tick near-stationary
-    track there.
+    draw per free (row, col, tick) cell, in C order, and spawn a K-tick
+    near-stationary track there: four more draws give its position and drift,
+    and it fills the cell until tick T-1 or an occupied tick.  Cells it fills
+    are no longer free and take no draw.
     """
     rng = np.random.default_rng(seed)
     cells = m.cells.copy()
     labels = m.labels.copy()
-    track_ids = sorted(int(a) for a in np.unique(labels) if a > 0)
-    for a in track_ids:
-        if rng.random() < p_remove:
-            mask = labels == a
-            labels[mask] = -1
-            cells[mask] = 0.0
+    track_ids = np.unique(labels[labels > 0])
+    dropped = np.isin(labels, track_ids[rng.random(track_ids.size) < p_remove])
+    labels[dropped] = -1
+    cells[dropped] = 0.0
     if p_add > 0.0:
-        next_label = int(labels.max()) + 1 if labels.max() >= 0 else 1
-        next_label = max(next_label, 1000)  # spurious tracks get high labels
+        next_label = max(int(labels.max()) + 1, 1000)  # spurious tracks get high labels
         half_long, half_lat = MAP_EXTENT_LONG / 2.0, MAP_EXTENT_LAT / 2.0
-        for r in range(MAP_ROWS):
-            for c in range(MAP_COLS):
-                for t in range(T_STEPS):
-                    if labels[r, c, t] >= 0 or rng.random() >= p_add:
-                        continue
-                    cx = -half_long + (r + 0.5) * CELL_LONG + rng.uniform(-1.0, 1.0)
-                    cy = -half_lat + (c + 0.5) * CELL_LAT + rng.uniform(-0.8, 0.8)
-                    drift = rng.uniform(-0.3, 0.3, size=2)
-                    for dt_i in range(K_WINDOW):
-                        tt = t + dt_i
-                        if tt >= T_STEPS or labels[r, c, tt] >= 0:
-                            break
-                        labels[r, c, tt] = next_label
-                        pos = np.array([cx, cy])
-                        for k in range(K_WINDOW):
-                            j = tt - (K_WINDOW - 1) + k
-                            if t <= j <= tt:
-                                cells[r, c, tt, 2 * k : 2 * k + 2] = pos + drift * (
-                                    j - t
-                                )
-                    next_label += 1
+        free = np.flatnonzero(labels < 0).tolist()
+        # One free cell takes one draw, a hit four more: 5 per free cell bound them all.
+        u = rng.random(5 * len(free))
+        hits = np.flatnonzero(u < p_add).tolist()
+        u = u.tolist()
+        cell = draw = 0  # the next free cell and its draw
+        while (h := bisect_left(hits, draw)) < len(hits):
+            hit = hits[h]
+            cell += hit - draw  # the cells between took a draw each and missed
+            if cell >= len(free):
+                break
+            draw = hit + 5
+            rc, t = divmod(free[cell], T_STEPS)
+            r, c = divmod(rc, MAP_COLS)
+            cx = -half_long + (r + 0.5) * CELL_LONG + _uniform(-1.0, 1.0, u[hit + 1])
+            cy = -half_lat + (c + 0.5) * CELL_LAT + _uniform(-0.8, 0.8, u[hit + 2])
+            dx, dy = _uniform(-0.3, 0.3, u[hit + 3]), _uniform(-0.3, 0.3, u[hit + 4])
+            track = [v for j in range(K_WINDOW) for v in (cx + dx * j, cy + dy * j)]
+            n = 0  # ticks filled; tick t + n holds the track's ticks t .. t + n
+            while n < K_WINDOW and t + n < T_STEPS and labels[r, c, t + n] < 0:
+                labels[r, c, t + n] = next_label
+                cells[r, c, t + n, 2 * (K_WINDOW - 1 - n) :] = track[: 2 * (n + 1)]
+                n += 1
+            cell += n  # the filled ticks were the next free cells
+            next_label += 1
     return ProximityMap(cells, labels)
 
 
@@ -343,8 +317,6 @@ def augment_samples(
                 config.p_add,
                 (seed, 0x0C, cur.episode_seed, cur.center_tick),
             )
-            if cur is s:
-                cur = copy.deepcopy(s)
-            cur.m_cells, cur.m_labels = newmap.cells, newmap.labels
+            cur = replace(cur, m_cells=newmap.cells, m_labels=newmap.labels)
         out.append(cur)
     return out

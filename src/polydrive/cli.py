@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import augment, bench, dataset, model, simworld
-from .errors import NumericalError, PolydriveError
+from .errors import DataFormatError, NumericalError, PolydriveError
 
 TRACE_DIRNAME = "traces"
 # Config keys that name a file or a directory; each must be a string.
@@ -232,24 +232,75 @@ def _write_trace(path: str, task: bench.BenchTask, result) -> None:
     trace.write_jsonl(path)
 
 
-def _read_trace(path: str, network) -> tuple[bench.BenchTask, object]:
-    from .control import DriveResult
+# Trace metadata that report reads, and the type each value must have.
+TRACE_META = {
+    "task_kind": str, "town": str, "task_seed": int, "reached_goal": bool, "elapsed": float,
+    "distance_m": float, "lights_encountered": int, "lights_run": int,
+}
 
+
+def _is_a(value, kind) -> bool:
+    """Whether a JSON value is of kind (true is no int); a float may be
+    written as an int, and must be finite."""
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is kind
+
+
+def _read_trace(path: str) -> simworld.EpisodeLog:
+    """A trace that eval-closedloop wrote, with its metadata checked."""
     trace = simworld.EpisodeLog.read_jsonl(path)
     meta = trace.meta
+    for key, kind in TRACE_META.items():
+        if not _is_a(meta.get(key), kind):
+            raise DataFormatError(
+                f"{path}: trace metadata {key!r} must be {kind.__name__}, got {meta.get(key)!r}"
+            )
+    if not 0 <= meta["lights_run"] <= meta["lights_encountered"]:
+        raise DataFormatError(
+            f"{path}: trace metadata lights_run {meta['lights_run']} is not within "
+            f"0 .. lights_encountered {meta['lights_encountered']}"
+        )
+    if len(trace) == 0 or "car" not in trace.kinds:
+        raise DataFormatError(f"{path}: trace has no ticks or no car (the ego is the first car)")
+    return trace
+
+
+def _scored_trace(trace: simworld.EpisodeLog, network) -> tuple[bench.BenchTask, object]:
+    from .control import DriveResult
+
+    meta = trace.meta
     task = bench.BenchTask(
-        kind=meta["task_kind"], town=meta["town"], seed=int(meta["task_seed"]), lane_ids=()
+        kind=meta["task_kind"], town=meta["town"], seed=meta["task_seed"], lane_ids=()
     )
     result = DriveResult(
-        reached_goal=bool(meta["reached_goal"]),
+        reached_goal=meta["reached_goal"],
         elapsed=float(meta["elapsed"]),
         trace=trace,
         infractions=bench.detect_infractions(trace, network),
-        lights_encountered=int(meta["lights_encountered"]),
-        lights_run=int(meta["lights_run"]),
+        lights_encountered=meta["lights_encountered"],
+        lights_run=meta["lights_run"],
         distance_m=float(meta["distance_m"]),
     )
     return task, result
+
+
+def _read_offline_eval(path: str) -> dict:
+    """The mae block of an eval-offline output: numbers, or null where there
+    was nothing to measure."""
+    try:
+        with open(path) as f:
+            block = json.load(f)
+    except ValueError as e:  # JSON and UTF-8 errors
+        raise DataFormatError(f"{path}: {e}") from e
+    mae = block.get("mae") if isinstance(block, dict) else None
+    # NaN passes: files written before null replaced it hold NaN.
+    numbers = (int, float, type(None))
+    if not isinstance(mae, dict) or any(type(v) not in numbers for v in mae.values()):
+        raise DataFormatError(
+            f"{path}: not an eval-offline output (an object whose 'mae' holds numbers or null)"
+        )
+    return _nan_to_null(mae)
 
 
 def _emit_report(results, offline_eval, cfg: dict, out: str) -> None:
@@ -265,7 +316,7 @@ def _emit_report(results, offline_eval, cfg: dict, out: str) -> None:
 
 def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     town = cfg.get("town", "train")
-    suite_seed = _value(cfg, "suite_seed", cfg["seed"], int)
+    suite_seed = _value(cfg, "suite_seed", cfg["seed"], int, lambda n: n >= 0, "0 or more")
     expert = _flag(cfg, "expert", False)
     knobs = _perturbation(cfg)
     kinds = _value(
@@ -313,24 +364,16 @@ def cmd_report(cfg: dict, out: str) -> None:
     names = sorted(n for n in os.listdir(trace_dir) if n.endswith(".jsonl"))
     if not names:
         raise PolydriveError(f"report: no trace files in {trace_dir}")
-    towns = set()
     results = []
     network = None
     for name in names:
-        with open(os.path.join(trace_dir, name)) as f:
-            header = json.loads(f.readline())
-        towns.add(header["town"])
-        if len(towns) > 1:
-            raise PolydriveError("report: traces span multiple towns")
+        trace = _read_trace(os.path.join(trace_dir, name))
         if network is None:
-            network = simworld.build_town(header["town"])
-        results.append(_read_trace(os.path.join(trace_dir, name), network))
-    offline_eval = None
-    if cfg.get("offline_eval"):
-        with open(cfg["offline_eval"]) as f:
-            offline_eval = json.load(f).get("mae")
-        if offline_eval:  # files written before null replaced NaN
-            offline_eval = _nan_to_null(offline_eval)
+            network = simworld.build_town(trace.meta["town"])
+        elif trace.meta["town"] != network.town_id:
+            raise PolydriveError("report: traces span multiple towns")
+        results.append(_scored_trace(trace, network))
+    offline_eval = _read_offline_eval(cfg["offline_eval"]) if cfg.get("offline_eval") else None
     os.makedirs(out, exist_ok=True)
     _emit_report(results, offline_eval, cfg, out)
 
@@ -378,6 +421,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.set, args.seed)
     except (ValueError, OSError) as e:
         print(f"polydrive {args.command}: bad config: {e}", file=sys.stderr)
+        return 1
+    if args.seed < 0:  # numpy seeds are non-negative
+        print(f"polydrive {args.command}: --seed must be 0 or more, got {args.seed}",
+              file=sys.stderr)
         return 1
     if out_required and not args.out:
         print(f"polydrive {args.command}: --out is required", file=sys.stderr)

@@ -488,19 +488,29 @@ def save_checkpoint(params, path, config: TrainConfig | None = None, extra=None)
 
 
 def load_checkpoint(path):
+    """The parameters and metadata that save_checkpoint wrote; a file whose
+    keys or array shapes differ from the init_params layout is refused."""
     try:
         with np.load(path) as data:
             if "__meta__" not in data:
                 raise DataFormatError(f"{path}: missing checkpoint metadata")
             meta = json.loads(bytes(data["__meta__"]).decode())
-            if meta.get("format_version") != CKPT_FORMAT_VERSION:
+            if not isinstance(meta, dict) or meta.get("format_version") != CKPT_FORMAT_VERSION:
                 raise DataFormatError(f"{path}: unsupported checkpoint version")
+            layout = {k: v.shape for k, v in init_params().items()}
+            if meta.get("keys") != sorted(layout):
+                raise DataFormatError(f"{path}: parameter keys differ from the model's")
             params = {}
             for key in meta["keys"]:
                 arr_key = key.replace(".", "__")
                 if arr_key not in data:
                     raise DataFormatError(f"{path}: missing array {key}")
                 params[key] = data[arr_key]
+                if params[key].shape != layout[key]:
+                    raise DataFormatError(
+                        f"{path}: array {key} has shape {params[key].shape}, "
+                        f"expected {layout[key]}"
+                    )
             return params, meta
     except (OSError, ValueError, json.JSONDecodeError) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint ({e})") from e

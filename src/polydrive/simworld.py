@@ -1015,38 +1015,78 @@ class EpisodeLog:
 
     @classmethod
     def read_jsonl(cls, path) -> "EpisodeLog":
-        with open(path) as f:
-            lines = f.read().splitlines()
+        """The log that write_jsonl wrote.  A header or record that is not a
+        JSON object, or a field of the wrong shape, is refused with its line
+        number."""
+        try:
+            with open(path) as f:
+                lines = f.read().splitlines()
+        except UnicodeDecodeError as e:
+            raise DataFormatError(f"{path}: not a text file ({e})") from e
         if not lines:
             raise DataFormatError(f"{path}: empty episode log")
-        header = json.loads(lines[0])
+        header = _log_object(path, 1, lines[0])
         if header.get("format_version") != LOG_FORMAT_VERSION:
             raise DataFormatError(f"{path}: unsupported format_version")
-        clock, states, cmds, lights = [], [], [], []
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataFormatError(f"{path}: corrupt record at line {lineno}") from e
-            clock.append(rec["t"])
-            states.append(rec["s"])
-            cmds.append(rec["c"])
-            lights.append(rec["l"])
+        kinds, agent_ids, groups = (header.get(k) for k in ("kinds", "agent_ids", "groups"))
+        if not (
+            isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)
+            and isinstance(agent_ids, list) and len(agent_ids) == len(kinds)
+            and isinstance(groups, list)
+            and all(isinstance(g, list) and len(g) == 5 for g in groups)
+        ):
+            raise DataFormatError(f"{path}: line 1: malformed kinds, agent_ids or groups")
+        # Record field -> (shape of one tick, dtype).
+        fields = {
+            "t": ((), np.float64),
+            "s": ((len(kinds), 4), np.float64),
+            "c": ((len(kinds), 2), np.float64),
+            "l": ((len(groups),), np.uint8),
+        }
+        records = [_log_object(path, i, line) for i, line in enumerate(lines[1:], start=2)]
+        arrays = []
+        for key, (shape, dtype) in fields.items():
+            column = []
+            for lineno, rec in enumerate(records, start=2):
+                if key not in rec:
+                    raise DataFormatError(f"{path}: line {lineno}: missing field {key!r}")
+                column.append(rec[key])
+            arr = _as_array(column, dtype) if column else np.empty((0, *shape), dtype)
+            if arr is None or arr.shape != (len(records), *shape):
+                lineno = next(
+                    (i for i, v in enumerate(column, start=2)
+                     if getattr(_as_array(v, dtype), "shape", None) != shape),
+                    2,
+                )
+                raise DataFormatError(
+                    f"{path}: line {lineno}: field {key!r} is not an array of shape {shape}"
+                )
+            arrays.append(arr)
         meta = {
             k: v
             for k, v in header.items()
             if k not in ("format_version", "kinds", "agent_ids", "groups")
         }
-        return cls(
-            meta,
-            header["kinds"],
-            header["agent_ids"],
-            [tuple(g) for g in header["groups"]],
-            clock,
-            states,
-            cmds,
-            lights,
-        )
+        return cls(meta, kinds, agent_ids, [tuple(g) for g in groups], *arrays)
+
+
+def _log_object(path, lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise DataFormatError(f"{path}: line {lineno}: corrupt record ({e})") from e
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{path}: line {lineno}: not a JSON object")
+    return obj
+
+
+def _as_array(values, dtype) -> np.ndarray | None:
+    """values as an array of dtype, or None when they are not numbers in a
+    regular nest."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def record_episode(

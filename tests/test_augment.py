@@ -25,7 +25,7 @@ from polydrive.kernels import (
     MAP_EXTENT_LONG,
     MAP_ROWS,
 )
-from polydrive.trajectory import PointSeries, _rotation, sample_times
+from polydrive.trajectory import PointSeries, _rotation, fit_polynomial, sample_times
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,135 @@ def straight_future(speed=5.0):
 def to_nominal_frame(xy_dev, params):
     rot = _rotation(-params.angular_amplitude)
     return xy_dev @ rot + np.array([0.0, params.lateral_signed])
+
+
+# -- reference loops ----------------------------------------------------------
+# The per-point and per-cell loops that augment.py ran before it became array
+# code, kept to pin the array code to the same bits.
+
+PAST_T = (np.arange(T_STEPS) - (T_STEPS - 1)) * 0.1  # history index 0..T-1
+
+
+def reference_poly_derivatives(coeffs, t):
+    p = np.polyval(coeffs, t)
+    d1 = np.polyval(np.polyder(coeffs), t)
+    d2 = np.polyval(np.polyder(coeffs, 2), t)
+    return float(p), float(d1), float(d2)
+
+
+def reference_synthesize_recovery(nominal_future, lateral, angular, duration):
+    poly = fit_polynomial(nominal_future)
+    _, vx0, _ = reference_poly_derivatives(poly.cx, 0.0)
+    _, vy0, _ = reference_poly_derivatives(poly.cy, 0.0)
+    speed0 = float(np.hypot(vx0, vy0))
+    if speed0 < augment.MIN_NOMINAL_SPEED:
+        raise SkipSample("nominal future is degenerate (near-stationary)")
+    rot = _rotation(-angular)
+    offset = np.array([0.0, lateral])
+
+    def nominal_in_dev(t):
+        px, vx, ax = reference_poly_derivatives(poly.cx, t)
+        py, vy, ay = reference_poly_derivatives(poly.cy, t)
+        return rot @ (np.array([px, py]) - offset), rot @ np.array([vx, vy]), rot @ np.array([ax, ay])
+
+    d = float(duration)
+    pd, vd, ad = nominal_in_dev(d)
+    cx = augment._recovery_axis(0.0, speed0, pd[0], vd[0], ad[0], d)
+    cy = augment._recovery_axis(0.0, 0.0, pd[1], vd[1], ad[1], d)
+    out = np.empty((T_STEPS, 2))
+    for i, t in enumerate(sample_times()):
+        if t <= d + 1e-12:
+            out[i, 0] = np.polyval(cx, t)
+            out[i, 1] = np.polyval(cy, t)
+        else:
+            out[i] = nominal_in_dev(float(t))[0]
+    return out
+
+
+def reference_warp_past(xy, t, params):
+    lat = params.lateral_signed
+    ang = params.angular_amplitude
+    ramp = augment._smoothstep((t + params.deviation_start) / params.deviation_start)
+    out = np.empty_like(xy)
+    for i in range(xy.shape[0]):
+        r = ramp[i]
+        out[i] = _rotation(r * ang) @ xy[i] + np.array([0.0, r * lat])
+    return out
+
+
+def reference_to_deviated(xy, params):
+    rot = _rotation(-params.angular_amplitude)
+    return (xy - np.array([0.0, params.lateral_signed])) @ rot.T
+
+
+def reference_inject_deviation(sample, params):
+    future = reference_synthesize_recovery(
+        sample.ego_future_series(), params.lateral_signed, params.angular_amplitude,
+        params.recovery_duration,
+    )
+    out = copy.deepcopy(sample)
+    for k in range(K_WINDOW):
+        idx = np.maximum(np.arange(T_STEPS) - (K_WINDOW - 1) + k, 0)
+        warped = reference_warp_past(sample.e[:, k, :], PAST_T[idx], params)
+        out.e[:, k, :] = reference_to_deviated(warped, params)
+    rot = _rotation(-params.angular_amplitude)
+    for n in range(dataset.N_NEIGHBORS):
+        if not sample.v_mask[n]:
+            continue
+        for k in range(K_WINDOW):
+            out.v[n, :, k, :] = reference_to_deviated(sample.v[n, :, k, :], params)
+        out.neigh_future[n] = sample.neigh_future[n] @ rot.T
+    m = ProximityMap(sample.m_cells, sample.m_labels)
+    out.m_cells, out.m_labels = reference_rebuild_map(m, *deviation_transforms(params))
+    out.ego_future = future
+    herr = sample.ctx[4]
+    out.ctx = sample.ctx.copy()
+    out.ctx[3] = sample.ctx[3] + params.lateral_signed * np.cos(herr)
+    out.ctx[4] = (herr + params.angular_amplitude + np.pi) % (2 * np.pi) - np.pi
+    out.deviated = True
+    return out
+
+
+def reference_perturb_map_occupancy(m, p_remove, p_add, seed):
+    rng = np.random.default_rng(seed)
+    cells = m.cells.copy()
+    labels = m.labels.copy()
+    for a in sorted(int(a) for a in np.unique(labels) if a > 0):
+        if rng.random() < p_remove:
+            mask = labels == a
+            labels[mask] = -1
+            cells[mask] = 0.0
+    if p_add > 0.0:
+        next_label = int(labels.max()) + 1 if labels.max() >= 0 else 1
+        next_label = max(next_label, 1000)
+        half_long, half_lat = MAP_EXTENT_LONG / 2.0, MAP_EXTENT_LAT / 2.0
+        for r in range(MAP_ROWS):
+            for c in range(MAP_COLS):
+                for t in range(T_STEPS):
+                    if labels[r, c, t] >= 0 or rng.random() >= p_add:
+                        continue
+                    cx = -half_long + (r + 0.5) * CELL_LONG + rng.uniform(-1.0, 1.0)
+                    cy = -half_lat + (c + 0.5) * CELL_LAT + rng.uniform(-0.8, 0.8)
+                    drift = rng.uniform(-0.3, 0.3, size=2)
+                    for dt_i in range(K_WINDOW):
+                        tt = t + dt_i
+                        if tt >= T_STEPS or labels[r, c, tt] >= 0:
+                            break
+                        labels[r, c, tt] = next_label
+                        pos = np.array([cx, cy])
+                        for k in range(K_WINDOW):
+                            j = tt - (K_WINDOW - 1) + k
+                            if t <= j <= tt:
+                                cells[r, c, tt, 2 * k : 2 * k + 2] = pos + drift * (j - t)
+                    next_label += 1
+    return ProximityMap(cells, labels)
+
+
+def sample_bytes(s):
+    """Every field of a sample, as bytes."""
+    arrays = (s.e, s.v, s.v_mask, s.m_cells, s.m_labels, s.ctx, s.ego_future, s.neigh_future)
+    scalars = (int(s.nc), s.episode_seed, s.center_tick, s.deviated)
+    return b"".join(a.tobytes() for a in arrays) + repr(scalars).encode()
 
 
 class TestRecoverySynthesis:
@@ -176,7 +305,7 @@ def reference_rebuild_map(m, transform_ego, transform_other):
             present[a][j] = True
     new_cells = np.zeros_like(cells)
     new_labels = np.full_like(labels, -1)
-    ticks = augment._past_tick_times()
+    ticks = PAST_T
     order = sorted(
         tracks,
         key=lambda a: (
@@ -217,10 +346,10 @@ def recovered_ticks(m):
 
 def deviation_transforms(params):
     def tf_ego(track, t):
-        return augment._to_deviated(augment._warp_past(track, t, params), params)
+        return reference_to_deviated(reference_warp_past(track, t, params), params)
 
     def tf_other(track, t):
-        return augment._to_deviated(track, params)
+        return reference_to_deviated(track, params)
 
     return tf_ego, tf_other
 
@@ -301,6 +430,88 @@ class TestMapRebinParity:
                          np.full_like(moving_sample.m_labels, -1))
         got = augment._rebuild_map(m, DeviationParams(0.4, 0.0, 1.0, 1.5))
         assert not got.cells.any() and (got.labels == -1).all()
+
+
+def short_fills(m):
+    """Spurious tracks cut short by tick T-1, and those cut short by an
+    occupied tick."""
+    at_end = by_track = 0
+    for a in np.unique(m.labels[m.labels >= 1000]):
+        ticks = np.nonzero(m.labels == a)[2]
+        if ticks.size < K_WINDOW:
+            at_end += int(ticks[0] + ticks.size == T_STEPS)
+            by_track += int(ticks[0] + ticks.size < T_STEPS)
+    return at_end, by_track
+
+
+class TestLoopParity:
+    """The array code gives the bits of the loops it replaced."""
+
+    @pytest.mark.parametrize("p_add", [0.02, 0.3, 1.0])
+    @pytest.mark.parametrize("p_remove", [0.0, 0.5, 1.0])
+    def test_perturb_map_occupancy(self, busy_windows, p_remove, p_add):
+        at_end = by_track = 0
+        for i, s in enumerate(busy_windows[::16]):
+            m = ProximityMap(s.m_cells, s.m_labels)
+            got = perturb_map_occupancy(m, p_remove, p_add, (i, 9))
+            ref = reference_perturb_map_occupancy(m, p_remove, p_add, (i, 9))
+            assert got.cells.tobytes() == ref.cells.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+            counts = short_fills(ref)
+            at_end += counts[0]
+            by_track += counts[1]
+        assert at_end > 0 and by_track > 0
+
+    def test_perturb_map_occupancy_without_tracks(self, moving_sample):
+        # No track to remove draws nothing before the clutter draws.
+        m = ProximityMap(np.zeros_like(moving_sample.m_cells),
+                         np.full_like(moving_sample.m_labels, -1))
+        for p_add in (0.02, 0.3, 1.0):
+            got = perturb_map_occupancy(m, 0.5, p_add, 3)
+            ref = reference_perturb_map_occupancy(m, 0.5, p_add, 3)
+            assert got.cells.tobytes() == ref.cells.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+
+    @pytest.mark.parametrize("duration", [0.7, 1.0, 2.0, 0.73])
+    def test_synthesize_recovery(self, busy_windows, duration):
+        # 1.0 is the tenth future tick and 2.0 the last: no tick follows the
+        # nominal future there.  The seventh tick is 0.7000000000000001, one
+        # step above 0.7, and is still a recovery tick.
+        assert 0.7 < sample_times()[6] < 0.7 + 1e-12
+        recovered = 0
+        for s in busy_windows[::4]:
+            for lat, ang in ((0.4, 0.0), (-0.8, np.arctan(0.08)), (0.2, -np.arctan(0.02))):
+                try:
+                    ref = reference_synthesize_recovery(s.ego_future_series(), lat, ang, duration)
+                except SkipSample:
+                    with pytest.raises(SkipSample):
+                        synthesize_recovery(s.ego_future_series(), lat, ang, duration)
+                    continue
+                got = synthesize_recovery(s.ego_future_series(), lat, ang, duration)
+                assert got.tobytes() == ref.tobytes()
+                recovered += 1
+        assert recovered > 100
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_inject_deviation(self, busy_windows, noisy):
+        rng = np.random.default_rng(8)
+        deviated = 0
+        for i, s in enumerate(busy_windows[::3]):
+            if noisy:
+                s = perturb_positions(s, 0.3, 0.15, i)
+            before = sample_bytes(s)
+            params = random_deviation_params(rng)
+            try:
+                ref = reference_inject_deviation(s, params)
+            except SkipSample:
+                with pytest.raises(SkipSample):
+                    inject_deviation(s, params, s.ego_future_series())
+                continue
+            got = inject_deviation(s, params, s.ego_future_series())
+            assert sample_bytes(got) == sample_bytes(ref)
+            assert sample_bytes(s) == before  # the input is not written to
+            deviated += 1
+        assert deviated > 150
 
 
 class TestPositionNoise:

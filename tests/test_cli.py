@@ -142,6 +142,7 @@ class TestExitCodes:
             ("record", "episodes = true"),
             ("train", "learning_rate = true"),
             ("eval-closedloop", "suite_seed = 1.5"),
+            ("eval-closedloop", "suite_seed = -1"),
         ],
     )
     def test_bad_config_value_is_1(self, command, setting, tmp_path, capsys):
@@ -183,6 +184,16 @@ class TestExitCodes:
             f"got {json.loads(value)!r}\n"
         )
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_negative_seed_is_1(self, command, tmp_path, capsys):
+        # numpy's default_rng refuses negative seeds with a traceback.
+        rc = main([command, "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"polydrive {command}: --seed must be 0 or more, got -1\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
@@ -365,6 +376,21 @@ class TestPipeline:
         )
         assert rc == 2
 
+    def test_wrong_checkpoint_shape_is_2(self, tiny_dataset, tmp_path, capsys):
+        params = model.init_params(0)
+        params["map_enc.W0"] = params["map_enc.W0"][:, :64]
+        model.save_checkpoint(params, tmp_path / "m.npz")
+        rc = main(
+            ["eval-offline", f'checkpoint = "{tmp_path}/m.npz"',
+             f'data = "{tiny_dataset}/val.jsonl"']
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"polydrive eval-offline: {tmp_path}/m.npz: array map_enc.W0 has shape (4680, 64), "
+            "expected (4680, 128)\n"
+        )
+
 
 @pytest.fixture(scope="module")
 def expert_run(tmp_path_factory):
@@ -443,6 +469,60 @@ class TestClosedLoopAndReport:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.jsonl" in err
         assert not (out / "traces").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda h, r: (["a list"], r), "line 1: not a JSON object",
+                         id="header-list"),
+            pytest.param(lambda h, r: (h, r[:2] + [[1, 2]] + r[3:]),
+                         "line 4: not a JSON object", id="record-list"),
+            pytest.param(lambda h, r: (h, r[:1] + [{**r[1], "s": [r[1]["s"][0][:3]]}] + r[2:]),
+                         "line 3: field 's' is not an array of shape (1, 4)", id="ragged-s"),
+            pytest.param(lambda h, r: (h, []), "trace has no ticks or no car", id="no-ticks"),
+            pytest.param(lambda h, r: ({**h, "kinds": ["pedestrian"] * len(h["kinds"])}, r),
+                         "trace has no ticks or no car", id="no-car"),
+            pytest.param(lambda h, r: ({**h, "task_seed": "abc"}, r),
+                         "trace metadata 'task_seed' must be int, got 'abc'", id="seed-string"),
+            pytest.param(lambda h, r: ({**h, "reached_goal": 1}, r),
+                         "trace metadata 'reached_goal' must be bool, got 1", id="goal-int"),
+            pytest.param(lambda h, r: ({**h, "distance_m": float("nan")}, r),
+                         "trace metadata 'distance_m' must be float, got nan", id="distance-nan"),
+            pytest.param(lambda h, r: ({**h, "lights_run": h["lights_encountered"] + 1}, r),
+                         "trace metadata lights_run ", id="lights-run-above-encountered"),
+        ],
+    )
+    def test_malformed_trace_is_2(self, expert_run, edit, message, tmp_path, capsys):
+        lines = sorted((expert_run / "traces").glob("*.jsonl"))[0].read_text().splitlines()
+        header, records = edit(json.loads(lines[0]), [json.loads(x) for x in lines[1:]])
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "task_1.jsonl").write_text(
+            "".join(json.dumps(x) + "\n" for x in [header, *records])
+        )
+        rc = main(["report", "--out", str(tmp_path / "r"), f'traces = "{traces}"'])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polydrive report: {traces}/task_1.jsonl: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[1]", '{"mae": [1]}', '{"mae": {"ego": "0.5"}}', '{"mae": {"ego": true}}',
+         '{"n_samples": 3}', "{not json"],
+    )
+    def test_malformed_offline_eval_is_2(self, expert_run, text, tmp_path, capsys):
+        (tmp_path / "mae.json").write_text(text)
+        rc = main(
+            ["report", "--out", str(tmp_path / "r"), f'traces = "{expert_run}/traces"',
+             f'offline_eval = "{tmp_path}/mae.json"']
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polydrive report: {tmp_path}/mae.json: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     def test_empty_trace_dir_is_2(self, tmp_path, capsys):
         empty = tmp_path / "none"

@@ -400,6 +400,25 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(lambda p: p.update({"map_enc.W0": p["map_enc.W0"].T}), id="transposed"),
+            pytest.param(lambda p: p.update({"head2.b1": p["head2.b1"][:-1]}), id="short"),
+            pytest.param(lambda p: p.update({"ctx_enc.W0": p["ctx_enc.W0"][None]}), id="extra-axis"),
+            pytest.param(lambda p: p.pop("nbr_dec.b0"), id="key-missing"),
+            pytest.param(lambda p: p.update({"head9.W0": p["head0.W0"]}), id="key-extra"),
+        ],
+    )
+    def test_rejects_wrong_layout(self, tmp_path, change):
+        # eval-offline would die in matmul on such a file.
+        params = init_params(seed=14)
+        change(params)
+        path = tmp_path / "m.npz"
+        save_checkpoint(params, path)
+        with pytest.raises(DataFormatError, match="shape|keys"):
+            load_checkpoint(path)
+
     def test_eval_mae_keys(self, samples):
         params = init_params(seed=13)
         out = eval_mae(params, samples[:30])

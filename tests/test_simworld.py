@@ -548,6 +548,49 @@ class TestEpisodes:
         with pytest.raises(DataFormatError):
             sw.EpisodeLog.read_jsonl(p)
 
+    def test_jsonl_round_trip_without_ticks(self, log, tmp_path):
+        empty = sw.EpisodeLog(log.meta, log.kinds, log.agent_ids, log.groups,
+                              log.clock[:0], log.states[:0], log.cmds[:0], log.lights[:0])
+        p = tmp_path / "ep.jsonl"
+        empty.write_jsonl(p)
+        back = sw.EpisodeLog.read_jsonl(p)
+        assert back.states.shape == (0, log.n_agents, 4)
+        assert back.cmds.shape == (0, log.n_agents, 2)
+        assert back.lights.shape == (0, len(log.groups))
+
+    def test_jsonl_rejects_binary_file(self, tmp_path):
+        p = tmp_path / "ep.jsonl"
+        p.write_bytes(b"\xff\xfe\x00 not text")
+        with pytest.raises(DataFormatError, match="not a text file"):
+            sw.EpisodeLog.read_jsonl(p)
+
+    @pytest.mark.parametrize(
+        "line, edit, message",
+        [
+            (0, lambda h: [h], "line 1: not a JSON object"),
+            (0, lambda h: {**h, "kinds": "car"}, "line 1: malformed kinds"),
+            (0, lambda h: {**h, "agent_ids": h["agent_ids"][1:]}, "line 1: malformed kinds"),
+            (0, lambda h: {**h, "groups": [[0, 1]]}, "line 1: malformed kinds"),
+            (3, lambda r: [r], "line 4: not a JSON object"),
+            (3, lambda r: {**r, "s": [r["s"][0][:3]] + r["s"][1:]}, "line 4: field 's'"),
+            (3, lambda r: {**r, "c": r["c"][1:]}, "line 4: field 'c'"),
+            (3, lambda r: {**r, "l": r["l"] + [1]}, "line 4: field 'l'"),
+            (3, lambda r: {**r, "l": [300] * len(r["l"])}, "line 4: field 'l'"),
+            (3, lambda r: {**r, "t": "x"}, "line 4: field 't'"),
+            (3, lambda r: {k: v for k, v in r.items() if k != "s"}, "line 4: missing field 's'"),
+        ],
+    )
+    def test_jsonl_rejects_malformed_lines(self, log, tmp_path, line, edit, message):
+        import json
+
+        p = tmp_path / "ep.jsonl"
+        log.write_jsonl(p)
+        lines = p.read_text().splitlines()
+        lines[line] = json.dumps(edit(json.loads(lines[line])))
+        p.write_text("\n".join(lines))
+        with pytest.raises(DataFormatError, match=f"ep.jsonl: {message}"):
+            sw.EpisodeLog.read_jsonl(p)
+
     def test_no_collisions_under_autopilot(self, train_town, log):
         cars = log.car_indices()
         pos = log.states[:, cars, :2]
