@@ -78,17 +78,8 @@ class InfractionEvent:
 # -- task generation -------------------------------------------------------------
 
 
-def _junction_lanes(network: RoadNetwork) -> list[int]:
-    return [
-        lane.lane_id
-        for lane in network.lanes
-        if network.lane_ends_at_junction(lane.lane_id)
-        and network.nodes[lane.from_node].kind == "junction"
-    ]
-
-
 def _try_route(network, rng, kind: str) -> list[int] | None:
-    starts = _junction_lanes(network)
+    starts = network.internal_lanes
     lane_ids = [starts[int(rng.integers(len(starts)))]]
     route = Route(network, list(lane_ids))
     turns = 0
@@ -108,13 +99,10 @@ def _try_route(network, rng, kind: str) -> list[int] | None:
         if not succ:
             return None
         junctions_passed += 1
-        if kind == "straight":
-            choices = [lid for lid, turn in succ if turn is None or turn == "cross"]
-        elif kind == "one_turn":
-            if junctions_passed == turn_at and turns == 0:
-                choices = [lid for lid, turn in succ if turn in ("left", "right")]
-            else:
-                choices = [lid for lid, turn in succ if turn is None or turn == "cross"]
+        if kind == "one_turn" and junctions_passed == turn_at and turns == 0:
+            choices = [lid for lid, turn in succ if turn != "cross"]
+        elif kind in ("straight", "one_turn"):
+            choices = [lid for lid, turn in succ if turn == "cross"]
         else:
             choices = [lid for lid, _ in succ]
         # Prefer staying on lanes that can be extended further.
@@ -123,8 +111,7 @@ def _try_route(network, rng, kind: str) -> list[int] | None:
         if not pool:
             return None
         pick = pool[int(rng.integers(len(pool)))]
-        turn = dict(succ).get(pick)
-        if turn in ("left", "right"):
+        if dict(succ)[pick] != "cross":
             turns += 1
         route.extend(pick)
     return None
@@ -169,20 +156,10 @@ def generate_suite(town: str, seed: int) -> list[BenchTask]:
 
 def _runs(flags: np.ndarray, min_len: int = 1) -> list[int]:
     """Start indices of consecutive-True runs of at least min_len ticks."""
-    starts = []
-    i = 0
-    n = flags.size
-    while i < n:
-        if flags[i]:
-            j = i
-            while j < n and flags[j]:
-                j += 1
-            if j - i >= min_len:
-                starts.append(i)
-            i = j
-        else:
-            i += 1
-    return starts
+    # Each run starts where the padded flags rise and ends where they fall.
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], flags.astype(np.int8), [0]])))
+    starts, ends = edges[0::2], edges[1::2]
+    return starts[ends - starts >= min_len].tolist()
 
 
 def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[InfractionEvent]:
@@ -255,14 +232,12 @@ def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[Infracti
         for i in np.flatnonzero(crossing):
             # The pose at the crossing tick is already mid-turn; classify the
             # approach from the last tick clearly before the junction, by the
-            # road segment the car was on (diagonal approaches share the
-            # axis-0 signal group).
+            # road segment the car was on.
             j = int(i)
             while j > 0 and d[j] <= CORE_RADIUS + 3.0:
                 j -= 1
             dist, _, _ = network._segment_features(float(pos[j][0]), float(pos[j][1]))
-            seg_axis = network.segments[int(np.argmin(dist))].axis
-            axis = seg_axis if seg_axis != 2 else 0
+            axis = network.signal_axis(int(np.argmin(dist)))
             if not trace.light_green_at(int(i + 1), int(node_id), axis):
                 events.append(InfractionEvent("red_light_run", int(i + 1), tuple(pos[i + 1])))
 

@@ -13,25 +13,80 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 from . import augment, bench, dataset, model, simworld
 from .errors import DataFormatError, NumericalError, PolydriveError
 
 TRACE_DIRNAME = "traces"
-# Config keys that name a file or a directory; each must be a string.
-PATH_KEYS = frozenset(
-    {"input", "train", "val", "checkpoint", "data", "offline_data", "traces", "offline_eval"}
-)
-# Every key that a command below reads, but seed, which comes from --seed.  A
-# config may set any of them, so that one file can serve the whole pipeline.
-CONFIG_KEYS = PATH_KEYS | {
-    "town", "episodes", "duration", "mode", "fraction", "sigma_long", "sigma_lat", "p_remove",
-    "p_add", "learning_rate", "batch_size", "epochs", "neighbor_loss", "suite_seed", "expert",
-    "kinds",
-}
 
 
 # -- config plumbing ---------------------------------------------------------
+
+
+def _cast(kind, raw):
+    """A config value as written, as the commands read a value of kind (a
+    type; None: as written); TypeError, ValueError or OverflowError if it is
+    of another kind."""
+    if kind is list and isinstance(raw, str):  # task kinds, comma-separated
+        return [k.strip() for k in raw.split(",") if k.strip()]
+    if kind in (str, bool, list):
+        # A number would reach open() as a file descriptor, and bool("False") is True.
+        if type(raw) is not kind or kind is list and any(type(k) is not str for k in raw):
+            raise TypeError(raw)
+    elif kind is not None:
+        value = kind(raw)  # int() and float() would take true as 1, and int() would cut 8.7 to 8
+        if isinstance(raw, bool) or isinstance(raw, float) and value != raw:
+            raise ValueError(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
+        return value
+    return raw
+
+
+def _known_kinds(kinds: list[str]) -> bool:
+    """The range test of kinds, which names the unknown ones in its refusal."""
+    unknown = set(kinds) - set(bench.TASK_KINDS)
+    if unknown:
+        raise ValueError(f"unknown task kinds: {sorted(unknown)}")
+    return True
+
+
+# A row of KNOBS: the default (None: none; a command that needs the key
+# requires it), the kind, the range test of the cast value (None: any), and
+# what a value must be, as the messages and the README's knob table word it.
+Knob = namedtuple("Knob", "default kind ok need")
+
+# Every key that a command reads, but seed, which comes from --seed.  A config
+# may set any of them, so that one file can serve the whole pipeline, and
+# load_config checks every value it is given against its row before any
+# command runs.
+KNOBS = {
+    "input": Knob(None, str, None, "a path string"),
+    "train": Knob(None, str, None, "a path string"),
+    "val": Knob(None, str, None, "a path string"),
+    "checkpoint": Knob(None, str, None, "a path string"),
+    "data": Knob(None, str, None, "a path string"),
+    "offline_data": Knob(None, str, None, "a path string"),
+    "traces": Knob(None, str, None, "a path string"),
+    "offline_eval": Knob(None, str, None, "a path string"),
+    "town": Knob("train", None, None, "train or test"),  # build_town refuses others: exit 2
+    "episodes": Knob(10, int, lambda n: n >= 1, "a whole number, at least 1"),
+    "duration": Knob(180.0, float, lambda t: t > 0.0, "a finite number, positive"),
+    "mode": Knob("full", None, augment.MODES.__contains__, "none, partial or full"),
+    "fraction": Knob(0.2, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
+    "sigma_long": Knob(0.0, float, lambda s: s >= 0.0, "a finite number, 0 or more"),
+    "sigma_lat": Knob(0.0, float, lambda s: s >= 0.0, "a finite number, 0 or more"),
+    "p_remove": Knob(0.0, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
+    "p_add": Knob(0.0, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
+    "learning_rate": Knob(1e-5, float, lambda r: r > 0.0, "a finite number, positive"),
+    "batch_size": Knob(8, int, lambda n: n >= 1, "a whole number, at least 1"),
+    "epochs": Knob(30, int, lambda n: n >= 0, "a whole number, at least 0"),
+    "neighbor_loss": Knob(True, bool, None, "true or false"),
+    "suite_seed": Knob(None, int, lambda n: n >= 0, "a whole number, 0 or more"),  # None: --seed
+    "expert": Knob(False, bool, None, "true or false"),
+    "kinds": Knob([], list, _known_kinds, "a comma-separated string or a list of task kinds"),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -54,8 +109,10 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path: str | None, overrides: list[str], seed: int) -> dict:
-    """The config file's keys, then the overrides, then seed; a key that no
-    command reads, seed itself, or a path that is not a string is refused."""
+    """The config file's keys, then the overrides, then seed, as written.
+    Each value is checked against its KNOBS row first: a key without a row
+    (seed among them), a value of another kind or one out of range is a
+    ValueError."""
     cfg: dict = {}
     if path:
         with open(path) as f:
@@ -64,12 +121,18 @@ def load_config(path: str | None, overrides: list[str], seed: int) -> dict:
         cfg.update(parse_config_text(item))
     if "seed" in cfg:
         raise ValueError("config key 'seed' is not accepted; pass --seed instead")
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    unknown = sorted(set(cfg) - set(KNOBS))
     if unknown:
         raise ValueError(f"unknown config key {', '.join(map(repr, unknown))}")
-    for key in sorted(PATH_KEYS & set(cfg)):
-        if not isinstance(cfg[key], str):
-            raise ValueError(f"config key {key!r} must be a path string, got {cfg[key]!r}")
+    for key in sorted(cfg):
+        knob, raw = KNOBS[key], cfg[key]
+        refused = f"config key {key!r} must be {knob.need}, got {raw!r}"
+        try:
+            value = _cast(knob.kind, raw)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(refused) from None
+        if knob.ok is not None and not knob.ok(value):
+            raise ValueError(refused)
     cfg["seed"] = seed
     return cfg
 
@@ -79,60 +142,27 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def _get(cfg: dict, key: str):
+    """A checked config value as the commands read it: cast to its kind, or
+    the default; None for a key without a default that is not set."""
+    knob = KNOBS[key]
+    raw = cfg.get(key, knob.default)
+    return None if raw is None else _cast(knob.kind, raw)
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise argparse.ArgumentTypeError(f"config key {key!r} is required")
     return cfg[key]
 
 
-def _value(cfg: dict, key: str, default, cast=float, ok=None, need: str = ""):
-    """cfg[key], or the default, as cast; a value that fails ok is a usage
-    error, and so is one that is not a finite number (for float) or a whole
-    number (for int).  int() and float() would take true as 1 and cut 8.7
-    to 8, so a boolean is refused, and a fraction for int."""
-    raw = cfg.get(key, default)
-    try:
-        value = cast(raw)
-        whole = cast is not int or not isinstance(raw, float) or value == raw
-        finite = cast is not float or math.isfinite(value)
-        number = whole and finite and not (cast in (int, float) and isinstance(raw, bool))
-    except (TypeError, ValueError, OverflowError):
-        number = False
-    if not number:
-        need = "a whole number" if cast is int else "a finite number"
-    elif ok is None or ok(value):
-        return value
-    raise argparse.ArgumentTypeError(f"config key {key!r} must be {need}, got {raw!r}")
-
-
-def _flag(cfg: dict, key: str, default: bool) -> bool:
-    """cfg[key] as JSON true or false; a string such as "False" is refused."""
-    return _value(cfg, key, default, lambda v: v, lambda v: isinstance(v, bool), "true or false")
-
-
-_PROBABILITY = (lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
-_SIGMA = (lambda s: s >= 0.0, "0 or more")
-
-
-def _perturbation(cfg: dict) -> dict:
-    """The input-noise and map-perturbation knobs of augment and eval-closedloop."""
-    return {
-        "sigma_long": _value(cfg, "sigma_long", 0.0, float, *_SIGMA),
-        "sigma_lat": _value(cfg, "sigma_lat", 0.0, float, *_SIGMA),
-        "p_remove": _value(cfg, "p_remove", 0.0, float, *_PROBABILITY),
-        "p_add": _value(cfg, "p_add", 0.0, float, *_PROBABILITY),
-    }
-
-
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_record(cfg: dict, out: str) -> None:
-    town = cfg.get("town", "train")
-    episodes = _value(cfg, "episodes", 10, int, lambda n: n >= 1, "at least 1")
-    duration = _value(cfg, "duration", 180.0, float, lambda t: t > 0.0, "positive")
+    town, episodes, duration = _get(cfg, "town"), _get(cfg, "episodes"), _get(cfg, "duration")
     network = simworld.build_town(town)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     per_episode: list[list[dataset.Sample]] = []
     for i in range(episodes):
         log = simworld.record_episode(network, seed * 100000 + i, duration)
@@ -149,12 +179,15 @@ def cmd_record(cfg: dict, out: str) -> None:
 
 def cmd_augment(cfg: dict, out: str) -> None:
     aug_cfg = augment.AugmentConfig(
-        mode=_value(cfg, "mode", "full", str, augment.MODES.__contains__, "none, partial or full"),
-        fraction=_value(cfg, "fraction", 0.2, float, *_PROBABILITY),
-        **_perturbation(cfg),
+        mode=_get(cfg, "mode"),
+        fraction=_get(cfg, "fraction"),
+        sigma_long=_get(cfg, "sigma_long"),
+        sigma_lat=_get(cfg, "sigma_lat"),
+        p_remove=_get(cfg, "p_remove"),
+        p_add=_get(cfg, "p_add"),
     )
     samples, header = dataset.read_dataset(_require(cfg, "input"))
-    augmented = augment.augment_samples(samples, aug_cfg, int(cfg["seed"]))
+    augmented = augment.augment_samples(samples, aug_cfg, cfg["seed"])
     meta = {
         "config_hash": config_hash(cfg),
         "augmented_from": header.get("config_hash"),
@@ -182,11 +215,11 @@ def _nan_to_null(rec: dict) -> dict:
 
 def cmd_train(cfg: dict, out: str) -> None:
     tc = model.TrainConfig(
-        learning_rate=_value(cfg, "learning_rate", 1e-5),
-        batch_size=_value(cfg, "batch_size", 8, int, lambda n: n >= 1, "at least 1"),
-        epochs=_value(cfg, "epochs", 30, int, lambda n: n >= 0, "at least 0"),
-        seed=int(cfg["seed"]),
-        neighbor_loss=_flag(cfg, "neighbor_loss", True),
+        learning_rate=_get(cfg, "learning_rate"),
+        batch_size=_get(cfg, "batch_size"),
+        epochs=_get(cfg, "epochs"),
+        seed=cfg["seed"],
+        neighbor_loss=_get(cfg, "neighbor_loss"),
     )
     train_samples, _ = dataset.read_dataset(_require(cfg, "train"))
     val_samples, _ = dataset.read_dataset(_require(cfg, "val"))
@@ -200,14 +233,18 @@ def cmd_train(cfg: dict, out: str) -> None:
     print(f"saved checkpoint to {out}")
 
 
+def _offline_mae(params, path: str) -> tuple[int, dict]:
+    """The sample count of a dataset file, which must hold one, and eval_mae over them."""
+    samples, _ = dataset.read_dataset(path)
+    if not samples:  # eval_mae has no mean of nothing
+        raise DataFormatError(f"{path}: no samples to evaluate")
+    return len(samples), _nan_to_null(model.eval_mae(params, samples))
+
+
 def cmd_eval_offline(cfg: dict, out: str | None) -> None:
     params, _ = model.load_checkpoint(_require(cfg, "checkpoint"))
-    samples, _ = dataset.read_dataset(_require(cfg, "data"))
-    block = {
-        "config_hash": config_hash(cfg),
-        "n_samples": len(samples),
-        "mae": _nan_to_null(model.eval_mae(params, samples)),
-    }
+    n_samples, mae = _offline_mae(params, _require(cfg, "data"))
+    block = {"config_hash": config_hash(cfg), "n_samples": n_samples, "mae": mae}
     text = json.dumps(block, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as f:
@@ -315,28 +352,16 @@ def _emit_report(results, offline_eval, cfg: dict, out: str) -> None:
 
 
 def cmd_eval_closedloop(cfg: dict, out: str) -> None:
-    town = cfg.get("town", "train")
-    suite_seed = _value(cfg, "suite_seed", cfg["seed"], int, lambda n: n >= 0, "0 or more")
-    expert = _flag(cfg, "expert", False)
-    knobs = _perturbation(cfg)
-    kinds = _value(
-        cfg, "kinds", [], lambda v: v,
-        lambda v: isinstance(v, str) or isinstance(v, list) and all(type(k) is str for k in v),
-        "a comma-separated string or a list of task kinds",
-    )
-    if isinstance(kinds, str):
-        kinds = [k.strip() for k in kinds.split(",") if k.strip()]
-    unknown = set(kinds) - set(bench.TASK_KINDS)
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown task kinds: {sorted(unknown)}")
+    town, expert, kinds = _get(cfg, "town"), _get(cfg, "expert"), _get(cfg, "kinds")
+    suite_seed = _get(cfg, "suite_seed")
     params = offline_eval = None
     if not expert:
         params, _ = model.load_checkpoint(_require(cfg, "checkpoint"))
-        if cfg.get("offline_data"):  # before the suite drives, so a bad file fails fast
-            samples, _ = dataset.read_dataset(cfg["offline_data"])
-            offline_eval = _nan_to_null(model.eval_mae(params, samples))
+        offline_data = _get(cfg, "offline_data")
+        if offline_data:  # before the suite drives, so a bad file fails fast
+            _, offline_eval = _offline_mae(params, offline_data)
     network = simworld.build_town(town)
-    tasks = bench.generate_suite(town, suite_seed)
+    tasks = bench.generate_suite(town, cfg["seed"] if suite_seed is None else suite_seed)
     if kinds:
         tasks = [t for t in tasks if t.kind in kinds]
     os.makedirs(os.path.join(out, TRACE_DIRNAME), exist_ok=True)
@@ -345,8 +370,8 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
         tasks,
         params,
         expert=expert,
-        noise_sigma=(knobs["sigma_long"], knobs["sigma_lat"]),
-        map_perturb=(knobs["p_remove"], knobs["p_add"]),
+        noise_sigma=(_get(cfg, "sigma_long"), _get(cfg, "sigma_lat")),
+        map_perturb=(_get(cfg, "p_remove"), _get(cfg, "p_add")),
         progress=lambda i, t, r: print(
             f"[{i + 1:3d}/{len(tasks)}] {t.kind:<12} seed {t.seed}  "
             f"{'ok' if r.reached_goal else 'FAIL'}  "
@@ -373,7 +398,8 @@ def cmd_report(cfg: dict, out: str) -> None:
         elif trace.meta["town"] != network.town_id:
             raise PolydriveError("report: traces span multiple towns")
         results.append(_scored_trace(trace, network))
-    offline_eval = _read_offline_eval(cfg["offline_eval"]) if cfg.get("offline_eval") else None
+    path = _get(cfg, "offline_eval")
+    offline_eval = _read_offline_eval(path) if path else None
     os.makedirs(out, exist_ok=True)
     _emit_report(results, offline_eval, cfg, out)
 

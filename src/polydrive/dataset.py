@@ -35,7 +35,6 @@ CTX_LEAD_CAP = 50.0
 CTX_PED_CAP = 30.0
 NC_ZONE_RADIUS = 15.0
 NC_LOOKAHEAD_S = 5.0
-NC_TURN_DEG = 30.0
 
 _FUTURE_T = sample_times()
 # Fixed-grid least squares: pinv of the degree-4 Vandermonde on the 20
@@ -141,10 +140,9 @@ def compute_context(
         if to_node.kind == "junction":
             d_inter = min(d_end, CTX_INTER_CAP)
             if to_node.lit:
-                seg_axis = network.segments[lane.seg_id].axis
-                axis = seg_axis if seg_axis != 2 else 0
                 d_light = min(d_end, CTX_LIGHT_CAP)
-                phase = 0.0 if light_green(to_node.node_id, axis) else 1.0
+                green = light_green(to_node.node_id, network.signal_axis(lane.seg_id))
+                phase = 0.0 if green else 1.0
 
     ego_row = np.array([[x, y, h, v]])
     car_rows = np.array(cars, dtype=np.float64).reshape(-1, 4)
@@ -172,14 +170,9 @@ def _zone_exit(track: np.ndarray, i: int, node_pos: np.ndarray) -> int:
 
 
 def turn_command(h_in, h_out) -> NavigationCommand:
-    """Left, right or cross from the signed heading change across a junction
-    zone, wrapped to [-pi, pi)."""
-    dh = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
-    if dh > np.deg2rad(NC_TURN_DEG):
-        return NavigationCommand.LEFT
-    if dh < -np.deg2rad(NC_TURN_DEG):
-        return NavigationCommand.RIGHT
-    return NavigationCommand.CROSS
+    """Left, right or cross from the heading change across a junction zone,
+    by the lane links' turn rule."""
+    return NavigationCommand[simworld.heading_turn(h_in, h_out)[1].upper()]
 
 
 def compute_navigation_command(

@@ -41,6 +41,7 @@ CYCLE_S = GREEN_S + RED_S
 MAX_STEER = 0.5
 ACCEL_MIN = -4.0
 ACCEL_MAX = 2.0
+TURN_DEG = 30.0  # a heading change beyond this, either way, is a left or right turn
 LOG_FORMAT_VERSION = 1
 
 
@@ -83,16 +84,19 @@ class Crosswalk:
     p1: np.ndarray
 
 
+def heading_turn(h_in, h_out) -> tuple[float, str]:
+    """The signed heading change from h_in to h_out, wrapped to [-pi, pi),
+    and the turn it makes: left or right beyond TURN_DEG, else cross.  One
+    rule for lane links and for navigation commands."""
+    d = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
+    turn = "left" if d > np.deg2rad(TURN_DEG) else "right" if d < -np.deg2rad(TURN_DEG) else "cross"
+    return d, turn
+
+
 def _turn_of(h_in: float, h_out: float) -> str | None:
     """Classify a lane-to-lane transition; None marks a forbidden U-turn."""
-    d = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
-    if abs(d) > np.deg2rad(150):
-        return None
-    if d > np.deg2rad(30):
-        return "left"
-    if d < -np.deg2rad(30):
-        return "right"
-    return "cross"
+    d, turn = heading_turn(h_in, h_out)
+    return None if abs(d) > np.deg2rad(150) else turn
 
 
 class RoadNetwork:
@@ -131,12 +135,23 @@ class RoadNetwork:
             self._successors[l.lane_id] = sorted(succ)
         self.junction_ids = [n.node_id for n in nodes if n.kind == "junction"]
         self.junction_pos = np.array([nodes[i].pos for i in self.junction_ids])
+        # Lanes between two junctions, where cars spawn and routes start.
+        self.internal_lanes = [
+            l.lane_id for l in lanes
+            if nodes[l.from_node].kind == "junction" and nodes[l.to_node].kind == "junction"
+        ]
         self._route_pieces: dict[tuple[int | None, int], tuple] = {}
 
     # -- queries -----------------------------------------------------------
 
     def successors(self, lane_id: int) -> list[tuple[int, str]]:
         return self._successors[lane_id]
+
+    def signal_axis(self, seg_id: int) -> int:
+        """The light group of an approach on segment seg_id: its axis, but
+        diagonal approaches share the axis-0 (x-aligned) group."""
+        axis = self.segments[seg_id].axis
+        return axis if axis != 2 else 0
 
     def lane_ends_at_junction(self, lane_id: int) -> bool:
         return self.nodes[self.lanes[lane_id].to_node].kind == "junction"
@@ -447,12 +462,11 @@ def _route_piece(net: RoadNetwork, prev_id: int | None, lane_id: int) -> tuple:
     else:
         prev = net.lanes[prev_id]
         node = net.nodes[prev.to_node]
-        seg = net.segments[prev.seg_id]
         conn, s_join = _connector(prev.p1, prev.direction, lane)
         join = lane.p0 + lane.direction * s_join
         parts, last, anchor = [conn, np.vstack([join, lane.p1])], prev.p1, prev.p1
         turn = _turn_of(prev.heading, lane.heading) or "cross"
-        event = (node.node_id, seg.axis if seg.axis != 2 else 0, turn, node.lit)
+        event = (node.node_id, net.signal_axis(prev.seg_id), turn, node.lit)
     keep, sizes = [], []
     for part in parts:
         for p in part:
@@ -864,17 +878,6 @@ def _may_enter_junction(agent: AgentState, world: World, ev: RouteEvent, d: floa
 # -- spawning ---------------------------------------------------------------
 
 
-def _internal_lanes(network: RoadNetwork) -> list[int]:
-    out = []
-    for l in network.lanes:
-        if (
-            network.nodes[l.from_node].kind == "junction"
-            and network.nodes[l.to_node].kind == "junction"
-        ):
-            out.append(l.lane_id)
-    return out
-
-
 def _random_route(network: RoadNetwork, rng: np.random.Generator, start_lane: int) -> Route:
     lane_ids = [start_lane]
     for _ in range(12):
@@ -893,7 +896,7 @@ def spawn_scenario(
         raise SpawnError("at least the ego car is required")
     rng = np.random.default_rng((seed, 0x5C))
     light_groups = make_light_groups(network, rng)
-    lanes = _internal_lanes(network)
+    lanes = network.internal_lanes
     agents: list[AgentState] = []
     placed: list[np.ndarray] = []
     for car_idx in range(n_cars):

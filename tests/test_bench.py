@@ -104,7 +104,35 @@ class TestSuiteGeneration:
             assert dh < np.deg2rad(10)
 
 
+def reference_runs(flags, min_len=1):
+    """bench._runs as a loop over the ticks."""
+    starts = []
+    i = 0
+    n = flags.size
+    while i < n:
+        if flags[i]:
+            j = i
+            while j < n and flags[j]:
+                j += 1
+            if j - i >= min_len:
+                starts.append(i)
+            i = j
+        else:
+            i += 1
+    return starts
+
+
 class TestDetectors:
+    def test_runs_match_the_loop(self):
+        rng = np.random.default_rng(5)
+        cases = [np.zeros(0, dtype=bool), np.ones(7, dtype=bool), np.zeros(7, dtype=bool)]
+        cases += [rng.random(int(rng.integers(1, 60))) < p for p in (0.2, 0.5, 0.9) * 40]
+        for flags in cases:
+            for min_len in (1, 2, 6):
+                got = bench._runs(flags, min_len=min_len)
+                assert got == reference_runs(flags, min_len)
+                assert all(type(i) is int for i in got)
+
     def test_clean_lane_following_has_no_events(self, town):
         track, _ = straight_lane_track(town)
         trace = make_trace(town, track)

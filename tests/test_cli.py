@@ -16,6 +16,54 @@ class _Stop(Exception):
     """Raised by a stub to end a command once it has seen its arguments."""
 
 
+def keys_read(tree: ast.AST) -> set[str]:
+    """Literal keys of cfg[key], cfg.get(key), and helpers called as f(cfg, key, ...)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            if getattr(node.value, "id", None) == "cfg":
+                found.append(node.slice)
+        elif isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "cfg":
+                found += args[:1]
+            elif len(args) > 1 and getattr(args[0], "id", None) == "cfg":
+                found.append(args[1])
+    return {k.value for k in found if isinstance(k, ast.Constant)}
+
+
+# Per config key, values that its row refuses: of another kind, then out of
+# range.  Paths and booleans have no range; town is checked by build_town.
+BAD_VALUES = {
+    "input": ["0"], "train": ["1.5"], "val": ["true"], "checkpoint": ["3"], "data": ["null"],
+    "offline_data": ["[1]"], "traces": ["{}"], "offline_eval": ["0"],
+    "town": [],
+    "episodes": ["abc", "0"],
+    "duration": ["NaN", "0"],
+    "mode": ["5", "bogus"],
+    "fraction": ["abc", "1.5"],
+    "sigma_long": ["true", "-1"],
+    "sigma_lat": ["Infinity", "-0.1"],
+    "p_remove": ["[0.5]", "1.5"],
+    "p_add": ['"x"', "-1"],
+    "learning_rate": ["true", "0"],
+    "batch_size": ["8.7", "0"],
+    "epochs": ["x", "-1"],
+    "neighbor_loss": ["0", '"false"'],
+    "suite_seed": ["1.5", "-1"],
+    "expert": ["1", "False"],
+    "kinds": ["5", "bogus"],
+}
+
+
+def valid(key: str):
+    """A value that key's row accepts: its default, or one for a key without."""
+    default = cli.KNOBS[key].default
+    if default is not None:
+        return default
+    return 0 if key == "suite_seed" else "x"
+
+
 class TestConfigParsing:
     def test_key_value_and_comments(self):
         cfg = parse_config_text(
@@ -54,27 +102,61 @@ class TestConfigParsing:
         assert a == b and len(a) == 12
 
     def test_config_keys_are_the_keys_the_commands_read(self):
-        # Literal keys of cfg[key], cfg.get(key), and helpers called as f(cfg, key, ...).
-        found = []
-        for node in ast.walk(ast.parse(pathlib.Path(cli.__file__).read_text())):
-            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-                if getattr(node.value, "id", None) == "cfg":
-                    found.append(node.slice)
-            elif isinstance(node, ast.Call):
-                func, args = node.func, node.args
-                if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "cfg":
-                    found += args[:1]
-                elif len(args) > 1 and getattr(args[0], "id", None) == "cfg":
-                    found.append(args[1])
-        read = {k.value for k in found if isinstance(k, ast.Constant)}
+        read = keys_read(ast.parse(pathlib.Path(cli.__file__).read_text()))
         assert "seed" in read  # set from --seed only
-        assert read - {"seed"} == cli.CONFIG_KEYS
-        assert cli.PATH_KEYS <= cli.CONFIG_KEYS
+        assert read - {"seed"} == set(cli.KNOBS)
 
     def test_keys_of_every_command_are_accepted(self):
         # One config file can serve the whole pipeline.
-        cfg = load_config(None, [f'{key} = "x"' for key in sorted(cli.CONFIG_KEYS)], seed=3)
-        assert set(cfg) == cli.CONFIG_KEYS | {"seed"}
+        settings = [f"{key} = {json.dumps(valid(key))}" for key in sorted(cli.KNOBS)]
+        cfg = load_config(None, settings, seed=3)
+        assert set(cfg) == set(cli.KNOBS) | {"seed"}
+
+    def test_every_row_has_examples(self):
+        assert set(BAD_VALUES) == set(cli.KNOBS)
+
+    @pytest.mark.parametrize(
+        "key, raw", [(key, raw) for key, bad in BAD_VALUES.items() for raw in bad]
+    )
+    def test_every_row_refuses_bad_values_up_front(self, key, raw, tmp_path, capsys):
+        # report reads none of these keys but traces and offline_eval, so the
+        # refusal comes from the table, before the command runs.
+        rc = main(["report", "--out", str(tmp_path / "out"), f"{key} = {raw}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        value = parse_config_text(f"{key} = {raw}")[key]
+        message = f"config key {key!r} must be {cli.KNOBS[key].need}, got {value!r}"
+        if key == "kinds" and raw == "bogus":
+            message = "unknown task kinds: ['bogus']"
+        assert captured.err == f"polydrive report: bad config: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_table_matches_knobs(self):
+        # Rows of the README's knob table: | `key` | read by | default | allowed values |
+        rows = {}
+        readme = (pathlib.Path(cli.__file__).parents[2] / "README.md").read_text()
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 4 and cells[0].startswith("`") and cells[0].strip("`") in cli.KNOBS:
+                rows[cells[0].strip("`")] = cells
+        assert list(rows) == list(cli.KNOBS)
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for key, (_, commands, default, allowed) in rows.items():
+            readers = [
+                name for name, (func, _) in cli.COMMANDS.items()
+                if key in keys_read(defs[func.__name__])
+            ]
+            assert commands == ", ".join(readers), key
+            assert allowed == cli.KNOBS[key].need, key
+            want = cli.KNOBS[key].default
+            if want is None:
+                assert default.startswith("—"), key
+            else:
+                # The default's code span, as a config line would read it.
+                got = parse_config_text(f"x = {default.split('`')[1]}")["x"]
+                assert got == want and type(got) is type(want), key
 
 
 class TestExitCodes:
@@ -141,6 +223,8 @@ class TestExitCodes:
             ("train", "batch_size = 8.7"),
             ("record", "episodes = true"),
             ("train", "learning_rate = true"),
+            ("train", "learning_rate = 0"),
+            ("train", "learning_rate = -0.001"),
             ("eval-closedloop", "suite_seed = 1.5"),
             ("eval-closedloop", "suite_seed = -1"),
         ],
@@ -154,7 +238,7 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         key = setting.split()[0]
-        assert err.startswith(f"polydrive {command}: config key {key!r} must be ")
+        assert err.startswith(f"polydrive {command}: bad config: config key {key!r} must be ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
@@ -224,7 +308,9 @@ class TestExitCodes:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "polydrive eval-closedloop: unknown task kinds: ['bogus', 'warp_drive']\n"
+        assert err == (
+            "polydrive eval-closedloop: bad config: unknown task kinds: ['bogus', 'warp_drive']\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -305,6 +391,21 @@ class TestPipeline:
         assert ht["split"] == "train" and hv["split"] == "val"
         assert ht["config_hash"] == hv["config_hash"]
 
+    def test_config_hash_is_of_the_config_as_written(self, tiny_dataset):
+        # No default is filled in, and 8.0 stays 8.0.
+        _, header = dataset.read_dataset(tiny_dataset / "train.jsonl")
+        canon = b'{"duration":8.0,"episodes":2,"seed":3}'
+        assert header["config_hash"] == hashlib.sha256(canon).hexdigest()[:12] == "31b2822c3378"
+
+    def test_fraction_is_read_as_a_float(self, tiny_dataset, tmp_path):
+        rc = main(
+            ["augment", "--out", str(tmp_path / "a.jsonl"),
+             f'input = "{tiny_dataset}/val.jsonl"', "mode = none", "fraction = 1"]
+        )
+        assert rc == 0
+        header = json.loads((tmp_path / "a.jsonl").read_text().splitlines()[0])
+        assert header["fraction"] == 1.0 and type(header["fraction"]) is float
+
     def test_record_deterministic(self, tiny_dataset, tmp_path):
         rc = main(
             ["record", "--seed", "3", "--out", str(tmp_path),
@@ -375,6 +476,21 @@ class TestPipeline:
              f'data = "{tiny_dataset}/val.jsonl"']
         )
         assert rc == 2
+
+    def test_empty_dataset_eval_offline_is_2(self, tmp_path, capsys):
+        dataset.write_dataset([], tmp_path / "empty.jsonl")
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        rc = main(
+            ["eval-offline", "--out", str(tmp_path / "mae.json"),
+             f'checkpoint = "{tmp_path}/m.npz"', f'data = "{tmp_path}/empty.jsonl"']
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"polydrive eval-offline: {tmp_path}/empty.jsonl: no samples to evaluate\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "mae.json").exists()
 
     def test_wrong_checkpoint_shape_is_2(self, tiny_dataset, tmp_path, capsys):
         params = model.init_params(0)
@@ -469,6 +585,25 @@ class TestClosedLoopAndReport:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "missing.jsonl" in err
         assert not (out / "traces").exists()
+
+    def test_empty_offline_data_is_2(self, monkeypatch, tmp_path, capsys):
+        def drive_task(*args, **kwargs):
+            raise AssertionError("the suite drove before offline_data was read")
+
+        monkeypatch.setattr(bench, "drive_task", drive_task)
+        dataset.write_dataset([], tmp_path / "empty.jsonl")
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        out = tmp_path / "cl"
+        rc = main(
+            ["eval-closedloop", "--out", str(out), "kinds = straight",
+             f'checkpoint = "{tmp_path}/m.npz"', f'offline_data = "{tmp_path}/empty.jsonl"']
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"polydrive eval-closedloop: {tmp_path}/empty.jsonl: no samples to evaluate\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, message",

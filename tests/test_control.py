@@ -144,9 +144,9 @@ def reference_command(route, crossing):
     h_in = float(np.arctan2(u_in[1], u_in[0]))
     h_out = float(np.arctan2(u_out[1], u_out[0]))
     dh = (h_out - h_in + np.pi) % (2 * np.pi) - np.pi
-    if dh > np.deg2rad(dataset.NC_TURN_DEG):
+    if dh > np.deg2rad(sw.TURN_DEG):
         return NavigationCommand.LEFT
-    if dh < -np.deg2rad(dataset.NC_TURN_DEG):
+    if dh < -np.deg2rad(sw.TURN_DEG):
         return NavigationCommand.RIGHT
     return NavigationCommand.CROSS
 

@@ -196,9 +196,9 @@ def reference_navigation_command(log, center_tick, network):
     ):
         j += 1
     dh = float((log.states[j][0, 2] - log.states[i][0, 2] + np.pi) % (2 * np.pi) - np.pi)
-    if dh > np.deg2rad(dataset.NC_TURN_DEG):
+    if dh > np.deg2rad(sw.TURN_DEG):
         return NavigationCommand.LEFT
-    if dh < -np.deg2rad(dataset.NC_TURN_DEG):
+    if dh < -np.deg2rad(sw.TURN_DEG):
         return NavigationCommand.RIGHT
     return NavigationCommand.CROSS
 
@@ -217,6 +217,8 @@ class TestTurnCommand:
             (0.0, np.deg2rad(31.0), NavigationCommand.LEFT),
             (0.0, np.deg2rad(-31.0), NavigationCommand.RIGHT),
             (0.0, np.deg2rad(29.0), NavigationCommand.CROSS),
+            (0.0, np.deg2rad(30.5), NavigationCommand.LEFT),
+            (0.0, np.deg2rad(-30.5), NavigationCommand.RIGHT),
             # The change wraps: 170 deg to -170 deg is +20 deg, -170 to 100 is -90.
             (np.deg2rad(170.0), np.deg2rad(-170.0), NavigationCommand.CROSS),
             (np.deg2rad(-170.0), np.deg2rad(100.0), NavigationCommand.RIGHT),
