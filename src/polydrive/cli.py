@@ -16,6 +16,7 @@ import sys
 from collections import namedtuple
 
 from . import augment, bench, dataset, model, simworld
+from .control import DriveResult
 from .errors import DataFormatError, NumericalError, PolydriveError
 
 TRACE_DIRNAME = "traces"
@@ -252,28 +253,26 @@ def cmd_eval_offline(cfg: dict, out: str | None) -> None:
     print(text)
 
 
-def _write_trace(path: str, task: bench.BenchTask, result) -> None:
-    trace = result.trace
-    trace.meta.update(
-        {
-            "task_kind": task.kind,
-            "task_seed": task.seed,
-            "town": task.town,
-            "reached_goal": bool(result.reached_goal),
-            "elapsed": float(result.elapsed),
-            "distance_m": float(result.distance_m),
-            "lights_encountered": int(result.lights_encountered),
-            "lights_run": int(result.lights_run),
-        }
-    )
-    trace.write_jsonl(path)
-
-
-# Trace metadata that report reads, and the type each value must have.
+# Trace metadata: key -> (type, and the BenchTask or DriveResult attribute
+# it holds).  eval-closedloop writes these keys and report reads them back.
 TRACE_META = {
-    "task_kind": str, "town": str, "task_seed": int, "reached_goal": bool, "elapsed": float,
-    "distance_m": float, "lights_encountered": int, "lights_run": int,
+    "task_kind": (str, bench.BenchTask, "kind"),
+    "task_seed": (int, bench.BenchTask, "seed"),
+    "town": (str, bench.BenchTask, "town"),
+    "reached_goal": (bool, DriveResult, "reached_goal"),
+    "elapsed": (float, DriveResult, "elapsed"),
+    "distance_m": (float, DriveResult, "distance_m"),
+    "lights_encountered": (int, DriveResult, "lights_encountered"),
+    "lights_run": (int, DriveResult, "lights_run"),
 }
+
+
+def _write_trace(path: str, task: bench.BenchTask, result: DriveResult) -> None:
+    source = {bench.BenchTask: task, DriveResult: result}
+    result.trace.meta.update(
+        {key: kind(getattr(source[owner], attr)) for key, (kind, owner, attr) in TRACE_META.items()}
+    )
+    result.trace.write_jsonl(path)
 
 
 def _is_a(value, kind) -> bool:
@@ -288,7 +287,7 @@ def _read_trace(path: str) -> simworld.EpisodeLog:
     """A trace that eval-closedloop wrote, with its metadata checked."""
     trace = simworld.EpisodeLog.read_jsonl(path)
     meta = trace.meta
-    for key, kind in TRACE_META.items():
+    for key, (kind, _, _) in TRACE_META.items():
         if not _is_a(meta.get(key), kind):
             raise DataFormatError(
                 f"{path}: trace metadata {key!r} must be {kind.__name__}, got {meta.get(key)!r}"
@@ -303,23 +302,12 @@ def _read_trace(path: str) -> simworld.EpisodeLog:
     return trace
 
 
-def _scored_trace(trace: simworld.EpisodeLog, network) -> tuple[bench.BenchTask, object]:
-    from .control import DriveResult
-
-    meta = trace.meta
-    task = bench.BenchTask(
-        kind=meta["task_kind"], town=meta["town"], seed=meta["task_seed"], lane_ids=()
-    )
-    result = DriveResult(
-        reached_goal=meta["reached_goal"],
-        elapsed=float(meta["elapsed"]),
-        trace=trace,
-        infractions=bench.detect_infractions(trace, network),
-        lights_encountered=meta["lights_encountered"],
-        lights_run=meta["lights_run"],
-        distance_m=float(meta["distance_m"]),
-    )
-    return task, result
+def _scored_trace(trace: simworld.EpisodeLog, network) -> tuple[bench.BenchTask, DriveResult]:
+    args = {bench.BenchTask: {"lane_ids": ()},
+            DriveResult: {"trace": trace, "infractions": bench.detect_infractions(trace, network)}}
+    for key, (kind, owner, attr) in TRACE_META.items():
+        args[owner][attr] = kind(trace.meta[key])
+    return bench.BenchTask(**args[bench.BenchTask]), DriveResult(**args[DriveResult])
 
 
 def _read_offline_eval(path: str) -> dict:
@@ -386,6 +374,8 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
 
 def cmd_report(cfg: dict, out: str) -> None:
     trace_dir = _require(cfg, "traces")
+    path = _get(cfg, "offline_eval")  # before the traces, so a bad file fails fast
+    offline_eval = _read_offline_eval(path) if path else None
     names = sorted(n for n in os.listdir(trace_dir) if n.endswith(".jsonl"))
     if not names:
         raise PolydriveError(f"report: no trace files in {trace_dir}")
@@ -398,8 +388,6 @@ def cmd_report(cfg: dict, out: str) -> None:
         elif trace.meta["town"] != network.town_id:
             raise PolydriveError("report: traces span multiple towns")
         results.append(_scored_trace(trace, network))
-    path = _get(cfg, "offline_eval")
-    offline_eval = _read_offline_eval(path) if path else None
     os.makedirs(out, exist_ok=True)
     _emit_report(results, offline_eval, cfg, out)
 

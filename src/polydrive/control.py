@@ -265,7 +265,7 @@ def drive_task(
     sampler = LiveSampler(world)
     pid = PidState()
 
-    rows, cmds_log = [], []
+    rows = []
     lit_events = [ev for ev in route.events if ev.lit]
     passed = [False] * len(lit_events)
     lights_encountered = 0
@@ -296,7 +296,7 @@ def drive_task(
                 sample = replace(sample, m_cells=m.cells, m_labels=m.labels)
             steer, accel, pid = pid_track(model.predict(params, sample), ego, pid)
             ego_cmd = (steer, accel)
-        cmds_log.append(world.step(ego_command=ego_cmd))
+        world.step(ego_command=ego_cmd)
         tick += 1
 
         xy = ego.xy
@@ -322,9 +322,7 @@ def drive_task(
     return DriveResult(
         reached_goal=reached,
         elapsed=tick * TICK,
-        trace=EpisodeLog.from_world(
-            world, rows, cmds_log, policy="expert" if expert else "model"
-        ),
+        trace=EpisodeLog.from_world(world, rows, policy="expert" if expert else "model"),
         lights_encountered=lights_encountered,
         lights_run=lights_run,
         distance_m=distance,

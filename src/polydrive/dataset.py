@@ -8,16 +8,13 @@ degree-4 polynomials and resampled on the 0.1 s grid).
 
 from __future__ import annotations
 
-import base64
-import json
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from . import kernels, simworld
-from .errors import DataFormatError
+from .codec import check_version, pack, read_records, unpack, unpack_rows, write_records
 from .kernels import MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
 from .simworld import EpisodeLog, RoadNetwork
 from .trajectory import PointSeries, Pose2D, sample_times, xy_to_frame
@@ -317,44 +314,13 @@ def dataset_header(extra: dict | None = None) -> dict:
     return header
 
 
-# Format 2: a JSON header line, then one JSON object per sample.  Arrays are
-# base64 strings of little-endian bytes: e, ctx and ef whole, v and vf for
-# the present neighbor slots only, and m as one _MAP_ENTRY per occupied map
-# cell.  mask, nc, ep, ct and dev are plain JSON ints.
-_F8 = np.dtype("<f8")
+# Format 2: the codec's header line, then one record per sample.  e, ctx and
+# ef are packed whole, v and vf for the present neighbor slots only, and m as
+# one _MAP_ENTRY per occupied map cell.  mask, nc, ep, ct and dev are plain
+# JSON ints.
 # One occupied map cell: flat index into the (13, 3, T) grid, label, payload.
 _MAP_ENTRY = np.dtype([("cell", "<u2"), ("label", "<i8"), ("xy", "<f8", (2 * K_WINDOW,))])
 _MAP_SIZE = MAP_ROWS * MAP_COLS * T_STEPS
-
-
-def _pack(a: np.ndarray, dtype: np.dtype = _F8) -> str:
-    """Base64 of the array's little-endian bytes."""
-    return base64.b64encode(np.ascontiguousarray(a, dtype).tobytes()).decode()
-
-
-def _unpack(rec: dict, key: str, row_shape: tuple, dtype: np.dtype = _F8) -> np.ndarray:
-    """A read-only (n, *row_shape) view of the rows packed in rec[key]."""
-    text = rec[key]
-    if not isinstance(text, str):
-        raise ValueError(f"field {key!r} is not a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as e:  # binascii.Error, or a non-ASCII character
-        raise ValueError(f"field {key!r} is not base64: {e}") from None
-    row_bytes = dtype.itemsize * math.prod(row_shape)
-    if len(raw) % row_bytes:
-        raise ValueError(
-            f"field {key!r} has {len(raw)} bytes, which do not fit rows of {row_shape}"
-        )
-    return np.frombuffer(raw, dtype).reshape(-1, *row_shape)
-
-
-def _unpack_rows(rec: dict, key: str, n: int, row_shape: tuple) -> np.ndarray:
-    """Exactly n float64 rows packed in rec[key]."""
-    a = _unpack(rec, key, row_shape)
-    if len(a) != n:
-        raise ValueError(f"field {key!r} holds {len(a)} rows, expected {n}")
-    return a
 
 
 def _int(rec: dict, key: str) -> int:
@@ -373,14 +339,14 @@ def _sample_to_record(s: Sample) -> dict:
     m["xy"] = s.m_cells.reshape(-1, 2 * K_WINDOW)[cells]
     present = np.flatnonzero(s.v_mask)
     return {
-        "e": _pack(s.e),
-        "v": _pack(s.v[present]),
+        "e": pack(s.e),
+        "v": pack(s.v[present]),
         "mask": s.v_mask.astype(int).tolist(),
-        "m": _pack(m, _MAP_ENTRY),
-        "ctx": _pack(s.ctx),
+        "m": pack(m, _MAP_ENTRY),
+        "ctx": pack(s.ctx),
         "nc": int(s.nc),
-        "ef": _pack(s.ego_future),
-        "vf": _pack(s.neigh_future[present]),
+        "ef": pack(s.ego_future),
+        "vf": pack(s.neigh_future[present]),
         "ep": int(s.episode_seed),
         "ct": int(s.center_tick),
         "dev": int(s.deviated),
@@ -388,8 +354,6 @@ def _sample_to_record(s: Sample) -> dict:
 
 
 def _record_to_sample(rec: dict) -> Sample:
-    if not isinstance(rec, dict):
-        raise ValueError("record is not a JSON object")
     mask = rec["mask"]
     if not (
         isinstance(mask, list)
@@ -400,10 +364,10 @@ def _record_to_sample(rec: dict) -> Sample:
     v_mask = np.array(mask, dtype=bool)
     present = np.flatnonzero(v_mask)
     v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
-    v[present] = _unpack_rows(rec, "v", len(present), (T_STEPS, K_WINDOW, 2))
+    v[present] = unpack_rows(rec, "v", len(present), (T_STEPS, K_WINDOW, 2))
     vf = np.zeros((N_NEIGHBORS, T_STEPS, 2))
-    vf[present] = _unpack_rows(rec, "vf", len(present), (T_STEPS, 2))
-    m = _unpack(rec, "m", (), _MAP_ENTRY)
+    vf[present] = unpack_rows(rec, "vf", len(present), (T_STEPS, 2))
+    m = unpack(rec, "m", (), _MAP_ENTRY)
     if len(m) and m["cell"].max() >= _MAP_SIZE:
         raise ValueError(
             f"map cell {m['cell'].max()} outside the {MAP_ROWS}x{MAP_COLS}x{T_STEPS} grid"
@@ -414,14 +378,14 @@ def _record_to_sample(rec: dict) -> Sample:
     m_labels.reshape(-1)[m["cell"]] = m["label"]
     # astype copies: the arrays own writeable memory, unlike frombuffer views.
     return Sample(
-        e=_unpack_rows(rec, "e", 1, (T_STEPS, K_WINDOW, 2))[0].astype(np.float64),
+        e=unpack_rows(rec, "e", 1, (T_STEPS, K_WINDOW, 2))[0].astype(np.float64),
         v=v,
         v_mask=v_mask,
         m_cells=m_cells,
         m_labels=m_labels,
-        ctx=_unpack_rows(rec, "ctx", 1, (8,))[0].astype(np.float64),
+        ctx=unpack_rows(rec, "ctx", 1, (8,))[0].astype(np.float64),
         nc=NavigationCommand(_int(rec, "nc")),
-        ego_future=_unpack_rows(rec, "ef", 1, (T_STEPS, 2))[0].astype(np.float64),
+        ego_future=unpack_rows(rec, "ef", 1, (T_STEPS, 2))[0].astype(np.float64),
         neigh_future=vf,
         episode_seed=_int(rec, "ep"),
         center_tick=_int(rec, "ct"),
@@ -430,44 +394,17 @@ def _record_to_sample(rec: dict) -> Sample:
 
 
 def write_dataset(samples: list[Sample], path, extra_meta: dict | None = None) -> None:
-    with open(path, "w") as f:
-        f.write(json.dumps(dataset_header(extra_meta)) + "\n")
-        for s in samples:
-            f.write(json.dumps(_sample_to_record(s)) + "\n")
+    write_records(path, dataset_header(extra_meta), map(_sample_to_record, samples))
 
 
-def _check_header(header) -> dict:
-    if not isinstance(header, dict):
-        raise ValueError("header is not a JSON object")
-    version = header.get("format_version")
-    if version != DATASET_FORMAT_VERSION:
-        raise ValueError(
-            f"format_version {version!r} unsupported, expected {DATASET_FORMAT_VERSION}"
-            " (re-record older files)"
-        )
+def _check_header(header: dict) -> dict:
+    check_version(header, DATASET_FORMAT_VERSION)
     for key, want in dataset_header().items():
         if header.get(key) != want:
             raise ValueError(f"header {key} is {header.get(key)!r}, expected {want!r}")
     return header
 
 
-def _parse_line(path, lineno: int, line: bytes, decode):
-    try:
-        return decode(json.loads(line))
-    except KeyError as e:
-        raise DataFormatError(f"{path}: line {lineno}: missing field {e}") from e
-    except ValueError as e:  # JSON, UTF-8 and base64 errors are ValueErrors too
-        raise DataFormatError(f"{path}: line {lineno}: {e}") from e
-
-
 def read_dataset(path) -> tuple[list[Sample], dict]:
-    with open(path, "rb") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty dataset file")
-    header = _parse_line(path, 1, lines[0], _check_header)
-    samples = [
-        _parse_line(path, lineno, line, _record_to_sample)
-        for lineno, line in enumerate(lines[1:], start=2)
-    ]
+    header, samples = read_records(path, _check_header, lambda rec, _: _record_to_sample(rec))
     return samples, header

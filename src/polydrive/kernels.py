@@ -104,9 +104,9 @@ def polyline_point(pts, cumlen, s):
         s = 0.0
     elif s >= total:
         s = total
-    i = 0
-    while i < n - 2 and cumlen[i + 1] < s:
-        i += 1
+    # The segment that holds s: the count of inner vertices short of s, by
+    # bisection, as cumlen is non-decreasing.
+    i = int(cumlen[1:n - 1].searchsorted(s))
     ax = pts[i, 0]
     ay = pts[i, 1]
     bx = pts[i + 1, 0]

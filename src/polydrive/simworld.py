@@ -6,12 +6,11 @@ seeded and replayable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import codec, kernels
 from .errors import DataFormatError, InvalidInputError, SpawnError
 
 TICK = 0.1
@@ -42,7 +41,8 @@ MAX_STEER = 0.5
 ACCEL_MIN = -4.0
 ACCEL_MAX = 2.0
 TURN_DEG = 30.0  # a heading change beyond this, either way, is a left or right turn
-LOG_FORMAT_VERSION = 1
+LOG_FORMAT_VERSION = 2
+_U1 = np.dtype("u1")  # trace light phases
 
 
 @dataclass
@@ -950,30 +950,27 @@ def spawn_scenario(
 class EpisodeLog:
     """Immutable per-tick record of one simulated episode (0.1 s ticks)."""
 
-    def __init__(self, meta: dict, kinds, agent_ids, groups, clock, states, cmds, lights):
+    def __init__(self, meta: dict, kinds, agent_ids, groups, clock, states, lights):
         self.meta = meta
         self.kinds = list(kinds)
         self.agent_ids = list(agent_ids)
         self.groups = groups  # list of (node_id, axis, green, red, offset)
         self.clock = np.asarray(clock, dtype=np.float64)
-        self.states = np.asarray(states, dtype=np.float64)  # (n, A, 4)
-        self.cmds = np.asarray(cmds, dtype=np.float64)  # (n, A, 2)
-        self.lights = np.asarray(lights, dtype=np.uint8)  # (n, G) 1 = green
+        n = self.clock.size
+        self.states = np.reshape(np.asarray(states, np.float64), (n, len(self.kinds), 4))
+        self.lights = np.reshape(np.asarray(lights, np.uint8), (n, len(groups)))  # 1 = green
         self.group_index = {(g[0], g[1]): k for k, g in enumerate(self.groups)}
 
     @classmethod
-    def from_world(cls, world: World, rows: list, cmds: list, **meta) -> "EpisodeLog":
-        """The log of a world's ticks: each tick's World.log_row and the
-        commands its step applied.  ``meta`` follows the world's own keys."""
-        n, n_agents, n_groups = len(rows), len(world.agents), len(world.light_groups)
-        clock, states, lights = zip(*rows) if rows else ((), (), ())
+    def from_world(cls, world: World, rows: list, **meta) -> "EpisodeLog":
+        """The log of a world's ticks, each a World.log_row.  ``meta``
+        follows the world's own keys."""
         meta = {"seed": world.seed, "town": world.network.town_id, "n_cars": len(world.cars),
                 "n_pedestrians": len(world.pedestrians), "tick_s": TICK, **meta}
         groups = [(g.node_id, g.axis, g.green, g.red, g.offset) for g in world.light_groups]
         return cls(
             meta, [a.kind for a in world.agents], [a.agent_id for a in world.agents], groups,
-            clock, np.reshape(states, (n, n_agents, 4)), np.reshape(cmds, (n, n_agents, 2)),
-            np.reshape(lights, (n, n_groups)),
+            *(zip(*rows) if rows else ((), (), ())),
         )
 
     def __len__(self) -> int:
@@ -995,101 +992,54 @@ class EpisodeLog:
             return True
         return bool(self.lights[tick, k])
 
-    # -- serialization (JSON Lines) -----------------------------------------
+    # -- serialization (codec JSON Lines, format 2) --------------------------
+    # The header holds the meta keys, kinds, agent_ids and groups.  Each tick
+    # is one record: t the clock (one <f8), s the (agents, 4) states (<f8)
+    # and l the (groups,) light phases (u1).
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as f:
-            header = {
-                "format_version": LOG_FORMAT_VERSION,
-                **self.meta,
-                "kinds": self.kinds,
-                "agent_ids": self.agent_ids,
-                "groups": [list(g) for g in self.groups],
-            }
-            f.write(json.dumps(header) + "\n")
-            for i in range(len(self)):
-                rec = {
-                    "t": self.clock[i],
-                    "s": self.states[i].tolist(),
-                    "c": self.cmds[i].tolist(),
-                    "l": self.lights[i].tolist(),
-                }
-                f.write(json.dumps(rec) + "\n")
+        header = {"format_version": LOG_FORMAT_VERSION, **self.meta, "kinds": self.kinds,
+                  "agent_ids": self.agent_ids, "groups": [list(g) for g in self.groups]}
+        ticks = (
+            {"t": codec.pack(self.clock[i]), "s": codec.pack(self.states[i]),
+             "l": codec.pack(self.lights[i], _U1)}
+            for i in range(len(self))
+        )
+        codec.write_records(path, header, ticks)
 
     @classmethod
     def read_jsonl(cls, path) -> "EpisodeLog":
-        """The log that write_jsonl wrote.  A header or record that is not a
-        JSON object, or a field of the wrong shape, is refused with its line
-        number."""
-        try:
-            with open(path) as f:
-                lines = f.read().splitlines()
-        except UnicodeDecodeError as e:
-            raise DataFormatError(f"{path}: not a text file ({e})") from e
-        if not lines:
-            raise DataFormatError(f"{path}: empty episode log")
-        header = _log_object(path, 1, lines[0])
-        if header.get("format_version") != LOG_FORMAT_VERSION:
-            raise DataFormatError(f"{path}: unsupported format_version")
-        kinds, agent_ids, groups = (header.get(k) for k in ("kinds", "agent_ids", "groups"))
-        if not (
-            isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)
-            and isinstance(agent_ids, list) and len(agent_ids) == len(kinds)
-            and isinstance(groups, list)
-            and all(isinstance(g, list) and len(g) == 5 for g in groups)
-        ):
-            raise DataFormatError(f"{path}: line 1: malformed kinds, agent_ids or groups")
-        # Record field -> (shape of one tick, dtype).
-        fields = {
-            "t": ((), np.float64),
-            "s": ((len(kinds), 4), np.float64),
-            "c": ((len(kinds), 2), np.float64),
-            "l": ((len(groups),), np.uint8),
-        }
-        records = [_log_object(path, i, line) for i, line in enumerate(lines[1:], start=2)]
-        arrays = []
-        for key, (shape, dtype) in fields.items():
-            column = []
-            for lineno, rec in enumerate(records, start=2):
-                if key not in rec:
-                    raise DataFormatError(f"{path}: line {lineno}: missing field {key!r}")
-                column.append(rec[key])
-            arr = _as_array(column, dtype) if column else np.empty((0, *shape), dtype)
-            if arr is None or arr.shape != (len(records), *shape):
-                lineno = next(
-                    (i for i, v in enumerate(column, start=2)
-                     if getattr(_as_array(v, dtype), "shape", None) != shape),
-                    2,
-                )
-                raise DataFormatError(
-                    f"{path}: line {lineno}: field {key!r} is not an array of shape {shape}"
-                )
-            arrays.append(arr)
-        meta = {
-            k: v
-            for k, v in header.items()
-            if k not in ("format_version", "kinds", "agent_ids", "groups")
-        }
-        return cls(meta, kinds, agent_ids, [tuple(g) for g in groups], *arrays)
+        """The log that write_jsonl wrote; a malformed line is refused with
+        its number."""
+        meta, ticks = codec.read_records(path, _check_log_header, _decode_tick)
+        del meta["format_version"]
+        kinds, agent_ids, groups = (meta.pop(k) for k in ("kinds", "agent_ids", "groups"))
+        return cls(
+            meta, kinds, agent_ids, [tuple(g) for g in groups],
+            *(zip(*ticks) if ticks else ((), (), ())),
+        )
 
 
-def _log_object(path, lineno: int, line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DataFormatError(f"{path}: line {lineno}: corrupt record ({e})") from e
-    if not isinstance(obj, dict):
-        raise DataFormatError(f"{path}: line {lineno}: not a JSON object")
-    return obj
+def _check_log_header(header: dict) -> dict:
+    codec.check_version(header, LOG_FORMAT_VERSION)
+    kinds, agent_ids, groups = (header.get(k) for k in ("kinds", "agent_ids", "groups"))
+    if not (
+        isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)
+        and isinstance(agent_ids, list) and len(agent_ids) == len(kinds)
+        and isinstance(groups, list)
+        and all(isinstance(g, list) and len(g) == 5 for g in groups)
+    ):
+        raise ValueError("malformed kinds, agent_ids or groups")
+    return header
 
 
-def _as_array(values, dtype) -> np.ndarray | None:
-    """values as an array of dtype, or None when they are not numbers in a
-    regular nest."""
-    try:
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        return None
+def _decode_tick(rec: dict, header: dict) -> tuple:
+    """One record's clock, (agents, 4) states and (groups,) light phases."""
+    return (
+        codec.unpack_rows(rec, "t", 1, ())[0],
+        codec.unpack_rows(rec, "s", len(header["kinds"]), (4,)),
+        codec.unpack_rows(rec, "l", len(header["groups"]), (), _U1),
+    )
 
 
 def record_episode(
@@ -1106,24 +1056,9 @@ def record_episode(
     if n_pedestrians is None:
         n_pedestrians = int(rng.integers(2, 7))
     world = spawn_scenario(network, n_cars, n_pedestrians, seed)
-    rows, cmds = [], []
+    rows = []
     for _ in range(int(round(duration / TICK))):
         rows.append(world.log_row())
-        cmds.append(world.step())
-    return EpisodeLog.from_world(world, rows, cmds)
+        world.step()
+    return EpisodeLog.from_world(world, rows)
 
-
-def replay_episode(network: RoadNetwork, log: EpisodeLog) -> np.ndarray:
-    """Re-integrate the recorded commands; returns the replayed state array."""
-    states = log.states[0].copy()
-    is_car = np.array([1 if k == "car" else 0 for k in log.kinds], dtype=np.uint8)
-    out = np.empty_like(log.states)
-    out[0] = states
-    for i in range(1, len(log)):
-        kernels.integrate_cars(states, log.cmds[i - 1], is_car, TICK, WHEELBASE, SPEED_LIMIT)
-        # Pedestrians are replayed from the log directly (constant-velocity
-        # segments; their commands are not logged).
-        ped = is_car == 0
-        states[ped] = log.states[i][ped]
-        out[i] = states
-    return out

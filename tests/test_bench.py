@@ -49,7 +49,7 @@ def make_trace(town, ego_track, others=None, heading=None, groups=(), lights=Non
         lights = np.zeros((n, len(groups)), dtype=np.uint8)
     return EpisodeLog(
         {}, kinds, list(range(a)), list(groups),
-        np.arange(n) * TICK, states, np.zeros((n, a, 2)), lights,
+        np.arange(n) * TICK, states, lights,
     )
 
 

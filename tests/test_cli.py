@@ -1,4 +1,5 @@
 import ast
+import base64
 import dataclasses
 import hashlib
 import json
@@ -8,8 +9,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from polydrive import bench, cli, dataset, model
+from polydrive import bench, cli, dataset, model, simworld
 from polydrive.cli import config_hash, load_config, main, parse_config_text
+
+
+def _drop_bytes(text: str, n: int) -> str:
+    """A base64 field with its last n bytes cut off."""
+    return base64.b64encode(base64.b64decode(text)[:-n]).decode()
 
 
 class _Stop(Exception):
@@ -612,8 +618,10 @@ class TestClosedLoopAndReport:
                          id="header-list"),
             pytest.param(lambda h, r: (h, r[:2] + [[1, 2]] + r[3:]),
                          "line 4: not a JSON object", id="record-list"),
-            pytest.param(lambda h, r: (h, r[:1] + [{**r[1], "s": [r[1]["s"][0][:3]]}] + r[2:]),
-                         "line 3: field 's' is not an array of shape (1, 4)", id="ragged-s"),
+            pytest.param(
+                lambda h, r: (h, r[:1] + [{**r[1], "s": _drop_bytes(r[1]["s"], 8)}] + r[2:]),
+                "line 3: field 's' has 24 bytes, which do not fit rows of (4,)", id="ragged-s",
+            ),
             pytest.param(lambda h, r: (h, []), "trace has no ticks or no car", id="no-ticks"),
             pytest.param(lambda h, r: ({**h, "kinds": ["pedestrian"] * len(h["kinds"])}, r),
                          "trace has no ticks or no car", id="no-car"),
@@ -639,6 +647,41 @@ class TestClosedLoopAndReport:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"polydrive report: {traces}/task_1.jsonl: {message}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
+
+    def test_format_1_trace_is_2(self, expert_run, tmp_path, capsys):
+        # Format 1 stored the clock, states, every agent's commands and the
+        # lights as JSON numbers.
+        trace = simworld.EpisodeLog.read_jsonl(sorted((expert_run / "traces").glob("*.jsonl"))[0])
+        header = {"format_version": 1, **trace.meta, "kinds": trace.kinds,
+                  "agent_ids": trace.agent_ids, "groups": [list(g) for g in trace.groups]}
+        records = [{"t": float(trace.clock[i]), "s": trace.states[i].tolist(),
+                    "c": [[0.0, 0.0]] * trace.n_agents, "l": trace.lights[i].tolist()}
+                   for i in range(len(trace))]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "task_1.jsonl").write_text(
+            "".join(json.dumps(x) + "\n" for x in [header, *records])
+        )
+        rc = main(["report", "--out", str(tmp_path / "r"), f'traces = "{traces}"'])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"polydrive report: {traces}/task_1.jsonl: line 1: format_version 1 unsupported, "
+            "expected 2 (re-record older files)\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_bad_offline_eval_fails_before_traces(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "task_1.jsonl").write_text("{not json\n")
+        (tmp_path / "mae.json").write_text('{"mae": [1]}')
+        rc = main(["report", "--out", str(tmp_path / "r"), f'traces = "{traces}"',
+                   f'offline_eval = "{tmp_path}/mae.json"'])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"polydrive report: {tmp_path}/mae.json: not an eval-offline output")
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
 

@@ -348,7 +348,7 @@ class TestDriveTask:
             assert trace.meta == {"seed": task.seed, "town": "train", "n_cars": 4,
                                   "n_pedestrians": 2, "tick_s": sw.TICK, "policy": "expert"}
             assert trace.clock.shape == (n,) and trace.lights.shape == (n, g)
-            assert trace.states.shape == (n, a, 4) and trace.cmds.shape == (n, a, 2)
+            assert trace.states.shape == (n, a, 4)
 
     def test_expert_reaches_goal_deterministically(self, town):
         tasks = [t for t in bench.generate_suite("train", 3) if t.kind == "straight"]

@@ -134,7 +134,7 @@ class TestNavigationCommand:
         states[:, 0, 2] = heading
         states[:, 0, 3] = speed
         return sw.EpisodeLog(
-            {}, ["car"], [0], [], t, states, np.zeros((n, 1, 2)), np.zeros((n, 0))
+            {}, ["car"], [0], [], t, states, np.zeros((n, 0))
         )
 
     def test_far_from_junction_keeps_lane(self, town):
@@ -166,8 +166,7 @@ class TestNavigationCommand:
                 )
             states[i, 0, 3] = speed
         return sw.EpisodeLog(
-            {}, ["car"], [0], [], np.arange(n) * sw.TICK, states,
-            np.zeros((n, 1, 2)), np.zeros((n, 0)),
+            {}, ["car"], [0], [], np.arange(n) * sw.TICK, states, np.zeros((n, 0)),
         )
 
     def test_left_and_right_turns(self, town):
@@ -269,7 +268,7 @@ class TestNavigationCommandParity:
             states[:, 0, :2] = xy
             states[:, 0, 2] = rng.uniform(-np.pi, np.pi, n)
             log = sw.EpisodeLog({}, ["car"], [0], [], np.arange(n) * sw.TICK, states,
-                                np.zeros((n, 1, 2)), np.zeros((n, 0)))
+                                np.zeros((n, 0)))
             assert len(_assert_same_commands(log, net)) == 3
 
 

@@ -1,10 +1,11 @@
-"""Kernel behaviour, and the windowed polyline projection and the vectorized
-proximity binning against the scalar loops they replaced (bitwise)."""
+"""Kernel behaviour, and the windowed polyline projection, the bisecting
+polyline lookup and the vectorized proximity binning against the scalar loops
+they replaced (bitwise)."""
 
 import numpy as np
 import pytest
 
-from polydrive import kernels, simworld as sw
+from polydrive import bench, kernels, simworld as sw
 
 
 def reference_polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
@@ -98,6 +99,72 @@ class TestWindowedProjection:
                 _assert_same_projection(
                     route.points, route.cumlen, float(s_prev), q[0], q[1]
                 )
+
+
+def reference_polyline_point(pts, cumlen, s):
+    """The linear walk over cumlen from index 0."""
+    n = pts.shape[0]
+    total = cumlen[n - 1]
+    if s <= 0.0:
+        s = 0.0
+    elif s >= total:
+        s = total
+    i = 0
+    while i < n - 2 and cumlen[i + 1] < s:
+        i += 1
+    ax = pts[i, 0]
+    ay = pts[i, 1]
+    bx = pts[i + 1, 0]
+    by = pts[i + 1, 1]
+    seg = cumlen[i + 1] - cumlen[i]
+    if seg <= 0.0:
+        return ax, ay, 1.0, 0.0
+    t = (s - cumlen[i]) / seg
+    dx = bx - ax
+    dy = by - ay
+    norm = (dx * dx + dy * dy) ** 0.5
+    return ax + t * dx, ay + t * dy, dx / norm, dy / norm
+
+
+def _assert_same_point(pts, cumlen, s):
+    got = kernels.polyline_point(pts, cumlen, s)
+    want = reference_polyline_point(pts, cumlen, s)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+class TestPointLookup:
+    def _lookups(self, pts, cumlen, rng):
+        """Both ends and beyond, every vertex, just either side of each, and
+        uniform draws."""
+        total = cumlen[-1]
+        near = np.concatenate([np.nextafter(cumlen, -np.inf), np.nextafter(cumlen, np.inf)])
+        for s in (-5.0, 0.0, -0.0, total, total + 5.0, *cumlen, *near,
+                  *rng.uniform(-1.0, total + 1.0, 40)):
+            _assert_same_point(pts, cumlen, float(s))
+
+    def test_random_polylines_with_zero_length_segments(self):
+        rng = np.random.default_rng(1)
+        for trial in range(30):
+            n = int(rng.integers(2, 80))
+            pts = np.cumsum(rng.normal(0.0, 3.0, (n, 2)), axis=0)
+            if n > 3 and trial % 2:  # zero-length segments: first, last and three inside
+                for k in (1, *rng.integers(2, n - 1, size=3), n - 1):
+                    pts[k] = pts[k - 1]
+            self._lookups(pts, _cumlen(pts), rng)
+
+    def test_degenerate_polylines(self):
+        rng = np.random.default_rng(2)
+        for pts in (np.zeros((2, 2)), np.zeros((5, 2)), np.array([[0.0, 0.0], [3.0, 4.0]]),
+                    np.array([[1.0, 1.0], [1.0, 1.0], [4.0, 5.0], [4.0, 5.0]])):
+            self._lookups(pts, _cumlen(pts), rng)
+
+    def test_bench_routes(self):
+        town = sw.build_town("train")
+        rng = np.random.default_rng(4)
+        for task in bench.generate_suite("train", 0)[::10]:  # every task kind
+            route = task.route(town)
+            self._lookups(route.points, route.cumlen, rng)
 
 
 def reference_bin_proximity(rel, dists, window, cells, labels):

@@ -1,4 +1,7 @@
+import base64
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -495,6 +498,45 @@ def episode_log(train_town):
     return sw.record_episode(train_town, seed=5, duration=30.0, n_cars=6, n_pedestrians=2)
 
 
+def replay_episode(log, cmds):
+    """Re-integrate the commands each step applied from the first logged
+    states.  Pedestrians, which World.step moves along their paths, are
+    taken from the log."""
+    states = log.states[0].copy()
+    is_car = np.array([1 if k == "car" else 0 for k in log.kinds], dtype=np.uint8)
+    out = np.empty_like(log.states)
+    out[0] = states
+    for i in range(1, len(log)):
+        kernels.integrate_cars(states, cmds[i - 1], is_car, sw.TICK, sw.WHEELBASE, sw.SPEED_LIMIT)
+        ped = is_car == 0
+        states[ped] = log.states[i][ped]
+        out[i] = states
+    return out
+
+
+def assert_same_log(got, want):
+    assert (got.meta, got.kinds, got.agent_ids, got.groups) == (
+        want.meta, want.kinds, want.agent_ids, want.groups
+    )
+    for field in ("clock", "states", "lights"):
+        assert_same_bits(getattr(got, field), getattr(want, field))
+
+
+def written_lines(log, path):
+    """The lines of log's trace, the header and each tick as JSON objects."""
+    log.write_jsonl(path)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_lines(path, objects):
+    path.write_text("".join(json.dumps(x) + "\n" for x in objects))
+
+
+def b64_edit(edit):
+    """A record edit on the decoded bytes of one base64 field."""
+    return lambda text: base64.b64encode(edit(base64.b64decode(text))).decode()
+
+
 class TestEpisodes:
     @pytest.fixture()
     def log(self, episode_log):
@@ -504,9 +546,7 @@ class TestEpisodes:
         again = sw.record_episode(
             train_town, seed=5, duration=30.0, n_cars=6, n_pedestrians=2
         )
-        np.testing.assert_array_equal(log.states, again.states)
-        np.testing.assert_array_equal(log.cmds, again.cmds)
-        np.testing.assert_array_equal(log.lights, again.lights)
+        assert_same_log(again, log)
 
     def test_log_layout(self, train_town, log):
         a, g = 8, len(log.groups)
@@ -516,15 +556,17 @@ class TestEpisodes:
         empty = sw.record_episode(train_town, seed=5, duration=0.0, n_cars=6, n_pedestrians=2)
         for n, rec in ((300, log), (0, empty)):
             assert rec.clock.shape == (n,) and rec.lights.shape == (n, g)
-            assert rec.states.shape == (n, a, 4) and rec.cmds.shape == (n, a, 2)
+            assert rec.states.shape == (n, a, 4)
             assert rec.lights.dtype == np.uint8
         # The clock before each step: 0.0, then TICK added once per tick.
         np.testing.assert_array_equal(log.clock[1:], np.cumsum(np.full(299, sw.TICK)))
         assert log.clock[0] == 0.0
 
     def test_replay_reproduces_states(self, train_town, log):
-        replayed = sw.replay_episode(train_town, log)
-        np.testing.assert_allclose(replayed, log.states, atol=1e-9)
+        # record_episode's world, stepped here to keep each step's commands.
+        world = sw.spawn_scenario(train_town, 6, 2, 5)
+        cmds = [world.step() for _ in range(len(log))]
+        np.testing.assert_allclose(replay_episode(log, cmds), log.states, atol=1e-9)
 
     def test_cars_respect_world_speed_cap(self, log):
         cars = log.car_indices()
@@ -533,11 +575,18 @@ class TestEpisodes:
     def test_jsonl_round_trip(self, log, tmp_path):
         p = tmp_path / "ep.jsonl"
         log.write_jsonl(p)
-        back = sw.EpisodeLog.read_jsonl(p)
-        np.testing.assert_array_equal(back.states, log.states)
-        np.testing.assert_array_equal(back.lights, log.lights)
-        assert back.kinds == log.kinds
-        assert back.groups == log.groups
+        assert_same_log(sw.EpisodeLog.read_jsonl(p), log)
+
+    def test_jsonl_layout(self, log, tmp_path):
+        header, *ticks = written_lines(log, tmp_path / "ep.jsonl")
+        assert header == {"format_version": 2, **log.meta, "kinds": log.kinds,
+                          "agent_ids": log.agent_ids, "groups": [list(g) for g in log.groups]}
+        assert len(ticks) == len(log)
+        for i in (0, 123):
+            assert list(ticks[i]) == ["t", "s", "l"]
+            assert base64.b64decode(ticks[i]["t"]) == log.clock[i].astype("<f8").tobytes()
+            assert base64.b64decode(ticks[i]["s"]) == log.states[i].astype("<f8").tobytes()
+            assert base64.b64decode(ticks[i]["l"]) == log.lights[i].tobytes()
 
     def test_jsonl_rejects_corruption(self, log, tmp_path):
         p = tmp_path / "ep.jsonl"
@@ -550,19 +599,29 @@ class TestEpisodes:
 
     def test_jsonl_round_trip_without_ticks(self, log, tmp_path):
         empty = sw.EpisodeLog(log.meta, log.kinds, log.agent_ids, log.groups,
-                              log.clock[:0], log.states[:0], log.cmds[:0], log.lights[:0])
+                              log.clock[:0], log.states[:0], log.lights[:0])
         p = tmp_path / "ep.jsonl"
         empty.write_jsonl(p)
         back = sw.EpisodeLog.read_jsonl(p)
         assert back.states.shape == (0, log.n_agents, 4)
-        assert back.cmds.shape == (0, log.n_agents, 2)
         assert back.lights.shape == (0, len(log.groups))
+        assert_same_log(back, empty)
 
     def test_jsonl_rejects_binary_file(self, tmp_path):
         p = tmp_path / "ep.jsonl"
         p.write_bytes(b"\xff\xfe\x00 not text")
-        with pytest.raises(DataFormatError, match="not a text file"):
+        with pytest.raises(DataFormatError, match="ep.jsonl: line 1: 'utf-8' codec can't decode"):
             sw.EpisodeLog.read_jsonl(p)
+
+    def test_jsonl_rejects_format_1(self, log, tmp_path):
+        header = written_lines(log, tmp_path / "ep.jsonl")[0]
+        v1 = [{"t": float(log.clock[i]), "s": log.states[i].tolist(),
+               "c": np.zeros((log.n_agents, 2)).tolist(), "l": log.lights[i].tolist()}
+              for i in range(len(log))]
+        write_lines(tmp_path / "ep.jsonl", [{**header, "format_version": 1}, *v1])
+        with pytest.raises(DataFormatError, match=r"ep.jsonl: line 1: format_version 1 "
+                           r"unsupported, expected 2 \(re-record older files\)"):
+            sw.EpisodeLog.read_jsonl(tmp_path / "ep.jsonl")
 
     @pytest.mark.parametrize(
         "line, edit, message",
@@ -572,23 +631,27 @@ class TestEpisodes:
             (0, lambda h: {**h, "agent_ids": h["agent_ids"][1:]}, "line 1: malformed kinds"),
             (0, lambda h: {**h, "groups": [[0, 1]]}, "line 1: malformed kinds"),
             (3, lambda r: [r], "line 4: not a JSON object"),
-            (3, lambda r: {**r, "s": [r["s"][0][:3]] + r["s"][1:]}, "line 4: field 's'"),
-            (3, lambda r: {**r, "c": r["c"][1:]}, "line 4: field 'c'"),
-            (3, lambda r: {**r, "l": r["l"] + [1]}, "line 4: field 'l'"),
-            (3, lambda r: {**r, "l": [300] * len(r["l"])}, "line 4: field 'l'"),
+            (3, lambda r: {**r, "s": b64_edit(lambda b: b[32:])(r["s"])}, "line 4: field 's'"),
+            (3, lambda r: {**r, "l": b64_edit(lambda b: b + b"\x01")(r["l"])}, "line 4: field 'l'"),
+            (3, lambda r: {**r, "l": [1] * 3}, "line 4: field 'l'"),
             (3, lambda r: {**r, "t": "x"}, "line 4: field 't'"),
             (3, lambda r: {k: v for k, v in r.items() if k != "s"}, "line 4: missing field 's'"),
+            (3, lambda r: {**r, "s": "*" + r["s"]}, "line 4: field 's' is not base64: "),
+            (3, lambda r: {**r, "l": r["l"][:-1]}, "line 4: field 'l' is not base64: "),
+            (3, lambda r: {**r, "t": b64_edit(lambda b: b + b)(r["t"])},
+             "line 4: field 't' holds 2 rows, expected 1"),
+            (3, lambda r: {**r, "s": b64_edit(lambda b: b[:-1])(r["s"])},
+             "line 4: field 's' has 255 bytes, which do not fit rows of (4,)"),
+            (3, lambda r: {k: v for k, v in r.items() if k != "t"}, "line 4: missing field 't'"),
+            (3, lambda r: {k: v for k, v in r.items() if k != "l"}, "line 4: missing field 'l'"),
         ],
     )
     def test_jsonl_rejects_malformed_lines(self, log, tmp_path, line, edit, message):
-        import json
-
         p = tmp_path / "ep.jsonl"
-        log.write_jsonl(p)
-        lines = p.read_text().splitlines()
-        lines[line] = json.dumps(edit(json.loads(lines[line])))
-        p.write_text("\n".join(lines))
-        with pytest.raises(DataFormatError, match=f"ep.jsonl: {message}"):
+        lines = written_lines(log, p)
+        lines[line] = edit(lines[line])
+        write_lines(p, lines)
+        with pytest.raises(DataFormatError, match=re.escape(f"ep.jsonl: {message}")):
             sw.EpisodeLog.read_jsonl(p)
 
     def test_no_collisions_under_autopilot(self, train_town, log):

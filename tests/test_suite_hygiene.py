@@ -45,7 +45,7 @@ def test_duplicates_are_found():
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "polydrive").glob("*.py"))
 # Kept although nothing outside the tests names them.
-UNCALLED_ALLOWED = {"simworld.replay_episode"}  # the determinism tests replay logs
+UNCALLED_ALLOWED: set[str] = set()
 
 
 def imported_names(tree: ast.AST, strings: bool = False) -> set[str]:
