@@ -1,10 +1,14 @@
-"""Hot inner loops over numpy arrays: bin_proximity is vectorized over
-agents and ticks, the others are scalar loops.  Callers that vectorize one
-of these computations elsewhere keep the same floating point operations in
-the same order, so results stay bit-identical.
+"""Hot inner loops.  bin_proximity is vectorized over agents and ticks, and
+segment_features loops over a network's segment arrays.  polyline_project,
+polyline_point and integrate_cars run for each of 2-15 cars at every world
+tick, where numpy's per-call overhead costs more than the arithmetic: they
+take and return Python floats, whose + - * / and ** 0.5 give numpy float64's
+bits, and call numpy for trig, so they match the array loops they replaced.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -55,28 +59,24 @@ def bin_proximity(rel, dists, window):
 def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
     """Arc-length progress of (px, py) along a polyline, near a previous s.
 
-    pts    : (W, 2) polyline vertices.
-    cumlen : (W,) cumulative arc length (cumlen[0] == 0).
+    pts    : W (x, y) vertices.
+    cumlen : W cumulative arc lengths (cumlen[0] == 0).
     s_prev : previous progress; only segments in [s_prev-back, s_prev+ahead]
              are searched, which keeps tracking stable at self-near routes.
     Returns (s, lateral_sq) of the closest point in the search window.
 
     cumlen is non-decreasing, so the segments that reach into the window
-    (cumlen[i + 1] >= lo and cumlen[i] <= hi) are one contiguous run, found by
-    bisection; they are visited in ascending order, so ties keep the first.
+    (cumlen[i + 1] >= s_prev - back and cumlen[i] <= s_prev + ahead) are one
+    contiguous run, found by bisection; they are visited in ascending order,
+    so ties keep the first.
     """
-    n = pts.shape[0]
     best_d = 1e30
     best_s = s_prev
-    lo = s_prev - back
-    hi = s_prev + ahead
-    first = max(int(cumlen.searchsorted(lo)) - 1, 0)
-    stop = min(int(cumlen.searchsorted(hi, side="right")), n - 1)
+    first = max(bisect_left(cumlen, s_prev - back) - 1, 0)
+    stop = min(bisect_right(cumlen, s_prev + ahead), len(cumlen) - 1)
     for i in range(first, stop):
-        ax = pts[i, 0]
-        ay = pts[i, 1]
-        bx = pts[i + 1, 0]
-        by = pts[i + 1, 1]
+        ax, ay = pts[i]
+        bx, by = pts[i + 1]
         dx = bx - ax
         dy = by - ay
         seg_len_sq = dx * dx + dy * dy
@@ -98,7 +98,7 @@ def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
 
 def polyline_point(pts, cumlen, s):
     """Point and unit direction at arc length ``s`` (clamped to the ends)."""
-    n = pts.shape[0]
+    n = len(cumlen)
     total = cumlen[n - 1]
     if s <= 0.0:
         s = 0.0
@@ -106,11 +106,9 @@ def polyline_point(pts, cumlen, s):
         s = total
     # The segment that holds s: the count of inner vertices short of s, by
     # bisection, as cumlen is non-decreasing.
-    i = int(cumlen[1:n - 1].searchsorted(s))
-    ax = pts[i, 0]
-    ay = pts[i, 1]
-    bx = pts[i + 1, 0]
-    by = pts[i + 1, 1]
+    i = bisect_left(cumlen, s, 1, n - 1) - 1
+    ax, ay = pts[i]
+    bx, by = pts[i + 1]
     seg = cumlen[i + 1] - cumlen[i]
     if seg <= 0.0:
         return ax, ay, 1.0, 0.0
@@ -121,38 +119,26 @@ def polyline_point(pts, cumlen, s):
     return ax + t * dx, ay + t * dy, dx / norm, dy / norm
 
 
-def integrate_cars(states, cmds, is_car, dt, wheelbase, v_max):
-    """Advance car states one tick by the kinematic bicycle model, in place.
-
-    states : (A, 4) columns x, y, heading, speed.
-    cmds   : (A, 2) columns steer, accel.
-    is_car : (A,) uint8 mask; non-car rows are untouched.
-    Displacement uses the pre-update speed; heading rate v*tan(steer)/L.
-    """
-    n = states.shape[0]
-    for a in range(n):
-        if is_car[a] == 0:
-            continue
-        x = states[a, 0]
-        y = states[a, 1]
-        h = states[a, 2]
-        v = states[a, 3]
-        steer = cmds[a, 0]
-        accel = cmds[a, 1]
-        states[a, 0] = x + v * np.cos(h) * dt
-        states[a, 1] = y + v * np.sin(h) * dt
-        h = h + v * np.tan(steer) / wheelbase * dt
+def integrate_cars(states, cmds, dt, wheelbase, v_max):
+    """Each car's (x, y, heading, speed) one tick on, from its state and its
+    (steer, accel) command, by the kinematic bicycle model.  Displacement uses
+    the pre-update speed; heading rate v*tan(steer)/L, wrapped to (-pi, pi]."""
+    out = []
+    for (x, y, h, v), (steer, accel) in zip(states, cmds):
+        x = x + v * float(np.cos(h)) * dt
+        y = y + v * float(np.sin(h)) * dt
+        h = h + v * float(np.tan(steer)) / wheelbase * dt
         while h > np.pi:
             h -= 2.0 * np.pi
         while h <= -np.pi:
             h += 2.0 * np.pi
-        states[a, 2] = h
         v = v + accel * dt
         if v < 0.0:
             v = 0.0
         elif v > v_max:
             v = v_max
-        states[a, 3] = v
+        out.append((x, y, h, v))
+    return out
 
 
 def segment_features(px, py, a_pts, b_pts):

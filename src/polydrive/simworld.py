@@ -6,12 +6,13 @@ seeded and replayable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec, kernels
-from .errors import DataFormatError, InvalidInputError, SpawnError
+from .errors import InvalidInputError, SpawnError
 
 TICK = 0.1
 LANE_WIDTH = 3.5
@@ -112,7 +113,6 @@ class RoadNetwork:
         self.seg_a = np.array([nodes[s.node_a].pos for s in segments])
         self.seg_b = np.array([nodes[s.node_b].pos for s in segments])
         self.lane_p0 = np.array([l.p0 for l in lanes])
-        self.lane_p1 = np.array([l.p1 for l in lanes])
         self.lane_dir = np.array([l.direction for l in lanes])
         self.lane_len = np.array([l.length for l in lanes])
         # Unit vectors p0 -> p1 by the segment_features kernel's own scalar
@@ -198,16 +198,6 @@ class RoadNetwork:
         idx = np.flatnonzero(ok)
         best = idx[np.argmin(np.abs(lat[idx]))]
         return int(best), float(s[best]), float(lat[best])
-
-    def validate(self) -> None:
-        """Graph closure: every lane endpoint resolves to a known node."""
-        for l in self.lanes:
-            for node_id in (l.from_node, l.to_node):
-                if not 0 <= node_id < len(self.nodes):
-                    raise DataFormatError(f"lane {l.lane_id} has dangling node")
-        for s in self.segments:
-            assert self.nodes[s.node_a].kind in ("junction", "boundary")
-            assert self.nodes[s.node_b].kind in ("junction", "boundary")
 
 
 def build_town(town_id: str) -> RoadNetwork:
@@ -303,9 +293,7 @@ def build_town(town_id: str) -> RoadNetwork:
             half = HALF_ROAD + 1.5
             crosswalks.append(Crosswalk(node_id, center - right * half, center + right * half))
 
-    net = RoadNetwork(town_id, nodes, segments, lanes, crosswalks)
-    net.validate()
-    return net
+    return RoadNetwork(town_id, nodes, segments, lanes, crosswalks)
 
 
 # -- traffic lights ---------------------------------------------------------
@@ -364,43 +352,53 @@ class RouteEvent:
 
 
 class Route:
-    """A lane sequence flattened into a waypoint polyline with junction events."""
+    """A lane sequence flattened into a waypoint polyline with junction events.
+    The polyline's vertices and arc lengths are Python floats, which the
+    per-tick kernels read fastest; points and cumlen give them as arrays."""
 
     def __init__(self, network: RoadNetwork, lane_ids: list[int]):
         self.network = network
         self.lane_ids: list[int] = []
-        self.points = np.zeros((0, 2))
-        self.cumlen = np.zeros(0)
+        self.point_list: list[tuple[float, float]] = []
+        self.cumlen_list: list[float] = []
         self.events: list[RouteEvent] = []
         self._spans: dict[float, tuple[int, list]] = {}
         for lid in lane_ids:
             self.extend(lid)
 
     @property
+    def points(self) -> np.ndarray:
+        return np.array(self.point_list).reshape(-1, 2)
+
+    @property
+    def cumlen(self) -> np.ndarray:
+        return np.array(self.cumlen_list)
+
+    @property
     def length(self) -> float:
-        return float(self.cumlen[-1]) if self.cumlen.size else 0.0
+        return self.cumlen_list[-1] if self.cumlen_list else 0.0
 
     def extend(self, lane_id: int) -> None:
         prev_id = self.lane_ids[-1] if self.lane_ids else None
         pts, steps, n_conn, event = _route_piece(self.network, prev_id, lane_id)
         # np.cumsum adds in sequence, so going on from the last value gives
         # the bits of a sum over the whole route.
-        cum = np.cumsum(np.concatenate([self.cumlen[-1:] if self.lane_ids else [0.0], steps]))
-        self.points = np.vstack([self.points, pts])
-        self.cumlen = np.concatenate([self.cumlen, cum[1:]])
+        cum = np.cumsum(np.concatenate([self.cumlen_list[-1:] if self.lane_ids else [0.0], steps]))
+        self.point_list += pts
+        self.cumlen_list += cum[1:].tolist()
         if event is not None:  # from the stop line to the connector's last point
             self.events.append(RouteEvent(float(cum[0]), float(cum[n_conn]), *event))
         self.lane_ids.append(lane_id)
 
     def point_at(self, s: float):
-        x, y, ux, uy = kernels.polyline_point(self.points, self.cumlen, float(s))
+        x, y, ux, uy = kernels.polyline_point(self.point_list, self.cumlen_list, float(s))
         return np.array([x, y]), np.array([ux, uy])
 
     def project(self, xy, s_prev: float) -> float:
         s, _ = kernels.polyline_project(
-            self.points, self.cumlen, float(s_prev), float(xy[0]), float(xy[1]), 8.0, 20.0
+            self.point_list, self.cumlen_list, float(s_prev), float(xy[0]), float(xy[1]), 8.0, 20.0
         )
-        return float(s)
+        return s
 
     def junction_spans(self, radius: float) -> list[tuple[float, float, int]]:
         """Arc-length intervals (lo, hi, node_id), sorted, where the route runs
@@ -411,13 +409,14 @@ class Route:
         touch.  Computed on first use, and again once the route has grown.
         """
         n_points, spans = self._spans.get(radius, (-1, []))
-        if n_points == self.points.shape[0]:
+        if n_points == len(self.point_list):
             return spans
-        start, seg_len = self.cumlen[:-1, None], np.diff(self.cumlen)[:, None]
-        dx, dy = np.diff(self.points, axis=0).T[:, :, None]
+        points, cumlen = self.points, self.cumlen
+        start, seg_len = cumlen[:-1, None], np.diff(cumlen)[:, None]
+        dx, dy = np.diff(points, axis=0).T[:, :, None]
         jx, jy = self.network.junction_pos.T
-        rx = self.points[:-1, 0, None] - jx
-        ry = self.points[:-1, 1, None] - jy
+        rx = points[:-1, 0, None] - jx
+        ry = points[:-1, 1, None] - jy
         qa = dx * dx + dy * dy
         qb = rx * dx + ry * dy
         disc = qb * qb - qa * (rx * rx + ry * ry - radius * radius)
@@ -425,7 +424,7 @@ class Route:
         t0 = np.maximum((-qb - root) / qa, 0.0)
         t1 = np.minimum((-qb + root) / qa, 1.0)
         lo = start + t0 * seg_len
-        hi = np.where(t1 >= 1.0, self.cumlen[1:, None], start + t1 * seg_len)
+        hi = np.where(t1 >= 1.0, cumlen[1:, None], start + t1 * seg_len)
         seg, junction = np.nonzero((disc > 0.0) & (t0 < t1))
         order = np.lexsort((seg, junction))  # by junction, then along the route
         seg, junction = seg[order], junction[order]
@@ -435,7 +434,7 @@ class Route:
         last = np.roll(first, -1)
         ids = np.asarray(self.network.junction_ids)[junction[first]]
         spans = sorted(zip(lo[first].tolist(), hi[last].tolist(), ids.tolist()))
-        self._spans[radius] = (self.points.shape[0], spans)
+        self._spans[radius] = (len(points), spans)
         return spans
 
     def next_event(self, s: float) -> RouteEvent | None:
@@ -450,10 +449,10 @@ class Route:
 
 
 def _route_piece(net: RoadNetwork, prev_id: int | None, lane_id: int) -> tuple:
-    """Points a route ending on lane prev_id (None: empty) gains from lane_id,
-    their steps from the point before, how many are connector points, and the
-    event's fields after s_stop, s_exit: built once per lane pair and network,
-    as a route always ends on its last lane's p1."""
+    """The (x, y) points a route ending on lane prev_id (None: empty) gains
+    from lane_id, their steps from the point before, how many are connector
+    points, and the event's fields after s_stop, s_exit: built once per lane
+    pair and network, as a route always ends on its last lane's p1."""
     if (prev_id, lane_id) in net._route_pieces:
         return net._route_pieces[(prev_id, lane_id)]
     lane = net.lanes[lane_id]
@@ -477,7 +476,7 @@ def _route_piece(net: RoadNetwork, prev_id: int | None, lane_id: int) -> tuple:
         sizes.append(len(keep))
     pts = np.array(keep).reshape(-1, 2)
     steps = np.linalg.norm(np.diff(np.vstack([anchor, pts]), axis=0), axis=1)
-    piece = net._route_pieces[(prev_id, lane_id)] = (pts, steps, sizes[0], event)
+    piece = net._route_pieces[(prev_id, lane_id)] = ([(x, y) for x, y in pts.tolist()], steps, sizes[0], event)
     return piece
 
 
@@ -597,10 +596,11 @@ def clamp(x: float, lo: float, hi: float) -> float:
 
 
 def pure_pursuit_steer(agent: AgentState) -> float:
-    target, _ = agent.route.point_at(agent.route_s + LOOKAHEAD)
-    dx = target[0] - agent.x
-    dy = target[1] - agent.y
-    c, s = np.cos(agent.heading), np.sin(agent.heading)
+    route = agent.route
+    tx, ty, _, _ = kernels.polyline_point(route.point_list, route.cumlen_list, agent.route_s + LOOKAHEAD)
+    dx = tx - agent.x
+    dy = ty - agent.y
+    c, s = float(np.cos(agent.heading)), float(np.sin(agent.heading))
     lx = c * dx + s * dy
     ly = -s * dx + c * dy
     dist_sq = lx * lx + ly * ly
@@ -649,9 +649,24 @@ def crossing_ped_distances(ego, peds) -> np.ndarray:
     return d.min(axis=1, initial=np.inf)
 
 
+def _nearer_than(dx: float, dy: float, radius: float) -> bool:
+    """Whether np.linalg.norm((dx, dy)) < radius, bit for bit.
+
+    That 1-D norm is a BLAS dot, which may round differently in the last bit
+    from the float distance; so the float distance decides unless it lies
+    within 1e-6 m of the radius, and there the 1-D norm does.  A zero
+    distance is exact either way.
+    """
+    d = (dx * dx + dy * dy) ** 0.5
+    if d == 0.0 or abs(d - radius) > 1e-6:
+        return d < radius
+    return float(np.linalg.norm(np.array([dx, dy]))) < radius
+
+
 def _at_kerb(ped: AgentState) -> bool:
     """Whether a pedestrian stands at the kerb its crossing leg starts from."""
-    return float(np.linalg.norm(ped.ped_path[1 - ped.ped_target] - ped.xy)) < 1e-6
+    kx, ky = ped.ped_path[1 - ped.ped_target].tolist()
+    return _nearer_than(kx - ped.x, ky - ped.y, 1e-6)
 
 
 class World:
@@ -718,30 +733,28 @@ class World:
     # -- stepping ----------------------------------------------------------
 
     def commands(self, ego_command=None) -> np.ndarray:
-        cmds = np.zeros((len(self.agents), 2))
+        """(agents, 2) steer and accel: ego_command or the autopilot's per car."""
+        rows = [(0.0, 0.0)] * len(self.agents)
         for i, agent in enumerate(self.agents):
-            if agent.kind != "car":
-                continue
-            if i == 0 and ego_command is not None:
-                cmds[i] = ego_command
-            else:
-                cmds[i] = autopilot_command(agent, self)
-        return cmds
+            if agent.kind == "car":
+                rows[i] = ego_command if i == 0 and ego_command is not None else autopilot_command(agent, self)
+        return np.array(rows, dtype=np.float64).reshape(-1, 2)
 
     def step(self, ego_command=None):
         cmds = self.commands(ego_command)
-        states = self.snapshot()
-        is_car = np.array([1 if a.kind == "car" else 0 for a in self.agents], dtype=np.uint8)
-        kernels.integrate_cars(states, cmds, is_car, TICK, WHEELBASE, SPEED_LIMIT)
-        for i, agent in enumerate(self.agents):
-            if agent.kind == "car":
-                agent.x, agent.y = float(states[i, 0]), float(states[i, 1])
-                agent.heading, agent.speed = float(states[i, 2]), float(states[i, 3])
-                if agent.route is not None and agent.route.points.shape[0] >= 2:
-                    agent.route_s = agent.route.project(agent.xy, agent.route_s)
-                    self._maybe_extend_route(agent)
-            else:
+        moved = iter(kernels.integrate_cars(
+            [(a.x, a.y, a.heading, a.speed) for a in self.cars],
+            [cmd for a, cmd in zip(self.agents, cmds.tolist()) if a.kind == "car"],
+            TICK, WHEELBASE, SPEED_LIMIT,
+        ))
+        for agent in self.agents:
+            if agent.kind != "car":
                 self._step_pedestrian(agent)
+                continue
+            agent.x, agent.y, agent.heading, agent.speed = next(moved)
+            if agent.route is not None and len(agent.route.cumlen_list) >= 2:
+                agent.route_s = agent.route.project((agent.x, agent.y), agent.route_s)
+                self._maybe_extend_route(agent)
         self.clock += TICK
         self._traffic = None
         return cmds
@@ -755,17 +768,10 @@ class World:
             pick = succ[int(self.rng.integers(len(succ)))]
             route.extend(pick[0])
 
-    def _car_near(self, xy: np.ndarray, radius: float) -> bool:
-        """Whether any car is closer than radius, by np.linalg.norm per car.
-
-        That 1-D norm is a BLAS dot, which may round differently in the last
-        bit from a row-wise norm; so a vectorized pass with a margin picks
-        the candidates and the per-car norm decides.
-        """
-        cars = self.cars
-        rows = np.array([(car.x, car.y) for car in cars]).reshape(-1, 2)
-        near = np.flatnonzero(np.linalg.norm(rows - xy, axis=1) < radius + 1e-6)
-        return any(np.linalg.norm(cars[i].xy - xy) < radius for i in near)
+    def _car_near(self, xy, radius: float) -> bool:
+        """Whether any car is closer than radius, by np.linalg.norm per car."""
+        x, y = xy
+        return any(_nearer_than(car.x - x, car.y - y, radius) for car in self.cars)
 
     def _step_pedestrian(self, ped: AgentState) -> None:
         if ped.ped_path is None:
@@ -775,25 +781,25 @@ class World:
             ped.ped_wait = max(0.0, ped.ped_wait - TICK)
             ped.speed = 0.0
             return
-        target = ped.ped_path[ped.ped_target]
-        delta = target - ped.xy
-        dist = float(np.linalg.norm(delta))
-        step = PED_SPEED * TICK
         # Look both ways: a crossing leg only starts once every car is clear
         # of the kerb; once committed, the cars' pedestrian gates take over.
-        if _at_kerb(ped) and self._car_near(ped.xy, PED_CROSSING_CLEARANCE):
+        if _at_kerb(ped) and self._car_near((ped.x, ped.y), PED_CROSSING_CLEARANCE):
             ped.speed = 0.0
             return
+        tx, ty = ped.ped_path[ped.ped_target].tolist()
+        dx, dy = tx - ped.x, ty - ped.y
+        dist = float(np.linalg.norm(np.array([dx, dy])))  # a BLAS dot: its bits move the walker
+        step = PED_SPEED * TICK
         if dist <= step:
-            ped.x, ped.y = float(target[0]), float(target[1])
+            ped.x, ped.y = tx, ty
             ped.ped_wait = ped.ped_dwell[ped.ped_target]
             ped.ped_target = 1 - ped.ped_target
             ped.speed = 0.0
         else:
-            u = delta / dist
-            ped.x += float(u[0]) * step
-            ped.y += float(u[1]) * step
-            ped.heading = float(np.arctan2(u[1], u[0]))
+            ux, uy = dx / dist, dy / dist
+            ped.x += ux * step
+            ped.y += uy * step
+            ped.heading = float(np.arctan2(uy, ux))
             ped.speed = PED_SPEED
 
 
@@ -807,7 +813,7 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
     ``World.traffic``.
     """
     route = agent.route
-    if route is None or route.points.shape[0] < 2:
+    if route is None or len(route.cumlen_list) < 2:
         return (0.0, 0.0)
     if route.length - agent.route_s < 1.0:
         # Route exhausted: brake to a stop.
@@ -842,17 +848,18 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
     if ev is not None and ev.s_stop - 2.0 <= agent.route_s <= ev.s_exit:
         v_target = JUNCTION_SPEED
     for d in stop_distances:
-        v_target = min(v_target, float(np.sqrt(2.0 * BRAKE_COMFORT * max(d, 0.0))))
+        if d < np.inf:  # the speed of an infinite stop distance never binds
+            v_target = min(v_target, float(np.sqrt(2.0 * BRAKE_COMFORT * max(d, 0.0))))
     accel = clamp(2.5 * (v_target - agent.speed), ACCEL_MIN, ACCEL_MAX)
     return (steer, accel)
 
 
 def _may_enter_junction(agent: AgentState, world: World, ev: RouteEvent, d: float) -> bool:
-    node_pos = world.network.nodes[ev.node_id].pos
+    nx, ny = world.network.nodes[ev.node_id].pos.tolist()
     for other in world.cars:
         if other.agent_id == agent.agent_id:
             continue
-        if float(np.linalg.norm(other.xy - node_pos)) < CORE_OCCUPIED_RADIUS:
+        if _nearer_than(other.x - nx, other.y - ny, CORE_OCCUPIED_RADIUS):
             return False
     for other in world.cars:
         if other.agent_id == agent.agent_id or other.route is None:
@@ -1024,12 +1031,18 @@ def _check_log_header(header: dict) -> dict:
     codec.check_version(header, LOG_FORMAT_VERSION)
     kinds, agent_ids, groups = (header.get(k) for k in ("kinds", "agent_ids", "groups"))
     if not (
-        isinstance(kinds, list) and all(isinstance(k, str) for k in kinds)
-        and isinstance(agent_ids, list) and len(agent_ids) == len(kinds)
-        and isinstance(groups, list)
-        and all(isinstance(g, list) and len(g) == 5 for g in groups)
+        isinstance(kinds, list) and isinstance(agent_ids, list) and len(agent_ids) == len(kinds)
+        and isinstance(groups, list) and all(isinstance(g, list) and len(g) == 5 for g in groups)
     ):
         raise ValueError("malformed kinds, agent_ids or groups")
+    bad = [f"kind {k!r} is neither 'car' nor 'pedestrian'" for k in kinds if k not in ("car", "pedestrian")]
+    bad += [f"agent id {i!r} is not an int" for i in agent_ids if type(i) is not int]
+    bad += [f"light group {g!r} is not [int node_id, axis 0 or 1, green > 0, red > 0, offset], all finite"
+            for g in groups if not (type(g[0]) is int and type(g[1]) is int and g[1] in (0, 1)
+                                    and all(type(v) in (int, float) and math.isfinite(v) for v in g[2:])
+                                    and g[2] > 0 and g[3] > 0)]
+    if bad or len({(g[0], g[1]) for g in groups}) < len(groups):
+        raise ValueError(bad[0] if bad else "two light groups share a (node_id, axis)")
     return header
 
 

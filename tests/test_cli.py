@@ -633,6 +633,13 @@ class TestClosedLoopAndReport:
                          "trace metadata 'distance_m' must be float, got nan", id="distance-nan"),
             pytest.param(lambda h, r: ({**h, "lights_run": h["lights_encountered"] + 1}, r),
                          "trace metadata lights_run ", id="lights-run-above-encountered"),
+            # String node ids and axes once matched no light, so every light
+            # scored as green.
+            pytest.param(lambda h, r: ({**h, "groups": [[str(g[0]), str(g[1]), *g[2:]]
+                                                        for g in h["groups"]]}, r),
+                         "line 1: light group ['", id="group-strings"),
+            pytest.param(lambda h, r: ({**h, "kinds": ["bus"] * len(h["kinds"])}, r),
+                         "line 1: kind 'bus' is neither 'car' nor 'pedestrian'", id="kind-bus"),
         ],
     )
     def test_malformed_trace_is_2(self, expert_run, edit, message, tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""Kernel behaviour, and the windowed polyline projection, the bisecting
-polyline lookup and the vectorized proximity binning against the scalar loops
-they replaced (bitwise)."""
+"""Kernel behaviour, and each kernel against the loops it replaced,
+bitwise: the polyline projection, the polyline lookup and the car
+integration on Python floats against their numpy-scalar loops over arrays
+(and the first two against a full scan and a linear walk), and the
+vectorized proximity binning against its scalar loop."""
 
 import numpy as np
 import pytest
@@ -41,15 +43,53 @@ def reference_polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
     return best_s, best_d
 
 
+def array_polyline_project(pts, cumlen, s_prev, px, py, back, ahead):
+    """The windowed projection on numpy scalars, over (W, 2) and (W,) arrays."""
+    n = pts.shape[0]
+    best_d = 1e30
+    best_s = s_prev
+    lo = s_prev - back
+    hi = s_prev + ahead
+    first = max(int(cumlen.searchsorted(lo)) - 1, 0)
+    stop = min(int(cumlen.searchsorted(hi, side="right")), n - 1)
+    for i in range(first, stop):
+        ax = pts[i, 0]
+        ay = pts[i, 1]
+        bx = pts[i + 1, 0]
+        by = pts[i + 1, 1]
+        dx = bx - ax
+        dy = by - ay
+        seg_len_sq = dx * dx + dy * dy
+        if seg_len_sq <= 0.0:
+            continue
+        t = ((px - ax) * dx + (py - ay) * dy) / seg_len_sq
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        cx = ax + t * dx
+        cy = ay + t * dy
+        d = (px - cx) * (px - cx) + (py - cy) * (py - cy)
+        if d < best_d:
+            best_d = d
+            best_s = cumlen[i] + t * (seg_len_sq**0.5)
+    return best_s, best_d
+
+
 def _cumlen(pts):
     return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
 
 
+def assert_same_floats(got, want):
+    """Equal bits, and every one of got a Python float."""
+    assert all(type(v) is float for v in got)
+    assert np.array(got, np.float64).tobytes() == np.array(want, np.float64).tobytes()
+
+
 def _assert_same_projection(pts, cumlen, s_prev, px, py, back=8.0, ahead=20.0):
-    got = kernels.polyline_project(pts, cumlen, s_prev, px, py, back, ahead)
-    want = reference_polyline_project(pts, cumlen, s_prev, px, py, back, ahead)
-    assert got == want
-    assert [type(v) for v in got] == [type(v) for v in want]
+    got = kernels.polyline_project(pts.tolist(), cumlen.tolist(), s_prev, px, py, back, ahead)
+    assert_same_floats(got, array_polyline_project(pts, cumlen, s_prev, px, py, back, ahead))
+    assert_same_floats(got, reference_polyline_project(pts, cumlen, s_prev, px, py, back, ahead))
 
 
 class TestWindowedProjection:
@@ -65,7 +105,7 @@ class TestWindowedProjection:
             for s_prev in (0.0, total, -30.0, -8.0, total + 8.0, total + 25.0,
                            *rng.uniform(-10.0, total + 10.0, 8), *cumlen[::3]):
                 for _ in range(3):
-                    q = pts[rng.integers(n)] + rng.normal(0.0, 4.0, 2)
+                    q = (pts[rng.integers(n)] + rng.normal(0.0, 4.0, 2)).tolist()
                     _assert_same_projection(pts, cumlen, float(s_prev), q[0], q[1])
                     _assert_same_projection(
                         pts, cumlen, float(s_prev), q[0], q[1],
@@ -78,7 +118,7 @@ class TestWindowedProjection:
         cumlen = _cumlen(pts)
         for s_prev in cumlen:
             for back, ahead in ((4.0, 4.0), (0.0, 0.0), (8.0, 0.0), (0.0, 12.0)):
-                for q in (*pts, *(pts + [1.0, -1.0])):
+                for q in (*pts.tolist(), *(pts + [1.0, -1.0]).tolist()):
                     _assert_same_projection(pts, cumlen, float(s_prev), q[0], q[1], back, ahead)
 
     def test_route_extended_over_many_lanes(self):
@@ -95,7 +135,7 @@ class TestWindowedProjection:
             assert len(route.lane_ids) > 12
             for s_prev in np.linspace(-10.0, route.length + 10.0, 120):
                 xy, u = route.point_at(s_prev + rng.uniform(-5.0, 25.0))
-                q = xy + rng.normal(0.0, 2.0, 2)
+                q = (xy + rng.normal(0.0, 2.0, 2)).tolist()
                 _assert_same_projection(
                     route.points, route.cumlen, float(s_prev), q[0], q[1]
                 )
@@ -126,11 +166,33 @@ def reference_polyline_point(pts, cumlen, s):
     return ax + t * dx, ay + t * dy, dx / norm, dy / norm
 
 
+def array_polyline_point(pts, cumlen, s):
+    """The bisecting lookup on numpy scalars, over (W, 2) and (W,) arrays."""
+    n = pts.shape[0]
+    total = cumlen[n - 1]
+    if s <= 0.0:
+        s = 0.0
+    elif s >= total:
+        s = total
+    i = int(cumlen[1:n - 1].searchsorted(s))
+    ax = pts[i, 0]
+    ay = pts[i, 1]
+    bx = pts[i + 1, 0]
+    by = pts[i + 1, 1]
+    seg = cumlen[i + 1] - cumlen[i]
+    if seg <= 0.0:
+        return ax, ay, 1.0, 0.0
+    t = (s - cumlen[i]) / seg
+    dx = bx - ax
+    dy = by - ay
+    norm = (dx * dx + dy * dy) ** 0.5
+    return ax + t * dx, ay + t * dy, dx / norm, dy / norm
+
+
 def _assert_same_point(pts, cumlen, s):
-    got = kernels.polyline_point(pts, cumlen, s)
-    want = reference_polyline_point(pts, cumlen, s)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert [type(v) for v in got] == [type(v) for v in want]
+    got = kernels.polyline_point(pts.tolist(), cumlen.tolist(), s)
+    assert_same_floats(got, array_polyline_point(pts, cumlen, s))
+    assert_same_floats(got, reference_polyline_point(pts, cumlen, s))
 
 
 class TestPointLookup:
@@ -258,17 +320,79 @@ class TestBinProximity:
             _assert_same_binning(rel, np.array([0.0, 2.0, 1.0]), window)
 
 
+def reference_integrate_cars(states, cmds, is_car, dt, wheelbase, v_max):
+    """The bicycle step on numpy scalars, in place over (A, 4) states and
+    (A, 2) commands; rows whose is_car is 0 are untouched."""
+    n = states.shape[0]
+    for a in range(n):
+        if is_car[a] == 0:
+            continue
+        x = states[a, 0]
+        y = states[a, 1]
+        h = states[a, 2]
+        v = states[a, 3]
+        steer = cmds[a, 0]
+        accel = cmds[a, 1]
+        states[a, 0] = x + v * np.cos(h) * dt
+        states[a, 1] = y + v * np.sin(h) * dt
+        h = h + v * np.tan(steer) / wheelbase * dt
+        while h > np.pi:
+            h -= 2.0 * np.pi
+        while h <= -np.pi:
+            h += 2.0 * np.pi
+        states[a, 2] = h
+        v = v + accel * dt
+        if v < 0.0:
+            v = 0.0
+        elif v > v_max:
+            v = v_max
+        states[a, 3] = v
+
+
+class TestIntegrateCars:
+    def test_matches_array_loop(self):
+        # Headings on and past +-pi (some wrap more than once), signed zeros
+        # in every column, and speeds at 0 and at the cap, pushed either way.
+        rng = np.random.default_rng(8)
+        pi = np.pi
+        headings = [pi, -pi, np.nextafter(pi, 4.0), np.nextafter(-pi, -4.0), 0.0, -0.0,
+                    3.1, -3.1, 7.0, -7.0, 20.0]
+        for trial in range(60):
+            n = int(rng.integers(1, 16))
+            states = np.column_stack([
+                rng.choice([0.0, -0.0, 150.0, *rng.uniform(-300.0, 300.0, 4)], (n, 2)),
+                rng.choice([*headings, *rng.uniform(-pi, pi, 6)], n),
+                rng.choice([0.0, -0.0, sw.SPEED_LIMIT, *rng.uniform(0.0, sw.SPEED_LIMIT, 4)], n),
+            ])
+            cmds = np.column_stack([
+                rng.choice([0.0, -0.0, sw.MAX_STEER, -sw.MAX_STEER, *rng.uniform(-0.5, 0.5, 4)], n),
+                rng.choice([0.0, -0.0, sw.ACCEL_MIN, sw.ACCEL_MAX, *rng.uniform(-4.0, 2.0, 4)], n),
+            ])
+            is_car = rng.integers(0, 2, n).astype(np.uint8)
+            want = states.copy()
+            reference_integrate_cars(want, cmds, is_car, sw.TICK, sw.WHEELBASE, sw.SPEED_LIMIT)
+            car = is_car == 1
+            got = kernels.integrate_cars(
+                states[car].tolist(), cmds[car].tolist(), sw.TICK, sw.WHEELBASE, sw.SPEED_LIMIT
+            )
+            assert len(got) == car.sum()
+            for row, state in zip(want[car], got):
+                assert_same_floats(state, row)
+            assert_same_bits(want[~car], states[~car])
+
+
 def test_integrate_cars_speed_clamped():
-    states = np.array([[0.0, 0.0, 0.0, 8.0], [0.0, 0.0, 0.0, 0.2]])
-    cmds = np.array([[0.0, 2.0], [0.0, -4.0]])
-    kernels.integrate_cars(states, cmds, np.array([True, True]), 0.1, 2.5, 8.33)
-    assert 0.0 <= states[0, 3] <= 8.33
-    assert states[1, 3] == 0.0  # braking never reverses
+    states = [(0.0, 0.0, 0.0, 8.0), (0.0, 0.0, 0.0, 0.2)]
+    (_, _, _, fast), (_, _, _, slow) = kernels.integrate_cars(
+        states, [(0.0, 2.0), (0.0, -4.0)], 0.1, 2.5, 8.33
+    )
+    assert 0.0 <= fast <= 8.33
+    assert slow == 0.0  # braking never reverses
 
 
 def test_polyline_point_clamps_to_ends():
-    pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-    cumlen = np.array([0.0, 10.0])
+    pts = [(0.0, 0.0), (10.0, 0.0)]
+    cumlen = [0.0, 10.0]
     x, y, ux, uy = kernels.polyline_point(pts, cumlen, -5.0)
     assert (x, y) == (0.0, 0.0)
     x, y, ux, uy = kernels.polyline_point(pts, cumlen, 25.0)
@@ -277,8 +401,8 @@ def test_polyline_point_clamps_to_ends():
 
 
 def test_polyline_project_monotone_window():
-    pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0]])
-    cumlen = np.array([0.0, 10.0, 20.0])
+    pts = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)]
+    cumlen = [0.0, 10.0, 20.0]
     s, d = kernels.polyline_project(pts, cumlen, 0.0, 5.0, 1.0, 8.0, 20.0)
     assert s == pytest.approx(5.0)
     assert d == pytest.approx(1.0)

@@ -1,13 +1,19 @@
 import base64
 import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
-from test_kernels import assert_same_bits
+from test_kernels import (
+    array_polyline_point,
+    array_polyline_project,
+    assert_same_bits,
+    reference_integrate_cars,
+)
 
-from polydrive import kernels, simworld as sw
+from polydrive import bench, kernels, simworld as sw
 from polydrive.errors import DataFormatError, SpawnError
 
 
@@ -66,7 +72,7 @@ class TestNetwork:
 def reference_nearest_lane(net, xy, heading=None):
     """nearest_lane computed through the segment_features kernel."""
     x, y = float(xy[0]), float(xy[1])
-    dist, s, lat = kernels.segment_features(x, y, net.lane_p0, net.lane_p1)
+    dist, s, lat = kernels.segment_features(x, y, net.lane_p0, np.array([l.p1 for l in net.lanes]))
     ok = (np.abs(lat) <= sw.LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= net.lane_len + 1.0)
     if heading is not None:
         ok &= net.lane_dir @ np.array([np.cos(heading), np.sin(heading)]) > 0.0
@@ -256,9 +262,10 @@ class ReferenceRoute(sw.Route):
             last = p
         if not keep:
             return
-        self.points = np.vstack([self.points, np.array(keep)])
-        d = np.linalg.norm(np.diff(self.points, axis=0), axis=1)
-        self.cumlen = np.concatenate([[0.0], np.cumsum(d)])
+        points = np.vstack([self.points, np.array(keep)])
+        d = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        self.point_list = [(x, y) for x, y in points.tolist()]
+        self.cumlen_list = np.concatenate([[0.0], np.cumsum(d)]).tolist()
 
     def extend(self, lane_id):
         net = self.network
@@ -359,13 +366,54 @@ def reference_crossing_ped_distance(agent, peds):
     return best
 
 
+def reference_pure_pursuit_steer(agent):
+    """The steer on numpy scalars, from the route's arrays."""
+    route = agent.route
+    x, y, _, _ = array_polyline_point(route.points, route.cumlen, float(agent.route_s + sw.LOOKAHEAD))
+    target = np.array([x, y])
+    dx = target[0] - agent.x
+    dy = target[1] - agent.y
+    c, s = np.cos(agent.heading), np.sin(agent.heading)
+    lx = c * dx + s * dy
+    ly = -s * dx + c * dy
+    dist_sq = lx * lx + ly * ly
+    if dist_sq < 1e-12:
+        return 0.0
+    steer = float(np.arctan2(2.0 * sw.WHEELBASE * ly, dist_sq))
+    return sw.clamp(steer, -sw.MAX_STEER, sw.MAX_STEER)
+
+
+def reference_may_enter_junction(agent, world, ev, d):
+    """The junction gate with a 1-D norm per car for the core occupancy."""
+    node_pos = world.network.nodes[ev.node_id].pos
+    for other in world.cars:
+        if other.agent_id == agent.agent_id:
+            continue
+        if float(np.linalg.norm(other.xy - node_pos)) < sw.CORE_OCCUPIED_RADIUS:
+            return False
+    for other in world.cars:
+        if other.agent_id == agent.agent_id or other.route is None:
+            continue
+        oev = other.route.next_event(other.route_s)
+        if oev is None or oev.node_id != ev.node_id:
+            continue
+        od = oev.s_stop - other.route_s
+        if not -0.3 <= od <= 12.0:
+            continue
+        if oev.lit and not world.light_green(oev.node_id, oev.axis):
+            continue
+        if od < d - 0.5 or (abs(od - d) <= 0.5 and other.agent_id < agent.agent_id):
+            return False
+    return True
+
+
 def reference_autopilot_command(agent, world):
     route = agent.route
     if route is None or route.points.shape[0] < 2:
         return (0.0, 0.0)
-    if route.length - agent.route_s < 1.0:
+    if float(route.cumlen[-1]) - agent.route_s < 1.0:
         return (0.0, sw.clamp(-2.5 * agent.speed, sw.ACCEL_MIN, 0.0))
-    steer = sw.pure_pursuit_steer(agent)
+    steer = reference_pure_pursuit_steer(agent)
     stop_distances = []
     ev = route.next_event(agent.route_s)
     if ev is not None:
@@ -380,7 +428,7 @@ def reference_autopilot_command(agent, world):
                     if world.light_time_to_red(ev.node_id, ev.axis) < eta + 0.8:
                         must_stop = True
             if not must_stop and 0.3 < d <= 15.0:
-                if not sw._may_enter_junction(agent, world, ev, d):
+                if not reference_may_enter_junction(agent, world, ev, d):
                     must_stop = True
             if must_stop:
                 stop_distances.append(d - sw.STOP_MARGIN)
@@ -399,7 +447,9 @@ def reference_autopilot_command(agent, world):
 
 
 class ReferenceWorld(sw.World):
-    """Each car's autopilot asked on its own, with per-agent loops."""
+    """The world step on numpy scalars and arrays: each car's autopilot
+    asked on its own with per-agent loops, the array kernels, and a 1-D norm
+    for every distance."""
 
     def commands(self, ego_command=None):
         cmds = np.zeros((len(self.agents), 2))
@@ -412,28 +462,91 @@ class ReferenceWorld(sw.World):
                 cmds[i] = reference_autopilot_command(agent, self)
         return cmds
 
+    def step(self, ego_command=None):
+        cmds = self.commands(ego_command)
+        states = self.snapshot()
+        is_car = np.array([1 if a.kind == "car" else 0 for a in self.agents], dtype=np.uint8)
+        reference_integrate_cars(states, cmds, is_car, sw.TICK, sw.WHEELBASE, sw.SPEED_LIMIT)
+        for i, agent in enumerate(self.agents):
+            if agent.kind == "car":
+                agent.x, agent.y = float(states[i, 0]), float(states[i, 1])
+                agent.heading, agent.speed = float(states[i, 2]), float(states[i, 3])
+                route = agent.route
+                if route is not None and route.points.shape[0] >= 2:
+                    s, _ = array_polyline_project(route.points, route.cumlen, float(agent.route_s),
+                                                  agent.x, agent.y, 8.0, 20.0)
+                    agent.route_s = float(s)
+                    self._maybe_extend_route(agent)
+            else:
+                self._step_pedestrian(agent)
+        self.clock += sw.TICK
+        self._traffic = None
+        return cmds
+
+    def _step_pedestrian(self, ped):
+        if ped.ped_path is None:
+            ped.speed = 0.0
+            return
+        if ped.ped_wait > 0.0:
+            ped.ped_wait = max(0.0, ped.ped_wait - sw.TICK)
+            ped.speed = 0.0
+            return
+        target = ped.ped_path[ped.ped_target]
+        delta = target - ped.xy
+        dist = float(np.linalg.norm(delta))
+        step = sw.PED_SPEED * sw.TICK
+        kerb = float(np.linalg.norm(ped.ped_path[1 - ped.ped_target] - ped.xy)) < 1e-6
+        if kerb and any(np.linalg.norm(c.xy - ped.xy) < sw.PED_CROSSING_CLEARANCE for c in self.cars):
+            ped.speed = 0.0
+            return
+        if dist <= step:
+            ped.x, ped.y = float(target[0]), float(target[1])
+            ped.ped_wait = ped.ped_dwell[ped.ped_target]
+            ped.ped_target = 1 - ped.ped_target
+            ped.speed = 0.0
+        else:
+            u = delta / dist
+            ped.x += float(u[0]) * step
+            ped.y += float(u[1]) * step
+            ped.heading = float(np.arctan2(u[1], u[0]))
+            ped.speed = sw.PED_SPEED
+
 
 class TestTrafficTables:
-    # Seeds whose first 150 ticks have both followers and crossing pedestrians.
-    @pytest.mark.parametrize("town_id, seed", [("train", 14), ("test", 4)])
-    def test_step_matches_per_agent_reference(self, town_id, seed):
+    # Seeds whose first 150 ticks have more than ``floor`` follower and
+    # crossing-pedestrian ticks each: the 15-car, 6-pedestrian extreme,
+    # datagen's (5, 6) and (15, 2) mixes and closedloop's 6-11 car
+    # nav_dynamic range, in both towns.
+    @pytest.mark.parametrize("town_id, seed, n_cars, n_peds, floor", [
+        pytest.param("train", 14, 15, 6, 100, id="train-14"),
+        pytest.param("test", 4, 15, 6, 100, id="test-4"),
+        ("train", 100005, 5, 6, 30), ("test", 100021, 5, 6, 30),
+        ("train", 100023, 15, 2, 30), ("test", 100007, 15, 2, 30),
+        ("train", 100024, 6, 5, 30), ("test", 100020, 11, 2, 30),
+    ])
+    def test_step_matches_per_agent_reference(self, town_id, seed, n_cars, n_peds, floor):
         net = sw.build_town(town_id)
-        world = sw.spawn_scenario(net, 15, 6, seed)
-        twin = sw.spawn_scenario(net, 15, 6, seed)
+        world = sw.spawn_scenario(net, n_cars, n_peds, seed)
+        twin = sw.spawn_scenario(net, n_cars, n_peds, seed)
         ref = ReferenceWorld(net, twin.agents, twin.light_groups, twin.seed)
+        rng = np.random.default_rng(seed)
         leaders = crossings = 0
         for tick in range(150):
             traffic = world.traffic().values()
             leaders += sum(gap < np.inf for gap, _, _ in traffic)
             crossings += sum(ped_d < np.inf for _, _, ped_d in traffic)
-            if tick % 2:  # the ego's command first, as an expert drive asks it
+            if tick % 3 == 1:  # the ego's command first, as an expert drive asks it
                 got = world.step(ego_command=sw.autopilot_command(world.agents[0], world))
                 want = ref.step(ego_command=reference_autopilot_command(ref.agents[0], ref))
+            elif tick % 3 == 2:  # a command of the controller's range, as a model drives
+                cmd = (rng.uniform(-sw.MAX_STEER, sw.MAX_STEER), rng.uniform(sw.ACCEL_MIN, sw.ACCEL_MAX))
+                got, want = world.step(ego_command=cmd), ref.step(ego_command=cmd)
             else:
                 got, want = world.step(), ref.step()
             assert_same_bits(got, want)
             assert_same_bits(world.snapshot(), ref.snapshot())
-        assert leaders > 100 and crossings > 100
+            assert [a.route_s for a in world.cars] == [a.route_s for a in ref.cars]
+        assert leaders > floor and crossings > floor
 
     def test_pedestrian_yielding_at_its_kerb(self, train_town):
         # A pedestrian stopped 8 m ahead of the ego gates it, unless it is
@@ -503,13 +616,14 @@ def replay_episode(log, cmds):
     states.  Pedestrians, which World.step moves along their paths, are
     taken from the log."""
     states = log.states[0].copy()
-    is_car = np.array([1 if k == "car" else 0 for k in log.kinds], dtype=np.uint8)
+    car = np.array([k == "car" for k in log.kinds])
     out = np.empty_like(log.states)
     out[0] = states
     for i in range(1, len(log)):
-        kernels.integrate_cars(states, cmds[i - 1], is_car, sw.TICK, sw.WHEELBASE, sw.SPEED_LIMIT)
-        ped = is_car == 0
-        states[ped] = log.states[i][ped]
+        states[car] = kernels.integrate_cars(
+            states[car].tolist(), cmds[i - 1][car].tolist(), sw.TICK, sw.WHEELBASE, sw.SPEED_LIMIT
+        )
+        states[~car] = log.states[i][~car]
         out[i] = states
     return out
 
@@ -654,6 +768,57 @@ class TestEpisodes:
         with pytest.raises(DataFormatError, match=re.escape(f"ep.jsonl: {message}")):
             sw.EpisodeLog.read_jsonl(p)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda h: {**h, "groups": [["0", "1", 10.0, 8.0, 12.6]]},
+                         "light group ['0', '1', 10.0, 8.0, 12.6] is not [int node_id, axis 0 "
+                         "or 1, green > 0, red > 0, offset], all finite", id="node-axis-strings"),
+            pytest.param(lambda h: {**h, "groups": [[0, 2, 10.0, 8.0, 12.6]]},
+                         "light group [0, 2, ", id="axis-2"),
+            pytest.param(lambda h: {**h, "groups": [[True, 1, 10.0, 8.0, 12.6]]},
+                         "light group [True, 1, ", id="node-bool"),
+            pytest.param(lambda h: {**h, "groups": [[0.0, 1, 10.0, 8.0, 12.6]]},
+                         "light group [0.0, 1, ", id="node-float"),
+            pytest.param(lambda h: {**h, "groups": [[0, 1, 0.0, 8.0, 12.6]]},
+                         "light group [0, 1, 0.0, ", id="green-zero"),
+            pytest.param(lambda h: {**h, "groups": [[0, 1, 10.0, -8.0, 12.6]]},
+                         "light group [0, 1, 10.0, -8.0, ", id="red-negative"),
+            pytest.param(lambda h: {**h, "groups": [[0, 1, 10.0, 8.0, float("nan")]]},
+                         "light group [0, 1, 10.0, 8.0, nan]", id="offset-nan"),
+            pytest.param(lambda h: {**h, "groups": [[0, 1, float("inf"), 8.0, 1.0]]},
+                         "light group [0, 1, inf, ", id="green-inf"),
+            pytest.param(lambda h: {**h, "groups": [[0, 1, "10", 8.0, 1.0]]},
+                         "light group [0, 1, '10', ", id="green-string"),
+            pytest.param(lambda h: {**h, "groups": [[0, 1, 10, 8, 1], [0, 1, 8.0, 10.0, 9.0]]},
+                         "two light groups share a (node_id, axis)", id="pair-twice"),
+            pytest.param(lambda h: {**h, "kinds": ["car", "truck", *h["kinds"][2:]]},
+                         "kind 'truck' is neither 'car' nor 'pedestrian'", id="kind-truck"),
+            pytest.param(lambda h: {**h, "kinds": [1, *h["kinds"][1:]]},
+                         "kind 1 is neither 'car' nor 'pedestrian'", id="kind-int"),
+            pytest.param(lambda h: {**h, "agent_ids": [0.0, *h["agent_ids"][1:]]},
+                         "agent id 0.0 is not an int", id="agent-id-float"),
+            pytest.param(lambda h: {**h, "agent_ids": [*h["agent_ids"][:-1], False]},
+                         "agent id False is not an int", id="agent-id-bool"),
+        ],
+    )
+    def test_jsonl_rejects_bad_header_values(self, log, tmp_path, edit, message):
+        # Before these checks, string node ids read as a group that no
+        # (node_id, axis) lookup finds, so every light was green.
+        p = tmp_path / "ep.jsonl"
+        header, *ticks = written_lines(log, p)
+        write_lines(p, [edit(header), *ticks])
+        with pytest.raises(DataFormatError, match=re.escape(f"ep.jsonl: line 1: {message}")):
+            sw.EpisodeLog.read_jsonl(p)
+
+    def test_jsonl_accepts_whole_number_times(self, log, tmp_path):
+        # JSON may write a float as an int; the groups keep what was read.
+        p = tmp_path / "ep.jsonl"
+        header, *ticks = written_lines(log, p)
+        groups = [[node, axis, 10, 8, 0] for node, axis, *_ in header["groups"]]
+        write_lines(p, [{**header, "groups": groups}, *ticks])
+        assert sw.EpisodeLog.read_jsonl(p).groups == [tuple(g) for g in groups]
+
     def test_no_collisions_under_autopilot(self, train_town, log):
         cars = log.car_indices()
         pos = log.states[:, cars, :2]
@@ -661,6 +826,37 @@ class TestEpisodes:
             for j in range(i + 1, len(cars)):
                 gaps = np.linalg.norm(pos[:, i] - pos[:, j], axis=1)
                 assert gaps.min() >= 2 * sw.CAR_RADIUS
+
+
+def jsonl_sha256(log, path):
+    log.write_jsonl(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestGoldenBytes:
+    """The bytes of recorded episodes and of one expert drive, pinned: the
+    world's numbers may only move in a change that says so."""
+
+    # datagen's traffic mixes and episode seeds (seed * 100000 + episode).
+    @pytest.mark.parametrize("seed, n_cars, n_peds, digest", [
+        (100000, 5, 6, "aad51aabc17fe88751953085b420dfe67f5dfe02e30b5405990a9fb577c499b2"),
+        (100000, 15, 2, "3a707f92a5173cc91726d0c191e2e7cbdf7c42bae94dbf1c786aa75dc12fa51f"),
+        (100001, 5, 6, "1a6d4393fa88c1dd9f7a2e8a2e46fc1ea12fcfe0bc57c62a7f2f1c892f9544ef"),
+        (100001, 15, 2, "3cfd601d354c93792e4fd702dc8ad7a80ee300234b3a33def48de185f9fe5e74"),
+    ], ids=["100000-5x6", "100000-15x2", "100001-5x6", "100001-15x2"])
+    def test_recorded_episode(self, train_town, tmp_path, seed, n_cars, n_peds, digest):
+        log = sw.record_episode(train_town, seed, 10.0, n_cars, n_peds)
+        assert jsonl_sha256(log, tmp_path / "ep.jsonl") == digest
+
+    def test_expert_drive_trace(self, train_town, tmp_path):
+        # The first nav_dynamic task of suite 3: 8 cars, 4 pedestrians and
+        # 839 ticks to the goal.
+        task = [t for t in bench.generate_suite("train", 3) if t.kind == "nav_dynamic"][0]
+        result = bench.run_task(train_town, task, expert=True)
+        assert result.reached_goal and len(result.trace) == 839
+        assert jsonl_sha256(result.trace, tmp_path / "trace.jsonl") == (
+            "76aa11fe2b8c5ceebb9a914c7fb7a6d871064c6513fc9280243e6b9bc1c93412"
+        )
 
 
 class TestJunctionPriority:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import tomllib
 
@@ -97,6 +98,35 @@ def test_uncalled_functions_are_found():
     strings = ast.parse("x = ('simworld', 'World.step')\ny = 'not a name'")
     assert imported_names(strings) == set()
     assert imported_names(strings, strings=True) == {"simworld", "World", "step"}
+
+
+def traced_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """The (module, dotted name) pairs of a TRACED list of tuples, read from
+    the source as imported_names reads perfbench strings."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    return []
+
+
+def test_every_traced_name_resolves():
+    # perfbench times these by name; a rename in src/ would leave its
+    # per-layer split silently empty.
+    traced = traced_names(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()))
+    assert len(traced) > 30
+    missing = []
+    for module, name in traced:
+        obj = importlib.import_module(f"polydrive.{module}")
+        for part in name.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+def test_traced_names_are_read():
+    tree = ast.parse("TRACED = [\n    ('simworld', 'World.step', None),\n    ('kernels', 'f', _n),\n]\n")
+    assert traced_names(tree) == [("simworld", "World.step"), ("kernels", "f")]
 
 
 # Defaults that no call in src/ or perfbench/ passes, kept on purpose.
