@@ -38,7 +38,7 @@ from .simworld import (
     autopilot_command,
     clamp,
 )
-from .trajectory import PolyTrajectory2D, Pose2D, sample_trajectory
+from .trajectory import PolyTrajectory2D, sample_times
 
 LOOKAHEAD_S = 0.5
 GOAL_TOLERANCE = 3.0
@@ -73,11 +73,17 @@ class PidState:
     speed: PidChannel = field(default_factory=lambda: PidChannel(1.0, 0.1, 0.0))
 
 
+_SAMPLE_T = sample_times()
+
+
 def trajectory_speed_target(poly: PolyTrajectory2D) -> float:
-    """Predicted 2 s arc length / 2, capped at the cruise speed."""
-    pts = sample_trajectory(poly).xy
-    arc = float(np.linalg.norm(pts[0]))
-    arc += float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    """Predicted 2 s arc length / 2, capped at the cruise speed.  The step
+    from the origin is a 1-D np.linalg.norm (a BLAS dot), the 19 others
+    sqrt(dx*dx + dy*dy)."""
+    x, y = np.polyval(poly.cx, _SAMPLE_T), np.polyval(poly.cy, _SAMPLE_T)
+    dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
+    arc = float(np.linalg.norm(np.array([x[0], y[0]])))
+    arc += float(np.sqrt(dx * dx + dy * dy).sum())
     return min(arc / 2.0, TARGET_SPEED)
 
 
@@ -173,41 +179,37 @@ class LiveSampler:
     def __init__(self, world: World):
         self.world = world
         kinds = [a.kind for a in world.agents]
-        self.agent_ids = [a.agent_id for a in world.agents]
+        ids = [a.agent_id for a in world.agents]
         self.other_rows = [i for i, k in enumerate(kinds) if k == "car" and i != 0]
         self.ped_rows = [i for i, k in enumerate(kinds) if k == "pedestrian"]
-        self.history: list[np.ndarray] = []
+        self.track_rows = [0, *sorted(self.other_rows, key=ids.__getitem__)]
+        # Each tick's positions are written at head and head + T, so that
+        # tracks[:, head + 1 : head + 1 + T] is always the last T, oldest first.
+        self.tracks = np.empty((len(self.track_rows), 2 * T_STEPS, 2))
+        self.head = 0
+        self.snap: np.ndarray | None = None
 
-    def observe(self) -> None:
-        """Record the current world state; call once per tick before stepping."""
-        snap = self.world.snapshot()
-        if not self.history:
-            self.history = [snap.copy() for _ in range(T_STEPS)]
-        self.history.append(snap)
-        if len(self.history) > T_STEPS:
-            self.history.pop(0)
+    def observe(self, snap: np.ndarray) -> None:
+        """Record this tick's World.snapshot(); call once per tick before stepping."""
+        xy = snap[self.track_rows, :2]
+        if self.snap is None:
+            self.tracks[:] = xy[:, None]
+        self.head = (self.head + 1) % T_STEPS
+        self.tracks[:, self.head] = xy
+        self.tracks[:, self.head + T_STEPS] = xy
+        self.snap = snap
 
     def build(self) -> Sample:
         """Assemble the model inputs for the most recent observed tick."""
-        past = np.stack(self.history)  # (T, A, 4)
-        ego = self.world.agents[0]
-        frame_state = past[-1, 0]
-        frame = Pose2D(*frame_state[:3])
-        car_tracks = [
-            (self.agent_ids[r], past[:, r, :2], tuple(past[-1, r]))
-            for r in self.other_rows
-        ]
-        peds = [tuple(past[-1, r, :2]) for r in self.ped_rows]
-        nc = live_navigation_command(
-            ego.route, ego.route_s, float(frame_state[3]), self.world.network
-        )
-        sample, _ = assemble_sample(
+        snap, ego = self.snap, self.world.agents[0]
+        state = tuple(snap[0].tolist())
+        nc = live_navigation_command(ego.route, ego.route_s, state[3], self.world.network)
+        sample, _, _ = assemble_sample(
             self.world.network,
-            frame,
-            float(frame_state[3]),
-            past[:, 0, :2],
-            car_tracks,
-            peds,
+            state,
+            self.tracks[:, self.head + 1 : self.head + 1 + T_STEPS],
+            snap[self.other_rows].tolist(),
+            snap[self.ped_rows, :2].tolist(),
             self.world.light_green,
             nc,
         )
@@ -262,7 +264,7 @@ def drive_task(
     goal_s = route.length
     n_ticks = int(np.ceil(timeout / TICK))
 
-    sampler = LiveSampler(world)
+    sampler = None if expert else LiveSampler(world)
     pid = PidState()
 
     rows = []
@@ -275,12 +277,13 @@ def drive_task(
     tick = 0
     prev_xy = ego.xy.copy()
     while tick < n_ticks:
-        sampler.observe()
-        rows.append(world.log_row())
+        row = world.log_row()
+        rows.append(row)
 
         if expert:
             ego_cmd = autopilot_command(ego, world)
         else:
+            sampler.observe(row[1])
             sample = sampler.build()
             if noise_sigma != (0.0, 0.0):
                 sample = augment.perturb_positions(

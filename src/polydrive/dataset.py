@@ -8,6 +8,7 @@ degree-4 polynomials and resampled on the 0.1 s grid).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -79,32 +80,30 @@ def samples_equal(a: Sample, b: Sample) -> bool:
     )
 
 
+# Window k at index i of a history holds the position at tick i - K + 1 + k;
+# missing past is padded by repeating the oldest known position.
 _HISTORY_INDEX = np.maximum(np.arange(T_STEPS)[:, None] - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)
 
 
-def history_tensor(track: np.ndarray) -> np.ndarray:
-    """(T, 2) positions -> (T, K, 2) sliding windows, oldest first.
-
-    Window k at index i holds the position at tick i - K + 1 + k; missing
-    past is padded by repeating the oldest known position.
-    """
-    return np.asarray(track, dtype=np.float64)[_HISTORY_INDEX]
-
-
 def fit_future_points(xy: np.ndarray) -> np.ndarray:
-    """Least-squares degree-4 smoothing of a (T, 2) future onto the t grid."""
+    """Least-squares degree-4 smoothing of (..., T, 2) futures onto the t grid."""
     coeffs = _FUTURE_PINV @ np.asarray(xy, dtype=np.float64)
     return _FUTURE_VAND @ coeffs
 
 
-def select_neighbors(
-    ego_xy: np.ndarray, cars: list[tuple[int, np.ndarray]]
-) -> list[int]:
-    """Up to N nearest car agent ids, ascending distance, ties by id."""
-    scored = sorted(
-        (float(np.linalg.norm(xy - ego_xy)), agent_id) for agent_id, xy in cars
-    )
-    return [agent_id for _, agent_id in scored[:N_NEIGHBORS]]
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Each (x, y) row's length, ordered as the 1-D np.linalg.norm orders them.
+
+    That norm is a BLAS dot, which may round apart from sqrt(x*x + y*y) in
+    the last bit (far below 1e-9 m at town scale); so when any two of these
+    lie within 1e-9 m, the 1-D norms are returned instead.  On 2-16 rows,
+    Python floats beat numpy's per-call cost, and math.sqrt rounds as np.sqrt.
+    """
+    r = [math.sqrt(x * x + y * y) for x, y in d.tolist()]
+    s = sorted(r)
+    if any(b - a <= 1e-9 for a, b in zip(s, s[1:])):
+        return np.array([np.linalg.norm(row) for row in d])
+    return np.array(r)
 
 
 def compute_context(
@@ -141,13 +140,26 @@ def compute_context(
                 green = light_green(to_node.node_id, network.signal_axis(lane.seg_id))
                 phase = 0.0 if green else 1.0
 
-    ego_row = np.array([[x, y, h, v]])
-    car_rows = np.array(cars, dtype=np.float64).reshape(-1, 4)
-    car_ids = np.arange(len(cars))
-    gap, lead_dv = simworld.leading_vehicles(ego_row, np.array([-1]), car_rows, car_ids)
-    ped_rows = np.array([(px, py, 0.0, 0.0) for px, py in peds]).reshape(-1, 4)
-    d_ped = simworld.crossing_ped_distances(ego_row, ped_rows)[0]
-    d_lead, lead_dv, d_ped = min(gap[0], CTX_LEAD_CAP), lead_dv[0], min(d_ped, CTX_PED_CAP)
+    # The nearest car ahead in the ego's corridor, heading the same way (equal
+    # gaps: the first), and the nearest pedestrian ahead; the forms of
+    # simworld.leading_vehicles and crossing_ped_distances for one ego, on
+    # floats.  The pedestrians have no speed here, so none is approaching.
+    cos_h, sin_h = float(np.cos(h)), float(np.sin(h))
+    gap, lead_dv = np.inf, 0.0
+    for cx, cy, ch, cv in cars:
+        dx, dy = cx - x, cy - y
+        lx = cos_h * dx + sin_h * dy
+        if 0.0 < lx <= 25.0 and lx < gap and abs(-sin_h * dx + cos_h * dy) <= 2.2:
+            cos_dh = float(np.cos(ch - h))
+            if cos_dh > 0.0:
+                gap, lead_dv = lx, cv * cos_dh - v
+    d_ped = np.inf
+    for px, py in peds:
+        dx, dy = px - x, py - y
+        lx = cos_h * dx + sin_h * dy
+        if 0.0 < lx <= 16.0 and lx < d_ped and abs(-sin_h * dx + cos_h * dy) <= 3.0:
+            d_ped = lx
+    d_lead, d_ped = min(gap, CTX_LEAD_CAP), min(d_ped, CTX_PED_CAP)
     return np.array([d_light, phase, d_inter, float(lat), herr, d_lead, lead_dv, d_ped])
 
 
@@ -197,46 +209,36 @@ def compute_navigation_command(
 
 def assemble_sample(
     network: RoadNetwork,
-    frame: Pose2D,
-    ego_speed: float,
-    ego_past: np.ndarray,
-    car_tracks: list[tuple[int, np.ndarray, tuple[float, float, float, float]]],
+    ego: tuple[float, float, float, float],
+    tracks: np.ndarray,
+    cars: list[tuple[float, float, float, float]],
     peds: list[tuple[float, float]],
     light_green,
     nc: NavigationCommand,
-) -> tuple[Sample, list[int]]:
+) -> tuple[Sample, np.ndarray, np.ndarray]:
     """Build the model inputs for one window (shared offline / live path).
 
-    ego_past   : (T, 2) world positions, oldest first, ending at the center.
-    car_tracks : per other car (agent_id, (T, 2) world track, center state).
-    Returns the sample and the agent ids of its neighbor slots, in order.
+    ego    : the ego's center state (x, y, heading, speed); its pose is the frame.
+    tracks : (1 + C, W, 2) world positions, the ego's first, then the other
+             cars' in ascending agent id.  Tick T - 1 is the window center;
+             ticks after it (W = 2T offline, the future) ride along.
+    cars   : the other cars' center states, in agent order.
+    peds   : the pedestrians' center positions.
+    Returns the sample, the tracks in the ego frame, and the rows of tracks
+    that fill the neighbor slots: up to N nearest, ties by agent id.
     """
-    rel_ego = xy_to_frame(ego_past, frame)
-    e = history_tensor(rel_ego)
-
-    order = select_neighbors(
-        np.array([frame.x, frame.y]), [(aid, trk[-1]) for aid, trk, _ in car_tracks]
-    )
-    rel = {aid: xy_to_frame(trk, frame) for aid, trk, _ in car_tracks}
+    frame = Pose2D(*ego[:3])
+    rel = xy_to_frame(tracks, frame)
+    center = T_STEPS - 1
+    order = 1 + np.argsort(_row_norms(tracks[1:, center] - frame.xy), kind="stable")[:N_NEIGHBORS]
     v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
-    v_mask = np.zeros(N_NEIGHBORS, dtype=bool)
-    for k, aid in enumerate(order):
-        v[k] = history_tensor(rel[aid])
-        v_mask[k] = True
-
-    rel_tracks = np.empty((1 + len(car_tracks), T_STEPS, 2))
-    rel_tracks[0] = rel_ego
-    dists = np.empty(1 + len(car_tracks))
-    dists[0] = 0.0
-    for row, aid in enumerate(sorted(rel), start=1):
-        rel_tracks[row] = rel[aid]
-        dists[row] = float(np.linalg.norm(rel_tracks[row][-1]))
-    m_cells, m_labels = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
-
-    ego_state = (frame.x, frame.y, frame.heading, ego_speed)
-    ctx = compute_context(network, ego_state, [st for _, _, st in car_tracks], peds, light_green)
+    v[: len(order)] = rel[order[:, None, None], _HISTORY_INDEX]
+    v_mask = np.arange(N_NEIGHBORS) < len(order)
+    # Map labels are track rows, so owners are numbered in ascending agent id.
+    m_cells, m_labels = kernels.bin_proximity(rel[:, :T_STEPS], _row_norms(rel[:, center]), K_WINDOW)
+    ctx = compute_context(network, (frame.x, frame.y, frame.heading, ego[3]), cars, peds, light_green)
     return Sample(
-        e=e,
+        e=rel[0, _HISTORY_INDEX],
         v=v,
         v_mask=v_mask,
         m_cells=m_cells,
@@ -245,7 +247,7 @@ def assemble_sample(
         nc=nc,
         ego_future=np.zeros((T_STEPS, 2)),
         neigh_future=np.zeros((N_NEIGHBORS, T_STEPS, 2)),
-    ), order
+    ), rel, order
 
 
 def extract_windows(log: EpisodeLog, network: RoadNetwork) -> list[Sample]:
@@ -253,44 +255,33 @@ def extract_windows(log: EpisodeLog, network: RoadNetwork) -> list[Sample]:
     n = len(log)
     if n < WINDOW_TICKS:
         return []
-    car_rows = log.car_indices()
+    ego_row, *other_rows = log.car_indices()
     ped_rows = log.ped_indices()
+    by_id = sorted(other_rows, key=log.agent_ids.__getitem__)
+    xy = np.ascontiguousarray(log.states[:, [ego_row, *by_id], :2].transpose(1, 0, 2))
+    seed = int(log.meta.get("seed", 0))
     samples: list[Sample] = []
-    ego_row = car_rows[0]
-    other_rows = car_rows[1:]
     for c in range(T_STEPS - 1, n - T_STEPS):
-        frame = Pose2D(*log.states[c][ego_row, :3])
-        past = slice(c - T_STEPS + 1, c + 1)
-        fut = slice(c + 1, c + 1 + T_STEPS)
+        state = log.states[c]
 
         def light_green(node_id, axis, _tick=c):
             return log.light_green_at(_tick, node_id, axis)
 
-        car_tracks = []
-        for r in other_rows:
-            st = tuple(log.states[c][r])
-            car_tracks.append((log.agent_ids[r], log.states[past, r, :2], st))
-        peds = [tuple(log.states[c][r, :2]) for r in ped_rows]
-        nc = compute_navigation_command(log, c, network)
-        sample, order = assemble_sample(
+        sample, rel, order = assemble_sample(
             network,
-            frame,
-            float(log.states[c][ego_row, 3]),
-            log.states[past, ego_row, :2],
-            car_tracks,
-            peds,
+            tuple(state[ego_row].tolist()),
+            xy[:, c - T_STEPS + 1 : c + T_STEPS + 1],
+            state[other_rows].tolist(),
+            state[ped_rows, :2].tolist(),
             light_green,
-            nc,
+            compute_navigation_command(log, c, network),
         )
-        ego_fut_rel = xy_to_frame(log.states[fut, ego_row, :2], frame)
-        sample.ego_future = fit_future_points(ego_fut_rel)
-        row_of = {log.agent_ids[r]: r for r in other_rows}
-        for k, aid in enumerate(order):
-            r = row_of[aid]
-            rel = xy_to_frame(log.states[fut, r, :2], frame)
-            rel -= xy_to_frame(log.states[c][r, :2][None, :], frame)[0]
-            sample.neigh_future[k] = fit_future_points(rel)
-        sample.episode_seed = int(log.meta.get("seed", 0))
+        sample.ego_future = fit_future_points(rel[0, T_STEPS:])
+        # Each neighbor's future relative to its own center position.
+        sample.neigh_future[: len(order)] = fit_future_points(
+            rel[order, T_STEPS:] - rel[order, T_STEPS - 1 : T_STEPS]
+        )
+        sample.episode_seed = seed
         sample.center_tick = c
         samples.append(sample)
     return samples

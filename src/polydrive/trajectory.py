@@ -99,13 +99,6 @@ def sample_times() -> np.ndarray:
     return DT * np.arange(1, int(round(HORIZON / DT)) + 1)
 
 
-def sample_trajectory(poly: PolyTrajectory2D) -> PointSeries:
-    """Evaluate the trajectory at sample_times()."""
-    t = sample_times()
-    xy = np.stack([np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=1)
-    return PointSeries(t, xy)
-
-
 def _rotation(heading: float) -> np.ndarray:
     c, s = np.cos(heading), np.sin(heading)
     return np.array([[c, -s], [s, c]])

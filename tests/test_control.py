@@ -22,6 +22,7 @@ from polydrive.trajectory import (
     fit_polynomial,
     sample_times,
 )
+from test_trajectory import sample_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,32 @@ def straight_poly(speed):
     return fit_polynomial(PointSeries(t, xy))
 
 
+def reference_speed_target(poly):
+    """The speed target on a validated PointSeries of the sampled trajectory."""
+    pts = sample_trajectory(poly).xy
+    arc = float(np.linalg.norm(pts[0]))
+    arc += float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+    return min(arc / 2.0, TARGET_SPEED)
+
+
 class TestSpeedTarget:
+    def test_matches_point_series_form(self):
+        # Random, straight and stopping predictions, bit for bit, including
+        # ones that start at the origin and ones capped at cruise speed.
+        rng = np.random.default_rng(6)
+        polys = [straight_poly(v) for v in (0.0, 1e-9, 3.3, TARGET_SPEED, 20.0)]
+        polys += [PolyTrajectory2D(np.zeros(5), np.zeros(5)),
+                  PolyTrajectory2D([0.0, 0.0, 0.0, 1.0, -0.0], [0.0, 0.0, -1.0, 0.0, 0.0])]
+        for scale in (0.01, 1.0, 30.0):
+            polys += [PolyTrajectory2D(*rng.normal(0.0, scale, (2, 5))) for _ in range(300)]
+        capped = 0
+        for poly in polys:
+            got = trajectory_speed_target(poly)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(reference_speed_target(poly)).tobytes()
+            capped += got == TARGET_SPEED
+        assert 50 < capped < len(polys) - 200
+
     def test_straight_line_arc(self):
         assert abs(trajectory_speed_target(straight_poly(4.0)) - 4.0) < 1e-6
 
@@ -220,7 +246,7 @@ class TestLiveNavigationCommand:
         ego = world.agents[0]
         n = 300
         for _ in range(n):
-            sampler.observe()
+            sampler.observe(world.snapshot())
             live.append(
                 live_navigation_command(
                     ego.route, ego.route_s, ego.speed, town
@@ -258,37 +284,48 @@ class TestLiveNavigationCommand:
             assert nc == NavigationCommand.KEEP_LANE
 
 
+def assert_live_matches_offline(town_id, n_cars, n_peds, seed):
+    """Drive the expert while the sampler observes; each live Sample must
+    equal the offline one centered at its tick, bit for bit, up to the
+    navigation command (which may lead or lag by < 0.3 s)."""
+    n = 160
+    net = sw.build_town(town_id)
+    world = sw.spawn_scenario(net, n_cars=n_cars, n_pedestrians=n_peds, seed=seed)
+    sampler = LiveSampler(world)
+    live_samples = {}
+    ego = world.agents[0]
+    for i in range(n):
+        sampler.observe(world.snapshot())
+        if i == 0:  # the history is the first tick's, repeated
+            sample = sampler.build()
+            assert (sample.e == 0.0).all() and (sample.v == sample.v[:, -1:, -1:]).all()
+        if i >= dataset.T_STEPS - 1:
+            live_samples[i] = sampler.build()
+        world.step(ego_command=sw.autopilot_command(ego, world))
+    log = sw.record_episode(net, seed=seed, duration=n * TICK, n_cars=n_cars,
+                            n_pedestrians=n_peds)
+    offline = dataset.extract_windows(log, net)
+    # The live ticks run to the end; the offline windows stop T short of it.
+    assert [s.center_tick for s in offline] == sorted(live_samples)[: len(offline)]
+    for s_off in offline:
+        s_live = live_samples[s_off.center_tick]
+        for name in ("e", "v", "v_mask", "m_cells", "m_labels", "ctx"):
+            np.testing.assert_array_equal(getattr(s_live, name), getattr(s_off, name))
+            assert getattr(s_live, name).tobytes() == getattr(s_off, name).tobytes(), name
+    # The seeds are scenes where other cars share the map and one leads.
+    assert len(offline) == 121
+    assert sum((s.m_labels > 0).any() for s in offline) >= 60
+    assert sum(s.ctx[5] < dataset.CTX_LEAD_CAP for s in offline) >= 15
+
+
 class TestLiveSampleEquivalence:
-    def test_samples_match_offline_extraction(self, town):
-        # Drive the expert while simultaneously recording; the Sample built
-        # live at tick i must equal the offline Sample centered at tick i
-        # (up to the navigation command, which may lead or lag by < 0.3 s).
-        n = 160
-        world = sw.spawn_scenario(town, n_cars=5, n_pedestrians=2, seed=13)
-        sampler = LiveSampler(world)
-        live_samples = {}
-        ego = world.agents[0]
-        for i in range(n):
-            sampler.observe()
-            if i >= dataset.T_STEPS - 1:
-                live_samples[i] = sampler.build()
-            world.step(ego_command=sw.autopilot_command(ego, world))
-        log = sw.record_episode(town, seed=13, duration=n * TICK, n_cars=5,
-                                n_pedestrians=2)
-        offline = dataset.extract_windows(log, town)
-        checked = 0
-        for s_off in offline:
-            i = s_off.center_tick
-            if i not in live_samples:
-                continue
-            s_live = live_samples[i]
-            np.testing.assert_allclose(s_live.e, s_off.e, atol=1e-9)
-            np.testing.assert_allclose(s_live.v, s_off.v, atol=1e-9)
-            np.testing.assert_array_equal(s_live.v_mask, s_off.v_mask)
-            np.testing.assert_allclose(s_live.m_cells, s_off.m_cells, atol=1e-9)
-            np.testing.assert_allclose(s_live.ctx, s_off.ctx, atol=1e-9)
-            checked += 1
-        assert checked >= 50
+    def test_samples_match_offline_extraction(self):
+        assert_live_matches_offline("train", 5, 2, 20)
+
+    @pytest.mark.parametrize("town_id, n_cars, n_peds, seed", [("test", 5, 2, 3), ("train", 15, 2, 9),
+                                                               ("test", 15, 2, 15)])
+    def test_samples_match_offline_extraction_mixes(self, town_id, n_cars, n_peds, seed):
+        assert_live_matches_offline(town_id, n_cars, n_peds, seed)
 
 
 class TestDriveTask:

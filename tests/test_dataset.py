@@ -15,19 +15,19 @@ from polydrive.dataset import (
     T_STEPS,
     WINDOW_TICKS,
     NavigationCommand,
+    assemble_sample,
+    compute_context,
     compute_navigation_command,
     extract_windows,
     fit_future_points,
-    history_tensor,
     read_dataset,
     samples_equal,
-    select_neighbors,
     turn_command,
     write_dataset,
 )
 from polydrive.errors import DataFormatError
 from polydrive.model import init_params, save_checkpoint
-from polydrive.trajectory import PointSeries, fit_polynomial, sample_times
+from polydrive.trajectory import PointSeries, Pose2D, fit_polynomial, sample_times, xy_to_frame
 
 
 @pytest.fixture(scope="module")
@@ -45,23 +45,186 @@ def samples(log, town):
     return extract_windows(log, town)
 
 
-class TestHistoryTensor:
-    def test_shape_and_window_content(self):
-        track = np.arange(T_STEPS * 2, dtype=float).reshape(T_STEPS, 2)
-        h = history_tensor(track)
-        assert h.shape == (T_STEPS, K_WINDOW, 2)
-        assert h.flags.c_contiguous and not np.shares_memory(h, track)
-        # window k at index i holds the position at tick i - K + 1 + k,
-        # clamped to the oldest tick
-        for i in range(T_STEPS):
-            for k in range(K_WINDOW):
-                np.testing.assert_array_equal(h[i, k], track[max(i - K_WINDOW + 1 + k, 0)])
+# -- the per-car window assembly that the batched one replaced, as references --
 
-    def test_early_ticks_pad_with_oldest(self):
+
+def reference_history_tensor(track):
+    """(T, 2) positions -> (T, K, 2) sliding windows, oldest first: window k
+    at index i holds the position at tick i - K + 1 + k, and missing past
+    repeats the oldest position."""
+    out = np.empty((T_STEPS, K_WINDOW, 2))
+    for i in range(T_STEPS):
+        for k in range(K_WINDOW):
+            out[i, k] = track[max(i - K_WINDOW + 1 + k, 0)]
+    return out
+
+
+def reference_select_neighbors(ego_xy, cars):
+    """Up to N nearest car agent ids by 1-D norm, ascending distance, ties by id."""
+    scored = sorted((float(np.linalg.norm(xy - ego_xy)), agent_id) for agent_id, xy in cars)
+    return [agent_id for _, agent_id in scored[:N_NEIGHBORS]]
+
+
+def reference_context_tail(ego, cars, peds):
+    """ctx[5:8] by the one-row simworld.leading_vehicles and
+    crossing_ped_distances calls, pedestrians at speed 0."""
+    ego_row = np.array([ego], dtype=np.float64)
+    car_rows = np.array(cars, dtype=np.float64).reshape(-1, 4)
+    gap, lead_dv = sw.leading_vehicles(ego_row, np.array([-1]), car_rows, np.arange(len(cars)))
+    ped_rows = np.array([(px, py, 0.0, 0.0) for px, py in peds]).reshape(-1, 4)
+    d_ped = sw.crossing_ped_distances(ego_row, ped_rows)[0]
+    return np.array([min(gap[0], dataset.CTX_LEAD_CAP), lead_dv[0], min(d_ped, dataset.CTX_PED_CAP)])
+
+
+def reference_assemble_sample(network, frame, ego_speed, ego_past, car_tracks, peds, light_green, nc):
+    """One xy_to_frame and one 1-D norm per car.  car_tracks holds (agent_id,
+    (T, 2) track, center state) per other car, in agent order; returns the
+    sample and the neighbor slots' agent ids."""
+    rel_ego = xy_to_frame(ego_past, frame)
+    order = reference_select_neighbors(
+        np.array([frame.x, frame.y]), [(aid, trk[-1]) for aid, trk, _ in car_tracks]
+    )
+    rel = {aid: xy_to_frame(trk, frame) for aid, trk, _ in car_tracks}
+    v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
+    v_mask = np.zeros(N_NEIGHBORS, dtype=bool)
+    for k, aid in enumerate(order):
+        v[k] = reference_history_tensor(rel[aid])
+        v_mask[k] = True
+    rel_tracks = np.empty((1 + len(car_tracks), T_STEPS, 2))
+    rel_tracks[0] = rel_ego
+    dists = np.zeros(1 + len(car_tracks))
+    for row, aid in enumerate(sorted(rel), start=1):
+        rel_tracks[row] = rel[aid]
+        dists[row] = float(np.linalg.norm(rel_tracks[row][-1]))
+    m_cells, m_labels = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
+    ego = (frame.x, frame.y, frame.heading, ego_speed)
+    cars = [st for _, _, st in car_tracks]
+    ctx = compute_context(network, ego, cars, peds, light_green)
+    ctx[5:] = reference_context_tail(ego, cars, peds)
+    sample = dataset.Sample(
+        e=reference_history_tensor(rel_ego), v=v, v_mask=v_mask, m_cells=m_cells,
+        m_labels=m_labels, ctx=ctx, nc=nc, ego_future=np.zeros((T_STEPS, 2)),
+        neigh_future=np.zeros((N_NEIGHBORS, T_STEPS, 2)),
+    )
+    return sample, order
+
+
+def reference_extract_windows(log, network):
+    """extract_windows with the per-car assembly and per-neighbor futures."""
+    car_rows = log.car_indices()
+    ego_row, other_rows = car_rows[0], car_rows[1:]
+    samples = []
+    for c in range(T_STEPS - 1, len(log) - T_STEPS):
+        frame = Pose2D(*log.states[c][ego_row, :3])
+        past = slice(c - T_STEPS + 1, c + 1)
+        fut = slice(c + 1, c + 1 + T_STEPS)
+        car_tracks = [
+            (log.agent_ids[r], log.states[past, r, :2], tuple(log.states[c][r])) for r in other_rows
+        ]
+        sample, order = reference_assemble_sample(
+            network, frame, float(log.states[c][ego_row, 3]), log.states[past, ego_row, :2],
+            car_tracks, [tuple(log.states[c][r, :2]) for r in log.ped_indices()],
+            lambda node_id, axis, _tick=c: log.light_green_at(_tick, node_id, axis),
+            compute_navigation_command(log, c, network),
+        )
+        sample.ego_future = fit_future_points(xy_to_frame(log.states[fut, ego_row, :2], frame))
+        row_of = {log.agent_ids[r]: r for r in other_rows}
+        for k, aid in enumerate(order):
+            r = row_of[aid]
+            rel = xy_to_frame(log.states[fut, r, :2], frame)
+            rel -= xy_to_frame(log.states[c][r, :2][None, :], frame)[0]
+            sample.neigh_future[k] = fit_future_points(rel)
+        sample.episode_seed = int(log.meta.get("seed", 0))
+        sample.center_tick = c
+        samples.append(sample)
+    return samples
+
+
+def batched_assemble(network, ego, ego_past, car_tracks, peds):
+    """assemble_sample on reference_assemble_sample's inputs: the tracks
+    stacked ego first, then by agent id.  Returns the sample and the
+    neighbor slots' agent ids."""
+    ids = [aid for aid, _, _ in car_tracks]
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    tracks = np.stack([ego_past] + [car_tracks[i][1] for i in by_id])
+    sample, rel, rows = assemble_sample(
+        network, ego, tracks, [list(st) for _, _, st in car_tracks], list(peds),
+        lambda node_id, axis: True, NavigationCommand.KEEP_LANE,
+    )
+    assert rel.tobytes() == np.stack([xy_to_frame(t, Pose2D(*ego[:3])) for t in tracks]).tobytes()
+    return sample, [ids[by_id[r - 1]] for r in rows]
+
+
+def assert_same_assembly(network, ego, ego_past, car_tracks, peds):
+    """The batched and the per-car assembly agree bit for bit."""
+    got, got_ids = batched_assemble(network, ego, ego_past, car_tracks, peds)
+    want, want_ids = reference_assemble_sample(
+        network, Pose2D(*ego[:3]), ego[3], ego_past, car_tracks, peds,
+        lambda node_id, axis: True, NavigationCommand.KEEP_LANE,
+    )
+    assert got_ids == want_ids
+    assert_same_bits(got, want)
+    return got, got_ids
+
+
+def straight_track(end, heading=0.0, speed=5.0):
+    """T positions along a heading, at speed, ending at end."""
+    back = speed * sw.TICK * np.arange(T_STEPS - 1, -1, -1)[:, None]
+    return np.asarray(end, dtype=np.float64) - back * [np.cos(heading), np.sin(heading)]
+
+
+def scene(ends, ids=None, heading=0.0, speed=5.0):
+    """car_tracks for cars ending at ends, heading along x at speed."""
+    ids = range(len(ends)) if ids is None else ids
+    return [
+        (aid, straight_track(end, heading, speed), (float(end[0]), float(end[1]), heading, speed))
+        for aid, end in zip(ids, ends)
+    ]
+
+
+ORIGIN = (0.0, 0.0, 0.0, 4.0)
+
+
+def disagreeing_offsets(rng, radius, n=4000):
+    """Two offsets of about radius, close together, that the row norm and the
+    1-D norm order differently (or tie under one only)."""
+    theta = 0.2 + rng.uniform(0.0, 0.01, n)
+    xy = radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    row = np.sqrt(xy[:, 0] * xy[:, 0] + xy[:, 1] * xy[:, 1])
+    one = np.array([np.linalg.norm(p) for p in xy])
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 200)):
+            if np.sign(row[i] - row[j]) != np.sign(one[i] - one[j]):
+                return xy[i], xy[j]
+    raise AssertionError("no disagreeing pair found")
+
+
+class TestHistoryTensor:
+    """assemble_sample's window gather against the per-position rule."""
+
+    def _assembled(self, town):
         track = np.arange(T_STEPS * 2, dtype=float).reshape(T_STEPS, 2)
-        h = history_tensor(track)
-        np.testing.assert_array_equal(h[0, 0], track[0])
-        np.testing.assert_array_equal(h[0, K_WINDOW - 1], track[0])
+        cars = [(4, track + 100.0, (track[-1, 0] + 100.0, track[-1, 1] + 100.0, 0.0, 1.0))]
+        sample, ids = assert_same_assembly(town, ORIGIN, track, cars, [])
+        assert ids == [4]
+        return track, sample
+
+    def test_shape_and_window_content(self, town):
+        track, sample = self._assembled(town)
+        for h, trk in ((sample.e, track), (sample.v[0], track + 100.0)):
+            assert h.shape == (T_STEPS, K_WINDOW, 2)
+            assert h.flags.c_contiguous and not np.shares_memory(h, track)
+            # window k at index i holds the position at tick i - K + 1 + k,
+            # clamped to the oldest tick (the frame is the world's here)
+            for i in range(T_STEPS):
+                for k in range(K_WINDOW):
+                    np.testing.assert_array_equal(h[i, k], trk[max(i - K_WINDOW + 1 + k, 0)])
+            np.testing.assert_array_equal(h, reference_history_tensor(trk))
+
+    def test_early_ticks_pad_with_oldest(self, town):
+        track, sample = self._assembled(town)
+        np.testing.assert_array_equal(sample.e[0, 0], track[0])
+        np.testing.assert_array_equal(sample.e[0, K_WINDOW - 1], track[0])
 
 
 class TestFutureFit:
@@ -79,17 +242,159 @@ class TestFutureFit:
 
 
 class TestNeighbors:
-    def test_nearest_five_ascending(self):
-        ego = np.zeros(2)
-        cars = [(i, np.array([float(10 - i), 0.0])) for i in range(8)]
-        order = select_neighbors(ego, cars)
-        assert len(order) == N_NEIGHBORS
-        assert order == [7, 6, 5, 4, 3]
+    def test_nearest_five_ascending(self, town):
+        cars = scene([(float(10 - i), 0.0) for i in range(8)])
+        _, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
+        assert ids == [7, 6, 5, 4, 3]
 
-    def test_distance_tie_broken_by_id(self):
-        ego = np.zeros(2)
-        cars = [(3, np.array([5.0, 0.0])), (1, np.array([0.0, 5.0]))]
-        assert select_neighbors(ego, cars) == [1, 3]
+    def test_distance_tie_broken_by_id(self, town):
+        cars = scene([(5.0, 0.0), (0.0, 5.0)], ids=[3, 1])
+        _, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
+        assert ids == [1, 3]
+
+
+class TestBatchedAssembly:
+    """The batched window assembly against the per-car reference, bit for bit."""
+
+    # datagen's traffic mixes at its episode seeds, then scenes where other
+    # cars share the map, one leads the ego, or a pedestrian is ahead of it.
+    SCENES = {
+        "train": [(100000, 5, 6), (100001, 15, 2), (20, 5, 6), (9, 15, 2), (1, 5, 6)],
+        "test": [(100000, 5, 6), (100001, 15, 2), (3, 5, 6), (15, 15, 2), (11, 5, 6)],
+    }
+
+    @pytest.mark.parametrize("town_id", ["train", "test"])
+    def test_recorded_windows(self, town_id):
+        net = sw.build_town(town_id)
+        seen = np.zeros(3, dtype=int)
+        for seed, n_cars, n_peds in self.SCENES[town_id]:
+            log = sw.record_episode(net, seed, 16.0, n_cars, n_peds)
+            got, want = extract_windows(log, net), reference_extract_windows(log, net)
+            assert len(got) == len(want) == len(log) - WINDOW_TICKS + 1
+            for a, b in zip(got, want):
+                assert_same_bits(a, b)
+            seen += [sum((s.m_labels > 0).any() for s in got),
+                     sum(s.ctx[5] < dataset.CTX_LEAD_CAP for s in got),
+                     sum(s.ctx[7] < dataset.CTX_PED_CAP for s in got)]
+        assert (seen >= 40).all()
+
+    def test_agent_ids_out_of_row_order(self, log, town):
+        # A trace file may number its agents in any order: neighbor ties and
+        # map labels follow the ids, the context's cars the rows.
+        ids = list(log.agent_ids)
+        cars = log.car_indices()[1:]
+        for r, aid in zip(cars, [ids[r] for r in cars][::-1]):
+            ids[r] = aid
+        shuffled = sw.EpisodeLog(log.meta, log.kinds, ids, log.groups, log.clock, log.states, log.lights)
+        got, want = extract_windows(shuffled, town), reference_extract_windows(shuffled, town)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        assert len(got) == len(want) and any(a.m_labels.max() > 1 for a in got)
+
+    def test_equal_distances_with_different_ids(self, town):
+        # Eight cars 10 m away, ids out of row order: the five lowest ids win.
+        # Map labels are rows in id order, and ids 7 and 4 (rows 6 and 4)
+        # drive the same track: each contested cell goes to the lower id.
+        ends = [(10.0, 0.0), (0.0, 10.0), (-10.0, 0.0), (0.0, -10.0), (6.0, 8.0),
+                (8.0, 6.0), (-6.0, 8.0), (10.0, 0.0)]
+        cars = scene(ends, ids=[7, 3, 9, 1, 5, 2, 8, 4])
+        sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
+        assert ids == [1, 2, 3, 4, 5]
+        assert 4 in sample.m_labels and 6 not in sample.m_labels
+
+    def test_distances_one_ulp_apart(self, town):
+        rng = np.random.default_rng(5)
+        d = 12.5
+        pairs = [((d, 0.0), (np.nextafter(d, np.inf), 0.0)),
+                 ((0.0, np.nextafter(d, 0.0)), (d, 0.0)),
+                 disagreeing_offsets(rng, d), disagreeing_offsets(rng, 3.1)]
+        for a, b in pairs:
+            for ids in ([0, 1], [1, 0]):
+                cars = scene([a, b, (40.0, 0.0), (30.0, 1.0), (20.0, -1.0), (4.0, 4.0)],
+                             ids=ids + [2, 3, 4, 5])
+                assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [(3.0, 0.5)])
+
+    def test_cars_off_the_map(self, town):
+        # Beyond the 65 m x 10.5 m map, yet still ranked as neighbors.
+        cars = scene([(100.0, 0.0), (0.0, 40.0), (-200.0, 3.0), (33.0, 0.0)], ids=[2, 1, 3, 4])
+        sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
+        assert ids == [4, 1, 2, 3]
+        assert set(np.unique(sample.m_labels)) <= {-1, 0, 4}
+
+    def test_no_other_cars_and_no_pedestrians(self, town):
+        sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), [], [])
+        assert ids == [] and not sample.v_mask.any() and (sample.v == 0.0).all()
+        assert set(np.unique(sample.m_labels)) == {-1, 0}
+        cars = scene([(8.0, 0.5), (15.0, -1.0)], ids=[6, 2])
+        sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
+        assert ids == [6, 2] and sample.ctx[7] == dataset.CTX_PED_CAP
+
+    def test_random_frames(self, town):
+        # Random ego poses on the town, cars and walkers around it, some of
+        # them at equal offsets.
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            x, y = rng.uniform(-150.0, 150.0, 2)
+            h = rng.uniform(-4.0, 4.0)
+            ego = (x, y, h, rng.uniform(0.0, 8.0))
+            n = int(rng.integers(0, 9))
+            ends = list(map(tuple, rng.uniform(-30.0, 30.0, (n, 2)) + (x, y)))
+            if n >= 2 and trial % 3 == 0:  # mirrored through the ego
+                ends[1] = (2 * x - ends[0][0], 2 * y - ends[0][1])
+            heading = rng.uniform(-np.pi, np.pi)
+            cars = scene(ends, ids=list(rng.permutation(n) * 3), heading=heading)
+            peds = list(map(tuple, rng.uniform(-20.0, 20.0, (int(rng.integers(0, 4)), 2)) + (x, y)))
+            assert_same_assembly(town, ego, straight_track((x, y), h), cars, peds)
+
+
+class TestFloatContext:
+    """compute_context's lead and pedestrian scalars against the one-row
+    array forms, bit for bit, on their boundaries."""
+
+    def assert_pinned(self, town, ego, cars, peds):
+        ctx = compute_context(town, ego, cars, peds, lambda node_id, axis: True)
+        assert ctx[5:].tobytes() == reference_context_tail(ego, cars, peds).tobytes()
+        return ctx[5:]
+
+    def test_heading_aligned_ties_take_the_first(self, town):
+        cars = [(10.0, 1.0, 0.0, 3.0), (10.0, -1.0, 0.0, 7.0), (12.0, 0.0, 0.0, 1.0)]
+        assert list(self.assert_pinned(town, ORIGIN, cars, [])) == [10.0, -1.0, 30.0]
+        assert list(self.assert_pinned(town, ORIGIN, cars[1::-1], [])) == [10.0, 3.0, 30.0]
+
+    @pytest.mark.parametrize("lx", [0.0, -0.0, 5e-324, 16.0, np.nextafter(16.0, 99.0), 25.0,
+                                    np.nextafter(25.0, 99.0), -3.0])
+    @pytest.mark.parametrize("ly", [0.0, -0.0, 2.2, -2.2, np.nextafter(2.2, 9.0), 3.0, -3.0,
+                                    np.nextafter(3.0, 9.0)])
+    def test_boundaries(self, town, lx, ly):
+        # With the ego at the origin heading along x, lx and ly are exact.
+        for ego in (ORIGIN, (-0.0, -0.0, -0.0, 4.0)):
+            got = self.assert_pinned(town, ego, [(lx, ly, 0.0, 2.0)], [(lx, ly)])
+            lead = 0.0 < lx <= 25.0 and abs(ly) <= 2.2
+            walker = 0.0 < lx <= 16.0 and abs(ly) <= 3.0
+            assert got[0] == (min(lx, 50.0) if lead else 50.0)
+            assert got[2] == (lx if walker else 30.0)
+
+    def test_cross_traffic_and_headings(self, town):
+        # Car headings around +-90 deg from the ego's decide whether it leads.
+        h90 = np.pi / 2
+        for h in (h90, -h90, np.nextafter(h90, 9.0), np.nextafter(-h90, -9.0), np.pi, -0.0):
+            self.assert_pinned(town, ORIGIN, [(8.0, 0.0, h, 5.0)], [])
+
+    def test_random_egos(self, town):
+        rng = np.random.default_rng(4)
+        lo, hi = [-30.0, -8.0, -np.pi, 0.0], [30.0, 8.0, np.pi, 8.0]
+        found = 0
+        for trial in range(400):
+            ego = tuple(rng.uniform(lo, hi))
+            cars = rng.uniform(lo, hi, (int(rng.integers(0, 8)), 4))
+            peds = rng.uniform(lo[:2], hi[:2], (int(rng.integers(0, 5)), 2))
+            if trial % 2:
+                ego = (ego[0], ego[1], 0.0, ego[3])
+                cars[:, 0] = ego[0] + rng.choice([5.0, 10.0, 16.0, 25.0], len(cars))
+                peds[:, 0] = ego[0] + rng.choice([-1.0, 5.0, 16.0], len(peds))
+            got = self.assert_pinned(town, ego, cars.tolist(), peds.tolist())
+            found += got[0] < 50.0
+        assert found > 40
 
 
 class TestProximityMap:

@@ -13,7 +13,7 @@ from test_kernels import (
     reference_integrate_cars,
 )
 
-from polydrive import bench, kernels, simworld as sw
+from polydrive import bench, kernels, model, simworld as sw
 from polydrive.errors import DataFormatError, SpawnError
 
 
@@ -856,6 +856,18 @@ class TestGoldenBytes:
         assert result.reached_goal and len(result.trace) == 839
         assert jsonl_sha256(result.trace, tmp_path / "trace.jsonl") == (
             "76aa11fe2b8c5ceebb9a914c7fb7a6d871064c6513fc9280243e6b9bc1c93412"
+        )
+
+    def test_model_drive_trace(self, train_town, tmp_path, monkeypatch):
+        # Untrained init_params(0) on the same task for 80 ticks: each tick
+        # builds a live sample, predicts and tracks the prediction.
+        task = [t for t in bench.generate_suite("train", 3) if t.kind == "nav_dynamic"][0]
+        monkeypatch.setattr(bench, "route_timeout", lambda length: 79.5 * sw.TICK)
+        result = bench.run_task(train_town, task, model.init_params(0))
+        assert not result.reached_goal and len(result.trace) == 80
+        assert result.distance_m > 10.0
+        assert jsonl_sha256(result.trace, tmp_path / "trace.jsonl") == (
+            "6d71974b53e3d08bb464841aba1ea2dbf26d03e23958fe348643d2c12c292d2a"
         )
 
 

@@ -13,7 +13,6 @@ from polydrive.trajectory import (
     PolyTrajectory2D,
     fit_polynomial,
     sample_times,
-    sample_trajectory,
     xy_to_frame,
 )
 
@@ -63,6 +62,14 @@ class TestFit:
         xy[3, 0] = np.nan
         with pytest.raises(InvalidInputError):
             fit_polynomial(PointSeries(t, xy))
+
+
+def sample_trajectory(poly):
+    """The trajectory evaluated at sample_times(), as a validated PointSeries:
+    the reference control.trajectory_speed_target is checked against."""
+    t = sample_times()
+    xy = np.stack([np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=1)
+    return PointSeries(t, xy)
 
 
 class TestSampling:
