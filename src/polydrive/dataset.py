@@ -121,7 +121,7 @@ def compute_context(
     distance, leading-vehicle relative speed, nearest crossing-pedestrian
     distance.
     """
-    x, y, h, v = ego
+    x, y, h, _ = ego
     d_light, phase, d_inter = CTX_LIGHT_CAP, 0.0, CTX_INTER_CAP
     lat, herr = 0.0, 0.0
     hit = network.nearest_lane((x, y), h)
@@ -140,25 +140,10 @@ def compute_context(
                 green = light_green(to_node.node_id, network.signal_axis(lane.seg_id))
                 phase = 0.0 if green else 1.0
 
-    # The nearest car ahead in the ego's corridor, heading the same way (equal
-    # gaps: the first), and the nearest pedestrian ahead; the forms of
-    # simworld.leading_vehicles and crossing_ped_distances for one ego, on
-    # floats.  The pedestrians have no speed here, so none is approaching.
-    cos_h, sin_h = float(np.cos(h)), float(np.sin(h))
-    gap, lead_dv = np.inf, 0.0
-    for cx, cy, ch, cv in cars:
-        dx, dy = cx - x, cy - y
-        lx = cos_h * dx + sin_h * dy
-        if 0.0 < lx <= 25.0 and lx < gap and abs(-sin_h * dx + cos_h * dy) <= 2.2:
-            cos_dh = float(np.cos(ch - h))
-            if cos_dh > 0.0:
-                gap, lead_dv = lx, cv * cos_dh - v
-    d_ped = np.inf
-    for px, py in peds:
-        dx, dy = px - x, py - y
-        lx = cos_h * dx + sin_h * dy
-        if 0.0 < lx <= 16.0 and lx < d_ped and abs(-sin_h * dx + cos_h * dy) <= 3.0:
-            d_ped = lx
+    # The expert's own leader and pedestrian rule; the pedestrians have no
+    # speed here, so none is approaching.
+    walkers = [(px, py, 1.0, 0.0, 0.0) for px, py in peds]
+    gap, lead_dv, d_ped = simworld.traffic_ahead(ego, float(np.cos(h)), float(np.sin(h)), cars, walkers)
     d_lead, d_ped = min(gap, CTX_LEAD_CAP), min(d_ped, CTX_PED_CAP)
     return np.array([d_light, phase, d_inter, float(lat), herr, d_lead, lead_dv, d_ped])
 

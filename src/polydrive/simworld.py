@@ -610,43 +610,45 @@ def pure_pursuit_steer(agent: AgentState) -> float:
     return clamp(steer, -MAX_STEER, MAX_STEER)
 
 
-def _ego_frame(ego: np.ndarray, others: np.ndarray):
-    """cos, sin of each (x, y, heading, speed) ego row's heading, and every
-    other row's position in its frame, lx ahead and ly left, (E, O) each."""
-    c, s = np.cos(ego[:, 2:3]), np.sin(ego[:, 2:3])
-    dx = others[:, 0] - ego[:, 0:1]
-    dy = others[:, 1] - ego[:, 1:2]
-    return c, s, c * dx + s * dy, -s * dx + c * dy
+def traffic_ahead(ego, c, s, cars, peds) -> tuple[float, float, float]:
+    """The expert's traffic rule for one ego (x, y, heading, speed) whose
+    heading has np.cos c and np.sin s: (leader gap, leader relative speed,
+    crossing pedestrian distance), inf, 0.0 and inf where there is none.
+    Trig stays on numpy, whose bits the recorded episodes carry.
 
-
-def leading_vehicles(ego, ego_ids, cars, car_ids) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest car ahead in each ego row's corridor: (gap, relative speed), inf
-    and 0.0 where none.  No car leads itself (equal id); equal gaps: first."""
-    if not cars.shape[0]:
-        return np.full(len(ego), np.inf), np.zeros(len(ego))
-    _, _, lx, ly = _ego_frame(ego, cars)
-    cos_dh = np.cos(cars[:, 2] - ego[:, 2:3])
-    # Oncoming traffic is handled by lane geometry and junction
-    # exclusion, not by the follow gap.
-    ok = (car_ids != ego_ids[:, None]) & (cos_dh > 0.0)
-    ok &= (0.0 < lx) & (lx <= 25.0) & (np.abs(ly) <= 2.2)
-    rows, lx = np.arange(len(ego)), np.where(ok, lx, np.inf)
-    k = lx.argmin(axis=1)
-    gap = lx[rows, k]
-    return gap, np.where(gap < np.inf, cars[k, 3] * cos_dh[rows, k] - ego[:, 3], 0.0)
-
-
-def crossing_ped_distances(ego, peds) -> np.ndarray:
-    """Distance from each ego row to the nearest pedestrian crossing ahead;
-    0.0 while one is alongside and still closing, inf where there is none."""
-    c, s, lx, ly = _ego_frame(ego, peds)
-    lvy = peds[:, 3] * (-s * np.cos(peds[:, 2]) + c * np.sin(peds[:, 2]))
-    approaching = ly * lvy < -1e-9  # walking toward the car's centerline
-    near = np.abs(ly) <= np.where(approaching, 6.0, 3.0)
-    d = np.where(near & (0.0 < lx) & (lx <= 16.0), lx, np.inf)
-    # Alongside and still closing: hold the stop until it has passed.
-    d[near & approaching & (-3.0 < lx) & (lx <= 0.0)] = 0.0
-    return d.min(axis=1, initial=np.inf)
+    cars : (x, y, heading, speed) rows.  The leader is the nearest car in
+           the ego's +-2.2 m corridor up to 25 m ahead, heading the same way;
+           of equal gaps, the first.  The ego's own row sits at 0.0 ahead,
+           so it may be among them and never leads.
+    peds : (x, y, cos heading, sin heading, speed) rows.  A pedestrian counts
+           up to 16 m ahead and 3 m to either side, 6 m while it walks toward
+           the centerline, and gives 0.0 while alongside and still closing.
+    """
+    x, y, h, v = ego
+    gap, rel_v = math.inf, 0.0
+    for bx, by, bh, bv in cars:
+        dx, dy = bx - x, by - y
+        lx = c * dx + s * dy
+        if 0.0 < lx <= 25.0 and lx < gap and abs(-s * dx + c * dy) <= 2.2:
+            # Oncoming traffic is handled by lane geometry and junction
+            # exclusion, not by the follow gap.
+            cos_dh = float(np.cos(bh - h))
+            if cos_dh > 0.0:
+                gap, rel_v = lx, bv * cos_dh - v
+    ped_d = math.inf
+    for px, py, pc, ps, pv in peds:
+        dx, dy = px - x, py - y
+        lx = c * dx + s * dy
+        if -3.0 < lx <= 16.0:
+            ly = -s * dx + c * dy
+            approaching = ly * (pv * (-s * pc + c * ps)) < -1e-9  # toward the centerline
+            if abs(ly) <= (6.0 if approaching else 3.0):
+                if 0.0 < lx:
+                    if lx < ped_d:
+                        ped_d = lx
+                elif approaching:  # alongside: hold the stop until it has passed
+                    ped_d = 0.0
+    return gap, rel_v, ped_d
 
 
 def _nearer_than(dx: float, dy: float, radius: float) -> bool:
@@ -705,21 +707,24 @@ class World:
         return group.time_to_red(self.clock)
 
     def traffic(self) -> dict[int, tuple[float, float, float]]:
-        """Per car id at this tick, computed for every car at once and kept
-        until the world steps: leader gap and relative speed, and crossing
-        pedestrian distance (inf, 0.0 and inf where there is none)."""
+        """Per car id at this tick, by traffic_ahead, kept until the world
+        steps: leader gap and relative speed, and crossing pedestrian
+        distance (inf, 0.0 and inf where there is none)."""
         if self._traffic is None:
             cars = self.cars
-            table = np.array([(a.x, a.y, a.heading, a.speed) for a in cars]).reshape(-1, 4)
-            ids = np.array([a.agent_id for a in cars])
+            rows = [(a.x, a.y, a.heading, a.speed) for a in cars]
+            heading = [a.heading for a in cars]
             # A pedestrian standing at its kerb is yielding (it will not step
             # off while a car is near) and does not gate traffic.
-            peds = [(p.x, p.y, p.heading, p.speed) for p in self.pedestrians
+            peds = [p for p in self.pedestrians
                     if p.ped_path is None or p.speed != 0.0 or not _at_kerb(p)]
-            gap, rel_v = leading_vehicles(table, ids, table, ids)
-            ped_d = crossing_ped_distances(table, np.array(peds).reshape(-1, 4))
-            rows = zip(gap.tolist(), rel_v.tolist(), ped_d.tolist())
-            self._traffic = dict(zip(ids.tolist(), rows))
+            walking = [p.heading for p in peds]
+            walkers = [(p.x, p.y, pc, ps, p.speed) for p, pc, ps in
+                       zip(peds, np.cos(walking).tolist(), np.sin(walking).tolist())]
+            self._traffic = {
+                a.agent_id: traffic_ahead(row, c, s, rows, walkers)
+                for a, row, c, s in zip(cars, rows, np.cos(heading).tolist(), np.sin(heading).tolist())
+            }
         return self._traffic
 
     def snapshot(self) -> np.ndarray:
@@ -849,7 +854,7 @@ def autopilot_command(agent: AgentState, world: World) -> tuple[float, float]:
         v_target = JUNCTION_SPEED
     for d in stop_distances:
         if d < np.inf:  # the speed of an infinite stop distance never binds
-            v_target = min(v_target, float(np.sqrt(2.0 * BRAKE_COMFORT * max(d, 0.0))))
+            v_target = min(v_target, math.sqrt(2.0 * BRAKE_COMFORT * max(d, 0.0)))
     accel = clamp(2.5 * (v_target - agent.speed), ACCEL_MIN, ACCEL_MAX)
     return (steer, accel)
 

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from test_simworld import array_crossing_ped_distances, array_leading_vehicles
 
 from polydrive import dataset, kernels, simworld as sw
 from polydrive.augment import AugmentConfig, augment_samples
@@ -66,13 +67,13 @@ def reference_select_neighbors(ego_xy, cars):
 
 
 def reference_context_tail(ego, cars, peds):
-    """ctx[5:8] by the one-row simworld.leading_vehicles and
-    crossing_ped_distances calls, pedestrians at speed 0."""
+    """ctx[5:8] by the one-row array_leading_vehicles and
+    array_crossing_ped_distances calls, pedestrians at speed 0."""
     ego_row = np.array([ego], dtype=np.float64)
     car_rows = np.array(cars, dtype=np.float64).reshape(-1, 4)
-    gap, lead_dv = sw.leading_vehicles(ego_row, np.array([-1]), car_rows, np.arange(len(cars)))
+    gap, lead_dv = array_leading_vehicles(ego_row, np.array([-1]), car_rows, np.arange(len(cars)))
     ped_rows = np.array([(px, py, 0.0, 0.0) for px, py in peds]).reshape(-1, 4)
-    d_ped = sw.crossing_ped_distances(ego_row, ped_rows)[0]
+    d_ped = array_crossing_ped_distances(ego_row, ped_rows)[0]
     return np.array([min(gap[0], dataset.CTX_LEAD_CAP), lead_dv[0], min(d_ped, dataset.CTX_PED_CAP)])
 
 

@@ -366,6 +366,69 @@ def reference_crossing_ped_distance(agent, peds):
     return best
 
 
+def array_ego_frame(ego, others):
+    """cos, sin of each (x, y, heading, speed) ego row's heading, and every
+    other row's position in its frame, lx ahead and ly left, (E, O) each."""
+    c, s = np.cos(ego[:, 2:3]), np.sin(ego[:, 2:3])
+    dx = others[:, 0] - ego[:, 0:1]
+    dy = others[:, 1] - ego[:, 1:2]
+    return c, s, c * dx + s * dy, -s * dx + c * dy
+
+
+def array_leading_vehicles(ego, ego_ids, cars, car_ids):
+    """Nearest car ahead in each ego row's corridor, on (ego x car) arrays:
+    (gap, relative speed), inf and 0.0 where none.  No car leads itself
+    (equal id); equal gaps: the first."""
+    if not cars.shape[0]:
+        return np.full(len(ego), np.inf), np.zeros(len(ego))
+    _, _, lx, ly = array_ego_frame(ego, cars)
+    cos_dh = np.cos(cars[:, 2] - ego[:, 2:3])
+    ok = (car_ids != ego_ids[:, None]) & (cos_dh > 0.0)
+    ok &= (0.0 < lx) & (lx <= 25.0) & (np.abs(ly) <= 2.2)
+    rows, lx = np.arange(len(ego)), np.where(ok, lx, np.inf)
+    k = lx.argmin(axis=1)
+    gap = lx[rows, k]
+    return gap, np.where(gap < np.inf, cars[k, 3] * cos_dh[rows, k] - ego[:, 3], 0.0)
+
+
+def array_crossing_ped_distances(ego, peds):
+    """Distance from each ego row to the nearest pedestrian crossing ahead,
+    on (ego x pedestrian) arrays; 0.0 while one is alongside and still
+    closing, inf where there is none."""
+    c, s, lx, ly = array_ego_frame(ego, peds)
+    lvy = peds[:, 3] * (-s * np.cos(peds[:, 2]) + c * np.sin(peds[:, 2]))
+    approaching = ly * lvy < -1e-9
+    near = np.abs(ly) <= np.where(approaching, 6.0, 3.0)
+    d = np.where(near & (0.0 < lx) & (lx <= 16.0), lx, np.inf)
+    d[near & approaching & (-3.0 < lx) & (lx <= 0.0)] = 0.0
+    return d.min(axis=1, initial=np.inf)
+
+
+def array_traffic(world):
+    """World.traffic's ids and (cars, 3) table by the array references: the
+    (cars x cars) and (cars x pedestrians) forms, each car among the cars."""
+    cars = world.cars
+    table = np.array([(a.x, a.y, a.heading, a.speed) for a in cars]).reshape(-1, 4)
+    ids = np.array([a.agent_id for a in cars])
+    peds = [(p.x, p.y, p.heading, p.speed) for p in world.pedestrians
+            if p.ped_path is None or p.speed != 0.0 or not sw._at_kerb(p)]
+    gap, rel_v = array_leading_vehicles(table, ids, table, ids)
+    ped_d = array_crossing_ped_distances(table, np.array(peds).reshape(-1, 4))
+    return ids.tolist(), np.stack([gap, rel_v, ped_d], axis=1)
+
+
+def wide_band_cars(world):
+    """How many cars have a pedestrian 3-6 m to the side, within the
+    crossing rule's reach ahead, that only its approaching band admits."""
+    snap = world.snapshot()
+    kinds = np.array([a.kind for a in world.agents])
+    cars, peds = snap[kinds == "car"], snap[kinds == "pedestrian"]
+    c, s, lx, ly = array_ego_frame(cars, peds)
+    approaching = ly * (peds[:, 3] * (-s * np.cos(peds[:, 2]) + c * np.sin(peds[:, 2]))) < -1e-9
+    wide = approaching & (3.0 < np.abs(ly)) & (np.abs(ly) <= 6.0) & (-3.0 < lx) & (lx <= 16.0)
+    return int(wide.any(axis=1).sum())
+
+
 def reference_pure_pursuit_steer(agent):
     """The steer on numpy scalars, from the route's arrays."""
     route = agent.route
@@ -512,17 +575,60 @@ class ReferenceWorld(sw.World):
             ped.speed = sw.PED_SPEED
 
 
+ORIGIN = (0.0, 0.0, 0.0, 4.0)
+
+
+def assert_traffic_ahead(ego, cars, peds):
+    """sw.traffic_ahead for one ego (x, y, heading, speed) among cars and
+    pedestrians (x, y, heading, speed), in World.traffic's form (the ego's
+    own row among the cars, each walker's heading and speed) and in
+    compute_context's (the other cars, the walkers at speed 0), against the
+    array and per-agent references, bit for bit in Python floats.  Returns
+    the world form's result."""
+    table = np.array([ego, *cars], dtype=np.float64).reshape(-1, 4)
+    peds = np.array(peds, dtype=np.float64).reshape(-1, 4)
+    still = peds.copy()
+    still[:, 2:] = 0.0
+    probe = sw.AgentState(0, "car", *ego)
+    others = [sw.AgentState(i, "car", *row) for i, row in enumerate(table.tolist())]
+    gap, rel_v = array_leading_vehicles(table[:1], np.array([0]), table, np.arange(len(table)))
+    assert (gap[0], rel_v[0]) == (reference_leading_vehicle(probe, others) or (np.inf, 0.0))
+    want = []
+    for walkers in (peds, still):
+        ped_d = array_crossing_ped_distances(table[:1], walkers)[0]
+        ref = reference_crossing_ped_distance(probe, [sw.AgentState(-2, "pedestrian", *p) for p in walkers.tolist()])
+        assert ped_d == (np.inf if ref is None else ref)
+        want.append(np.array([gap[0], rel_v[0], ped_d]))
+
+    rows = table.tolist()
+    moving = zip(peds.tolist(), np.cos(peds[:, 2]).tolist(), np.sin(peds[:, 2]).tolist())
+    c, s = np.cos(table[:, 2]).tolist(), np.sin(table[:, 2]).tolist()
+    world = sw.traffic_ahead(rows[0], c[0], s[0], rows, [(px, py, pc, ps, pv) for (px, py, _, pv), pc, ps in moving])
+    h = rows[0][2]
+    walkers = [(px, py, 1.0, 0.0, 0.0) for px, py, _, _ in peds.tolist()]
+    context = sw.traffic_ahead(rows[0], float(np.cos(h)), float(np.sin(h)), rows[1:], walkers)
+    for got, bits in ((world, want[0]), (context, want[1])):
+        assert [type(x) for x in got] == [float, float, float]
+        assert_same_bits(np.array(got), bits)
+    return world
+
+
 class TestTrafficTables:
     # Seeds whose first 150 ticks have more than ``floor`` follower and
     # crossing-pedestrian ticks each: the 15-car, 6-pedestrian extreme,
     # datagen's (5, 6) and (15, 2) mixes and closedloop's 6-11 car
-    # nav_dynamic range, in both towns.
+    # nav_dynamic range, in both towns, and a seed with walkers alongside.
+    # SIDE_FLOORS: at least so many car-ticks with a walker alongside
+    # (ped_d 0.0) and with one approaching 3-6 m to the side.
+    SIDE_FLOORS = {("test", 4): (0, 50), ("test", 100007): (0, 30), ("test", 133): (20, 20)}
+
     @pytest.mark.parametrize("town_id, seed, n_cars, n_peds, floor", [
         pytest.param("train", 14, 15, 6, 100, id="train-14"),
         pytest.param("test", 4, 15, 6, 100, id="test-4"),
         ("train", 100005, 5, 6, 30), ("test", 100021, 5, 6, 30),
         ("train", 100023, 15, 2, 30), ("test", 100007, 15, 2, 30),
         ("train", 100024, 6, 5, 30), ("test", 100020, 11, 2, 30),
+        pytest.param("test", 133, 15, 6, 30, id="test-133"),
     ])
     def test_step_matches_per_agent_reference(self, town_id, seed, n_cars, n_peds, floor):
         net = sw.build_town(town_id)
@@ -530,11 +636,17 @@ class TestTrafficTables:
         twin = sw.spawn_scenario(net, n_cars, n_peds, seed)
         ref = ReferenceWorld(net, twin.agents, twin.light_groups, twin.seed)
         rng = np.random.default_rng(seed)
-        leaders = crossings = 0
+        leaders = crossings = alongside = wide = 0
         for tick in range(150):
+            ids, want = array_traffic(world)
+            assert list(world.traffic()) == ids
             traffic = world.traffic().values()
+            assert all(type(x) is float for row in traffic for x in row)
+            assert_same_bits(np.array(list(traffic)), want)
             leaders += sum(gap < np.inf for gap, _, _ in traffic)
             crossings += sum(ped_d < np.inf for _, _, ped_d in traffic)
+            alongside += sum(ped_d == 0.0 for _, _, ped_d in traffic)
+            wide += wide_band_cars(world)
             if tick % 3 == 1:  # the ego's command first, as an expert drive asks it
                 got = world.step(ego_command=sw.autopilot_command(world.agents[0], world))
                 want = ref.step(ego_command=reference_autopilot_command(ref.agents[0], ref))
@@ -547,6 +659,8 @@ class TestTrafficTables:
             assert_same_bits(world.snapshot(), ref.snapshot())
             assert [a.route_s for a in world.cars] == [a.route_s for a in ref.cars]
         assert leaders > floor and crossings > floor
+        alongside_floor, wide_floor = self.SIDE_FLOORS.get((town_id, seed), (0, 0))
+        assert alongside >= alongside_floor and wide >= wide_floor
 
     def test_pedestrian_yielding_at_its_kerb(self, train_town):
         # A pedestrian stopped 8 m ahead of the ego gates it, unless it is
@@ -562,9 +676,40 @@ class TestTrafficTables:
             assert world.traffic()[0][2] == (np.inf if want is None else want)
 
     def test_context_queries_match_reference(self):
-        # compute_context's form: one probe (id -1) against the other cars,
-        # and pedestrians without a crossing path.  In half the trials the
-        # probe heads along x and the others share a few x, so gaps tie.
+        # compute_context's form and the world's, on boundaries and random
+        # scenes.  The ego heads along x from the origin in the boundary
+        # cases, so lx and ly are the offsets, exact.
+        up, down = (lambda x: np.nextafter(x, np.inf)), (lambda x: np.nextafter(x, -np.inf))
+        ahead = [v for x in (-3.0, 0.0, 16.0, 25.0) for v in (down(x), x, up(x))] + [-0.0, 5e-324]
+        side = [v for y in (2.2, 3.0, 6.0) for v in (y, up(y), -y, -up(y))] + [0.0, -0.0]
+        h90 = np.pi / 2
+        for ego in (ORIGIN, (-0.0, -0.0, -0.0, 4.0)):
+            for lx in ahead:
+                for ly in side:
+                    # Walkers heading toward the centerline and away from it.
+                    cars = [(lx, ly, 0.0, 2.0)]
+                    peds = [(lx, ly, -np.copysign(h90, ly), 1.2), (lx, ly, np.copysign(h90, ly), 1.2)]
+                    got = assert_traffic_ahead(ego, cars, peds)
+                    lead = 0.0 < lx <= 25.0 and abs(ly) <= 2.2
+                    assert got[0] == (lx if lead else np.inf)
+                    closing = ly != 0.0 and -3.0 < lx <= 16.0 and abs(ly) <= 6.0
+                    near = 0.0 < lx <= 16.0 and abs(ly) <= 3.0
+                    assert got[2] == (max(lx, 0.0) if closing else lx if near else np.inf)
+                    assert assert_traffic_ahead(ego, cars, peds[1:])[2] == (lx if near else np.inf)
+        # ly * lvy at -1e-9: 4.0 m to the side at 2.5e-10 m/s is not approaching.
+        for lx in (5.0, -1.0):
+            for pv, want in ((down(2.5e-10), np.inf), (2.5e-10, np.inf), (up(2.5e-10), max(lx, 0.0))):
+                assert assert_traffic_ahead(ORIGIN, [], [(lx, 4.0, -h90, pv)])[2] == want
+        # Equal gaps: the first; headings at and past +-90 deg from the ego's.
+        cars = [(10.0, 1.0, 0.0, 3.0), (10.0, -1.0, 0.0, 7.0), (12.0, 0.0, 0.0, 1.0)]
+        assert assert_traffic_ahead(ORIGIN, cars, [])[:2] == (10.0, 3.0 - ORIGIN[3])
+        assert assert_traffic_ahead(ORIGIN, cars[1::-1], [])[:2] == (10.0, 7.0 - ORIGIN[3])
+        for h in (h90, -h90, up(h90), down(-h90), np.pi, -np.pi, -0.0):
+            got = assert_traffic_ahead(ORIGIN, [(8.0, 0.0, h, 5.0)], [])
+            assert (got[0] < np.inf) == (np.cos(h) > 0.0)
+        assert assert_traffic_ahead(ORIGIN, [], []) == (np.inf, 0.0, np.inf)
+        # Random scenes.  In half the trials the ego heads along x and the
+        # others share a few x, so gaps tie.
         rng = np.random.default_rng(2)
         lo, hi = [-30.0, -8.0, -np.pi, 0.0], [30.0, 8.0, np.pi, 8.0]
         found = alongside = 0
@@ -576,15 +721,8 @@ class TestTrafficTables:
                 ego[2] = 0.0
                 cars[:, 0] = ego[0] + rng.choice([5.0, 10.0], len(cars))
                 peds[:, 0] = ego[0] + rng.choice([-1.0, 5.0, 10.0], len(peds))
-            probe = sw.AgentState(-1, "car", *ego)
-            others = [sw.AgentState(i, "car", *c) for i, c in enumerate(cars)]
-            walkers = [sw.AgentState(-2, "pedestrian", *p) for p in peds]
-            gap, rel_v = sw.leading_vehicles(ego[None], np.array([-1]), cars, np.arange(len(cars)))
-            assert (gap[0], rel_v[0]) == (reference_leading_vehicle(probe, others) or (np.inf, 0.0))
-            want = reference_crossing_ped_distance(probe, walkers)
-            found, alongside = found + (want is not None), alongside + (want == 0.0)
-            want = np.inf if want is None else want
-            assert sw.crossing_ped_distances(ego[None], peds)[0] == want
+            ped_d = assert_traffic_ahead(ego.tolist(), cars.tolist(), peds.tolist())[2]
+            found, alongside = found + (ped_d < np.inf), alongside + (ped_d == 0.0)
         assert found > 40 and alongside > 5
 
 
