@@ -200,20 +200,14 @@ class LiveSampler:
         self.snap = snap
 
     def build(self) -> Sample:
-        """Assemble the model inputs for the most recent observed tick."""
+        """The model inputs for the most recent observed tick, as a batch of one."""
         snap, ego = self.snap, self.world.agents[0]
-        state = tuple(snap[0].tolist())
-        nc = live_navigation_command(ego.route, ego.route_s, state[3], self.world.network)
-        sample, _, _ = assemble_sample(
-            self.world.network,
-            state,
-            self.tracks[:, self.head + 1 : self.head + 1 + T_STEPS],
-            snap[self.other_rows].tolist(),
-            snap[self.ped_rows, :2].tolist(),
-            self.world.light_green,
-            nc,
-        )
-        return sample
+        nc = live_navigation_command(ego.route, ego.route_s, float(snap[0, 3]), self.world.network)
+        ring = self.tracks[None, :, self.head + 1 : self.head + 1 + T_STEPS]
+        return assemble_sample(
+            self.world.network, snap[:1], ring, [snap[self.other_rows].tolist()],
+            [snap[self.ped_rows, :2].tolist()], [self.world.light_green], [nc],
+        )[0]
 
 
 # -- closed-loop episodes --------------------------------------------------------

@@ -8,9 +8,10 @@ degree-4 polynomials and resampled on the 0.1 s grid).
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from . import kernels, simworld
 from .codec import check_version, pack, read_records, unpack, unpack_rows, write_records
 from .kernels import MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
 from .simworld import EpisodeLog, RoadNetwork
-from .trajectory import PointSeries, Pose2D, sample_times, xy_to_frame
+from .trajectory import PointSeries, sample_times, wrap_heading
 
 T_STEPS = 20
 K_WINDOW = 3
@@ -92,28 +93,26 @@ def fit_future_points(xy: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Each (x, y) row's length, ordered as the 1-D np.linalg.norm orders them.
-
-    That norm is a BLAS dot, which may round apart from sqrt(x*x + y*y) in
-    the last bit (far below 1e-9 m at town scale); so when any two of these
-    lie within 1e-9 m, the 1-D norms are returned instead.  On 2-16 rows,
-    Python floats beat numpy's per-call cost, and math.sqrt rounds as np.sqrt.
+    """Each (x, y) row's length, (B, R, 2) -> (B, R), ordered in each window
+    as the 1-D np.linalg.norm orders them.  That norm is a BLAS dot, which
+    may round apart from sqrt(x*x + y*y) in the last bit (far below 1e-9 m
+    at town scale); so a window with two within 1e-9 m takes the 1-D norms.
     """
-    r = [math.sqrt(x * x + y * y) for x, y in d.tolist()]
-    s = sorted(r)
-    if any(b - a <= 1e-9 for a, b in zip(s, s[1:])):
-        return np.array([np.linalg.norm(row) for row in d])
-    return np.array(r)
+    squares = d * d
+    r = np.sqrt(squares[..., 0] + squares[..., 1])
+    ranked = np.sort(r, axis=1)
+    close = ranked[:, 1:] - ranked[:, :-1] <= 1e-9
+    if np.count_nonzero(close):
+        for b in np.flatnonzero(close.any(axis=1)):
+            r[b] = [np.linalg.norm(row) for row in d[b]]
+    return r
 
 
-def compute_context(
-    network: RoadNetwork,
-    ego: tuple[float, float, float, float],
-    cars: list[tuple[float, float, float, float]],
-    peds: list[tuple[float, float]],
-    light_green,
-) -> np.ndarray:
-    """The 8 context scalars; see the caps at the top of this module.
+def compute_context(network: RoadNetwork, egos, c, s, cars, peds, light_green) -> np.ndarray:
+    """The 8 context scalars of B windows, (B, 8); see the caps at the top
+    of this module.  egos : (B, 4) ego states (x, y, heading, speed), heading
+    in (-pi, pi], with np.cos c and np.sin s; cars, peds and light_green: one
+    entry per window, as in assemble_sample.
 
     Order: distance to next light stop line, light phase ahead (1 = red),
     distance to next intersection, signed lateral offset from the lane
@@ -121,31 +120,30 @@ def compute_context(
     distance, leading-vehicle relative speed, nearest crossing-pedestrian
     distance.
     """
-    x, y, h, _ = ego
-    d_light, phase, d_inter = CTX_LIGHT_CAP, 0.0, CTX_INTER_CAP
-    lat, herr = 0.0, 0.0
-    hit = network.nearest_lane((x, y), h)
-    if hit is None:
-        d_inter = 0.0  # inside a junction core
-    else:
-        lane_id, s, lat = hit
-        lane = network.lanes[lane_id]
-        herr = float((h - lane.heading + np.pi) % (2 * np.pi) - np.pi)
-        d_end = max(0.0, lane.length - s)
-        to_node = network.nodes[lane.to_node]
-        if to_node.kind == "junction":
-            d_inter = min(d_end, CTX_INTER_CAP)
-            if to_node.lit:
-                d_light = min(d_end, CTX_LIGHT_CAP)
-                green = light_green(to_node.node_id, network.signal_axis(lane.seg_id))
-                phase = 0.0 if green else 1.0
-
-    # The expert's own leader and pedestrian rule; the pedestrians have no
-    # speed here, so none is approaching.
-    walkers = [(px, py, 1.0, 0.0, 0.0) for px, py in peds]
-    gap, lead_dv, d_ped = simworld.traffic_ahead(ego, float(np.cos(h)), float(np.sin(h)), cars, walkers)
-    d_lead, d_ped = min(gap, CTX_LEAD_CAP), min(d_ped, CTX_PED_CAP)
-    return np.array([d_light, phase, d_inter, float(lat), herr, d_lead, lead_dv, d_ped])
+    rows, hits = [], network.nearest_lane(egos[:, :2], c, s)
+    for ego, cb, sb, hit, cars_b, peds_b, green in zip(
+        egos.tolist(), c.tolist(), s.tolist(), hits, cars, peds, light_green
+    ):
+        d_light, phase, d_inter, lat, herr = CTX_LIGHT_CAP, 0.0, CTX_INTER_CAP, 0.0, 0.0
+        if hit is None:
+            d_inter = 0.0  # inside a junction core
+        else:
+            lane_id, along, lat = hit
+            lane = network.lanes[lane_id]
+            herr = float((ego[2] - lane.heading + np.pi) % (2 * np.pi) - np.pi)
+            d_end = max(0.0, lane.length - along)
+            to_node = network.nodes[lane.to_node]
+            if to_node.kind == "junction":
+                d_inter = min(d_end, CTX_INTER_CAP)
+                if to_node.lit:
+                    d_light = min(d_end, CTX_LIGHT_CAP)
+                    phase = 0.0 if green(to_node.node_id, network.signal_axis(lane.seg_id)) else 1.0
+        # The expert's own traffic rule, the walkers at speed 0 (none approaching).
+        walkers = [(px, py, 1.0, 0.0, 0.0) for px, py in peds_b]
+        gap, lead_dv, d_ped = simworld.traffic_ahead(ego, cb, sb, cars_b, walkers)
+        rows.append((d_light, phase, d_inter, lat, herr, min(gap, CTX_LEAD_CAP), lead_dv,
+                     min(d_ped, CTX_PED_CAP)))
+    return np.array(rows).reshape(-1, 8)
 
 
 def _zone_exit(track: np.ndarray, i: int, node_pos: np.ndarray) -> int:
@@ -170,105 +168,117 @@ def turn_command(h_in, h_out) -> NavigationCommand:
 
 
 def compute_navigation_command(
-    log: EpisodeLog, center_tick: int, network: RoadNetwork
-) -> NavigationCommand:
-    """Classify the upcoming maneuver from the recorded ego motion.
-
-    If the ego enters a junction zone (15 m radius) within the next 5 s, the
-    signed heading change across the zone decides left / right / cross;
-    otherwise keep lane.
-    """
+    log: EpisodeLog, centers: range, network: RoadNetwork
+) -> list[NavigationCommand]:
+    """The upcoming maneuver at each center tick, from the recorded ego motion:
+    if the ego enters a junction zone (15 m radius) within the next 5 s, the
+    signed heading change across the zone decides left / right / cross, else
+    keep lane.  One junction-distance table covers the ticks looked ahead to;
+    each entry tick is classified once, and one between an earlier entry and
+    its exit shares that exit."""
     n = len(log)
-    horizon = min(n - 1, center_tick + int(round(NC_LOOKAHEAD_S / simworld.TICK)))
+    lookahead = int(round(NC_LOOKAHEAD_S / simworld.TICK))
+    lo, hi = centers.start, min(n - 1, centers.stop - 1 + lookahead)
     track = log.states[:, 0, :2]
-    # nearest_junction's row norms, for every tick of the lookahead at once.
-    d = np.linalg.norm(network.junction_pos - track[center_tick : horizon + 1, None], axis=2)
-    inside = np.flatnonzero(d.min(axis=1) < NC_ZONE_RADIUS)
-    if not inside.size:
-        return NavigationCommand.KEEP_LANE
-    i = center_tick + int(inside[0])
-    node_id = network.junction_ids[int(np.argmin(d[inside[0]]))]
-    j = _zone_exit(track, i, network.nodes[node_id].pos)
-    return turn_command(log.states[i][0, 2], log.states[j][0, 2])
+    # nearest_junction's row norms, one row per tick.
+    d = np.linalg.norm(network.junction_pos - track[lo : hi + 1, None], axis=2)
+    inside = np.flatnonzero(d.min(axis=1) < NC_ZONE_RADIUS).tolist()
+    out, by_entry = [], {}
+    exits: dict[int, tuple[int, int]] = {}  # node id -> (entry, its exit)
+    for c in centers:
+        k = bisect_left(inside, c - lo)
+        i = lo + inside[k] if k < len(inside) else n
+        if i > min(n - 1, c + lookahead):
+            out.append(NavigationCommand.KEEP_LANE)
+            continue
+        if i not in by_entry:
+            node_id = network.junction_ids[int(np.argmin(d[i - lo]))]
+            first, j = exits.get(node_id, (n, n))
+            if not first <= i <= j:
+                j = _zone_exit(track, i, network.nodes[node_id].pos)
+                exits[node_id] = (i, j)
+            by_entry[i] = turn_command(log.states[i][0, 2], log.states[j][0, 2])
+        out.append(by_entry[i])
+    return out
 
 
 def assemble_sample(
-    network: RoadNetwork,
-    ego: tuple[float, float, float, float],
-    tracks: np.ndarray,
-    cars: list[tuple[float, float, float, float]],
-    peds: list[tuple[float, float]],
-    light_green,
-    nc: NavigationCommand,
-) -> tuple[Sample, np.ndarray, np.ndarray]:
-    """Build the model inputs for one window (shared offline / live path).
+    network: RoadNetwork, egos: np.ndarray, tracks: np.ndarray, cars, peds, light_green, ncs
+) -> list[Sample]:
+    """Build the model inputs for B windows (shared offline / live path).
 
-    ego    : the ego's center state (x, y, heading, speed); its pose is the frame.
-    tracks : (1 + C, W, 2) world positions, the ego's first, then the other
-             cars' in ascending agent id.  Tick T - 1 is the window center;
-             ticks after it (W = 2T offline, the future) ride along.
-    cars   : the other cars' center states, in agent order.
-    peds   : the pedestrians' center positions.
-    Returns the sample, the tracks in the ego frame, and the rows of tracks
-    that fill the neighbor slots: up to N nearest, ties by agent id.
+    egos   : (B, 4) the ego's center states (x, y, heading, speed), the frames.
+    tracks : (B, 1 + C, W, 2) world positions, the ego's first (at its state's
+             position at the center, tick T - 1), then the other cars' by agent
+             id.  With W = 2T (offline) the later ticks give the futures.
+    Per window: cars, the other cars' center states in agent order; peds,
+    the pedestrians' positions; light_green(node_id, axis); ncs, the command.
+    The neighbor slots hold up to N nearest cars, ties by agent id.
     """
-    frame = Pose2D(*ego[:3])
-    rel = xy_to_frame(tracks, frame)
-    center = T_STEPS - 1
-    order = 1 + np.argsort(_row_norms(tracks[1:, center] - frame.xy), kind="stable")[:N_NEIGHBORS]
-    v = np.zeros((N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
-    v[: len(order)] = rel[order[:, None, None], _HISTORY_INDEX]
-    v_mask = np.arange(N_NEIGHBORS) < len(order)
+    n_win, n_tracks = tracks.shape[:2]
+    frames = np.array([(x, y, wrap_heading(h), v) for x, y, h, v in egos.tolist()]).reshape(-1, 4)
+    c, s = np.cos(frames[:, 2]), np.sin(frames[:, 2])
+    # (x, y) as complex128 x + iy: the same subtraction, over rows of W items.
+    offsets = np.subtract(
+        tracks.view(np.complex128)[..., 0], frames.view(np.complex128)[:, :1, None], order="C"
+    ).view(np.float64).reshape(tracks.shape)
+    rel = offsets @ np.array([c, -s, s, c]).T.reshape(-1, 1, 2, 2)  # d @ [[c, -s], [s, c]]
+    # Center distances: world frame (neighbor ranks), ego frame (map
+    # contests).  The ego's 0.0 among the first only adds 1-D norms where a
+    # car is within 1e-9 m of it, which rank the cars as the row norms do.
+    dists = _row_norms(np.concatenate([offsets[:, :, T_STEPS - 1], rel[:, :, T_STEPS - 1]]))
+    n_nb = min(n_tracks - 1, N_NEIGHBORS)
+    # Rows: the ego (0.0 at its own center, first of ties), then the neighbors.
+    rows = dists[:n_win].argsort(axis=1, kind="stable")[:, : 1 + n_nb]
+    picked = rel[np.arange(n_win)[:, None], rows]
+    # Per window the ego's history, then the neighbor slots'; the same for futures.
+    history = np.zeros((n_win, 1 + N_NEIGHBORS, T_STEPS, K_WINDOW, 2))
+    history[:, : 1 + n_nb] = np.take(picked, _HISTORY_INDEX, axis=2)
+    futures = np.zeros((n_win, 1 + N_NEIGHBORS, T_STEPS, 2))
+    v_mask = np.zeros((n_win, N_NEIGHBORS), dtype=bool)
+    v_mask[:, :n_nb] = True
     # Map labels are track rows, so owners are numbered in ascending agent id.
-    m_cells, m_labels = kernels.bin_proximity(rel[:, :T_STEPS], _row_norms(rel[:, center]), K_WINDOW)
-    ctx = compute_context(network, (frame.x, frame.y, frame.heading, ego[3]), cars, peds, light_green)
-    return Sample(
-        e=rel[0, _HISTORY_INDEX],
-        v=v,
-        v_mask=v_mask,
-        m_cells=m_cells,
-        m_labels=m_labels,
-        ctx=ctx,
-        nc=nc,
-        ego_future=np.zeros((T_STEPS, 2)),
-        neigh_future=np.zeros((N_NEIGHBORS, T_STEPS, 2)),
-    ), rel, order
+    m_cells, m_labels = kernels.bin_proximity(rel[:, :, :T_STEPS], dists[n_win:], K_WINDOW)
+    ctx = compute_context(network, frames, c, s, cars, peds, light_green)
+    if tracks.shape[2] == WINDOW_TICKS:
+        # Neighbor futures relative to their center; the ego's less 0.0 keeps its bits.
+        anchor = picked[:, :, T_STEPS - 1 : T_STEPS].copy()
+        anchor[:, 0] = 0.0
+        futures[:, : 1 + n_nb] = fit_future_points(picked[:, :, T_STEPS:] - anchor)
+    fields = zip(history[:, 0], history[:, 1:], v_mask, m_cells, m_labels, ctx, ncs, futures[:, 0],
+                 futures[:, 1:])
+    return [Sample(*row) for row in fields]
+
+
+EXTRACT_CHUNK = 256  # windows per assemble_sample call: bounds the batch's memory
 
 
 def extract_windows(log: EpisodeLog, network: RoadNetwork) -> list[Sample]:
-    """One sample per valid center tick (stride 1)."""
+    """One sample per valid center tick (stride 1), in EXTRACT_CHUNK batches."""
     n = len(log)
     if n < WINDOW_TICKS:
         return []
     ego_row, *other_rows = log.car_indices()
     ped_rows = log.ped_indices()
     by_id = sorted(other_rows, key=log.agent_ids.__getitem__)
-    xy = np.ascontiguousarray(log.states[:, [ego_row, *by_id], :2].transpose(1, 0, 2))
+    # Each track as one row of (x, y) pairs; window w views its pairs w on.
+    xy = log.states[:, [ego_row, *by_id], :2].transpose(1, 0, 2).reshape(1 + len(by_id), 2 * n)
+    windows = np.lib.stride_tricks.sliding_window_view(xy, 2 * WINDOW_TICKS, axis=1)[:, ::2]
     seed = int(log.meta.get("seed", 0))
     samples: list[Sample] = []
-    for c in range(T_STEPS - 1, n - T_STEPS):
-        state = log.states[c]
-
-        def light_green(node_id, axis, _tick=c):
-            return log.light_green_at(_tick, node_id, axis)
-
-        sample, rel, order = assemble_sample(
-            network,
-            tuple(state[ego_row].tolist()),
-            xy[:, c - T_STEPS + 1 : c + T_STEPS + 1],
-            state[other_rows].tolist(),
-            state[ped_rows, :2].tolist(),
-            light_green,
-            compute_navigation_command(log, c, network),
+    for lo in range(T_STEPS - 1, n - T_STEPS, EXTRACT_CHUNK):
+        centers = range(lo, min(lo + EXTRACT_CHUNK, n - T_STEPS))
+        tracks = windows[:, lo - T_STEPS + 1 : centers.stop - T_STEPS + 1].transpose(1, 0, 2)
+        state = log.states[centers.start : centers.stop]
+        batch = assemble_sample(
+            network, state[:, ego_row], tracks.reshape(len(centers), len(xy), WINDOW_TICKS, 2),
+            state[:, other_rows].tolist(), state[:, ped_rows, :2].tolist(),
+            [partial(log.light_green_at, c) for c in centers],
+            compute_navigation_command(log, centers, network),
         )
-        sample.ego_future = fit_future_points(rel[0, T_STEPS:])
-        # Each neighbor's future relative to its own center position.
-        sample.neigh_future[: len(order)] = fit_future_points(
-            rel[order, T_STEPS:] - rel[order, T_STEPS - 1 : T_STEPS]
-        )
-        sample.episode_seed = seed
-        sample.center_tick = c
-        samples.append(sample)
+        for sample, c in zip(batch, centers):
+            sample.episode_seed, sample.center_tick = seed, c
+        samples += batch
     return samples
 
 

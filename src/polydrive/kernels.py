@@ -1,13 +1,15 @@
-"""Hot inner loops.  bin_proximity is vectorized over agents and ticks, and
-segment_features loops over a network's segment arrays.  polyline_project,
-polyline_point and integrate_cars run for each of 2-15 cars at every world
-tick, where numpy's per-call overhead costs more than the arithmetic: they
-take and return Python floats, whose + - * / and ** 0.5 give numpy float64's
-bits, and call numpy for trig, so they match the array loops they replaced.
+"""Hot inner loops.  bin_proximity is vectorized over windows, agents and
+ticks, and segment_features loops over a network's segment arrays.
+polyline_project, polyline_point and integrate_cars run for each of 2-15
+cars at every world tick, where numpy's per-call overhead costs more than
+the arithmetic: they take and return Python floats, whose + - * / and ** 0.5
+give numpy float64's bits, and call numpy for trig, so they match the array
+loops they replaced.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -22,38 +24,43 @@ CELL_LAT = MAP_EXTENT_LAT / MAP_COLS  # 3.5
 
 
 def bin_proximity(rel, dists, window):
-    """Bin vehicle track fragments into the ego-centered occupancy grid.
+    """Bin vehicle track fragments into ego-centered occupancy grids.
 
-    rel     : (A, T, 2) positions relative to the ego frame, agent-major.
-    dists   : (A,) distance of each agent to the ego at the window center;
+    rel     : (..., A, T, 2) positions in the ego frame, agent-major, per window.
+    dists   : (..., A) distance of each agent to the ego at the window center;
               when two agents land in one cell at one tick the nearer wins.
     window  : K, the number of consecutive positions stored per cell.
-    Returns cells (13, 3, T, 2*K), zero where empty, and labels (13, 3, T)
-    int64, the agent row index that owns each occupied cell, -1 where empty.
+    Returns cells (..., 13, 3, T, 2*K), zero where empty, and labels (...,
+    13, 3, T) int64, the agent row that owns each occupied cell, else -1.
     """
-    cells = np.zeros((MAP_ROWS, MAP_COLS, rel.shape[1], 2 * window))
-    labels = np.full((MAP_ROWS, MAP_COLS, rel.shape[1]), -1, dtype=np.int64)
-    half_long = MAP_EXTENT_LONG / 2.0
-    half_lat = MAP_EXTENT_LAT / 2.0
-    x, y = rel[:, :, 0], rel[:, :, 1]
-    agent, tick = np.nonzero(
-        (x >= -half_long) & (x < half_long) & (y >= -half_lat) & (y < half_lat)
-    )
-    x, y = x[agent, tick], y[agent, tick]
+    lead, (n_agents, n_ticks) = rel.shape[:-3], rel.shape[-3:-1]
+    size = math.prod(lead) * MAP_ROWS * MAP_COLS * n_ticks
+    tracks = rel.reshape(-1, n_ticks, 2)  # window-major rows: window * A + agent
+    half_long, half_lat = MAP_EXTENT_LONG / 2.0, MAP_EXTENT_LAT / 2.0
+    x, y = tracks[..., 0], tracks[..., 1]
+    inside = (x >= -half_long) & (x < half_long) & (y >= -half_lat) & (y < half_lat)
+    track, tick = np.divmod(np.flatnonzero(inside), n_ticks)
+    x, y = x[track, tick], y[track, tick]
     row = np.minimum(((x + half_long) / CELL_LONG).astype(np.int64), MAP_ROWS - 1)
     col = np.minimum(((y + half_lat) / CELL_LAT).astype(np.int64), MAP_COLS - 1)
-    # Per cell and tick, the nearer agent wins, and the earlier row of equal
-    # distances: the first entry of each cell key in this order.
-    key = (row * MAP_COLS + col) * rel.shape[1] + tick
-    order = np.lexsort((agent, dists[agent], key))
+    # The flat index of (window, row, col, tick).  The nearer agent wins a
+    # cell, then the earlier row: the first entry of each cell in this order.
+    cell = ((track // n_agents * MAP_ROWS + row) * MAP_COLS + col) * n_ticks + tick
+    order = np.lexsort((track, dists.reshape(-1)[track], cell))
+    ranked = cell[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = key[order[1:]] != key[order[:-1]]
-    win = order[first]
-    agent, tick, row, col = agent[win], tick[win], row[win], col[win]
-    labels[row, col, tick] = agent
+    first[1:] = ranked[1:] != ranked[:-1]
+    keep = order[first]
+    track, tick, cell = track[keep], tick[keep], ranked[first]
+    labels = np.full(size, -1, dtype=np.int64)
+    labels[cell] = track % n_agents
+    cells = np.zeros((size, 2 * window))
     past = np.maximum(tick[:, None] - (window - 1) + np.arange(window), 0)
-    cells[row, col, tick] = rel[agent[:, None], past].reshape(-1, 2 * window)
-    return cells, labels
+    # Each (x, y) pair gathered as one complex128 item: the same bits, copied.
+    pairs = tracks.view(np.complex128)[..., 0]
+    cells[cell] = pairs[track[:, None], past].view(np.float64)
+    grid = lead + (MAP_ROWS, MAP_COLS, n_ticks)
+    return cells.reshape(grid + (2 * window,)), labels.reshape(grid)
 
 
 def polyline_project(pts, cumlen, s_prev, px, py, back, ahead):

@@ -115,11 +115,14 @@ class RoadNetwork:
         self.lane_p0 = np.array([l.p0 for l in lanes])
         self.lane_dir = np.array([l.direction for l in lanes])
         self.lane_len = np.array([l.length for l in lanes])
-        # Unit vectors p0 -> p1 by the segment_features kernel's own scalar
-        # expressions, so that nearest_lane's vectorized s and lat match it.
+        # nearest_lane's columns; the unit vectors u by segment_features' own
+        # scalar expressions, so that its vectorized s and lat match the kernel.
         d = [(l.p1[0] - l.p0[0], l.p1[1] - l.p0[1]) for l in lanes]
         n = [(dx * dx + dy * dy) ** 0.5 for dx, dy in d]
-        self.lane_u = np.array([(dx / m, dy / m) for (dx, dy), m in zip(d, n)]).T.copy()
+        u = np.array([(dx / m, dy / m) for (dx, dy), m in zip(d, n)])
+        self.lane_cols = (*self.lane_p0.T, *u.T, *self.lane_dir.T, self.lane_len + 1.0)
+        # Lanes off the axes: only their heading dot can round (nearest_lane).
+        self.lane_skewed = np.flatnonzero(~np.isin(self.lane_dir, (-1.0, 0.0, 1.0)).all(axis=1))
         self._successors: dict[int, list[tuple[int, str]]] = {}
         by_from: dict[int, list[Lane]] = {}
         for l in lanes:
@@ -179,25 +182,28 @@ class RoadNetwork:
             return True
         return self.in_junction_core(xy, CORE_RADIUS + 0.5)
 
-    def nearest_lane(self, xy, heading: float | None = None):
-        """Best matching lane id, progress s and signed lateral offset.
-
-        Returns None when the position is not within any lane corridor
-        (e.g. inside a junction core).
-        """
-        (ux, uy), (x0, y0) = self.lane_u, self.lane_p0.T
-        rx, ry = float(xy[0]) - x0, float(xy[1]) - y0
-        s = rx * ux + ry * uy
+    def nearest_lane(self, xy, c, s):
+        """Per position of xy (B, 2) with heading cos c and sin s (B,): the best
+        lane (id, progress s, signed lateral offset), or None outside every
+        lane corridor (e.g. in a junction core).  A lane counts where lane_dir
+        @ (c, s) > 0; that matvec may round apart from the elementwise dot, so
+        a row whose dot on a skewed lane lies within 1e-12 of 0 takes its own
+        matvec (along the axes both are exact)."""
+        x0, y0, ux, uy, dx, dy, s_end = self.lane_cols
+        rx, ry = xy[:, :1] - x0, xy[:, 1:] - y0
+        along = rx * ux + ry * uy
         lat = -rx * uy + ry * ux
-        ok = (np.abs(lat) <= LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= self.lane_len + 1.0)
-        if heading is not None:
-            hvec = np.array([np.cos(heading), np.sin(heading)])
-            ok &= self.lane_dir @ hvec > 0.0
-        if not ok.any():
-            return None
-        idx = np.flatnonzero(ok)
-        best = idx[np.argmin(np.abs(lat[idx]))]
-        return int(best), float(s[best]), float(lat[best])
+        dist = np.abs(lat)
+        dot = c[:, None] * dx + s[:, None] * dy
+        if len(self.lane_skewed):
+            for b in np.flatnonzero((np.abs(dot[:, self.lane_skewed]) <= 1e-12).any(axis=1)):
+                dot[b] = self.lane_dir @ np.array([c[b], s[b]])
+        ok = (dist <= LANE_WIDTH * 0.75) & (along >= -1.0) & (along <= s_end) & (dot > 0.0)
+        dist[~ok] = np.inf
+        return [
+            (k, float(a[k]), float(l[k])) if o[k] else None
+            for k, a, l, o in zip(dist.argmin(axis=1).tolist(), along, lat, ok)
+        ]
 
 
 def build_town(town_id: str) -> RoadNetwork:

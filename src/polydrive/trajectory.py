@@ -17,24 +17,10 @@ HORIZON = 2.0
 DEGREE = 4
 
 
-@dataclass(frozen=True)
-class Pose2D:
-    """A planar reference frame: position in meters, heading in (-pi, pi]."""
-
-    x: float
-    y: float
-    heading: float
-
-    def __post_init__(self):
-        h = float(self.heading)
-        h = (h + np.pi) % (2.0 * np.pi) - np.pi
-        if h == -np.pi:
-            h = np.pi
-        object.__setattr__(self, "heading", h)
-
-    @property
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+def wrap_heading(h) -> float:
+    """A heading as a float in (-pi, pi]."""
+    h = (float(h) + np.pi) % (2.0 * np.pi) - np.pi
+    return np.pi if h == -np.pi else h
 
 
 @dataclass(frozen=True)
@@ -103,6 +89,3 @@ def _rotation(heading: float) -> np.ndarray:
     c, s = np.cos(heading), np.sin(heading)
     return np.array([[c, -s], [s, c]])
 
-
-def xy_to_frame(xy: np.ndarray, frame: Pose2D) -> np.ndarray:
-    return (np.asarray(xy, dtype=np.float64) - frame.xy) @ _rotation(frame.heading)

@@ -2,10 +2,12 @@ import base64
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
-from test_simworld import array_crossing_ped_distances, array_leading_vehicles
+from test_simworld import array_crossing_ped_distances, array_leading_vehicles, scalar_nearest_lane
+from test_trajectory import Pose2D, xy_to_frame
 
 from polydrive import dataset, kernels, simworld as sw
 from polydrive.augment import AugmentConfig, augment_samples
@@ -28,7 +30,7 @@ from polydrive.dataset import (
 )
 from polydrive.errors import DataFormatError
 from polydrive.model import init_params, save_checkpoint
-from polydrive.trajectory import PointSeries, Pose2D, fit_polynomial, sample_times, xy_to_frame
+from polydrive.trajectory import PointSeries, fit_polynomial, sample_times
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +79,51 @@ def reference_context_tail(ego, cars, peds):
     return np.array([min(gap[0], dataset.CTX_LEAD_CAP), lead_dv[0], min(d_ped, dataset.CTX_PED_CAP)])
 
 
+def reference_row_norms(d):
+    """The per-window _row_norms: Python floats, or the 1-D norms when two
+    lie within 1e-9 m."""
+    r = [math.sqrt(x * x + y * y) for x, y in d.tolist()]
+    s = sorted(r)
+    if any(b - a <= 1e-9 for a, b in zip(s, s[1:])):
+        return np.array([np.linalg.norm(row) for row in d])
+    return np.array(r)
+
+
+def reference_context(network, ego, cars, peds, light_green):
+    """The per-window compute_context: the scalar lane lookup, trig per call."""
+    x, y, h, _ = ego
+    d_light, phase, d_inter = dataset.CTX_LIGHT_CAP, 0.0, dataset.CTX_INTER_CAP
+    lat, herr = 0.0, 0.0
+    hit = scalar_nearest_lane(network, (x, y), h)
+    if hit is None:
+        d_inter = 0.0
+    else:
+        lane_id, s, lat = hit
+        lane = network.lanes[lane_id]
+        herr = float((h - lane.heading + np.pi) % (2 * np.pi) - np.pi)
+        d_end = max(0.0, lane.length - s)
+        to_node = network.nodes[lane.to_node]
+        if to_node.kind == "junction":
+            d_inter = min(d_end, dataset.CTX_INTER_CAP)
+            if to_node.lit:
+                d_light = min(d_end, dataset.CTX_LIGHT_CAP)
+                green = light_green(to_node.node_id, network.signal_axis(lane.seg_id))
+                phase = 0.0 if green else 1.0
+    walkers = [(px, py, 1.0, 0.0, 0.0) for px, py in peds]
+    gap, lead_dv, d_ped = sw.traffic_ahead(ego, float(np.cos(h)), float(np.sin(h)), cars, walkers)
+    d_lead, d_ped = min(gap, dataset.CTX_LEAD_CAP), min(d_ped, dataset.CTX_PED_CAP)
+    return np.array([d_light, phase, d_inter, float(lat), herr, d_lead, lead_dv, d_ped])
+
+
+def context_of(network, ego, cars, peds, light_green):
+    """compute_context on one window, the ego's heading as given."""
+    h = np.array([ego[2]], dtype=np.float64)
+    return compute_context(
+        network, np.array([ego], dtype=np.float64), np.cos(h), np.sin(h), [cars], [peds],
+        [light_green],
+    )[0]
+
+
 def reference_assemble_sample(network, frame, ego_speed, ego_past, car_tracks, peds, light_green, nc):
     """One xy_to_frame and one 1-D norm per car.  car_tracks holds (agent_id,
     (T, 2) track, center state) per other car, in agent order; returns the
@@ -100,7 +147,7 @@ def reference_assemble_sample(network, frame, ego_speed, ego_past, car_tracks, p
     m_cells, m_labels = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
     ego = (frame.x, frame.y, frame.heading, ego_speed)
     cars = [st for _, _, st in car_tracks]
-    ctx = compute_context(network, ego, cars, peds, light_green)
+    ctx = reference_context(network, ego, cars, peds, light_green)
     ctx[5:] = reference_context_tail(ego, cars, peds)
     sample = dataset.Sample(
         e=reference_history_tensor(rel_ego), v=v, v_mask=v_mask, m_cells=m_cells,
@@ -126,7 +173,7 @@ def reference_extract_windows(log, network):
             network, frame, float(log.states[c][ego_row, 3]), log.states[past, ego_row, :2],
             car_tracks, [tuple(log.states[c][r, :2]) for r in log.ped_indices()],
             lambda node_id, axis, _tick=c: log.light_green_at(_tick, node_id, axis),
-            compute_navigation_command(log, c, network),
+            reference_window_command(log, c, network),
         )
         sample.ego_future = fit_future_points(xy_to_frame(log.states[fut, ego_row, :2], frame))
         row_of = {log.agent_ids[r]: r for r in other_rows}
@@ -142,18 +189,24 @@ def reference_extract_windows(log, network):
 
 
 def batched_assemble(network, ego, ego_past, car_tracks, peds):
-    """assemble_sample on reference_assemble_sample's inputs: the tracks
-    stacked ego first, then by agent id.  Returns the sample and the
-    neighbor slots' agent ids."""
+    """assemble_sample on reference_assemble_sample's inputs, as a batch of
+    one: the tracks stacked ego first, then by agent id.  Returns the sample
+    and the neighbor slots' agent ids, each the lowest id not yet taken
+    whose history the slot holds."""
     ids = [aid for aid, _, _ in car_tracks]
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     tracks = np.stack([ego_past] + [car_tracks[i][1] for i in by_id])
-    sample, rel, rows = assemble_sample(
-        network, ego, tracks, [list(st) for _, _, st in car_tracks], list(peds),
-        lambda node_id, axis: True, NavigationCommand.KEEP_LANE,
+    (sample,) = assemble_sample(
+        network, np.array([ego], dtype=np.float64), tracks[None], [[list(st) for _, _, st in car_tracks]],
+        [list(peds)], [lambda node_id, axis: True], [NavigationCommand.KEEP_LANE],
     )
-    assert rel.tobytes() == np.stack([xy_to_frame(t, Pose2D(*ego[:3])) for t in tracks]).tobytes()
-    return sample, [ids[by_id[r - 1]] for r in rows]
+    frame = Pose2D(*ego[:3])
+    histories = [xy_to_frame(car_tracks[i][1], frame)[dataset._HISTORY_INDEX] for i in by_id]
+    slots = []
+    for k in np.flatnonzero(sample.v_mask):
+        slots.append(next(ids[i] for i, h in zip(by_id, histories)
+                          if ids[i] not in slots and h.tobytes() == sample.v[k].tobytes()))
+    return sample, slots
 
 
 def assert_same_assembly(network, ego, ego_past, car_tracks, peds):
@@ -347,13 +400,148 @@ class TestBatchedAssembly:
             peds = list(map(tuple, rng.uniform(-20.0, 20.0, (int(rng.integers(0, 4)), 2)) + (x, y)))
             assert_same_assembly(town, ego, straight_track((x, y), h), cars, peds)
 
+    @staticmethod
+    def assert_same_extraction(log, net):
+        got, want = extract_windows(log, net), reference_extract_windows(log, net)
+        assert len(got) == len(want) == max(len(log) - WINDOW_TICKS + 1, 0)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+        return got
+
+    @pytest.mark.parametrize("n_ticks, n_windows", [(39, 0), (40, 1), (41, 2)])
+    def test_logs_at_the_window_length(self, log, town, n_ticks, n_windows):
+        short = sw.EpisodeLog(log.meta, log.kinds, log.agent_ids, log.groups, log.clock[:n_ticks],
+                              log.states[:n_ticks], log.lights[:n_ticks])
+        assert len(self.assert_same_extraction(short, town)) == n_windows
+
+    @pytest.mark.parametrize("town_id, seed, n_cars, n_peds", [
+        ("train", 4, 1, 3), ("test", 5, 1, 0), ("train", 6, 2, 0), ("test", 7, 2, 2),
+        ("test", 133, 15, 6),
+    ])
+    def test_recorded_mixes(self, town_id, seed, n_cars, n_peds):
+        # An ego alone or with one other car, no pedestrians, and the busy
+        # test-town mix; 30 s runs over two EXTRACT_CHUNK batches.
+        net = sw.build_town(town_id)
+        log = sw.record_episode(net, seed, 30.0 if n_cars == 15 else 12.0, n_cars, n_peds)
+        got = self.assert_same_extraction(log, net)
+        assert all(s.v_mask.sum() == min(n_cars - 1, N_NEIGHBORS) for s in got)
+        if n_cars == 15:  # other cars in the map, a junction core, three commands
+            assert len(got) > dataset.EXTRACT_CHUNK
+            assert sum((s.m_labels > 0).any() for s in got) > 100
+            assert sum(s.ctx[2] == 0.0 for s in got) > 20 and len({s.nc for s in got}) == 3
+
+    @staticmethod
+    def assemble_windows(network, windows):
+        """assemble_sample over windows of (ego, ego_past, car_tracks, peds)
+        with equally many cars, in one batch; each sample must equal the
+        per-car reference's."""
+        tracks = []
+        for ego, ego_past, car_tracks, _ in windows:
+            cars = sorted(car_tracks, key=lambda car: car[0])
+            tracks.append(np.stack([ego_past] + [trk for _, trk, _ in cars]))
+        got = assemble_sample(
+            network, np.array([w[0] for w in windows], dtype=np.float64), np.stack(tracks),
+            [[list(st) for _, _, st in w[2]] for w in windows], [list(w[3]) for w in windows],
+            [lambda node_id, axis: True] * len(windows), [NavigationCommand.LEFT] * len(windows),
+        )
+        for sample, (ego, ego_past, car_tracks, peds) in zip(got, windows):
+            want, _ = reference_assemble_sample(
+                network, Pose2D(*ego[:3]), ego[3], ego_past, car_tracks, peds,
+                lambda node_id, axis: True, NavigationCommand.LEFT,
+            )
+            assert_same_bits(sample, want)
+        return got
+
+    def test_row_norm_tie_in_one_window_of_a_batch(self, town):
+        # Window 1 holds two cars whose row norms the 1-D norm orders the
+        # other way round; its neighbors keep the 1-D norms' order, and the
+        # windows around it, without ties, their row norms.
+        a, b = disagreeing_offsets(np.random.default_rng(5), 12.5)
+        windows = []
+        for k, (p, q) in enumerate([((20.0, 1.0), (-9.0, 2.0)), (a, b), ((3.0, -4.0), (30.0, 0.5))]):
+            cars = scene([p, q, (40.0, 0.0)], ids=[1, 0, 2])
+            windows.append((ORIGIN, straight_track((0.0, 0.0)), cars, [(3.0, 0.5)]))
+        got = self.assemble_windows(town, windows)
+        for k, (_, _, cars, _) in enumerate(windows):
+            d = np.array([car[1][-1] for car in cars])
+            r = np.sort(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+            assert (np.diff(r) <= 1e-9).any() == (k == 1)  # the confirm fires in window 1 only
+        assert len(got) == 3
+
+    def test_row_norms_per_window(self):
+        # Windows of random rows, some with a pair within 1e-9 m (equal,
+        # an ulp apart, or ordered apart by the two norms): each window
+        # equals the per-window reference, which takes the 1-D norms there.
+        rng = np.random.default_rng(8)
+        d = rng.uniform(-40.0, 40.0, (60, 7, 2))
+        a, b = disagreeing_offsets(rng, 3.1)
+        d[3, :2], d[10, 4], d[17, 5] = (a, b), d[10, 1], -d[17, 0]
+        d[24, 2] = d[24, 6] * (1.0 + 2.0 ** -52)
+        got = dataset._row_norms(d)
+        fired = 0
+        for window, r in zip(d, got):
+            assert r.tobytes() == reference_row_norms(window).tobytes()
+            row = np.sort(np.sqrt(window[:, 0] * window[:, 0] + window[:, 1] * window[:, 1]))
+            if (np.diff(row) <= 1e-9).any():
+                fired += 1
+                assert r.tobytes() == np.array([np.linalg.norm(p) for p in window]).tobytes()
+        assert fired >= 4
+        assert dataset._row_norms(d[:, :1]).tobytes() == np.sqrt((d[:, :1] ** 2).sum(-1)).tobytes()
+        assert dataset._row_norms(d[:, :0]).shape == (60, 0)
+
+    def test_map_contests_rank_by_ego_frame_distance(self, town):
+        # Two cars equally far from the ego (within 1e-9 m, so both rankings
+        # take 1-D norms) whose 1-D norms order them one way in the world
+        # frame and the other in the ego frame.  They share one map cell at
+        # every tick but the center: the ego frame's nearer car must win it.
+        rng = np.random.default_rng(21)
+        h, found = 0.7, 0
+        frame = Pose2D(0.0, 0.0, h)
+        for _ in range(20000):
+            theta = h + rng.uniform(-0.2, 0.2, 2)
+            p, q = 12.0 * np.column_stack([np.cos(theta), np.sin(theta)])
+            world = np.linalg.norm(p) - np.linalg.norm(q)
+            ego = (np.linalg.norm(xy_to_frame(p[None], frame)[0])
+                   - np.linalg.norm(xy_to_frame(q[None], frame)[0]))
+            winner = 2 if ego > 0 else 1  # track rows; the lower row wins a tie
+            if winner == (2 if world > 0 else 1):
+                continue
+            shared = np.full((T_STEPS, 2), 5.0) * [np.cos(h), np.sin(h)]
+            tracks = [shared.copy(), shared.copy()]
+            tracks[0][-1], tracks[1][-1] = p, q
+            cars = [(k, trk, (trk[-1, 0], trk[-1, 1], h, 3.0)) for k, trk in enumerate(tracks)]
+            sample, _ = assert_same_assembly(town, (0.0, 0.0, h, 3.0), straight_track((0.0, 0.0), h),
+                                             cars, [])
+            assert (sample.m_labels[..., : T_STEPS - 1] == winner).sum() == T_STEPS - 1
+            found += 1
+            if found == 5:
+                break
+        assert found == 5
+
+    def test_heading_across_the_diagonal_lane(self):
+        # Egos on the test town's diagonal lane, headed within ulps of
+        # across it: the elementwise heading dot lies within 1e-12 of 0, and
+        # the lane test is the matvec's.
+        net = sw.build_town("test")
+        lane = next(l for l in net.lanes if l.direction[0] not in (0.0, 1.0, -1.0))
+        xy = lane.p0 + lane.direction * (lane.length / 2.0)
+        headings = [lane.heading + np.pi / 2.0, lane.heading - np.pi / 2.0, lane.heading]
+        headings.append(np.nextafter(headings[0], 9.0))
+        dot = net.lane_dir[lane.lane_id] @ np.array([np.cos(headings), np.sin(headings)])
+        assert (np.abs(dot[[0, 1, 3]]) <= 1e-12).all() and dot[2] > 0.5
+        windows = [((xy[0], xy[1], h, 3.0), straight_track(xy, h),
+                    scene([xy + (4.0, 1.0)], ids=[3], heading=h), []) for h in headings]
+        got = self.assemble_windows(net, windows)
+        assert got[2].ctx[2] < dataset.CTX_INTER_CAP  # on the lane when heading along it
+
 
 class TestFloatContext:
     """compute_context's lead and pedestrian scalars against the one-row
     array forms, bit for bit, on their boundaries."""
 
     def assert_pinned(self, town, ego, cars, peds):
-        ctx = compute_context(town, ego, cars, peds, lambda node_id, axis: True)
+        ctx = context_of(town, ego, cars, peds, lambda node_id, axis: True)
+        assert ctx.tobytes() == reference_context(town, ego, cars, peds, lambda n, a: True).tobytes()
         assert ctx[5:].tobytes() == reference_context_tail(ego, cars, peds).tobytes()
         return ctx[5:]
 
@@ -445,12 +633,12 @@ class TestNavigationCommand:
 
     def test_far_from_junction_keeps_lane(self, town):
         log = self._straight_log(town)
-        assert compute_navigation_command(log, 0, town) == NavigationCommand.KEEP_LANE
+        assert command_at(log, 0, town) == NavigationCommand.KEEP_LANE
 
     def test_straight_crossing_is_cross(self, town):
         node = town.nodes[town.junction_ids[0]]
         log = self._straight_log(town, start=(node.pos[0] - 20.0, node.pos[1] - 1.75))
-        assert compute_navigation_command(log, 0, town) == NavigationCommand.CROSS
+        assert command_at(log, 0, town) == NavigationCommand.CROSS
 
     def _turn_log(self, town, sign):
         node = town.nodes[town.junction_ids[0]]
@@ -476,8 +664,8 @@ class TestNavigationCommand:
         )
 
     def test_left_and_right_turns(self, town):
-        assert compute_navigation_command(self._turn_log(town, +1), 0, town) == NavigationCommand.LEFT
-        assert compute_navigation_command(self._turn_log(town, -1), 0, town) == NavigationCommand.RIGHT
+        assert command_at(self._turn_log(town, +1), 0, town) == NavigationCommand.LEFT
+        assert command_at(self._turn_log(town, -1), 0, town) == NavigationCommand.RIGHT
 
 
 def reference_navigation_command(log, center_tick, network):
@@ -508,10 +696,37 @@ def reference_navigation_command(log, center_tick, network):
     return NavigationCommand.CROSS
 
 
+def reference_window_command(log, center_tick, network):
+    """The per-window compute_navigation_command: a norm table over its own
+    lookahead, no memo."""
+    n = len(log)
+    horizon = min(n - 1, center_tick + int(round(dataset.NC_LOOKAHEAD_S / sw.TICK)))
+    track = log.states[:, 0, :2]
+    d = np.linalg.norm(network.junction_pos - track[center_tick : horizon + 1, None], axis=2)
+    inside = np.flatnonzero(d.min(axis=1) < dataset.NC_ZONE_RADIUS)
+    if not inside.size:
+        return NavigationCommand.KEEP_LANE
+    i = center_tick + int(inside[0])
+    node_id = network.junction_ids[int(np.argmin(d[inside[0]]))]
+    j = dataset._zone_exit(track, i, network.nodes[node_id].pos)
+    return turn_command(log.states[i][0, 2], log.states[j][0, 2])
+
+
+def command_at(log, center_tick, network):
+    return compute_navigation_command(log, range(center_tick, center_tick + 1), network)[0]
+
+
 def _assert_same_commands(log, network):
-    got = [compute_navigation_command(log, c, network) for c in range(len(log))]
-    want = [reference_navigation_command(log, c, network) for c in range(len(log))]
-    assert got == want
+    """compute_navigation_command over every tick, at once and in runs of
+    7, 50 and 1, against both per-tick references."""
+    n = len(log)
+    got = compute_navigation_command(log, range(n), network)
+    want = [reference_navigation_command(log, c, network) for c in range(n)]
+    assert got == want == [reference_window_command(log, c, network) for c in range(n)]
+    for step in (7, 50, 1):
+        runs = [compute_navigation_command(log, range(lo, min(lo + step, n)), network)
+                for lo in range(0, n, step)]
+        assert sum(runs, []) == want
     return set(got)
 
 
@@ -536,6 +751,23 @@ class TestTurnCommand:
 
 
 class TestNavigationCommandParity:
+    def test_overlapping_zones_keep_their_own_exits(self):
+        # Two junctions 20 m apart, so their zones overlap: an entry nearest
+        # the second lies within the first zone's (entry, exit) span, and
+        # must still leave by the second zone's own exit.  The heading turns
+        # steadily, so the two exits give different commands.
+        nodes = [sw.Node(0, np.array([0.0, 0.0]), "junction", True),
+                 sw.Node(1, np.array([20.0, 0.0]), "junction", True)]
+        lane = sw.Lane(0, 0, 0, 1, nodes[0].pos, nodes[1].pos, np.array([1.0, 0.0]), 20.0)
+        net = sw.RoadNetwork("close", nodes, [sw.Segment(0, 0, 1, 0)], [lane], [])
+        n = 240
+        states = np.zeros((n, 1, 4))
+        states[:, 0, 0] = np.linspace(-40.0, 80.0, n)
+        states[:, 0, 2] = np.linspace(0.0, 6.0, n)
+        log = sw.EpisodeLog({}, ["car"], [0], [], np.arange(n) * sw.TICK, states, np.zeros((n, 0)))
+        seen = _assert_same_commands(log, net)
+        assert {NavigationCommand.LEFT, NavigationCommand.CROSS} <= seen
+
     @pytest.mark.parametrize("town_id", ["train", "test"])
     def test_every_tick_of_recorded_episodes(self, town_id):
         net = sw.build_town(town_id)
@@ -608,6 +840,17 @@ class TestExtractWindows:
         short = sw.record_episode(town, seed=1, duration=WINDOW_TICKS * sw.TICK / 2,
                                   n_cars=2, n_pedestrians=0)
         assert extract_windows(short, town) == []
+
+    @pytest.mark.parametrize("chunk", [1, 7, 10_000])
+    def test_chunk_size_keeps_the_bytes(self, town, chunk, monkeypatch, tmp_path):
+        # 161 windows: one batch at the default size, and batches of 1, of 7
+        # (the last one short) and of more than the episode.
+        log = sw.record_episode(town, 21, 20.0, 9, 4)
+        write_dataset(extract_windows(log, town), tmp_path / "default.jsonl")
+        monkeypatch.setattr(dataset, "EXTRACT_CHUNK", chunk)
+        write_dataset(extract_windows(log, town), tmp_path / "chunked.jsonl")
+        default = (tmp_path / "default.jsonl").read_bytes()
+        assert len(default) > 1_000_000 and (tmp_path / "chunked.jsonl").read_bytes() == default
 
     def test_deterministic(self, log, town, samples):
         again = extract_windows(log, town)

@@ -319,6 +319,34 @@ class TestBinProximity:
         for window in (1, 2, 3, 4, 25):
             _assert_same_binning(rel, np.array([0.0, 2.0, 1.0]), window)
 
+    def test_stacked_windows_match_single_calls(self):
+        # k windows stacked on leading axes: cells shared by several agents,
+        # equal distances, and tracks that leave the map (or never enter it).
+        rng = np.random.default_rng(7)
+        contested = 0
+        for trial in range(30):
+            k, n_agents, n_ticks = int(rng.integers(1, 9)), int(rng.integers(1, 12)), int(rng.integers(1, 25))
+            rel = rng.uniform([-40.0, -8.0], [40.0, 8.0], (k, n_agents, n_ticks, 2))
+            rel[:, 1::3] = rel[:, :1] + rng.uniform(-0.4, 0.4, (k, 1, n_ticks, 2))[:, : rel[:, 1::3].shape[1]]
+            rel[:, 2::4, n_ticks // 2 :] += 100.0  # off the map from mid-window on
+            dists = np.round(rng.uniform(0.0, 30.0, (k, n_agents)) / 10.0) * 10.0
+            window = int(rng.integers(1, 5))
+            lead = (k,) if trial % 2 else (2, k)
+            if len(lead) == 2:
+                rel, dists = np.stack([rel, rel[::-1]]), np.stack([dists, dists[::-1]])
+            cells, labels = kernels.bin_proximity(rel, dists, window)
+            assert cells.shape == lead + (kernels.MAP_ROWS, kernels.MAP_COLS, n_ticks, 2 * window)
+            assert labels.shape == lead + (kernels.MAP_ROWS, kernels.MAP_COLS, n_ticks)
+            for i in np.ndindex(*lead):
+                one = kernels.bin_proximity(rel[i], dists[i], window)
+                assert_same_bits(cells[i], one[0])
+                assert_same_bits(labels[i], one[1])
+                _assert_same_binning(rel[i], dists[i], window)
+                x, y = rel[i][..., 0], rel[i][..., 1]
+                on_map = (x >= -32.5) & (x < 32.5) & (y >= -5.25) & (y < 5.25)
+                contested += int(on_map.sum()) - int((labels[i] >= 0).sum())
+        assert contested > 100  # agent-ticks that lost their cell to another
+
 
 def reference_integrate_cars(states, cmds, is_car, dt, wheelbase, v_max):
     """The bicycle step on numpy scalars, in place over (A, 4) states and

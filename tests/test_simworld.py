@@ -100,30 +100,103 @@ def random_network(seed):
     return sw.RoadNetwork("random", nodes, segments, lanes, [])
 
 
+def scalar_nearest_lane(net, xy, heading):
+    """The per-position lookup that nearest_lane batches: one lane_dir matvec."""
+    (ux, uy), (x0, y0) = np.array([net.lane_cols[2], net.lane_cols[3]]), net.lane_p0.T
+    rx, ry = float(xy[0]) - x0, float(xy[1]) - y0
+    s = rx * ux + ry * uy
+    lat = -rx * uy + ry * ux
+    ok = (np.abs(lat) <= sw.LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= net.lane_len + 1.0)
+    ok &= net.lane_dir @ np.array([np.cos(heading), np.sin(heading)]) > 0.0
+    if not ok.any():
+        return None
+    idx = np.flatnonzero(ok)
+    best = idx[np.argmin(np.abs(lat[idx]))]
+    return int(best), float(s[best]), float(lat[best])
+
+
+def assert_lanes_match(net, points):
+    """nearest_lane over (x, y, heading) points, in one batch and in batches
+    of one, against both per-position references; returns the hit count."""
+    xy = np.array([p[:2] for p in points], dtype=np.float64).reshape(-1, 2)
+    h = np.array([p[2] for p in points], dtype=np.float64)
+    got = net.nearest_lane(xy, np.cos(h), np.sin(h))
+    for p, hit in zip(points, got):
+        want = reference_nearest_lane(net, p[:2], p[2])
+        assert hit == want == scalar_nearest_lane(net, p[:2], p[2])
+        assert hit is None or (type(hit[0]), type(hit[1]), type(hit[2])) == (int, float, float)
+        one = np.array([p[2]])
+        assert net.nearest_lane(np.array([p[:2]], dtype=np.float64), np.cos(one), np.sin(one)) == [want]
+    return sum(hit is not None for hit in got)
+
+
+def perpendicular_dots(net, lane, headings):
+    """The elementwise heading dot of the lane with each heading."""
+    h = np.array(headings)
+    return net.lane_dir[lane.lane_id, 0] * np.cos(h) + net.lane_dir[lane.lane_id, 1] * np.sin(h)
+
+
 class TestNearestLane:
     @pytest.mark.parametrize("town_id", ["train", "test", "random"])
     def test_matches_segment_features_kernel(self, town_id):
         net = random_network(9) if town_id == "random" else sw.build_town(town_id)
         lo = net.lane_p0.min(axis=0) - 5.0
         hi = net.lane_p0.max(axis=0) + 5.0
-        hits = 0
-        for x in np.linspace(lo[0], hi[0], 23):
-            for y in np.linspace(lo[1], hi[1], 23):
-                for heading in (None, 0.0, 0.5 * np.pi, np.pi, -2.5):
-                    want = reference_nearest_lane(net, (x, y), heading)
-                    assert net.nearest_lane((x, y), heading) == want
-                    hits += want is not None
+        points = [
+            (x, y, heading)
+            for x in np.linspace(lo[0], hi[0], 23)
+            for y in np.linspace(lo[1], hi[1], 23)
+            for heading in (0.0, 0.5 * np.pi, np.pi, -2.5, 0.7, -0.5 * np.pi)
+        ]
         # Points on and beside every lane, where the lane tests are decided.
         for lane in net.lanes:
             normal = np.array([-lane.direction[1], lane.direction[0]])
             for s in (-1.0, lane.length / 3.0, lane.length + 1.0):
                 for off in (0.0, -2.625, 2.625):
                     xy = lane.p0 + lane.direction * s + normal * off
-                    for heading in (None, lane.heading, lane.heading + np.pi / 2.0):
-                        want = reference_nearest_lane(net, xy, heading)
-                        assert net.nearest_lane(xy, heading) == want
-                        hits += want is not None
-        assert hits > 1000
+                    for heading in (lane.heading, lane.heading + np.pi / 2.0):
+                        points.append((xy[0], xy[1], heading))
+        assert assert_lanes_match(net, points) > 1000
+
+    def test_heading_across_the_diagonal_lane(self):
+        # Headings within a few ulps of perpendicular to the test town's
+        # diagonal lane: its elementwise dot lies within 1e-12 of 0, so each
+        # such row is decided by its own matvec.
+        net = sw.build_town("test")
+        points = []
+        for lane in net.lanes:
+            if lane.direction[0] in (0.0, 1.0, -1.0):
+                continue
+            headings = [lane.heading + np.pi / 2.0, lane.heading - np.pi / 2.0]
+            for _ in range(20):
+                headings.append(np.nextafter(headings[-2], 9.0))
+            assert (np.abs(perpendicular_dots(net, lane, headings)) <= 1e-12).all()
+            xy = lane.p0 + lane.direction * (lane.length / 2.0)
+            points += [(xy[0], xy[1], h) for h in headings]
+        assert len(points) == 44
+        assert_lanes_match(net, points)
+
+    def test_matvec_and_elementwise_dot_disagree(self):
+        # On the random network's skewed lanes, headings an ulp or so from
+        # perpendicular where the matvec and the elementwise dot fall on
+        # either side of 0: only the matvec's answer is the reference's.
+        net = random_network(9)
+        points, split = [], 0
+        for lane in net.lanes:
+            h = lane.heading + np.pi / 2.0
+            headings = [h]
+            for _ in range(300):
+                headings.append(np.nextafter(headings[-1], 9.0))
+            dots = perpendicular_dots(net, lane, headings)
+            xy = lane.p0 + lane.direction * (lane.length / 3.0)
+            for h, dot in zip(headings, dots):
+                matvec = net.lane_dir @ np.array([np.cos(h), np.sin(h)])
+                if (matvec[lane.lane_id] > 0.0) != (dot > 0.0):
+                    split += 1
+                    points.append((xy[0], xy[1], h))
+            points.append((xy[0], xy[1], headings[0]))
+        assert split >= 2
+        assert_lanes_match(net, points)
 
 
 class TestClamp:

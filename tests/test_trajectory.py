@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,10 @@ from polydrive.trajectory import (
     DT,
     HORIZON,
     PointSeries,
-    Pose2D,
     PolyTrajectory2D,
     fit_polynomial,
     sample_times,
-    xy_to_frame,
+    wrap_heading,
 )
 
 
@@ -90,6 +91,44 @@ class TestSampling:
         np.testing.assert_allclose(pts.xy[:, 1], np.polyval(poly.cy, pts.t))
 
 
+@dataclass(frozen=True)
+class Pose2D:
+    """The per-window ego frame that dataset.assemble_sample batches: a
+    position and a heading wrapped to (-pi, pi]."""
+
+    x: float
+    y: float
+    heading: float
+
+    def __post_init__(self):
+        h = float(self.heading)
+        h = (h + np.pi) % (2.0 * np.pi) - np.pi
+        if h == -np.pi:
+            h = np.pi
+        object.__setattr__(self, "heading", h)
+
+    @property
+    def xy(self) -> np.ndarray:
+        return np.array([self.x, self.y])
+
+
+def xy_to_frame(xy, frame):
+    """Positions in one frame: the reference for the batched transform."""
+    c, s = np.cos(frame.heading), np.sin(frame.heading)
+    return (np.asarray(xy, dtype=np.float64) - frame.xy) @ np.array([[c, -s], [s, c]])
+
+
+def to_frame(xy, x, y, heading):
+    """Positions in the frame (x, y, heading) as assemble_sample transforms a
+    window: wrap_heading, then one rotation from array trig."""
+    h = np.array([wrap_heading(heading)])
+    c, s = np.cos(h), np.sin(h)
+    rot = np.array([c, -s, s, c]).T.reshape(-1, 2, 2)[0]
+    local = (np.asarray(xy, dtype=np.float64) - [x, y]) @ rot
+    assert local.tobytes() == xy_to_frame(xy, Pose2D(x, y, heading)).tobytes()
+    return local
+
+
 class TestFrames:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -101,27 +140,27 @@ class TestFrames:
     def test_round_trip_identity(self, x, y, h, seed):
         rng = np.random.default_rng(seed)
         pts = random_series(rng, n=10)
-        frame = Pose2D(x, y, h)
-        local = xy_to_frame(pts.xy, frame)
+        local = to_frame(pts.xy, x, y, h)
         # Undo the transform: rotate back by the heading, then translate.
-        c, s = np.cos(frame.heading), np.sin(frame.heading)
-        back = local @ np.array([[c, s], [-s, c]]) + frame.xy
+        c, s = np.cos(wrap_heading(h)), np.sin(wrap_heading(h))
+        back = local @ np.array([[c, s], [-s, c]]) + [x, y]
         np.testing.assert_allclose(back, pts.xy, atol=1e-9)
 
     def test_to_frame_is_rigid(self):
         rng = np.random.default_rng(3)
         pts = random_series(rng, n=10)
-        frame = Pose2D(4.0, -2.0, 0.7)
-        local = xy_to_frame(pts.xy, frame)
+        local = to_frame(pts.xy, 4.0, -2.0, 0.7)
         d_world = np.linalg.norm(np.diff(pts.xy, axis=0), axis=1)
         d_local = np.linalg.norm(np.diff(local, axis=0), axis=1)
         np.testing.assert_allclose(d_local, d_world, atol=1e-9)
 
     def test_frame_origin_maps_to_zero(self):
-        frame = Pose2D(1.0, 2.0, -1.2)
-        np.testing.assert_allclose(xy_to_frame([[1.0, 2.0]], frame), 0.0, atol=1e-12)
+        np.testing.assert_allclose(to_frame([[1.0, 2.0]], 1.0, 2.0, -1.2), 0.0, atol=1e-12)
 
     def test_heading_normalized(self):
-        assert Pose2D(0, 0, 3 * np.pi).heading == pytest.approx(np.pi)
-        assert -np.pi < Pose2D(0, 0, -np.pi).heading <= np.pi
+        assert wrap_heading(3 * np.pi) == pytest.approx(np.pi)
+        assert -np.pi < wrap_heading(-np.pi) <= np.pi
+        assert wrap_heading(-np.pi) == np.pi and type(wrap_heading(np.float64(1.0))) is float
+        for h in np.random.default_rng(2).uniform(-20.0, 20.0, 500).tolist() + [-np.pi, np.pi, -0.0]:
+            assert wrap_heading(h) == Pose2D(0.0, 0.0, h).heading
 
