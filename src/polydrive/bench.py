@@ -16,9 +16,11 @@ import numpy as np
 
 from .control import DriveResult, drive_task, route_timeout
 from .errors import InvalidInputError
+from .kernels import segment_features
 from .simworld import (
     CAR_RADIUS,
     CORE_RADIUS,
+    HALF_ROAD,
     PED_RADIUS,
     TICK,
     EpisodeLog,
@@ -165,46 +167,34 @@ def _runs(flags: np.ndarray, min_len: int = 1) -> list[int]:
 def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[InfractionEvent]:
     """Post-hoc scan of the ego row of a trace for all infraction kinds."""
     ego = trace.car_indices()[0]
-    n = len(trace)
     pos = trace.states[:, ego, :2]
     heading = trace.states[:, ego, 2]
 
     seg_ab = network.seg_b - network.seg_a
     seg_dir = seg_ab / np.linalg.norm(seg_ab, axis=1, keepdims=True)
+    diagonal = np.array([seg.axis == 2 for seg in network.segments])
 
-    sidewalk = np.zeros(n, dtype=bool)
-    static = np.zeros(n, dtype=bool)
-    opposite = np.zeros(n, dtype=bool)
-    for i in range(n):
-        xy = pos[i]
-        dist, _, lat = network._segment_features(float(xy[0]), float(xy[1]))
-        in_core = network.in_junction_core(xy, JUNCTION_EXEMPT_RADIUS)
-        min_dist = float(dist.min())
-        # The junction functional area (turn connectors) is legally drivable,
-        # so lane-keeping infractions are only scored outside it.
-        if not in_core and not network.drivable(xy):
-            sidewalk[i] = True
-        if min_dist > STATIC_CLEARANCE:
-            static[i] = True
-        if not in_core and min_dist <= STATIC_CLEARANCE:
-            # Attribute the car to the nearest heading-aligned segment so a
-            # crossing road (e.g. the diagonal) cannot shadow the actual one.
-            h = heading[i]
-            forward = np.cos(h) * seg_dir[:, 0] + np.sin(h) * seg_dir[:, 1]
-            aligned = np.abs(forward) >= 0.85
-            if aligned.any():
-                masked = np.where(aligned, dist, np.inf)
-                k = int(np.argmin(masked))
-                # Merges onto the diagonal road settle onto the lane over a
-                # longer run-in; lane-side attribution there is ambiguous.
-                if (
-                    network.segments[k].axis == 2
-                    and network.nearest_junction(xy)[1] < DIAGONAL_MERGE_RADIUS
-                ):
-                    continue
-                lat_travel = float(lat[k]) * (1.0 if forward[k] >= 0 else -1.0)
-                if lat_travel > OPPOSITE_LANE_DEPTH:
-                    opposite[i] = True
+    # One row per tick: the distance to each junction, and to each road segment.
+    junction_d = np.linalg.norm(pos[:, None, :] - network.junction_pos, axis=2)
+    near = junction_d.min(axis=1)
+    dist, lat = segment_features(pos, network.seg_a, network.seg_b)
+    # The junction functional area (turn connectors) is legally drivable,
+    # so lane-keeping infractions are only scored outside it.
+    in_core = near < JUNCTION_EXEMPT_RADIUS
+    sidewalk = ~in_core & ~(dist <= HALF_ROAD).any(axis=1)
+    static = dist.min(axis=1) > STATIC_CLEARANCE
+    # Attribute the car to the nearest heading-aligned segment so a crossing
+    # road (e.g. the diagonal) cannot shadow the actual one.
+    forward = np.cos(heading)[:, None] * seg_dir[:, 0] + np.sin(heading)[:, None] * seg_dir[:, 1]
+    aligned = np.abs(forward) >= 0.85
+    k = np.argmin(np.where(aligned, dist, np.inf), axis=1)
+    rows = np.arange(len(k))
+    lat_travel = np.sign(forward[rows, k]) * lat[rows, k]
+    # Merges onto the diagonal road settle onto the lane over a longer
+    # run-in; lane-side attribution there is ambiguous.
+    merging = diagonal[k] & (near < DIAGONAL_MERGE_RADIUS)
+    opposite = ~in_core & ~static & aligned.any(axis=1) & ~merging
+    opposite &= lat_travel > OPPOSITE_LANE_DEPTH
 
     events: list[InfractionEvent] = []
     hold = int(round(OPPOSITE_LANE_HOLD_S / TICK)) + 1
@@ -226,8 +216,7 @@ def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[Infracti
             events.append(InfractionEvent(label, i, tuple(pos[i])))
 
     # Red-light runs: stop-line (junction core boundary) crossings during red.
-    for node_id, node_pos in zip(network.junction_ids, network.junction_pos):
-        d = np.linalg.norm(pos - node_pos, axis=1)
+    for node_id, d in zip(network.junction_ids, junction_d.T):
         crossing = (d[:-1] > CORE_RADIUS) & (d[1:] <= CORE_RADIUS)
         for i in np.flatnonzero(crossing):
             # The pose at the crossing tick is already mid-turn; classify the
@@ -236,8 +225,7 @@ def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[Infracti
             j = int(i)
             while j > 0 and d[j] <= CORE_RADIUS + 3.0:
                 j -= 1
-            dist, _, _ = network._segment_features(float(pos[j][0]), float(pos[j][1]))
-            axis = network.signal_axis(int(np.argmin(dist)))
+            axis = network.signal_axis(int(np.argmin(dist[j])))
             if not trace.light_green_at(int(i + 1), int(node_id), axis):
                 events.append(InfractionEvent("red_light_run", int(i + 1), tuple(pos[i + 1])))
 

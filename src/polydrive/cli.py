@@ -73,7 +73,7 @@ KNOBS = {
     "offline_eval": Knob(None, str, None, "a path string"),
     "town": Knob("train", None, None, "train or test"),  # build_town refuses others: exit 2
     "episodes": Knob(10, int, lambda n: n >= 1, "a whole number, at least 1"),
-    "duration": Knob(180.0, float, lambda t: t > 0.0, "a finite number, positive"),
+    "duration": Knob(180.0, float, lambda t: 0.0 < t <= 86400.0, "a finite number in (0, 86400]"),
     "mode": Knob("full", None, augment.MODES.__contains__, "none, partial or full"),
     "fraction": Knob(0.2, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
     "sigma_long": Knob(0.0, float, lambda s: s >= 0.0, "a finite number, 0 or more"),

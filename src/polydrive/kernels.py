@@ -1,5 +1,5 @@
 """Hot inner loops.  bin_proximity is vectorized over windows, agents and
-ticks, and segment_features loops over a network's segment arrays.
+ticks, and segment_features over a trace's ticks and a network's segments.
 polyline_project, polyline_point and integrate_cars run for each of 2-15
 cars at every world tick, where numpy's per-call overhead costs more than
 the arithmetic: they take and return Python floats, whose + - * / and ** 0.5
@@ -148,38 +148,24 @@ def integrate_cars(states, cmds, dt, wheelbase, v_max):
     return out
 
 
-def segment_features(px, py, a_pts, b_pts):
-    """Distance, along-segment progress and signed lateral per road segment.
+def segment_features(xy, a_pts, b_pts):
+    """Distance and signed lateral offset of n points to S road segments.
 
+    xy           : (n, 2) points.
     a_pts, b_pts : (S, 2) segment endpoints.
-    Returns three (S,) arrays: clamped-point distance, progress of the
-    unclamped projection, and the signed lateral offset (positive left of
-    the a->b direction).
+    Returns two (n, S) arrays: the distance to the nearest point of each
+    segment, and the signed lateral offset from its line (positive left of
+    the a->b direction).  The lengths and distances are Python-float ``**``
+    (C pow), which rounds apart from np.sqrt on some entries.
     """
-    n = a_pts.shape[0]
-    dist_out = np.empty(n)
-    s_out = np.empty(n)
-    lat_out = np.empty(n)
-    for i in range(n):
-        ax = a_pts[i, 0]
-        ay = a_pts[i, 1]
-        dx = b_pts[i, 0] - ax
-        dy = b_pts[i, 1] - ay
-        seg_len = (dx * dx + dy * dy) ** 0.5
-        ux = dx / seg_len
-        uy = dy / seg_len
-        rx = px - ax
-        ry = py - ay
-        s = rx * ux + ry * uy
-        lat = -rx * uy + ry * ux
-        s_cl = s
-        if s_cl < 0.0:
-            s_cl = 0.0
-        elif s_cl > seg_len:
-            s_cl = seg_len
-        cx = ax + s_cl * ux
-        cy = ay + s_cl * uy
-        dist_out[i] = ((px - cx) ** 2 + (py - cy) ** 2) ** 0.5
-        s_out[i] = s
-        lat_out[i] = lat
-    return dist_out, s_out, lat_out
+    dx, dy = (b_pts - a_pts).T
+    seg_len = np.array([(x * x + y * y) ** 0.5 for x, y in zip(dx.tolist(), dy.tolist())])
+    ux, uy = dx / seg_len, dy / seg_len
+    ax, ay = a_pts.T
+    px, py = xy[:, :1], xy[:, 1:]
+    rx, ry = px - ax, py - ay
+    s = np.minimum(np.maximum(rx * ux + ry * uy, 0.0), seg_len)
+    lat = -rx * uy + ry * ux
+    ex, ey = px - (ax + s * ux), py - (ay + s * uy)
+    dist = [(x**2 + y**2) ** 0.5 for x, y in zip(ex.ravel().tolist(), ey.ravel().tolist())]
+    return np.array(dist).reshape(ex.shape), lat

@@ -115,8 +115,8 @@ class RoadNetwork:
         self.lane_p0 = np.array([l.p0 for l in lanes])
         self.lane_dir = np.array([l.direction for l in lanes])
         self.lane_len = np.array([l.length for l in lanes])
-        # nearest_lane's columns; the unit vectors u by segment_features' own
-        # scalar expressions, so that its vectorized s and lat match the kernel.
+        # nearest_lane's columns; the unit vectors u over the Python-float
+        # norm (dx*dx + dy*dy) ** 0.5, as segment_features takes its lengths.
         d = [(l.p1[0] - l.p0[0], l.p1[1] - l.p0[1]) for l in lanes]
         n = [(dx * dx + dy * dy) ** 0.5 for dx, dy in d]
         u = np.array([(dx / m, dy / m) for (dx, dy), m in zip(d, n)])
@@ -163,24 +163,10 @@ class RoadNetwork:
         """The successors that end at a junction, so a route can go on."""
         return [(m, turn) for m, turn in self._successors[lane_id] if self.lane_ends_at_junction(m)]
 
-    def _segment_features(self, x: float, y: float):
-        return kernels.segment_features(x, y, self.seg_a, self.seg_b)
-
-    def in_junction_core(self, xy, radius: float = CORE_RADIUS) -> bool:
-        d = np.linalg.norm(self.junction_pos - np.asarray(xy), axis=1)
-        return bool((d < radius).any())
-
     def nearest_junction(self, xy) -> tuple[int, float]:
         d = np.linalg.norm(self.junction_pos - np.asarray(xy), axis=1)
         k = int(np.argmin(d))
         return self.junction_ids[k], float(d[k])
-
-    def drivable(self, xy) -> bool:
-        x, y = float(xy[0]), float(xy[1])
-        dist, _, _ = self._segment_features(x, y)
-        if (dist <= HALF_ROAD).any():
-            return True
-        return self.in_junction_core(xy, CORE_RADIUS + 0.5)
 
     def nearest_lane(self, xy, c, s):
         """Per position of xy (B, 2) with heading cos c and sin s (B,): the best

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from test_kernels import reference_segment_features
+from test_simworld import reference_drivable
 
-from polydrive import bench, simworld as sw
+from polydrive import bench, model, simworld as sw
 from polydrive.bench import (
     BenchTask,
     InfractionEvent,
@@ -122,6 +124,150 @@ def reference_runs(flags, min_len=1):
     return starts
 
 
+def reference_detect_infractions(trace, network):
+    """detect_infractions as a loop over the ticks, one segment scan each."""
+    ego = trace.car_indices()[0]
+    n = len(trace)
+    pos = trace.states[:, ego, :2]
+    heading = trace.states[:, ego, 2]
+
+    seg_ab = network.seg_b - network.seg_a
+    seg_dir = seg_ab / np.linalg.norm(seg_ab, axis=1, keepdims=True)
+
+    def segment_features(xy):
+        return reference_segment_features(float(xy[0]), float(xy[1]), network.seg_a, network.seg_b)
+
+    sidewalk = np.zeros(n, dtype=bool)
+    static = np.zeros(n, dtype=bool)
+    opposite = np.zeros(n, dtype=bool)
+    for i in range(n):
+        xy = pos[i]
+        dist, _, lat = segment_features(xy)
+        near = network.nearest_junction(xy)[1]
+        in_core = near < bench.JUNCTION_EXEMPT_RADIUS
+        min_dist = float(dist.min())
+        if not in_core and not reference_drivable(network, xy):
+            sidewalk[i] = True
+        if min_dist > bench.STATIC_CLEARANCE:
+            static[i] = True
+        if not in_core and min_dist <= bench.STATIC_CLEARANCE:
+            h = heading[i]
+            forward = np.cos(h) * seg_dir[:, 0] + np.sin(h) * seg_dir[:, 1]
+            aligned = np.abs(forward) >= 0.85
+            if aligned.any():
+                k = int(np.argmin(np.where(aligned, dist, np.inf)))
+                if network.segments[k].axis == 2 and near < bench.DIAGONAL_MERGE_RADIUS:
+                    continue
+                lat_travel = float(lat[k]) * (1.0 if forward[k] >= 0 else -1.0)
+                if lat_travel > bench.OPPOSITE_LANE_DEPTH:
+                    opposite[i] = True
+
+    events = []
+    hold = int(round(bench.OPPOSITE_LANE_HOLD_S / TICK)) + 1
+    for kind, flags, min_len in (
+        ("opposite_lane", opposite, hold), ("sidewalk", sidewalk, 1), ("collision_static", static, 1)
+    ):
+        events += [InfractionEvent(kind, i, tuple(pos[i])) for i in reference_runs(flags, min_len)]
+    for r in range(trace.n_agents):
+        if r == ego:
+            continue
+        if trace.kinds[r] == "car":
+            threshold, label = 2 * CAR_RADIUS, "collision_car"
+        else:
+            threshold, label = CAR_RADIUS + sw.PED_RADIUS, "collision_pedestrian"
+        d = np.linalg.norm(trace.states[:, r, :2] - pos, axis=1)
+        events += [InfractionEvent(label, i, tuple(pos[i])) for i in reference_runs(d < threshold)]
+    for node_id, node_pos in zip(network.junction_ids, network.junction_pos):
+        d = np.linalg.norm(pos - node_pos, axis=1)
+        for i in range(n - 1):
+            if not (d[i] > CORE_RADIUS and d[i + 1] <= CORE_RADIUS):
+                continue
+            j = i
+            while j > 0 and d[j] <= CORE_RADIUS + 3.0:
+                j -= 1
+            dist, _, _ = segment_features(pos[j])
+            axis = network.signal_axis(int(np.argmin(dist)))
+            if not trace.light_green_at(i + 1, int(node_id), axis):
+                events.append(InfractionEvent("red_light_run", i + 1, tuple(pos[i + 1])))
+    events.sort(key=lambda e: (e.tick, e.kind))
+    return events
+
+
+def assert_same_events(trace, network):
+    got = detect_infractions(trace, network)
+    want = reference_detect_infractions(trace, network)
+    assert got == want
+    for g, w in zip(got, want):
+        assert [type(v) for v in (g.tick, *g.position)] == [type(v) for v in (w.tick, *w.position)]
+    return got
+
+
+# (town, task kind, index among that kind in suite 3, init_params seed or
+# None for the expert).  The model drives last 600 ticks; between them they
+# hold every infraction kind, red-light runs in both towns.
+DRIVES = [
+    ("train", "nav_dynamic", 0, None),
+    ("train", "nav_dynamic", 1, 1),
+    ("train", "nav_dynamic", 2, 2),
+    ("train", "nav_dynamic", 11, 7),
+    ("test", "one_turn", 0, None),
+    ("test", "one_turn", 0, 4),
+    ("test", "nav_dynamic", 1, 1),
+    ("test", "nav_dynamic", 8, 4),
+    ("test", "nav_dynamic", 9, 5),
+]
+
+
+@pytest.fixture(scope="module")
+def drives():
+    out = []
+    for town_id, kind, index, seed in DRIVES:
+        network = sw.build_town(town_id)
+        task = [t for t in generate_suite(town_id, 3) if t.kind == kind][index]
+        if seed is None:
+            result = bench.run_task(network, task, expert=True)
+        else:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(bench, "route_timeout", lambda length: 599.5 * TICK)
+                result = bench.run_task(network, task, model.init_params(seed))
+        out.append((town_id, seed, network, result))
+    return out
+
+
+class TestScorerParity:
+    def test_drives_match_the_per_tick_loop(self, drives):
+        kinds = {"train": set(), "test": set()}
+        for town_id, seed, network, result in drives:
+            events = assert_same_events(result.trace, network)
+            assert events == result.infractions
+            if seed is None:
+                assert result.reached_goal and events == []
+            kinds[town_id] |= {e.kind for e in events}
+        assert kinds["train"] | kinds["test"] == set(bench.INFRACTION_KINDS)
+        assert "red_light_run" in kinds["train"] & kinds["test"]
+
+    def test_short_traces(self, drives):
+        for _, _, network, result in drives[:2]:
+            trace = result.trace
+            for n in (0, 1, 2):
+                short = EpisodeLog(
+                    trace.meta, trace.kinds, trace.agent_ids, trace.groups,
+                    trace.clock[:n], trace.states[:n], trace.lights[:n],
+                )
+                events = assert_same_events(short, network)
+                assert n == 2 or events == []
+
+    def test_short_off_road_traces(self, town):
+        # Two ticks off every road, heading along the axis: sidewalk and
+        # static from the first tick; one tick each gives the same.
+        track, lane = straight_lane_track(town, n=2)
+        left = np.array([-lane.direction[1], lane.direction[0]])
+        for n in (1, 2):
+            trace = make_trace(town, track[:n] + left * 20.0)
+            kinds = [e.kind for e in assert_same_events(trace, town)]
+            assert kinds == ["collision_static", "sidewalk"]
+
+
 class TestDetectors:
     def test_runs_match_the_loop(self):
         rng = np.random.default_rng(5)
@@ -144,7 +290,7 @@ class TestDetectors:
         # place the track 5 m left of the road axis: off the 3.5 m half-road
         # but inside the 6.5 m static clearance
         mid = track[track.shape[0] // 2]
-        dist, _, _ = town._segment_features(float(mid[0]), float(mid[1]))
+        dist, _, _ = reference_segment_features(float(mid[0]), float(mid[1]), town.seg_a, town.seg_b)
         k = int(np.argmin(dist))
         a, b = town.seg_a[k], town.seg_b[k]
         u = (b - a) / np.linalg.norm(b - a)
@@ -171,6 +317,43 @@ class TestDetectors:
         trace = make_trace(town, long, heading=h)
         kinds = {e.kind for e in detect_infractions(trace, town)}
         assert "opposite_lane" in kinds
+
+    def test_road_edge_is_on_the_road(self, town):
+        # Exactly HALF_ROAD off the axis is on the road; an ulp further is not.
+        track, lane = straight_lane_track(town)
+        assert tuple(lane.direction) == (1.0, 0.0)
+        axis_y = town.seg_a[lane.seg_id][1]
+        for off, kinds in ((sw.HALF_ROAD, []), (np.nextafter(sw.HALF_ROAD, 9.0), ["sidewalk"])):
+            edge = np.stack([track[:, 0], np.full(len(track), axis_y - off)], axis=1)
+            events = assert_same_events(make_trace(town, edge, heading=0.0), town)
+            assert [e.kind for e in events] == kinds
+
+    def test_opposite_lane_hold_boundary(self, town):
+        # A run of exactly hold ticks counts; one tick fewer does not.
+        track, lane = straight_lane_track(town)
+        left = np.array([-lane.direction[1], lane.direction[0]])
+        h = np.arctan2(lane.direction[1], lane.direction[0])
+        hold = int(round(bench.OPPOSITE_LANE_HOLD_S / TICK)) + 1
+        for ticks in (hold - 1, hold, hold + 1):
+            excursion = track.copy()
+            excursion[10:10 + ticks] += left * 2.5
+            events = assert_same_events(make_trace(town, excursion, heading=h), town)
+            assert [e.tick for e in events if e.kind == "opposite_lane"] == ([10] if ticks >= hold else [])
+
+    def test_aligned_at_the_threshold(self, town):
+        # Headed at arccos(0.85) off its x-aligned road, a forward dot of
+        # exactly 0.85, the car still counts as on that road: across its
+        # axis it is in the opposite lane.
+        track, lane = straight_lane_track(town)
+        assert tuple(lane.direction) == (1.0, 0.0)
+        k = lane.seg_id
+        h = float(np.arccos(0.85))
+        assert np.cos(h) * 1.0 + np.sin(h) * 0.0 == 0.85
+        axis_y = town.seg_a[k][1]
+        for side, kinds in ((2.5, ["opposite_lane"]), (-2.5, [])):
+            on_side = np.stack([track[:, 0], np.full(len(track), axis_y + side)], axis=1)
+            events = assert_same_events(make_trace(town, on_side, heading=h), town)
+            assert [e.kind for e in events] == kinds
 
     def test_collision_car_debounced(self, town):
         track, _ = straight_lane_track(town)

@@ -45,7 +45,7 @@ BAD_VALUES = {
     "offline_data": ["[1]"], "traces": ["{}"], "offline_eval": ["0"],
     "town": [],
     "episodes": ["abc", "0"],
-    "duration": ["NaN", "0"],
+    "duration": ["NaN", "0", "1e308"],
     "mode": ["5", "bogus"],
     "fraction": ["abc", "1.5"],
     "sigma_long": ["true", "-1"],

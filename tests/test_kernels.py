@@ -2,7 +2,8 @@
 bitwise: the polyline projection, the polyline lookup and the car
 integration on Python floats against their numpy-scalar loops over arrays
 (and the first two against a full scan and a linear walk), and the
-vectorized proximity binning against its scalar loop."""
+vectorized proximity binning and segment features against their scalar
+loops."""
 
 import numpy as np
 import pytest
@@ -407,6 +408,110 @@ class TestIntegrateCars:
             for row, state in zip(want[car], got):
                 assert_same_floats(state, row)
             assert_same_bits(want[~car], states[~car])
+
+
+def random_network(seed):
+    """Lanes at random angles: their unit vectors are not exact like the
+    towns' axis-aligned ones, so a rounding difference shows."""
+    rng = np.random.default_rng(seed)
+    nodes = [sw.Node(i, rng.uniform(0.0, 300.0, 2), "junction", True) for i in range(12)]
+    segments, lanes = [], []
+    for k in range(20):
+        a, b = (int(i) for i in rng.choice(12, 2, replace=False))
+        segments.append(sw.Segment(k, a, b, 2))
+        for f, t in ((a, b), (b, a)):
+            p0 = nodes[f].pos + rng.normal(0.0, 2.0, 2)
+            p1 = nodes[t].pos + rng.normal(0.0, 2.0, 2)
+            length = float(np.linalg.norm(p1 - p0))
+            lanes.append(sw.Lane(len(lanes), k, f, t, p0, p1, (p1 - p0) / length, length))
+    return sw.RoadNetwork("random", nodes, segments, lanes, [])
+
+
+def reference_segment_features(px, py, a_pts, b_pts):
+    """The loop over segments for one point, on numpy scalars: the clamped
+    distance, the unclamped progress and the signed lateral offset."""
+    n = a_pts.shape[0]
+    dist_out = np.empty(n)
+    s_out = np.empty(n)
+    lat_out = np.empty(n)
+    for i in range(n):
+        ax = a_pts[i, 0]
+        ay = a_pts[i, 1]
+        dx = b_pts[i, 0] - ax
+        dy = b_pts[i, 1] - ay
+        seg_len = (dx * dx + dy * dy) ** 0.5
+        ux = dx / seg_len
+        uy = dy / seg_len
+        rx = px - ax
+        ry = py - ay
+        s = rx * ux + ry * uy
+        lat = -rx * uy + ry * ux
+        s_cl = s
+        if s_cl < 0.0:
+            s_cl = 0.0
+        elif s_cl > seg_len:
+            s_cl = seg_len
+        cx = ax + s_cl * ux
+        cy = ay + s_cl * uy
+        dist_out[i] = ((px - cx) ** 2 + (py - cy) ** 2) ** 0.5
+        s_out[i] = s
+        lat_out[i] = lat
+    return dist_out, s_out, lat_out
+
+
+class TestSegmentFeatures:
+    def _points(self, net, rng):
+        """Random points over the network, every segment's ends and axis
+        points exactly 3.5 m and 6.5 m off it, and points far outside."""
+        lo, hi = net.seg_a.min(axis=0) - 20.0, net.seg_a.max(axis=0) + 20.0
+        pts = [rng.uniform(lo, hi, (2000, 2)), net.seg_a, net.seg_b, [lo - 500.0, hi + 1e4]]
+        u = (net.seg_b - net.seg_a) / np.linalg.norm(net.seg_b - net.seg_a, axis=1, keepdims=True)
+        normal = np.stack([-u[:, 1], u[:, 0]], axis=1)
+        for t in (0.0, 0.25, 0.5, 1.0):
+            mid = net.seg_a + t * (net.seg_b - net.seg_a)
+            pts += [mid + off * normal for off in (3.5, -3.5, 6.5, -6.5)]
+        return np.concatenate(pts)
+
+    @pytest.mark.parametrize("town_id", ["train", "test", "random"])
+    def test_matches_the_loop(self, town_id):
+        net = random_network(9) if town_id == "random" else sw.build_town(town_id)
+        xy = self._points(net, np.random.default_rng(6))
+        dist, lat = kernels.segment_features(xy, net.seg_a, net.seg_b)
+        want = [reference_segment_features(x, y, net.seg_a, net.seg_b) for x, y in xy.tolist()]
+        assert_same_bits(dist, np.array([w[0] for w in want]))
+        assert_same_bits(lat, np.array([w[2] for w in want]))
+
+    def test_random_segments(self):
+        # Thousands of skewed segments, so that lengths where C pow rounds
+        # apart from np.sqrt turn up too.
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(-300.0, 300.0, (2, 5000, 2))
+        xy = rng.uniform(-400.0, 400.0, (4, 2))
+        dist, lat = kernels.segment_features(xy, a, b)
+        want = [reference_segment_features(x, y, a, b) for x, y in xy.tolist()]
+        assert_same_bits(dist, np.array([w[0] for w in want]))
+        assert_same_bits(lat, np.array([w[2] for w in want]))
+
+    def test_sqrt_form_rounds_apart(self):
+        # The same offsets through np.sqrt round apart from the kernel's C pow
+        # on some entries, so the test above tells the two forms apart.
+        net = sw.build_town("train")
+        xy = self._points(net, np.random.default_rng(6))
+        dist, _ = kernels.segment_features(xy, net.seg_a, net.seg_b)
+        d = net.seg_b - net.seg_a
+        seg_len = np.array([(x * x + y * y) ** 0.5 for x, y in d.tolist()])
+        u = d / seg_len[:, None]
+        r = xy[:, None, :] - net.seg_a
+        s = np.minimum(np.maximum(r[..., 0] * u[:, 0] + r[..., 1] * u[:, 1], 0.0), seg_len)
+        ex, ey = (xy[:, None, :] - (net.seg_a + s[..., None] * u)).transpose(2, 0, 1)
+        sqrt_form = np.sqrt(ex * ex + ey * ey)
+        assert np.allclose(sqrt_form, dist, rtol=1e-15, atol=0.0)
+        assert (sqrt_form != dist).sum() > 10
+
+    def test_no_points(self):
+        net = sw.build_town("train")
+        dist, lat = kernels.segment_features(np.zeros((0, 2)), net.seg_a, net.seg_b)
+        assert dist.shape == lat.shape == (0, len(net.segments))
 
 
 def test_integrate_cars_speed_clamped():

@@ -10,7 +10,9 @@ from test_kernels import (
     array_polyline_point,
     array_polyline_project,
     assert_same_bits,
+    random_network,
     reference_integrate_cars,
+    reference_segment_features,
 )
 
 from polydrive import bench, kernels, model, simworld as sw
@@ -54,10 +56,12 @@ class TestNetwork:
     def test_drivable_on_and_off_road(self, train_town):
         lane = train_town.lanes[0]
         mid = (lane.p0 + lane.p1) / 2.0
-        assert train_town.drivable(mid)
+        assert reference_drivable(train_town, mid)
         normal = np.array([-lane.direction[1], lane.direction[0]])
         far = mid + normal * 50.0
-        assert not train_town.drivable(far)
+        assert not reference_drivable(train_town, far)
+        core = train_town.junction_pos[0] + np.array([sw.CORE_RADIUS, 0.0]) * 0.7
+        assert reference_drivable(train_town, core)
 
     def test_crosswalks_clear_of_stopped_cars(self, train_town):
         # A car holds at s_stop - STOP_MARGIN; crossing paths must be beyond it.
@@ -69,10 +73,18 @@ class TestNetwork:
             assert gap > sw.CAR_RADIUS + sw.PED_RADIUS
 
 
+def reference_drivable(net, xy):
+    """On a road (within HALF_ROAD of a segment axis) or in a junction core."""
+    dist, _, _ = reference_segment_features(float(xy[0]), float(xy[1]), net.seg_a, net.seg_b)
+    if (dist <= sw.HALF_ROAD).any():
+        return True
+    return bool((np.linalg.norm(net.junction_pos - np.asarray(xy), axis=1) < sw.CORE_RADIUS + 0.5).any())
+
+
 def reference_nearest_lane(net, xy, heading=None):
-    """nearest_lane computed through the segment_features kernel."""
+    """nearest_lane computed through the per-segment loop reference."""
     x, y = float(xy[0]), float(xy[1])
-    dist, s, lat = kernels.segment_features(x, y, net.lane_p0, np.array([l.p1 for l in net.lanes]))
+    dist, s, lat = reference_segment_features(x, y, net.lane_p0, np.array([l.p1 for l in net.lanes]))
     ok = (np.abs(lat) <= sw.LANE_WIDTH * 0.75) & (s >= -1.0) & (s <= net.lane_len + 1.0)
     if heading is not None:
         ok &= net.lane_dir @ np.array([np.cos(heading), np.sin(heading)]) > 0.0
@@ -81,23 +93,6 @@ def reference_nearest_lane(net, xy, heading=None):
     idx = np.flatnonzero(ok)
     best = idx[np.argmin(np.abs(lat[idx]))]
     return int(best), float(s[best]), float(lat[best])
-
-
-def random_network(seed):
-    """Lanes at random angles: their unit vectors are not exact like the
-    towns' axis-aligned ones, so a rounding difference shows."""
-    rng = np.random.default_rng(seed)
-    nodes = [sw.Node(i, rng.uniform(0.0, 300.0, 2), "junction", True) for i in range(12)]
-    segments, lanes = [], []
-    for k in range(20):
-        a, b = (int(i) for i in rng.choice(12, 2, replace=False))
-        segments.append(sw.Segment(k, a, b, 2))
-        for f, t in ((a, b), (b, a)):
-            p0 = nodes[f].pos + rng.normal(0.0, 2.0, 2)
-            p1 = nodes[t].pos + rng.normal(0.0, 2.0, 2)
-            length = float(np.linalg.norm(p1 - p0))
-            lanes.append(sw.Lane(len(lanes), k, f, t, p0, p1, (p1 - p0) / length, length))
-    return sw.RoadNetwork("random", nodes, segments, lanes, [])
 
 
 def scalar_nearest_lane(net, xy, heading):
@@ -1079,6 +1074,23 @@ class TestGoldenBytes:
         assert result.distance_m > 10.0
         assert jsonl_sha256(result.trace, tmp_path / "trace.jsonl") == (
             "6d71974b53e3d08bb464841aba1ea2dbf26d03e23958fe348643d2c12c292d2a"
+        )
+
+    def test_model_suite_report(self, train_town, monkeypatch):
+        # The expert on the first one_turn task of suite 3, then untrained
+        # models for 600 ticks on two nav_dynamic tasks whose events cover
+        # all six infraction kinds.
+        suite = bench.generate_suite("train", 3)
+        dynamic = [t for t in suite if t.kind == "nav_dynamic"]
+        expert_task = [t for t in suite if t.kind == "one_turn"][0]
+        results = [(expert_task, bench.run_task(train_town, expert_task, expert=True))]
+        monkeypatch.setattr(bench, "route_timeout", lambda length: 599.5 * sw.TICK)
+        for task, seed in ((dynamic[1], 1), (dynamic[11], 7)):
+            results.append((task, bench.run_task(train_town, task, model.init_params(seed))))
+        report = bench.aggregate_report(results)
+        assert all(row["events"] for row in report["infractions"].values())
+        assert hashlib.sha256(bench.report_to_json(report).encode()).hexdigest() == (
+            "99ecf460b249f77975f764f2a619cd5740f1659f58c7b6e4211e1b1caa58bce4"
         )
 
 
