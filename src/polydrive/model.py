@@ -16,6 +16,7 @@ sampling grid, so coefficient scales never enter the objective.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,13 +329,18 @@ ADAM_ROWS = 256
 
 
 def init_adam_state(params) -> dict:
-    """Moments, step count and two scratch buffers for the in-place update."""
+    """Moments, step count, scratch buffers and an initially empty live span
+    [lo, hi) per ADAM_ROWS block of each parameter.  A row outside its span
+    has had only zero gradients, so m = v = +0.0 there, and Adam leaves it
+    bit for bit: the step is +0.0 / (0 + eps) = +0.0, and p - 0.0 is p, -0.0 too."""
     size = max(p[:ADAM_ROWS].size for p in params.values())
     return {
         "m": zero_like_params(params),
         "v": zero_like_params(params),
         "t": 0,
         "scratch": (np.empty(size), np.empty(size)),
+        "spans": {k: [[min(s + ADAM_ROWS, len(p)), s] for s in range(0, len(p), ADAM_ROWS)]
+                  for k, p in params.items()},
     }
 
 
@@ -366,13 +372,21 @@ def _adam_update(p, g, m, v, config: TrainConfig, t: int, scratch) -> None:
 
 
 def adam_step(params, grads, state, config: TrainConfig):
-    """Bias-corrected Adam (Kingma & Ba); updates params and state in place."""
+    """Bias-corrected Adam (Kingma & Ba); updates params and state in place.
+    Each block reads the gradient outside its live span, widens the span to
+    the non-zero rows there and updates it as one slice: exact, see init_adam_state."""
     state["t"] += 1
     for key, p in params.items():
         g, m, v = grads[key], state["m"][key], state["v"][key]
-        for start in range(0, len(p), ADAM_ROWS):
-            rows = slice(start, start + ADAM_ROWS)
-            _adam_update(p[rows], g[rows], m[rows], v[rows], config, state["t"], state["scratch"])
+        for start, span in zip(range(0, len(p), ADAM_ROWS), state["spans"][key]):
+            (lo, hi), end = span, min(start + ADAM_ROWS, len(p))
+            for a, b in ((start, lo), (max(lo, hi), end)) if lo > start or hi < end else ():
+                live = np.flatnonzero(g[a:b].reshape(b - a, -1).any(axis=1)) if a < b else ()
+                if len(live):
+                    span[:] = min(span[0], a + int(live[0])), max(span[1], a + int(live[-1]) + 1)
+            rows = slice(*span)
+            if rows.start < rows.stop:
+                _adam_update(p[rows], g[rows], m[rows], v[rows], config, state["t"], state["scratch"])
     return params, state
 
 
@@ -491,7 +505,13 @@ def load_checkpoint(path):
     """The parameters and metadata that save_checkpoint wrote; a file whose
     keys or array shapes differ from the init_params layout is refused."""
     try:
-        with np.load(path) as data:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataFormatError(f"{path}: not a checkpoint (an .npz archive)")
+        with data:
+            # save_checkpoint stores each array; flag bit 0 marks encryption.
+            if any(i.compress_type or i.flag_bits & 1 for i in data.zip.infolist()):
+                raise DataFormatError(f"{path}: a checkpoint member is compressed or encrypted")
             if "__meta__" not in data:
                 raise DataFormatError(f"{path}: missing checkpoint metadata")
             meta = json.loads(bytes(data["__meta__"]).decode())
@@ -512,5 +532,5 @@ def load_checkpoint(path):
                         f"expected {layout[key]}"
                     )
             return params, meta
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, NotImplementedError, zipfile.BadZipFile) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint ({e})") from e

@@ -5,6 +5,9 @@ import hashlib
 import json
 import os
 import pathlib
+import random
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -482,6 +485,95 @@ class TestPipeline:
              f'data = "{tiny_dataset}/val.jsonl"']
         )
         assert rc == 2
+
+    def _eval_bad_checkpoint(self, data, tiny_dataset, tmp_path, capsys):
+        """eval-offline on a checkpoint of the given bytes: exit code, stderr."""
+        ckpt, out = tmp_path / "bad.npz", tmp_path / "mae.json"
+        ckpt.write_bytes(data)
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        rc = main(
+            ["eval-offline", "--out", str(out),
+             f'checkpoint = "{ckpt}"', f'data = "{tiny_dataset}/val.jsonl"']
+        )
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (rc, err)
+        assert err.count("\n") == (rc == 2) and "Traceback" not in err, err
+        assert out.exists() == (rc == 0)
+        return rc, err
+
+    def test_halved_checkpoint_is_2(self, tiny_dataset, tmp_path, capsys):
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        data = (tmp_path / "m.npz").read_bytes()
+        rc, err = self._eval_bad_checkpoint(data[: len(data) // 2], tiny_dataset, tmp_path, capsys)
+        assert rc == 2
+        assert err == (
+            f"polydrive eval-offline: {tmp_path}/bad.npz: unreadable checkpoint "
+            "(File is not a zip file)\n"
+        )
+
+    def test_changed_weight_byte_is_2(self, tiny_dataset, tmp_path, capsys):
+        path = tmp_path / "m.npz"
+        model.save_checkpoint(model.init_params(0), path)
+        data = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("map_enc__W0.npy")
+        # the member's data follows its local header and the .npy header
+        head = info.header_offset
+        name_len, extra_len = struct.unpack("<HH", data[head + 26 : head + 30])
+        start = head + 30 + name_len + extra_len
+        assert data[start : start + 6] == b"\x93NUMPY"
+        data[start + info.file_size // 2] ^= 0x40
+        rc, err = self._eval_bad_checkpoint(bytes(data), tiny_dataset, tmp_path, capsys)
+        assert rc == 2
+        assert err == (
+            f"polydrive eval-offline: {tmp_path}/bad.npz: unreadable checkpoint "
+            "(Bad CRC-32 for file 'map_enc__W0.npy')\n"
+        )
+
+    def test_npy_file_as_checkpoint_is_2(self, tiny_dataset, tmp_path, capsys):
+        np.save(tmp_path / "w.npy", np.zeros(3))
+        data = (tmp_path / "w.npy").read_bytes()
+        rc, err = self._eval_bad_checkpoint(data, tiny_dataset, tmp_path, capsys)
+        assert rc == 2
+        assert err == (
+            f"polydrive eval-offline: {tmp_path}/bad.npz: not a checkpoint (an .npz archive)\n"
+        )
+
+    @pytest.mark.parametrize("flag, method", [(1, 0), (0, 8), (0, 99)])
+    def test_encrypted_or_compressed_member_is_2(self, flag, method, tiny_dataset, tmp_path,
+                                                 capsys):
+        path = tmp_path / "m.npz"
+        model.save_checkpoint(model.init_params(0), path)
+        data = bytearray(path.read_bytes())
+        entry = data.rfind(b"PK\x01\x02")  # the last central directory entry
+        data[entry + 8 : entry + 12] = struct.pack("<HH", flag, method)
+        rc, err = self._eval_bad_checkpoint(bytes(data), tiny_dataset, tmp_path, capsys)
+        assert rc == 2 and err.startswith(f"polydrive eval-offline: {tmp_path}/bad.npz: "), err
+
+    def test_mutated_checkpoints_never_trace_back(self, tiny_dataset, tmp_path, capsys):
+        # Seeded mutants of one checkpoint: truncations, changed bytes and
+        # deleted runs of up to 64 bytes, placed anywhere in the file or in
+        # its first or last 4 KB (zip headers, small arrays, the directory).
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        data = (tmp_path / "m.npz").read_bytes()
+        rng = random.Random(22)
+        codes = []
+        for _ in range(40):
+            mutant = bytearray(data)
+            where = rng.choice(("anywhere", "head", "tail"))
+            at = {"anywhere": rng.randrange(len(data)), "head": rng.randrange(4096),
+                  "tail": len(data) - 1 - rng.randrange(4096)}[where]
+            kind = rng.choice(("truncate", "change", "delete"))
+            if kind == "truncate":
+                del mutant[at:]
+            elif kind == "change":
+                mutant[at] ^= rng.randrange(1, 256)
+            else:
+                del mutant[at : at + rng.randint(1, 64)]
+            rc, _ = self._eval_bad_checkpoint(bytes(mutant), tiny_dataset, tmp_path, capsys)
+            codes.append(rc)
+        assert codes.count(2) >= 30
 
     def test_empty_dataset_eval_offline_is_2(self, tmp_path, capsys):
         dataset.write_dataset([], tmp_path / "empty.jsonl")

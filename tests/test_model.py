@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -340,6 +341,137 @@ class TestAdam:
             np.testing.assert_array_equal(a[k], b[k])
 
 
+def _run_span_parity(params, grad_steps, cfg):
+    """adam_step and reference_adam_step over the same gradients, compared
+    bit for bit (so -0.0 differs from +0.0) after every step."""
+    ref = {k: v.copy() for k, v in params.items()}
+    state = init_adam_state(params)
+    ref_state = {"m": zero_like_params(ref), "v": zero_like_params(ref), "t": 0}
+    for step, grads in enumerate(grad_steps, start=1):
+        params, state = adam_step(params, grads, state, cfg)
+        ref, ref_state = reference_adam_step(ref, grads, ref_state, cfg)
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes(), (step, k, "p")
+            assert state["m"][k].tobytes() == ref_state["m"][k].tobytes(), (step, k, "m")
+            assert state["v"][k].tobytes() == ref_state["v"][k].tobytes(), (step, k, "v")
+    return params, state
+
+
+class TestAdamSpans:
+    """adam_step updates only each ADAM_ROWS block's live span; these pin it
+    bitwise to the update of every row on hand-built sparse gradients."""
+
+    STEPS = 8
+    # (step, key, rows, columns or None for the whole row, value): gradient
+    # entries, on top of zero.  map_enc.W0 has 4,680 = 18 x 256 + 72 rows.
+    ENTRIES = [
+        # block 2 (512-767): rows 600 and 610 at step 1, with gap rows
+        # between; then the span widens below (520) and above (700) at step
+        # 5, and gap row 605 gets its first gradient at step 6.
+        (1, "map_enc.W0", [600, 610], None, 0.3),
+        (3, "map_enc.W0", [600], None, -0.2),
+        (5, "map_enc.W0", [520, 700], None, 0.7),
+        (6, "map_enc.W0", [605], None, -1.1),
+        # block 3: one row, non-zero in a single column only
+        (2, "map_enc.W0", [900], [77], 0.9),
+        # block 4: rows of -0.0 at every step (the span stays empty), and
+        # a -0.0 row inside block 2's span
+        *[(t, "map_enc.W0", list(range(1100, 1111)), None, -0.0) for t in range(1, 9)],
+        (4, "map_enc.W0", [606], None, -0.0),
+        # block 5: empty until step 3, then its first and last rows at once
+        (3, "map_enc.W0", [1280, 1535], None, 0.5),
+        # block 6 starts at its first row, block 7 at its last; each widens
+        # later into the rest of its block
+        (1, "map_enc.W0", [1536], None, 0.45),
+        (4, "map_enc.W0", [1600], None, -0.3),
+        (1, "map_enc.W0", [2047], None, 0.35),
+        (4, "map_enc.W0", [1800], None, 0.55),
+        # block 18, the short last block (4608-4679): an inner row, then the
+        # array's last row at step 5, then the block's first row
+        (2, "map_enc.W0", [4650], None, 0.4),
+        (5, "map_enc.W0", [4679], [0, 127], -0.6),
+        (7, "map_enc.W0", [4608], None, 0.2),
+        # a 1-D bias, widening on both sides
+        (1, "map_enc.b0", [40], None, 0.25),
+        (5, "map_enc.b0", [3, 127], None, -0.35),
+        # a small weight, one block, whose rows arrive out of order
+        (2, "ctx_enc.W0", [5], None, 0.1),
+        (4, "ctx_enc.W0", [0, 7], None, 0.15),
+    ]
+    # The bounding range of the non-zero rows each block ever had.
+    SPANS = {
+        "map_enc.W0": {
+            2: [520, 701], 3: [900, 901], 5: [1280, 1536], 6: [1536, 1601], 7: [1800, 2048],
+            18: [4608, 4680],
+        },
+        "map_enc.b0": {0: [3, 128]},
+        "ctx_enc.W0": {0: [0, 8]},
+    }
+
+    def _grad_steps(self, params):
+        steps = [zero_like_params(params) for _ in range(self.STEPS)]
+        for step, key, rows, cols, value in self.ENTRIES:
+            g = steps[step - 1][key]
+            if cols is None:
+                g[rows] = value
+            else:
+                g[np.ix_(rows, cols)] = value
+        return steps
+
+    def _params(self):
+        params = init_params(seed=16)
+        # -0.0 weights in rows that never get a gradient, and in a bias
+        params["map_enc.W0"][1100:1104] = -0.0
+        params["map_enc.W0"][3000, :5] = -0.0
+        params["map_enc.b0"][64] = -0.0
+        return params
+
+    def test_matches_reference_bitwise_at_every_step(self):
+        params = self._params()
+        init = {k: v.copy() for k, v in params.items()}
+        steps = self._grad_steps(params)
+        params, state = _run_span_parity(params, steps, TrainConfig(learning_rate=1e-3))
+        ever = {k: np.zeros(len(v), dtype=bool) for k, v in params.items()}
+        for grads in steps:
+            for k, g in grads.items():
+                ever[k] |= g.reshape(len(g), -1).any(axis=1)
+        for k in params:
+            dead = ~ever[k]
+            assert params[k][dead].tobytes() == init[k][dead].tobytes(), k
+            zeros = np.zeros_like(params[k][dead]).tobytes()
+            assert state["m"][k][dead].tobytes() == state["v"][k][dead].tobytes() == zeros, k
+        live = ever["map_enc.W0"]
+        assert (params["map_enc.W0"][live] != init["map_enc.W0"][live]).any(axis=1).all()
+
+    def test_spans_bound_the_rows_ever_live(self):
+        params = self._params()
+        state = init_adam_state(params)
+        for grads in self._grad_steps(params):
+            params, state = adam_step(params, grads, state, TrainConfig())
+        for key, p in params.items():
+            spans = state["spans"][key]
+            assert len(spans) == -(-len(p) // model.ADAM_ROWS), key
+            for i, span in enumerate(spans):
+                want = self.SPANS.get(key, {}).get(i)
+                if want is None:
+                    assert span[0] >= span[1], (key, i, span)
+                else:
+                    assert span == want, (key, i, span)
+        assert len(state["spans"]["map_enc.W0"]) == 19
+
+    def test_dense_then_sparse(self):
+        # Every span fills at the first step; later sparse gradients still
+        # decay every row's moments, as the textbook update does.
+        rng = np.random.default_rng(17)
+        params = init_params(seed=17)
+        dense = {k: rng.standard_normal(v.shape) for k, v in params.items()}
+        steps = [dense] + self._grad_steps(params)[:4]
+        _, state = _run_span_parity(params, steps, TrainConfig(learning_rate=1e-3))
+        for key, p in params.items():
+            starts = range(0, len(p), model.ADAM_ROWS)
+            assert state["spans"][key] == [[s, min(s + model.ADAM_ROWS, len(p))] for s in starts]
+
+
 class TestTraining:
     def test_loss_decreases_on_small_set(self, samples):
         data = samples[:120]
@@ -360,6 +492,16 @@ class TestTraining:
         for k in p1:
             np.testing.assert_array_equal(p1[k], p2[k])
         assert c1 == c2
+
+    def test_trained_params_digest(self, samples):
+        # The sha256 of the trained parameters, recorded before adam_step
+        # skipped the rows outside its live spans; the skip is exact.
+        cfg = TrainConfig(learning_rate=3e-4, epochs=3, seed=5)
+        params, _ = train(samples[:80], samples[80:100], cfg)
+        h = hashlib.sha256()
+        for k in sorted(params):
+            h.update(params[k].tobytes())
+        assert h.hexdigest() == "3e6fc6324733263bc9ba86cd865a69c59819127410718ed2a827f2eac4b835b4"
 
     def test_leakage_control(self, samples):
         # with a negligible learning rate the parameters stay put, so the
