@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .dataset import _FUTURE_T, _HISTORY_INDEX, K_WINDOW, T_STEPS, Sample
+from .dataset import _FUTURE_T, _HISTORY_INDEX, K_WINDOW, MAP_ENTRY, MAP_SIZE, T_STEPS, Sample
 from .errors import SkipSample
 from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG
 from .trajectory import DT, PointSeries, _rotation, fit_polynomial
@@ -26,11 +25,6 @@ RECOVERY_RANGE = (0.5, 2.0)
 DEVIATION_START_RANGE = (0.5, 2.0)
 MIN_NOMINAL_SPEED = 0.5  # below this the nominal future is degenerate
 _PAST_T = (np.arange(T_STEPS) - (T_STEPS - 1)) * DT  # history index 0..T-1, window center 0
-
-
-class ProximityMap(NamedTuple):
-    cells: np.ndarray  # (13, 3, T, 2K)
-    labels: np.ndarray  # (13, 3, T) int64
 
 
 @dataclass(frozen=True)
@@ -132,29 +126,30 @@ def _to_deviated(xy: np.ndarray, params: DeviationParams) -> np.ndarray:
     return (xy - np.array([0.0, params.lateral_signed])) @ rot.T
 
 
-def _rebuild_map(m: ProximityMap, params: DeviationParams) -> ProximityMap:
-    """Deviate the tracks recovered from the map (the ego's past warped, the
-    others by the frame change alone) and re-bin them with the extraction
-    kernel.
+def _rebuild_map(m: np.ndarray, params: DeviationParams) -> np.ndarray:
+    """Deviate the tracks recovered from the map entries (the ego's past
+    warped, the others by the frame change alone) and re-bin them with the
+    extraction kernel.
 
     Tracks are kernel rows in ascending label order, NaN at the ticks no
     payload slot holds.  A track's distance is the norm of its last tick
     before the transform (1e9 when absent), so the track nearer at the window
     center wins a cell, and the lower label of equal distances.
     """
-    r, c, t = np.nonzero(m.labels >= 0)
-    ids, row = np.unique(m.labels[r, c, t], return_inverse=True)
+    t = m["cell"] % T_STEPS
+    ids, row = np.unique(m["label"], return_inverse=True)
     tracks = np.full((len(ids), T_STEPS, 2), np.nan)
-    # Payload slot k of tick t holds tick _HISTORY_INDEX[t, k]; the last write wins.
-    tracks[row[:, None], _HISTORY_INDEX[t]] = m.cells[r, c, t].reshape(-1, K_WINDOW, 2)
+    # Payload slot k of tick t holds tick _HISTORY_INDEX[t, k]; entries go by
+    # ascending cell, and the last write wins.
+    tracks[row[:, None], _HISTORY_INDEX[t]] = m["xy"].reshape(-1, K_WINDOW, 2)
     dists = np.array([1e9 if np.isnan(p[0]) else np.linalg.norm(p) for p in tracks[:, -1]])
     if len(ids) and ids[0] == 0:
         tracks[0] = _warp_past(tracks[0], _PAST_T, params)
-    cells, labels = kernels.bin_proximity(_to_deviated(tracks, params), dists, K_WINDOW)
-    cells[np.isnan(cells)] = 0.0  # payload slots of absent ticks
-    occupied = labels >= 0
-    labels[occupied] = ids[labels[occupied]]
-    return ProximityMap(cells, labels)
+    (out,) = kernels.bin_proximity(_to_deviated(tracks, params), dists, K_WINDOW)
+    xy = out["xy"]
+    xy[np.isnan(xy)] = 0.0  # payload slots of absent ticks
+    out["label"] = ids[out["label"]]
+    return out
 
 
 def inject_deviation(
@@ -178,7 +173,6 @@ def inject_deviation(
     v, neigh_future = sample.v.copy(), sample.neigh_future.copy()
     v[present] = _to_deviated(sample.v[present], params)
     neigh_future[present] = sample.neigh_future[present] @ _rotation(-params.angular_amplitude).T
-    m = _rebuild_map(ProximityMap(sample.m_cells, sample.m_labels), params)
     # Context: the deviated pose shifts the lane-frame lateral offset and
     # heading error; the other scalars are unchanged at these amplitudes.
     herr = sample.ctx[4]
@@ -186,7 +180,7 @@ def inject_deviation(
     ctx[3] = sample.ctx[3] + params.lateral_signed * np.cos(herr)
     ctx[4] = (herr + params.angular_amplitude + np.pi) % (2 * np.pi) - np.pi
     return replace(
-        sample, e=e, v=v, m_cells=m.cells, m_labels=m.labels, ctx=ctx, ego_future=future,
+        sample, e=e, v=v, m=_rebuild_map(sample.m, params), ctx=ctx, ego_future=future,
         neigh_future=neigh_future, deviated=True,
     )
 
@@ -202,9 +196,11 @@ def perturb_positions(
     e = sample.e + rng.normal(0.0, 1.0, sample.e.shape) * sig
     noise_v = rng.normal(0.0, 1.0, sample.v.shape) * sig
     v = sample.v + noise_v * sample.v_mask[:, None, None, None]
-    occupied = sample.m_labels >= 0
-    noise_m = rng.normal(0.0, 1.0, sample.m_cells.shape) * np.tile(sig, K_WINDOW)
-    return replace(sample, e=e, v=v, m_cells=sample.m_cells + noise_m * occupied[..., None])
+    # One draw per payload value of the whole grid, used at the occupied cells.
+    noise_m = rng.normal(0.0, 1.0, (MAP_SIZE, 2 * K_WINDOW)) * np.tile(sig, K_WINDOW)
+    m = sample.m.copy()
+    m["xy"] += noise_m[m["cell"]]
+    return replace(sample, e=e, v=v, m=m)
 
 
 def _uniform(lo: float, hi: float, u: float) -> float:
@@ -212,10 +208,9 @@ def _uniform(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
-def perturb_map_occupancy(
-    m: ProximityMap, p_remove: float, p_add: float, seed
-) -> ProximityMap:
-    """Randomly drop vehicle tracks and add spurious short tracks.
+def perturb_map_occupancy(m: np.ndarray, p_remove: float, p_add: float, seed) -> np.ndarray:
+    """Randomly drop vehicle tracks and add spurious short tracks, on a
+    sample's map entries.
 
     Track label 0 (the ego) is never removed.  Additions run one Bernoulli
     draw per free (row, col, tick) cell, in C order, and spawn a K-tick
@@ -224,16 +219,15 @@ def perturb_map_occupancy(
     are no longer free and take no draw.
     """
     rng = np.random.default_rng(seed)
-    cells = m.cells.copy()
-    labels = m.labels.copy()
-    track_ids = np.unique(labels[labels > 0])
-    dropped = np.isin(labels, track_ids[rng.random(track_ids.size) < p_remove])
-    labels[dropped] = -1
-    cells[dropped] = 0.0
+    track_ids = np.unique(m["label"][m["label"] > 0])
+    m = m[~np.isin(m["label"], track_ids[rng.random(track_ids.size) < p_remove])]
     if p_add > 0.0:
-        next_label = max(int(labels.max()) + 1, 1000)  # spurious tracks get high labels
+        next_label = max(int(m["label"].max(initial=-1)) + 1, 1000)  # high labels for clutter
         half_long, half_lat = MAP_EXTENT_LONG / 2.0, MAP_EXTENT_LAT / 2.0
-        free = np.flatnonzero(labels < 0).tolist()
+        taken = np.zeros(MAP_SIZE, dtype=bool)
+        taken[m["cell"]] = True
+        free = np.flatnonzero(~taken).tolist()
+        added = []
         # One free cell takes one draw, a hit four more: 5 per free cell bound them all.
         u = rng.random(5 * len(free))
         hits = np.flatnonzero(u < p_add).tolist()
@@ -245,20 +239,24 @@ def perturb_map_occupancy(
             if cell >= len(free):
                 break
             draw = hit + 5
-            rc, t = divmod(free[cell], T_STEPS)
+            head = free[cell]
+            rc, t = divmod(head, T_STEPS)
             r, c = divmod(rc, MAP_COLS)
             cx = -half_long + (r + 0.5) * CELL_LONG + _uniform(-1.0, 1.0, u[hit + 1])
             cy = -half_lat + (c + 0.5) * CELL_LAT + _uniform(-0.8, 0.8, u[hit + 2])
             dx, dy = _uniform(-0.3, 0.3, u[hit + 3]), _uniform(-0.3, 0.3, u[hit + 4])
             track = [v for j in range(K_WINDOW) for v in (cx + dx * j, cy + dy * j)]
-            n = 0  # ticks filled; tick t + n holds the track's ticks t .. t + n
-            while n < K_WINDOW and t + n < T_STEPS and labels[r, c, t + n] < 0:
-                labels[r, c, t + n] = next_label
-                cells[r, c, t + n, 2 * (K_WINDOW - 1 - n) :] = track[: 2 * (n + 1)]
+            n = 0  # ticks filled; tick t + n, if the next free cell, holds ticks t .. t + n
+            while n < K_WINDOW and t + n < T_STEPS and free[cell + n : cell + n + 1] == [head + n]:
+                xy = [0.0] * (2 * (K_WINDOW - 1 - n)) + track[: 2 * (n + 1)]
+                added.append((head + n, next_label, xy))
                 n += 1
             cell += n  # the filled ticks were the next free cells
             next_label += 1
-    return ProximityMap(cells, labels)
+        if added:
+            m = np.concatenate([m, np.array(added, MAP_ENTRY)])
+            m = m[np.argsort(m["cell"])]
+    return m
 
 
 # -- dataset-level orchestration ---------------------------------------------
@@ -311,12 +309,8 @@ def augment_samples(
                 (seed, 0x9E, cur.episode_seed, cur.center_tick),
             )
         if config.p_remove > 0.0 or config.p_add > 0.0:
-            newmap = perturb_map_occupancy(
-                ProximityMap(cur.m_cells, cur.m_labels),
-                config.p_remove,
-                config.p_add,
-                (seed, 0x0C, cur.episode_seed, cur.center_tick),
-            )
-            cur = replace(cur, m_cells=newmap.cells, m_labels=newmap.labels)
+            m = perturb_map_occupancy(cur.m, config.p_remove, config.p_add,
+                                      (seed, 0x0C, cur.episode_seed, cur.center_tick))
+            cur = replace(cur, m=m)
         out.append(cur)
     return out

@@ -15,6 +15,8 @@ import os
 import sys
 from collections import namedtuple
 
+import numpy as np
+
 from . import augment, bench, dataset, model, simworld
 from .control import DriveResult
 from .errors import DataFormatError, NumericalError, PolydriveError
@@ -444,7 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"polydrive {args.command}: --out is required", file=sys.stderr)
         return 1
     try:
-        func(cfg, args.out)
+        # Float overflow, invalid values and division by zero raise, for exit 3.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            func(cfg, args.out)
     except argparse.ArgumentTypeError as e:
         print(f"polydrive {args.command}: {e}", file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """One JSON Lines codec for datasets and episode traces: a JSON header line,
 then one JSON object per record.  Array fields are base64 strings of
-little-endian bytes; a record that does not decode is refused with its line
-number.
+little-endian bytes; a record that does not decode, or that holds a float
+that is not finite or is beyond MAX_ABS, is refused with its line number.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ import numpy as np
 from .errors import DataFormatError
 
 F8 = np.dtype("<f8")
+# No stored float is larger: positions in meters within a town, clocks in
+# seconds of at most a day, speeds, headings and capped context scalars.
+MAX_ABS = 1e6
 
 
 def pack(a: np.ndarray, dtype: np.dtype = F8) -> str:
@@ -23,7 +26,8 @@ def pack(a: np.ndarray, dtype: np.dtype = F8) -> str:
 
 
 def unpack(rec: dict, key: str, row_shape: tuple, dtype: np.dtype = F8) -> np.ndarray:
-    """A read-only (n, *row_shape) view of the rows packed in rec[key]."""
+    """A read-only (n, *row_shape) view of the rows packed in rec[key], whose
+    floats, fields of a structured dtype included, are all within MAX_ABS."""
     text = rec[key]
     if not isinstance(text, str):
         raise ValueError(f"field {key!r} is not a base64 string")
@@ -36,7 +40,12 @@ def unpack(rec: dict, key: str, row_shape: tuple, dtype: np.dtype = F8) -> np.nd
         raise ValueError(
             f"field {key!r} has {len(raw)} bytes, which do not fit rows of {row_shape}"
         )
-    return np.frombuffer(raw, dtype).reshape(-1, *row_shape)
+    a = np.frombuffer(raw, dtype).reshape(-1, *row_shape)
+    for values in [a] if dtype.names is None else [a[name] for name in dtype.names]:
+        if values.dtype.kind == "f" and not np.abs(values).max(initial=0.0) <= MAX_ABS:
+            bad = values[~(np.abs(values) <= MAX_ABS)][0]
+            raise ValueError(f"field {key!r} holds {bad}, not a number of size at most {MAX_ABS:g}")
+    return a
 
 
 def unpack_rows(rec: dict, key: str, n: int, row_shape: tuple, dtype: np.dtype = F8) -> np.ndarray:

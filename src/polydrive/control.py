@@ -284,13 +284,8 @@ def drive_task(
                     sample, noise_sigma[0], noise_sigma[1], (noise_seed, tick, 0x31)
                 )
             if map_perturb != (0.0, 0.0):
-                m = augment.perturb_map_occupancy(
-                    augment.ProximityMap(sample.m_cells, sample.m_labels),
-                    map_perturb[0],
-                    map_perturb[1],
-                    (noise_seed, tick, 0x32),
-                )
-                sample = replace(sample, m_cells=m.cells, m_labels=m.labels)
+                m = augment.perturb_map_occupancy(sample.m, *map_perturb, (noise_seed, tick, 0x32))
+                sample = replace(sample, m=m)
             steer, accel, pid = pid_track(model.predict(params, sample), ego, pid)
             ego_cmd = (steer, accel)
         world.step(ego_command=ego_cmd)

@@ -1,7 +1,8 @@
 """Turn episode logs into training samples.
 
 A sample packs the ego history E (T x K x 2), up to N neighbor histories
-with a presence mask, the 13 x 3 x T x 2K proximity map, 8 context scalars,
+with a presence mask, the 13 x 3 x T proximity map as one entry per occupied
+cell, each with its K-position fragment (2K values), 8 context scalars,
 a navigation command and the ground-truth ego/neighbor futures (fitted to
 degree-4 polynomials and resampled on the 0.1 s grid).
 """
@@ -26,6 +27,8 @@ K_WINDOW = 3
 N_NEIGHBORS = 5
 WINDOW_TICKS = 2 * T_STEPS  # 2 s past + 2 s future
 DATASET_FORMAT_VERSION = 2
+MAP_ENTRY = kernels.map_entry(K_WINDOW)
+MAP_SIZE = MAP_ROWS * MAP_COLS * T_STEPS  # cells of one map
 
 # Context feature caps (meters / rad / m/s); see ContextFeatures order below.
 CTX_LIGHT_CAP = 50.0
@@ -56,8 +59,7 @@ class Sample:
     e: np.ndarray  # (T, K, 2)
     v: np.ndarray  # (N, T, K, 2)
     v_mask: np.ndarray  # (N,) bool
-    m_cells: np.ndarray  # (13, 3, T, 2K)
-    m_labels: np.ndarray  # (13, 3, T) int64; -1 empty, 0 ego, >0 other cars
+    m: np.ndarray  # MAP_ENTRY per occupied cell, by cell; label 0 ego, >0 other cars
     ctx: np.ndarray  # (8,)
     nc: NavigationCommand
     ego_future: np.ndarray  # (T, 2), at t = 0.1 .. 2.0
@@ -72,7 +74,7 @@ class Sample:
 
 def samples_equal(a: Sample, b: Sample) -> bool:
     """Whether two samples hold equal values (NaN equals nothing)."""
-    arrays = ("e", "v", "v_mask", "m_cells", "m_labels", "ctx", "ego_future", "neigh_future")
+    arrays = ("e", "v", "v_mask", "m", "ctx", "ego_future", "neigh_future")
     return (
         all(np.array_equal(getattr(a, name), getattr(b, name)) for name in arrays)
         and a.nc == b.nc
@@ -238,14 +240,14 @@ def assemble_sample(
     v_mask = np.zeros((n_win, N_NEIGHBORS), dtype=bool)
     v_mask[:, :n_nb] = True
     # Map labels are track rows, so owners are numbered in ascending agent id.
-    m_cells, m_labels = kernels.bin_proximity(rel[:, :, :T_STEPS], dists[n_win:], K_WINDOW)
+    maps = kernels.bin_proximity(rel[:, :, :T_STEPS], dists[n_win:], K_WINDOW)
     ctx = compute_context(network, frames, c, s, cars, peds, light_green)
     if tracks.shape[2] == WINDOW_TICKS:
         # Neighbor futures relative to their center; the ego's less 0.0 keeps its bits.
         anchor = picked[:, :, T_STEPS - 1 : T_STEPS].copy()
         anchor[:, 0] = 0.0
         futures[:, : 1 + n_nb] = fit_future_points(picked[:, :, T_STEPS:] - anchor)
-    fields = zip(history[:, 0], history[:, 1:], v_mask, m_cells, m_labels, ctx, ncs, futures[:, 0],
+    fields = zip(history[:, 0], history[:, 1:], v_mask, maps, ctx, ncs, futures[:, 0],
                  futures[:, 1:])
     return [Sample(*row) for row in fields]
 
@@ -302,11 +304,7 @@ def dataset_header(extra: dict | None = None) -> dict:
 
 # Format 2: the codec's header line, then one record per sample.  e, ctx and
 # ef are packed whole, v and vf for the present neighbor slots only, and m as
-# one _MAP_ENTRY per occupied map cell.  mask, nc, ep, ct and dev are plain
-# JSON ints.
-# One occupied map cell: flat index into the (13, 3, T) grid, label, payload.
-_MAP_ENTRY = np.dtype([("cell", "<u2"), ("label", "<i8"), ("xy", "<f8", (2 * K_WINDOW,))])
-_MAP_SIZE = MAP_ROWS * MAP_COLS * T_STEPS
+# the sample's MAP_ENTRY array.  mask, nc, ep, ct and dev are plain JSON ints.
 
 
 def _int(rec: dict, key: str) -> int:
@@ -317,18 +315,12 @@ def _int(rec: dict, key: str) -> int:
 
 
 def _sample_to_record(s: Sample) -> dict:
-    labels = s.m_labels.ravel()
-    cells = np.flatnonzero(labels >= 0)
-    m = np.empty(len(cells), _MAP_ENTRY)
-    m["cell"] = cells
-    m["label"] = labels[cells]
-    m["xy"] = s.m_cells.reshape(-1, 2 * K_WINDOW)[cells]
     present = np.flatnonzero(s.v_mask)
     return {
         "e": pack(s.e),
         "v": pack(s.v[present]),
         "mask": s.v_mask.astype(int).tolist(),
-        "m": pack(m, _MAP_ENTRY),
+        "m": pack(s.m, MAP_ENTRY),
         "ctx": pack(s.ctx),
         "nc": int(s.nc),
         "ef": pack(s.ego_future),
@@ -353,22 +345,20 @@ def _record_to_sample(rec: dict) -> Sample:
     v[present] = unpack_rows(rec, "v", len(present), (T_STEPS, K_WINDOW, 2))
     vf = np.zeros((N_NEIGHBORS, T_STEPS, 2))
     vf[present] = unpack_rows(rec, "vf", len(present), (T_STEPS, 2))
-    m = unpack(rec, "m", (), _MAP_ENTRY)
-    if len(m) and m["cell"].max() >= _MAP_SIZE:
-        raise ValueError(
-            f"map cell {m['cell'].max()} outside the {MAP_ROWS}x{MAP_COLS}x{T_STEPS} grid"
-        )
-    m_cells = np.zeros((MAP_ROWS, MAP_COLS, T_STEPS, 2 * K_WINDOW))
-    m_cells.reshape(-1, 2 * K_WINDOW)[m["cell"]] = m["xy"]
-    m_labels = np.full((MAP_ROWS, MAP_COLS, T_STEPS), -1, dtype=np.int64)
-    m_labels.reshape(-1)[m["cell"]] = m["label"]
-    # astype copies: the arrays own writeable memory, unlike frombuffer views.
+    m = unpack(rec, "m", (), MAP_ENTRY)
+    cells, labels = m["cell"], m["label"]
+    if (cells[1:] <= cells[:-1]).any():
+        raise ValueError("map cells are not strictly increasing")
+    if len(m) and cells[-1] >= MAP_SIZE:
+        raise ValueError(f"map cell {cells[-1]} outside the {MAP_ROWS}x{MAP_COLS}x{T_STEPS} grid")
+    if len(m) and labels.min() < 0:
+        raise ValueError(f"map label {labels.min()} is negative")
+    # astype and copy: the arrays own writeable memory, unlike frombuffer views.
     return Sample(
         e=unpack_rows(rec, "e", 1, (T_STEPS, K_WINDOW, 2))[0].astype(np.float64),
         v=v,
         v_mask=v_mask,
-        m_cells=m_cells,
-        m_labels=m_labels,
+        m=m.copy(),
         ctx=unpack_rows(rec, "ctx", 1, (8,))[0].astype(np.float64),
         nc=NavigationCommand(_int(rec, "nc")),
         ego_future=unpack_rows(rec, "ef", 1, (T_STEPS, 2))[0].astype(np.float64),

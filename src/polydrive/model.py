@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import N_NEIGHBORS, Sample
+from .dataset import MAP_SIZE, N_NEIGHBORS, Sample
 from .errors import DataFormatError, NumericalError
 from .trajectory import PolyTrajectory2D, sample_times
 
@@ -96,7 +96,7 @@ def featurize(samples: list[Sample]) -> dict[str, np.ndarray]:
         "xe": np.empty((b, 120)),
         "xv": np.empty((b, N_NEIGHBORS, 120)),
         "vmask": np.empty((b, N_NEIGHBORS)),
-        "xm": np.empty((b, 4680)),
+        "xm": np.zeros((b, 4680)),
         "xc": np.empty((b, 8)),
         "nc": np.empty(b, dtype=np.int64),
         "ye": np.empty((b, 20, 2)),
@@ -106,7 +106,7 @@ def featurize(samples: list[Sample]) -> dict[str, np.ndarray]:
         feats["xe"][i] = s.e.ravel() * POS_SCALE
         feats["xv"][i] = s.v.reshape(N_NEIGHBORS, -1) * POS_SCALE
         feats["vmask"][i] = s.v_mask.astype(np.float64)
-        feats["xm"][i] = s.m_cells.ravel() * POS_SCALE
+        feats["xm"][i].reshape(MAP_SIZE, -1)[s.m["cell"]] = s.m["xy"] * POS_SCALE
         feats["xc"][i] = s.ctx * CTX_SCALE
         feats["nc"][i] = int(s.nc)
         feats["ye"][i] = s.ego_future

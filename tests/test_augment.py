@@ -2,12 +2,12 @@ import copy
 
 import numpy as np
 import pytest
+from test_kernels import densify, sparsify
 
 from polydrive import augment, dataset, kernels, simworld as sw
 from polydrive.augment import (
     AugmentConfig,
     DeviationParams,
-    ProximityMap,
     augment_samples,
     inject_deviation,
     perturb_map_occupancy,
@@ -135,8 +135,7 @@ def reference_inject_deviation(sample, params):
         for k in range(K_WINDOW):
             out.v[n, :, k, :] = reference_to_deviated(sample.v[n, :, k, :], params)
         out.neigh_future[n] = sample.neigh_future[n] @ rot.T
-    m = ProximityMap(sample.m_cells, sample.m_labels)
-    out.m_cells, out.m_labels = reference_rebuild_map(m, *deviation_transforms(params))
+    out.m = sparsify(*reference_rebuild_map(densify(sample.m), *deviation_transforms(params)))
     out.ego_future = future
     herr = sample.ctx[4]
     out.ctx = sample.ctx.copy()
@@ -147,9 +146,9 @@ def reference_inject_deviation(sample, params):
 
 
 def reference_perturb_map_occupancy(m, p_remove, p_add, seed):
+    """On a dense (cells, labels) map, as densify gives it."""
     rng = np.random.default_rng(seed)
-    cells = m.cells.copy()
-    labels = m.labels.copy()
+    cells, labels = (a.copy() for a in m)
     for a in sorted(int(a) for a in np.unique(labels) if a > 0):
         if rng.random() < p_remove:
             mask = labels == a
@@ -178,12 +177,32 @@ def reference_perturb_map_occupancy(m, p_remove, p_add, seed):
                             if t <= j <= tt:
                                 cells[r, c, tt, 2 * k : 2 * k + 2] = pos + drift * (j - t)
                     next_label += 1
-    return ProximityMap(cells, labels)
+    return cells, labels
+
+
+def reference_perturb_positions(sample, sigma_long, sigma_lat, seed):
+    """The noise on a dense map: a draw for every payload value of the grid,
+    kept at the occupied cells."""
+    rng = np.random.default_rng(seed)
+    sig = np.array([sigma_long, sigma_lat])
+    e = sample.e + rng.normal(0.0, 1.0, sample.e.shape) * sig
+    noise_v = rng.normal(0.0, 1.0, sample.v.shape) * sig
+    v = sample.v + noise_v * sample.v_mask[:, None, None, None]
+    cells, labels = densify(sample.m)
+    occupied = labels >= 0
+    noise_m = rng.normal(0.0, 1.0, cells.shape) * np.tile(sig, K_WINDOW)
+    return e, v, (cells + noise_m * occupied[..., None], labels)
+
+
+def assert_entries(got, cells, labels):
+    """The map entries are those of the dense reference map, bit for bit."""
+    want = sparsify(cells, labels)
+    assert got.dtype == dataset.MAP_ENTRY and got.tobytes() == want.tobytes()
 
 
 def sample_bytes(s):
     """Every field of a sample, as bytes."""
-    arrays = (s.e, s.v, s.v_mask, s.m_cells, s.m_labels, s.ctx, s.ego_future, s.neigh_future)
+    arrays = (s.e, s.v, s.v_mask, s.m, s.ctx, s.ego_future, s.neigh_future)
     scalars = (int(s.nc), s.episode_seed, s.center_tick, s.deviated)
     return b"".join(a.tobytes() for a in arrays) + repr(scalars).encode()
 
@@ -252,7 +271,7 @@ class TestInjectDeviation:
         assert np.allclose(out.e, moving_sample.e, atol=1e-12)
         assert np.allclose(out.v, moving_sample.v, atol=1e-12)
         assert np.allclose(out.ctx, moving_sample.ctx, atol=1e-12)
-        assert np.allclose(out.m_cells, moving_sample.m_cells, atol=1e-12)
+        assert np.allclose(densify(out.m)[0], densify(moving_sample.m)[0], atol=1e-12)
 
     def test_center_pose_at_origin(self, moving_sample):
         rng = np.random.default_rng(0)
@@ -332,14 +351,14 @@ def reference_rebuild_map(m, transform_ego, transform_other):
                 j = max(0, t - (K_WINDOW - 1) + k)
                 if present[a][j]:
                     new_cells[row, col, t, 2 * k : 2 * k + 2] = moved[j]
-    return ProximityMap(new_cells, new_labels)
+    return new_cells, new_labels
 
 
-def recovered_ticks(m):
+def recovered_ticks(labels):
     """Per label, the ticks whose position some payload slot of the map holds."""
     present = {}
-    for r, c, t in np.argwhere(m.labels >= 0):
-        ticks = present.setdefault(int(m.labels[r, c, t]), np.zeros(T_STEPS, dtype=bool))
+    for r, c, t in np.argwhere(labels >= 0):
+        ticks = present.setdefault(int(labels[r, c, t]), np.zeros(T_STEPS, dtype=bool))
         ticks[np.maximum(t - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)] = True
     return present
 
@@ -370,21 +389,19 @@ class TestMapRebinParity:
         absent_last = zeroed_slot = deviated = 0
         for s in windows:
             params = random_deviation_params(rng)
-            m = ProximityMap(s.m_cells, s.m_labels)
-            ref = reference_rebuild_map(m, *deviation_transforms(params))
+            m = densify(s.m)
+            ref_cells, ref_labels = reference_rebuild_map(m, *deviation_transforms(params))
             try:
-                out = inject_deviation(s, params, s.ego_future_series())
-                got = ProximityMap(out.m_cells, out.m_labels)
+                got = inject_deviation(s, params, s.ego_future_series()).m
                 deviated += 1
             except SkipSample:
-                got = augment._rebuild_map(m, params)
-            assert got.cells.tobytes() == ref.cells.tobytes()
-            assert got.labels.tobytes() == ref.labels.tobytes()
-            present = recovered_ticks(m)
+                got = augment._rebuild_map(s.m, params)
+            assert_entries(got, ref_cells, ref_labels)
+            present = recovered_ticks(m[1])
             absent_last += sum(not p[-1] for p in present.values())
-            for r, c, t in np.argwhere(ref.labels >= 0):
+            for r, c, t in np.argwhere(ref_labels >= 0):
                 slots = np.maximum(t - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)
-                zeroed_slot += int(not present[int(ref.labels[r, c, t])][slots].all())
+                zeroed_slot += int(not present[int(ref_labels[r, c, t])][slots].all())
         return absent_last, zeroed_slot, deviated
 
     def test_matches_reference_loop_on_recorded_windows(self, busy_windows):
@@ -415,29 +432,28 @@ class TestMapRebinParity:
         tracks = np.array([np.tile(xy, (T_STEPS, 1)) for xy in at.values()])
         tracks[5, -1] = (-40.0, 0.0)
         dists = np.linalg.norm(tracks[:, -1], axis=1)
-        m = ProximityMap(*kernels.bin_proximity(tracks, dists, K_WINDOW))
+        (m,) = kernels.bin_proximity(tracks, dists, K_WINDOW)
         params = DeviationParams(0.8, 0.0, 1.0, 1.5, "left")
         got = augment._rebuild_map(m, params)
-        ref = reference_rebuild_map(m, *deviation_transforms(params))
-        assert got.cells.tobytes() == ref.cells.tobytes()
-        assert got.labels.tobytes() == ref.labels.tobytes()
+        assert_entries(got, *reference_rebuild_map(densify(m), *deviation_transforms(params)))
         assert dists[1] == dists[2]
         # Rows 8, 10 and 2 of the middle column, at every tick.
-        assert (got.labels[[8, 10, 2], 1] == np.array([[1], [4], [6]])).all()
+        assert (densify(got)[1][[8, 10, 2], 1] == np.array([[1], [4], [6]])).all()
 
-    def test_empty_map(self, moving_sample):
-        m = ProximityMap(np.zeros_like(moving_sample.m_cells),
-                         np.full_like(moving_sample.m_labels, -1))
-        got = augment._rebuild_map(m, DeviationParams(0.4, 0.0, 1.0, 1.5))
-        assert not got.cells.any() and (got.labels == -1).all()
+    def test_empty_map(self):
+        params = DeviationParams(0.4, 0.0, 1.0, 1.5)
+        got = augment._rebuild_map(np.zeros(0, dataset.MAP_ENTRY), params)
+        cells, labels = densify(got)
+        assert got.dtype == dataset.MAP_ENTRY
+        assert not cells.any() and (labels == -1).all()
 
 
-def short_fills(m):
+def short_fills(labels):
     """Spurious tracks cut short by tick T-1, and those cut short by an
-    occupied tick."""
+    occupied tick, in a dense label grid."""
     at_end = by_track = 0
-    for a in np.unique(m.labels[m.labels >= 1000]):
-        ticks = np.nonzero(m.labels == a)[2]
+    for a in np.unique(labels[labels >= 1000]):
+        ticks = np.nonzero(labels == a)[2]
         if ticks.size < K_WINDOW:
             at_end += int(ticks[0] + ticks.size == T_STEPS)
             by_track += int(ticks[0] + ticks.size < T_STEPS)
@@ -452,25 +468,30 @@ class TestLoopParity:
     def test_perturb_map_occupancy(self, busy_windows, p_remove, p_add):
         at_end = by_track = 0
         for i, s in enumerate(busy_windows[::16]):
-            m = ProximityMap(s.m_cells, s.m_labels)
-            got = perturb_map_occupancy(m, p_remove, p_add, (i, 9))
-            ref = reference_perturb_map_occupancy(m, p_remove, p_add, (i, 9))
-            assert got.cells.tobytes() == ref.cells.tobytes()
-            assert got.labels.tobytes() == ref.labels.tobytes()
-            counts = short_fills(ref)
+            got = perturb_map_occupancy(s.m, p_remove, p_add, (i, 9))
+            ref = reference_perturb_map_occupancy(densify(s.m), p_remove, p_add, (i, 9))
+            assert_entries(got, *ref)
+            counts = short_fills(ref[1])
             at_end += counts[0]
             by_track += counts[1]
         assert at_end > 0 and by_track > 0
 
-    def test_perturb_map_occupancy_without_tracks(self, moving_sample):
+    def test_perturb_map_occupancy_without_tracks(self):
         # No track to remove draws nothing before the clutter draws.
-        m = ProximityMap(np.zeros_like(moving_sample.m_cells),
-                         np.full_like(moving_sample.m_labels, -1))
+        m = np.zeros(0, dataset.MAP_ENTRY)
         for p_add in (0.02, 0.3, 1.0):
             got = perturb_map_occupancy(m, 0.5, p_add, 3)
-            ref = reference_perturb_map_occupancy(m, 0.5, p_add, 3)
-            assert got.cells.tobytes() == ref.cells.tobytes()
-            assert got.labels.tobytes() == ref.labels.tobytes()
+            assert_entries(got, *reference_perturb_map_occupancy(densify(m), 0.5, p_add, 3))
+
+    @pytest.mark.parametrize("sigmas", [(0.3, 0.15), (0.0, 0.2), (1e3, 0.0)])
+    def test_perturb_positions(self, busy_windows, sigmas):
+        # One seeded draw for each of the grid's 780 x 6 payload values, as
+        # on the dense map, with a zero sigma's signed zeros at the entries.
+        for i, s in enumerate(busy_windows[::40]):
+            got = perturb_positions(s, *sigmas, (i, 3))
+            e, v, m = reference_perturb_positions(s, *sigmas, (i, 3))
+            assert got.e.tobytes() == e.tobytes() and got.v.tobytes() == v.tobytes()
+            assert_entries(got.m, *m)
 
     @pytest.mark.parametrize("duration", [0.7, 1.0, 2.0, 0.73])
     def test_synthesize_recovery(self, busy_windows, duration):
@@ -546,35 +567,32 @@ class TestPositionNoise:
 
 class TestMapPerturbation:
     def test_identity(self, moving_sample):
-        m = ProximityMap(moving_sample.m_cells, moving_sample.m_labels)
+        m = moving_sample.m
         out = perturb_map_occupancy(m, 0.0, 0.0, 1)
-        np.testing.assert_array_equal(out.cells, m.cells)
-        np.testing.assert_array_equal(out.labels, m.labels)
+        assert out.dtype == m.dtype and out.tobytes() == m.tobytes()
 
     def test_remove_all_keeps_ego(self, moving_sample):
-        m = ProximityMap(moving_sample.m_cells, moving_sample.m_labels)
-        out = perturb_map_occupancy(m, 1.0, 0.0, 1)
-        remaining = set(np.unique(out.labels)) - {-1}
+        out = perturb_map_occupancy(moving_sample.m, 1.0, 0.0, 1)
+        remaining = set(np.unique(densify(out)[1])) - {-1}
         assert remaining <= {0}
 
     def test_addition_rate(self, moving_sample):
-        m = ProximityMap(moving_sample.m_cells, moving_sample.m_labels)
-        free = int((m.labels < 0).sum())
+        m = moving_sample.m
+        labels = densify(m)[1]
+        free = int((labels < 0).sum())
         added = 0
         n_trials = 60
         for i in range(n_trials):
             out = perturb_map_occupancy(m, 0.0, 0.05, i)
-            added += int(((out.labels >= 1000) & (m.labels < 0)).sum())
+            added += int(((densify(out)[1] >= 1000) & (labels < 0)).sum())
         # each spurious track covers up to K consecutive ticks
         rate = added / (n_trials * free * augment.K_WINDOW)
         assert 0.03 < rate < 0.08
 
     def test_deterministic(self, moving_sample):
-        m = ProximityMap(moving_sample.m_cells, moving_sample.m_labels)
-        a = perturb_map_occupancy(m, 0.3, 0.02, (4, 2))
-        b = perturb_map_occupancy(m, 0.3, 0.02, (4, 2))
-        np.testing.assert_array_equal(a.cells, b.cells)
-        np.testing.assert_array_equal(a.labels, b.labels)
+        a = perturb_map_occupancy(moving_sample.m, 0.3, 0.02, (4, 2))
+        b = perturb_map_occupancy(moving_sample.m, 0.3, 0.02, (4, 2))
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAugmentSamples:

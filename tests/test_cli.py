@@ -21,6 +21,13 @@ def _drop_bytes(text: str, n: int) -> str:
     return base64.b64encode(base64.b64decode(text)[:-n]).decode()
 
 
+def _set_float(text: str, index: int, value: float) -> str:
+    """A base64 field of floats with one value replaced."""
+    a = np.frombuffer(base64.b64decode(text), "<f8").copy()
+    a[index] = value
+    return base64.b64encode(a.tobytes()).decode()
+
+
 class _Stop(Exception):
     """Raised by a stub to end a command once it has seen its arguments."""
 
@@ -606,6 +613,140 @@ class TestPipeline:
         )
 
 
+def edit_record(src, dst, lineno, edit):
+    """A copy of the JSONL file src at dst, with edit applied to the record
+    on line lineno."""
+    lines = src.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def edit_array(key, dtype, edit):
+    """A record edit on the decoded array of one base64 field."""
+    def apply(rec):
+        a = np.frombuffer(base64.b64decode(rec[key]), dtype).copy()
+        edit(a)
+        rec[key] = base64.b64encode(a.tobytes()).decode()
+    return apply
+
+
+def _set(index, value, field=None):
+    """An array edit that sets one item, of one field of a structured array."""
+    def apply(a):
+        (a if field is None else a[field])[index] = value
+    return apply
+
+
+def _swap_cells(m):
+    m["cell"][[2, 5]] = m["cell"][[5, 2]]
+
+
+def _mutate_value(rng, kind, field=None):
+    """An array edit that sets one float to NaN, +-inf or 1e300 (kind), or
+    flips the top bit of its exponent ("flip")."""
+    def apply(a):
+        values = a if field is None else a[field]
+        i = np.unravel_index(rng.randrange(values.size), values.shape)
+        bits = np.array(values[i]).view("<u8") ^ (1 << 62)
+        values[i] = bits.view("<f8") if kind == "flip" else float(kind)
+    return apply
+
+
+class TestDatasetValues:
+    """The dataset reader refuses values that no recording writes."""
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(_set(4, -5, "label"), "map label -5 is negative", id="negative-label"),
+        pytest.param(_swap_cells, "map cells are not strictly increasing", id="swapped-cells"),
+        pytest.param(lambda m: _set(4, m["cell"][3], "cell")(m),
+                     "map cells are not strictly increasing", id="repeated-cell"),
+    ])
+    def test_bad_map_entry_is_2(self, tiny_dataset, tmp_path, capsys, edit, message):
+        # A label below 0 once read as an empty cell that kept its payload,
+        # which reached the model; of two entries for one cell the last won.
+        # (A cell beyond the grid is one of test_dataset's CORRUPTIONS.)
+        path, out = tmp_path / "d.jsonl", tmp_path / "a.jsonl"
+        edit_record(tiny_dataset / "val.jsonl", path, 3, edit_array("m", dataset.MAP_ENTRY, edit))
+        assert main(["augment", "--out", str(out), f'input = "{path}"']) == 2
+        assert capsys.readouterr().err == f"polydrive augment: {path}: line 3: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), 1e300])
+    def test_absurd_context_value_is_2(self, tiny_dataset, tmp_path, capsys, value):
+        # A NaN context once ended training with exit 3, naming a layer.
+        path, out = tmp_path / "d.jsonl", tmp_path / "m.npz"
+        edit_record(tiny_dataset / "val.jsonl", path, 3, edit_array("ctx", "<f8", _set(2, value)))
+        rc = main(["train", "--out", str(out), f'train = "{path}"', f'val = "{path}"',
+                   "epochs = 1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"polydrive train: {path}: line 3: field 'ctx' holds {value}, "
+            "not a number of size at most 1e+06\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_noise_is_3(self, tiny_dataset, tmp_path, capsys):
+        # Position noise of sigma 1e308 overflows: once two RuntimeWarnings
+        # and a dataset of non-finite samples, now one line and no output.
+        out = tmp_path / "a.jsonl"
+        rc = main(["augment", "--out", str(out), f'input = "{tiny_dataset}/val.jsonl"',
+                   "fraction = 1.0", "sigma_long = 1e308", "sigma_lat = 1e308"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "polydrive augment: numerical failure: overflow encountered in multiply\n"
+        assert not out.exists()
+
+    def test_mutated_datasets_never_trace_back(self, tiny_dataset, tmp_path, capsys):
+        # Seeded mutants of a three-sample dataset.  On its bytes: truncations,
+        # changed bytes and deleted runs of 1-64 bytes.  On one decoded field
+        # of one sample: a float set to NaN, +-inf or 1e300 or with the top
+        # bit of its exponent flipped, a map label set negative, or two map
+        # cells swapped.
+        base, path, out = tmp_path / "base.jsonl", tmp_path / "d.jsonl", tmp_path / "mae.json"
+        lines = (tiny_dataset / "val.jsonl").read_text().splitlines()
+        text = "".join(line + "\n" for line in lines[:4])
+        base.write_text(text)
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        rng = random.Random(30)
+        codes = {}
+        for _ in range(40):
+            kind = rng.choice(("truncate", "change", "delete", "value", "label", "swap"))
+            if kind in ("truncate", "change", "delete"):
+                mutant = bytearray(text.encode())
+                at = rng.randrange(len(mutant))
+                if kind == "truncate":
+                    del mutant[at:]
+                elif kind == "change":
+                    mutant[at] ^= rng.randrange(1, 256)
+                else:
+                    del mutant[at : at + rng.randint(1, 64)]
+                path.write_bytes(bytes(mutant))
+            else:
+                key, dtype, edit = "m", dataset.MAP_ENTRY, _swap_cells
+                if kind == "value":
+                    key = rng.choice(("e", "ctx", "ef", "m"))
+                    kind = rng.choice(("nan", "inf", "-inf", "1e300", "flip"))
+                    dtype = dataset.MAP_ENTRY if key == "m" else "<f8"
+                    edit = _mutate_value(rng, kind, "xy" if key == "m" else None)
+                elif kind == "label":
+                    edit = _set(rng.randrange(20), -rng.randint(1, 9), "label")
+                edit_record(base, path, rng.randrange(2, 5), edit_array(key, dtype, edit))
+            out.unlink(missing_ok=True)
+            rc = main(["eval-offline", "--out", str(out), f'checkpoint = "{tmp_path}/m.npz"',
+                       f'data = "{path}"'])
+            err = capsys.readouterr().err
+            assert rc in (0, 2), (kind, rc, err)
+            assert err.count("\n") == (rc == 2) and "Traceback" not in err, err
+            assert out.exists() == (rc == 0)
+            codes.setdefault(kind, []).append(rc)
+        # Every decoded mutant is refused but a flipped exponent bit, which
+        # may leave a value in range.
+        refused = [rc for k in ("nan", "inf", "-inf", "1e300", "label", "swap") for rc in codes[k]]
+        assert len(refused) >= 10 and set(refused) == {2} and set(codes["flip"]) == {0, 2}
+
+
 @pytest.fixture(scope="module")
 def expert_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("cl")
@@ -714,6 +855,15 @@ class TestClosedLoopAndReport:
                 lambda h, r: (h, r[:1] + [{**r[1], "s": _drop_bytes(r[1]["s"], 8)}] + r[2:]),
                 "line 3: field 's' has 24 bytes, which do not fit rows of (4,)", id="ragged-s",
             ),
+            # A coordinate of 1e300 once ended report in an OverflowError, and
+            # a NaN state was scored.
+            pytest.param(lambda h, r: (h, r[:1] + [{**r[1], "s": _set_float(r[1]["s"], 0, 1e300)}]
+                                       + r[2:]),
+                         "line 3: field 's' holds 1e+300, not a number of size at most 1e+06",
+                         id="state-1e300"),
+            pytest.param(lambda h, r: (h, r[:1] + [{**r[1], "s": _set_float(r[1]["s"], 3, np.nan)}]
+                                       + r[2:]),
+                         "line 3: field 's' holds nan, not a number", id="state-nan"),
             pytest.param(lambda h, r: (h, []), "trace has no ticks or no car", id="no-ticks"),
             pytest.param(lambda h, r: ({**h, "kinds": ["pedestrian"] * len(h["kinds"])}, r),
                          "trace has no ticks or no car", id="no-car"),

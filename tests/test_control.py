@@ -305,12 +305,12 @@ def assert_live_matches_offline(town_id, n_cars, n_peds, seed):
     assert [s.center_tick for s in offline] == sorted(live_samples)[: len(offline)]
     for s_off in offline:
         s_live = live_samples[s_off.center_tick]
-        for name in ("e", "v", "v_mask", "m_cells", "m_labels", "ctx"):
+        for name in ("e", "v", "v_mask", "m", "ctx"):
             np.testing.assert_array_equal(getattr(s_live, name), getattr(s_off, name))
             assert getattr(s_live, name).tobytes() == getattr(s_off, name).tobytes(), name
     # The seeds are scenes where other cars share the map and one leads.
     assert len(offline) == 121
-    assert sum((s.m_labels > 0).any() for s in offline) >= 60
+    assert sum((s.m["label"] > 0).any() for s in offline) >= 60
     assert sum(s.ctx[5] < dataset.CTX_LEAD_CAP for s in offline) >= 15
 
 

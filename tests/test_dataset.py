@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from test_kernels import densify, sparsify
 from test_simworld import array_crossing_ped_distances, array_leading_vehicles, scalar_nearest_lane
 from test_trajectory import Pose2D, xy_to_frame
 
@@ -144,14 +145,14 @@ def reference_assemble_sample(network, frame, ego_speed, ego_past, car_tracks, p
     for row, aid in enumerate(sorted(rel), start=1):
         rel_tracks[row] = rel[aid]
         dists[row] = float(np.linalg.norm(rel_tracks[row][-1]))
-    m_cells, m_labels = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
+    (m,) = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
     ego = (frame.x, frame.y, frame.heading, ego_speed)
     cars = [st for _, _, st in car_tracks]
     ctx = reference_context(network, ego, cars, peds, light_green)
     ctx[5:] = reference_context_tail(ego, cars, peds)
     sample = dataset.Sample(
-        e=reference_history_tensor(rel_ego), v=v, v_mask=v_mask, m_cells=m_cells,
-        m_labels=m_labels, ctx=ctx, nc=nc, ego_future=np.zeros((T_STEPS, 2)),
+        e=reference_history_tensor(rel_ego), v=v, v_mask=v_mask, m=m, ctx=ctx, nc=nc,
+        ego_future=np.zeros((T_STEPS, 2)),
         neigh_future=np.zeros((N_NEIGHBORS, T_STEPS, 2)),
     )
     return sample, order
@@ -327,7 +328,7 @@ class TestBatchedAssembly:
             assert len(got) == len(want) == len(log) - WINDOW_TICKS + 1
             for a, b in zip(got, want):
                 assert_same_bits(a, b)
-            seen += [sum((s.m_labels > 0).any() for s in got),
+            seen += [sum((s.m["label"] > 0).any() for s in got),
                      sum(s.ctx[5] < dataset.CTX_LEAD_CAP for s in got),
                      sum(s.ctx[7] < dataset.CTX_PED_CAP for s in got)]
         assert (seen >= 40).all()
@@ -343,7 +344,7 @@ class TestBatchedAssembly:
         got, want = extract_windows(shuffled, town), reference_extract_windows(shuffled, town)
         for a, b in zip(got, want):
             assert_same_bits(a, b)
-        assert len(got) == len(want) and any(a.m_labels.max() > 1 for a in got)
+        assert len(got) == len(want) and any(a.m["label"].max() > 1 for a in got)
 
     def test_equal_distances_with_different_ids(self, town):
         # Eight cars 10 m away, ids out of row order: the five lowest ids win.
@@ -354,7 +355,7 @@ class TestBatchedAssembly:
         cars = scene(ends, ids=[7, 3, 9, 1, 5, 2, 8, 4])
         sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
         assert ids == [1, 2, 3, 4, 5]
-        assert 4 in sample.m_labels and 6 not in sample.m_labels
+        assert 4 in sample.m["label"] and 6 not in sample.m["label"]
 
     def test_distances_one_ulp_apart(self, town):
         rng = np.random.default_rng(5)
@@ -373,12 +374,12 @@ class TestBatchedAssembly:
         cars = scene([(100.0, 0.0), (0.0, 40.0), (-200.0, 3.0), (33.0, 0.0)], ids=[2, 1, 3, 4])
         sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
         assert ids == [4, 1, 2, 3]
-        assert set(np.unique(sample.m_labels)) <= {-1, 0, 4}
+        assert set(np.unique(densify(sample.m)[1])) <= {-1, 0, 4}
 
     def test_no_other_cars_and_no_pedestrians(self, town):
         sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), [], [])
         assert ids == [] and not sample.v_mask.any() and (sample.v == 0.0).all()
-        assert set(np.unique(sample.m_labels)) == {-1, 0}
+        assert set(np.unique(densify(sample.m)[1])) == {-1, 0}
         cars = scene([(8.0, 0.5), (15.0, -1.0)], ids=[6, 2])
         sample, ids = assert_same_assembly(town, ORIGIN, straight_track((0.0, 0.0)), cars, [])
         assert ids == [6, 2] and sample.ctx[7] == dataset.CTX_PED_CAP
@@ -427,7 +428,7 @@ class TestBatchedAssembly:
         assert all(s.v_mask.sum() == min(n_cars - 1, N_NEIGHBORS) for s in got)
         if n_cars == 15:  # other cars in the map, a junction core, three commands
             assert len(got) > dataset.EXTRACT_CHUNK
-            assert sum((s.m_labels > 0).any() for s in got) > 100
+            assert sum((s.m["label"] > 0).any() for s in got) > 100
             assert sum(s.ctx[2] == 0.0 for s in got) > 20 and len({s.nc for s in got}) == 3
 
     @staticmethod
@@ -512,7 +513,7 @@ class TestBatchedAssembly:
             cars = [(k, trk, (trk[-1, 0], trk[-1, 1], h, 3.0)) for k, trk in enumerate(tracks)]
             sample, _ = assert_same_assembly(town, (0.0, 0.0, h, 3.0), straight_track((0.0, 0.0), h),
                                              cars, [])
-            assert (sample.m_labels[..., : T_STEPS - 1] == winner).sum() == T_STEPS - 1
+            assert (densify(sample.m)[1][..., : T_STEPS - 1] == winner).sum() == T_STEPS - 1
             found += 1
             if found == 5:
                 break
@@ -589,27 +590,29 @@ class TestFloatContext:
 class TestProximityMap:
     def test_ego_occupies_center_cell(self):
         tracks = np.zeros((1, T_STEPS, 2))
-        cells, labels = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
+        cells, labels = densify(*kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW))
         center = labels[labels.shape[0] // 2, labels.shape[1] // 2]
         assert (center == 0).all()
 
     def test_outside_extent_ignored(self):
         tracks = np.full((1, T_STEPS, 2), 1e4)
-        cells, labels = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
+        (m,) = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
+        assert len(m) == 0
+        cells, labels = densify(m)
         assert (labels == -1).all()
         assert (cells == 0.0).all()
 
     def test_nearer_vehicle_wins_contested_cell(self):
         tracks = np.zeros((2, T_STEPS, 2))
         tracks[1] += 0.01  # same cell
-        cells, labels = kernels.bin_proximity(tracks, np.array([5.0, 1.0]), K_WINDOW)
+        cells, labels = densify(*kernels.bin_proximity(tracks, np.array([5.0, 1.0]), K_WINDOW))
         occupied = labels[labels >= 0]
         assert (occupied == 1).all()
 
     def test_cell_stores_k_window_fragment(self):
         rng = np.random.default_rng(1)
         tracks = rng.normal(0.0, 1.0, (1, T_STEPS, 2))
-        cells, labels = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
+        cells, labels = densify(*kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW))
         i = T_STEPS - 1
         pos = np.argwhere(labels[:, :, i] == 0)
         assert pos.size  # the track ends near the origin
@@ -818,7 +821,8 @@ class TestExtractWindows:
         s = samples[0]
         assert s.e.shape == (T_STEPS, K_WINDOW, 2)
         assert s.v.shape == (N_NEIGHBORS, T_STEPS, K_WINDOW, 2)
-        assert s.m_cells.shape[:2] == (13, 3)
+        assert s.m.dtype == dataset.MAP_ENTRY
+        assert densify(s.m)[0].shape == (13, 3, T_STEPS, 2 * K_WINDOW)
         assert s.ctx.shape == (8,)
         assert s.ego_future.shape == (T_STEPS, 2)
         # masked-off neighbor slots carry no data
@@ -860,10 +864,11 @@ class TestExtractWindows:
 
 def v1_record(s):
     """Format 1: every array as JSON numbers, the map as [r, c, t, label, *payload]."""
-    occupied = np.argwhere(s.m_labels >= 0)
+    m_cells, m_labels = densify(s.m)
+    occupied = np.argwhere(m_labels >= 0)
     m_sparse = [
-        [int(r), int(c), int(t), int(s.m_labels[r, c, t])]
-        + [float(x) for x in s.m_cells[r, c, t]]
+        [int(r), int(c), int(t), int(m_labels[r, c, t])]
+        + [float(x) for x in m_cells[r, c, t]]
         for r, c, t in occupied
     ]
     present = np.flatnonzero(s.v_mask)
@@ -900,8 +905,7 @@ def v1_sample(rec):
         e=e,
         v=v,
         v_mask=np.array(rec["mask"], dtype=bool),
-        m_cells=m_cells,
-        m_labels=m_labels,
+        m=sparsify(m_cells, m_labels),
         ctx=np.array(rec["ctx"]),
         nc=NavigationCommand(rec["nc"]),
         ego_future=np.array(rec["ef"]).reshape(T_STEPS, 2),
@@ -925,6 +929,7 @@ def v1_read_dataset(path):
         return [v1_sample(json.loads(line)) for line in f.read().splitlines()[1:]]
 
 
+ARRAYS = ("e", "v", "v_mask", "m", "ctx", "ego_future", "neigh_future")
 FIELDS = (
     ("e", "<f8"),
     ("v", "<f8"),
@@ -937,18 +942,25 @@ FIELDS = (
 )
 
 
+def dense_fields(s):
+    """The sample's arrays by FIELDS name, the map as its dense grids."""
+    m_cells, m_labels = densify(s.m)
+    return {**{name: getattr(s, name) for name in ARRAYS}, "m_cells": m_cells, "m_labels": m_labels}
+
+
 def decoded_digest(samples):
     """sha256 over every array and scalar of the samples, in FIELDS order."""
     h = hashlib.sha256()
     for s in samples:
+        arrays = dense_fields(s)
         for name, dtype in FIELDS:
-            h.update(np.ascontiguousarray(getattr(s, name), dtype=dtype).tobytes())
+            h.update(np.ascontiguousarray(arrays[name], dtype=dtype).tobytes())
         h.update(np.array([s.nc, s.episode_seed, s.center_tick, s.deviated], "<i8").tobytes())
     return h.hexdigest()
 
 
 def assert_same_bits(a, b):
-    for name, _ in FIELDS:
+    for name in ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
@@ -972,18 +984,17 @@ FILE = {
 
 
 def _extreme(sample):
-    """The sample with signed zeros, +-1e300 and NaN in its map payload,
-    and signed zeros and extremes in e and ctx."""
+    """The sample with signed zeros, the largest values the reader takes and
+    a subnormal in its map payload, and signed zeros and extremes in e and ctx."""
     rng = np.random.default_rng(3)
-    values = [-0.0, 0.0, 1e300, -1e300, np.nan, 5e-324, 1.0 / 3.0]
-    occupied = sample.m_labels >= 0
-    cells = sample.m_cells.copy()
-    cells[occupied] = rng.choice(values, cells[occupied].shape)
+    values = [-0.0, 0.0, 1e6, -1e6, 5e-324, 1.0 / 3.0]
+    m = sample.m.copy()
+    m["xy"] = rng.choice(values, m["xy"].shape)
     e = sample.e.copy()
     e[0] = -0.0
     ctx = sample.ctx.copy()
-    ctx[:3] = [-0.0, 1e300, -1e300]
-    return dataclasses.replace(sample, m_cells=cells, e=e, ctx=ctx)
+    ctx[:3] = [-0.0, 1e6, -1e6]
+    return dataclasses.replace(sample, m=m, e=e, ctx=ctx)
 
 
 class TestRecordBytes:
@@ -1006,7 +1017,7 @@ class TestRecordBytes:
             4,
         )
         assert any(s.deviated for s in augmented)
-        assert any((s.m_labels >= 1000).any() for s in augmented)
+        assert any((s.m["label"] >= 1000).any() for s in augmented)
         data = samples + augmented + [_extreme(samples[7]), _extreme(augmented[7])]
         v1_write_dataset(data, tmp_path / "v1.jsonl")
         write_dataset(data, tmp_path / "v2.jsonl")
@@ -1015,11 +1026,12 @@ class TestRecordBytes:
         assert len(got) == len(want) == len(data)
         for a, b in zip(got, want):
             assert_same_bits(a, b)
-        # v2 also keeps what v1 reads back differently: a NaN's sign bit.
-        nan = dataclasses.replace(samples[0], ctx=-np.full(8, np.nan))
-        write_dataset([nan], tmp_path / "nan.jsonl")
-        (back,), _ = read_dataset(tmp_path / "nan.jsonl")
-        assert back.ctx.tobytes() == nan.ctx.tobytes()
+        # A NaN, or a value just beyond the limit, is written, but the reader refuses it.
+        for value in (-np.nan, np.nextafter(1e6, np.inf)):
+            bad = dataclasses.replace(samples[0], ctx=np.full(8, value))
+            write_dataset([bad], tmp_path / "bad.jsonl")
+            with pytest.raises(DataFormatError, match=f"line 2: field 'ctx' holds {value}, not a"):
+                read_dataset(tmp_path / "bad.jsonl")
 
 
 class TestSerialization:
@@ -1033,7 +1045,7 @@ class TestSerialization:
         assert len(back) == len(subset)
         for a, b in zip(subset, back):
             assert_same_bits(a, b)
-            for name, _ in FIELDS:
+            for name in ARRAYS:
                 arr = getattr(b, name)
                 assert arr.flags.owndata and arr.flags.writeable, name
                 assert arr.dtype.isnative, name
@@ -1045,8 +1057,7 @@ class TestSerialization:
             v=np.zeros_like(s.v),
             v_mask=np.zeros_like(s.v_mask),
             neigh_future=np.zeros_like(s.neigh_future),
-            m_cells=np.zeros_like(s.m_cells),
-            m_labels=np.full_like(s.m_labels, -1),
+            m=np.zeros(0, dataset.MAP_ENTRY),
         )
         write_dataset([lone], tmp_path / "d.jsonl")
         (back,), _ = read_dataset(tmp_path / "d.jsonl")
@@ -1079,7 +1090,7 @@ def _b64(edit):
 
 
 def _map_cell(rec, key):
-    m = np.frombuffer(base64.b64decode(rec[key]), dataset._MAP_ENTRY).copy()
+    m = np.frombuffer(base64.b64decode(rec[key]), dataset.MAP_ENTRY).copy()
     m["cell"][-1] = dataset.MAP_ROWS * dataset.MAP_COLS * T_STEPS
     rec[key] = base64.b64encode(m.tobytes()).decode()
 

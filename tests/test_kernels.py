@@ -262,19 +262,44 @@ def reference_bin_proximity(rel, dists, window, cells, labels):
                 cells[row, col, i, 2 * k + 1] = rel[a, j, 1]
 
 
+def sparsify(cells, labels):
+    """The map entries of dense (13, 3, T, 2K) payload and (13, 3, T) label
+    grids: one per cell whose label is not -1, by cell."""
+    window = cells.shape[-1] // 2
+    occupied = np.flatnonzero(labels.ravel() >= 0)
+    entries = np.empty(len(occupied), kernels.map_entry(window))
+    entries["cell"] = occupied
+    entries["label"] = labels.ravel()[occupied]
+    entries["xy"] = cells.reshape(-1, 2 * window)[occupied]
+    return entries
+
+
+def densify(entries, n_ticks=20):
+    """The dense (13, 3, T, 2K) payload and (13, 3, T) label grids of map
+    entries: zeros and -1 where a cell holds no entry."""
+    grid = (kernels.MAP_ROWS, kernels.MAP_COLS, n_ticks)
+    cells = np.zeros(grid + entries.dtype["xy"].shape)
+    labels = np.full(grid, -1, dtype=np.int64)
+    cells.reshape(-1, cells.shape[-1])[entries["cell"]] = entries["xy"]
+    labels.reshape(-1)[entries["cell"]] = entries["label"]
+    return cells, labels
+
+
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
 def _assert_same_binning(rel, dists, window=3):
+    """One window binned as the reference loop bins it; returns its dense labels."""
     shape = (kernels.MAP_ROWS, kernels.MAP_COLS, rel.shape[1])
     want = (np.zeros(shape + (2 * window,)), np.full(shape, -1, dtype=np.int64))
     reference_bin_proximity(rel, dists, window, *want)
-    got = kernels.bin_proximity(rel, dists, window)
-    for g, w in zip(got, want):
+    (got,) = kernels.bin_proximity(rel, dists, window)
+    assert_same_bits(got, sparsify(*want))
+    for g, w in zip(densify(got, rel.shape[1]), want):
         assert_same_bits(g, w)
-    return got[1]
+    return want[1]
 
 
 class TestBinProximity:
@@ -335,17 +360,15 @@ class TestBinProximity:
             lead = (k,) if trial % 2 else (2, k)
             if len(lead) == 2:
                 rel, dists = np.stack([rel, rel[::-1]]), np.stack([dists, dists[::-1]])
-            cells, labels = kernels.bin_proximity(rel, dists, window)
-            assert cells.shape == lead + (kernels.MAP_ROWS, kernels.MAP_COLS, n_ticks, 2 * window)
-            assert labels.shape == lead + (kernels.MAP_ROWS, kernels.MAP_COLS, n_ticks)
-            for i in np.ndindex(*lead):
-                one = kernels.bin_proximity(rel[i], dists[i], window)
-                assert_same_bits(cells[i], one[0])
-                assert_same_bits(labels[i], one[1])
+            maps = kernels.bin_proximity(rel, dists, window)
+            assert len(maps) == int(np.prod(lead))  # one per window, in C order
+            for entries, i in zip(maps, np.ndindex(*lead)):
+                (one,) = kernels.bin_proximity(rel[i], dists[i], window)
+                assert_same_bits(entries, one)
                 _assert_same_binning(rel[i], dists[i], window)
                 x, y = rel[i][..., 0], rel[i][..., 1]
                 on_map = (x >= -32.5) & (x < 32.5) & (y >= -5.25) & (y < 5.25)
-                contested += int(on_map.sum()) - int((labels[i] >= 0).sum())
+                contested += int(on_map.sum()) - len(entries)
         assert contested > 100  # agent-ticks that lost their cell to another
 
 

@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_kernels import densify, sparsify
 
 from polydrive import dataset, model, simworld as sw
 from polydrive.dataset import N_NEIGHBORS, NavigationCommand
@@ -171,13 +172,15 @@ class TestForward:
         # predict's map layer sums over the occupied inputs only, so it may
         # differ from the dense product in the last bits (4.4e-16 measured).
         recorded = samples[::25]
-        empty = dataclasses.replace(recorded[0], m_cells=np.zeros_like(recorded[0].m_cells))
+        empty = dataclasses.replace(recorded[0], m=recorded[0].m.copy())
+        empty.m["xy"] = 0.0
         rng = np.random.default_rng(9)
-        crowded_map = rng.normal(0.0, 10.0, recorded[-1].m_cells.shape)
+        crowded_map = rng.normal(0.0, 10.0, (13, 3, dataset.T_STEPS, 2 * dataset.K_WINDOW))
         crowded_map[rng.random(crowded_map.shape) < 0.6] = 0.0
-        crowded = dataclasses.replace(recorded[-1], m_cells=crowded_map)
-        assert np.count_nonzero(empty.m_cells) == 0
-        assert np.count_nonzero(crowded.m_cells) >= 1000
+        every_cell = np.ones(crowded_map.shape[:3], dtype=np.int64)
+        crowded = dataclasses.replace(recorded[-1], m=sparsify(crowded_map, every_cell))
+        assert np.count_nonzero(densify(empty.m)[0]) == 0
+        assert np.count_nonzero(densify(crowded.m)[0]) >= 1000
         for seed in (4, 5, 6):
             params = init_params(seed=seed)
             # init_params zeroes the biases; set them so that a lost bias shows.
