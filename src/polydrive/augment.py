@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .dataset import _FUTURE_T, _HISTORY_INDEX, K_WINDOW, MAP_ENTRY, MAP_SIZE, T_STEPS, Sample
-from .errors import SkipSample
+from .codec import check_bounded
+from .dataset import _HISTORY_INDEX, K_WINDOW, MAP_ENTRY, MAP_SIZE, T_STEPS, Sample
+from .errors import NumericalError, SkipSample
 from .kernels import CELL_LAT, CELL_LONG, MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG
-from .trajectory import DT, PointSeries, _rotation, fit_polynomial
+from .trajectory import DT, GRID_T, PINV, _rotation
 
 LATERAL_AMPLITUDES = (0.2, 0.4, 0.6, 0.8)
 RECOVERY_RANGE = (0.5, 2.0)
@@ -75,37 +76,38 @@ def _recovery_axis(p0, v0, pd, vd, ad, d) -> np.ndarray:
 
 
 def synthesize_recovery(
-    nominal_future: PointSeries, lateral: float, angular: float, duration: float
+    ego_future: np.ndarray, lateral: float, angular: float, duration: float
 ) -> np.ndarray:
     """Future label points (T, 2) in the deviated frame.
 
-    The nominal future is given in the nominal ego frame; the deviated frame
-    sits at (0, lateral) rotated by ``angular``.  The recovery runs up to
+    The nominal future, (T, 2) on the grid, is given in the nominal ego
+    frame and read through its grid fit; the deviated frame sits at
+    (0, lateral) rotated by ``angular``.  The recovery runs up to
     ``duration``; the later ticks follow the nominal future.
     """
-    poly = fit_polynomial(nominal_future)
-    vel = np.polyder(poly.cx), np.polyder(poly.cy)
+    cx, cy = (PINV @ ego_future).T
+    vel = np.polyder(cx), np.polyder(cy)
     speed0 = float(np.hypot(np.polyval(vel[0], 0.0), np.polyval(vel[1], 0.0)))
     if speed0 < MIN_NOMINAL_SPEED:
         raise SkipSample("nominal future is degenerate (near-stationary)")
 
     rot = _rotation(-angular)
     d = float(duration)
-    late = _FUTURE_T > d + 1e-12
+    late = GRID_T > d + 1e-12
     # The nominal position at d and at the late ticks, then its velocity and
     # acceleration at d, all in the deviated frame.  Stacked matrix-vector
     # products round as the per-point rot @ v does; (n, 2) @ rot.T would not.
-    t = np.concatenate([[d], _FUTURE_T[late]])
-    nominal = np.stack([np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=-1)
+    t = np.concatenate([[d], GRID_T[late]])
+    nominal = np.stack([np.polyval(cx, t), np.polyval(cy, t)], axis=-1)
     nominal = (rot @ (nominal - [0.0, lateral])[..., None])[..., 0]
     vd = rot @ np.array([np.polyval(c, d) for c in vel])
     ad = rot @ np.array([np.polyval(np.polyder(c), d) for c in vel])
-    cx = _recovery_axis(0.0, speed0, nominal[0, 0], vd[0], ad[0], d)
-    cy = _recovery_axis(0.0, 0.0, nominal[0, 1], vd[1], ad[1], d)
+    rx = _recovery_axis(0.0, speed0, nominal[0, 0], vd[0], ad[0], d)
+    ry = _recovery_axis(0.0, 0.0, nominal[0, 1], vd[1], ad[1], d)
 
     out = np.empty((T_STEPS, 2))
-    early = _FUTURE_T[~late]
-    out[~late] = np.stack([np.polyval(cx, early), np.polyval(cy, early)], axis=-1)
+    early = GRID_T[~late]
+    out[~late] = np.stack([np.polyval(rx, early), np.polyval(ry, early)], axis=-1)
     out[late] = nominal[1:]
     return out
 
@@ -152,15 +154,13 @@ def _rebuild_map(m: np.ndarray, params: DeviationParams) -> np.ndarray:
     return out
 
 
-def inject_deviation(
-    sample: Sample, params: DeviationParams, nominal_future: PointSeries
-) -> Sample:
+def inject_deviation(sample: Sample, params: DeviationParams) -> Sample:
     """Deviate the ego past and synthesize a recovery future.
 
     Raises :class:`SkipSample` when the nominal future is degenerate.
     """
     future = synthesize_recovery(
-        nominal_future,
+        sample.ego_future,
         params.lateral_signed,
         params.angular_amplitude,
         params.recovery_duration,
@@ -282,6 +282,8 @@ def augment_samples(
 
     ``full`` deviates a seeded ``fraction`` of episodes; ``partial``
     restricts the same selection to one of 4 episode sub-seed groups.
+    Raises :class:`NumericalError` on a sample holding a float that the
+    dataset reader refuses (not finite, or beyond ``codec.MAX_ABS``).
     """
     rng = np.random.default_rng((seed, 0xA6))
     episodes = sorted({s.episode_seed for s in samples})
@@ -298,7 +300,7 @@ def augment_samples(
         if s.episode_seed in selected and not s.deviated:
             params = random_deviation_params(rng)
             try:
-                cur = inject_deviation(s, params, s.ego_future_series())
+                cur = inject_deviation(s, params)
             except SkipSample:
                 cur = s
         if config.sigma_long > 0.0 or config.sigma_lat > 0.0:
@@ -312,5 +314,12 @@ def augment_samples(
             m = perturb_map_occupancy(cur.m, config.p_remove, config.p_add,
                                       (seed, 0x0C, cur.episode_seed, cur.center_tick))
             cur = replace(cur, m=m)
+        # The reader's value check, so that no output is one it would refuse.
+        for name in ("e", "v", "m", "ctx", "ego_future", "neigh_future"):
+            try:
+                check_bounded(getattr(cur, name), f"episode {cur.episode_seed} tick "
+                              f"{cur.center_tick}: field {name!r}")
+            except ValueError as e:
+                raise NumericalError(str(e)) from None
         out.append(cur)
     return out

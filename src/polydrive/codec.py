@@ -41,11 +41,17 @@ def unpack(rec: dict, key: str, row_shape: tuple, dtype: np.dtype = F8) -> np.nd
             f"field {key!r} has {len(raw)} bytes, which do not fit rows of {row_shape}"
         )
     a = np.frombuffer(raw, dtype).reshape(-1, *row_shape)
-    for values in [a] if dtype.names is None else [a[name] for name in dtype.names]:
+    check_bounded(a, f"field {key!r}")
+    return a
+
+
+def check_bounded(a: np.ndarray, what: str) -> None:
+    """Raise a ValueError, naming what, at the first float of a, fields of a
+    structured dtype included, that is not finite or is beyond MAX_ABS."""
+    for values in [a] if a.dtype.names is None else [a[name] for name in a.dtype.names]:
         if values.dtype.kind == "f" and not np.abs(values).max(initial=0.0) <= MAX_ABS:
             bad = values[~(np.abs(values) <= MAX_ABS)][0]
-            raise ValueError(f"field {key!r} holds {bad}, not a number of size at most {MAX_ABS:g}")
-    return a
+            raise ValueError(f"{what} holds {bad}, not a number of size at most {MAX_ABS:g}")
 
 
 def unpack_rows(rec: dict, key: str, n: int, row_shape: tuple, dtype: np.dtype = F8) -> np.ndarray:
@@ -78,16 +84,17 @@ def _parse_line(path, lineno: int, line: bytes, decode):
 
 def read_records(path, check_header, decode) -> tuple[dict, list]:
     """The header, as check_header returns it, and decode(record, header)
-    of each later line."""
+    of each later line, decoded as it is read."""
     with open(path, "rb") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = _parse_line(path, 1, lines[0], check_header)
-    records = [
-        _parse_line(path, lineno, line, lambda rec: decode(rec, header))
-        for lineno, line in enumerate(lines[1:], start=2)
-    ]
+        lines = (line.removesuffix(b"\n") for line in f)
+        first = next(lines, None)
+        if first is None:
+            raise DataFormatError(f"{path}: empty file")
+        header = _parse_line(path, 1, first, check_header)
+        records = [
+            _parse_line(path, lineno, line, lambda rec: decode(rec, header))
+            for lineno, line in enumerate(lines, start=2)
+        ]
     return header, records
 
 

@@ -38,7 +38,7 @@ from .simworld import (
     autopilot_command,
     clamp,
 )
-from .trajectory import PolyTrajectory2D, sample_times
+from .trajectory import GRID_T, PolyTrajectory2D
 
 LOOKAHEAD_S = 0.5
 GOAL_TOLERANCE = 3.0
@@ -73,14 +73,11 @@ class PidState:
     speed: PidChannel = field(default_factory=lambda: PidChannel(1.0, 0.1, 0.0))
 
 
-_SAMPLE_T = sample_times()
-
-
 def trajectory_speed_target(poly: PolyTrajectory2D) -> float:
     """Predicted 2 s arc length / 2, capped at the cruise speed.  The step
     from the origin is a 1-D np.linalg.norm (a BLAS dot), the 19 others
     sqrt(dx*dx + dy*dy)."""
-    x, y = np.polyval(poly.cx, _SAMPLE_T), np.polyval(poly.cy, _SAMPLE_T)
+    x, y = np.polyval(poly.cx, GRID_T), np.polyval(poly.cy, GRID_T)
     dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
     arc = float(np.linalg.norm(np.array([x[0], y[0]])))
     arc += float(np.sqrt(dx * dx + dy * dy).sum())

@@ -20,7 +20,7 @@ from . import kernels, simworld
 from .codec import check_version, pack, read_records, unpack, unpack_rows, write_records
 from .kernels import MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
 from .simworld import EpisodeLog, RoadNetwork
-from .trajectory import PointSeries, sample_times, wrap_heading
+from .trajectory import PINV, VAND, wrap_heading
 
 T_STEPS = 20
 K_WINDOW = 3
@@ -37,12 +37,6 @@ CTX_LEAD_CAP = 50.0
 CTX_PED_CAP = 30.0
 NC_ZONE_RADIUS = 15.0
 NC_LOOKAHEAD_S = 5.0
-
-_FUTURE_T = sample_times()
-# Fixed-grid least squares: pinv of the degree-4 Vandermonde on the 20
-# future instants.  Identical minimizer to fit_polynomial on this grid.
-_FUTURE_VAND = np.vander(_FUTURE_T, 5)
-_FUTURE_PINV = np.linalg.pinv(_FUTURE_VAND)
 
 
 class NavigationCommand(IntEnum):
@@ -68,9 +62,6 @@ class Sample:
     center_tick: int = 0
     deviated: bool = False
 
-    def ego_future_series(self) -> PointSeries:
-        return PointSeries(_FUTURE_T, self.ego_future)
-
 
 def samples_equal(a: Sample, b: Sample) -> bool:
     """Whether two samples hold equal values (NaN equals nothing)."""
@@ -90,8 +81,7 @@ _HISTORY_INDEX = np.maximum(np.arange(T_STEPS)[:, None] - (K_WINDOW - 1) + np.ar
 
 def fit_future_points(xy: np.ndarray) -> np.ndarray:
     """Least-squares degree-4 smoothing of (..., T, 2) futures onto the t grid."""
-    coeffs = _FUTURE_PINV @ np.asarray(xy, dtype=np.float64)
-    return _FUTURE_VAND @ coeffs
+    return VAND @ (PINV @ np.asarray(xy, dtype=np.float64))
 
 
 def _row_norms(d: np.ndarray) -> np.ndarray:

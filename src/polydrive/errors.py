@@ -5,10 +5,6 @@ class PolydriveError(Exception):
     """Base class for all package errors."""
 
 
-class InsufficientDataError(PolydriveError):
-    """Not enough points/samples to perform the requested operation."""
-
-
 class InvalidInputError(PolydriveError):
     """Input values are non-finite or outside the documented domain."""
 

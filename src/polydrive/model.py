@@ -23,15 +23,12 @@ import numpy as np
 
 from .dataset import MAP_SIZE, N_NEIGHBORS, Sample
 from .errors import DataFormatError, NumericalError
-from .trajectory import PolyTrajectory2D, sample_times
+from .trajectory import VAND, PolyTrajectory2D
 
 CKPT_FORMAT_VERSION = 1
 N_HEADS = 4
 POS_SCALE = 0.05
 CTX_SCALE = np.array([1 / 50.0, 1.0, 1 / 50.0, 1 / 3.5, 1.0, 1 / 50.0, 1 / 8.0, 1 / 30.0])
-
-_T = sample_times()
-_VAND = np.vander(_T, 5)  # (20, 5), highest degree first
 
 LAYER_SIZES = {
     "ego_enc": (120, 64, 32),
@@ -224,14 +221,14 @@ def coeffs_to_points(coeffs: np.ndarray) -> np.ndarray:
     """(..., 10) coefficient vectors -> (..., 20, 2) sampled points."""
     cx = coeffs[..., :5]
     cy = coeffs[..., 5:]
-    px = cx @ _VAND.T
-    py = cy @ _VAND.T
+    px = cx @ VAND.T
+    py = cy @ VAND.T
     return np.stack([px, py], axis=-1)
 
 
 def _coeff_grad(g_pts: np.ndarray) -> np.ndarray:
     """Adjoint of coeffs_to_points: (B, 20, 2) point grads -> (B, 10)."""
-    d = np.einsum("bti,tj->bji", g_pts, _VAND)
+    d = np.einsum("bti,tj->bji", g_pts, VAND)
     return np.concatenate([d[:, :, 0], d[:, :, 1]], axis=1)
 
 
@@ -503,7 +500,8 @@ def save_checkpoint(params, path, config: TrainConfig | None = None, extra=None)
 
 def load_checkpoint(path):
     """The parameters and metadata that save_checkpoint wrote; a file whose
-    keys or array shapes differ from the init_params layout is refused."""
+    keys or array shapes differ from the init_params layout, or with an array
+    that is not all finite float64, is refused."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -525,12 +523,15 @@ def load_checkpoint(path):
                 arr_key = key.replace(".", "__")
                 if arr_key not in data:
                     raise DataFormatError(f"{path}: missing array {key}")
-                params[key] = data[arr_key]
-                if params[key].shape != layout[key]:
+                arr = params[key] = data[arr_key]
+                if arr.shape != layout[key]:
                     raise DataFormatError(
-                        f"{path}: array {key} has shape {params[key].shape}, "
-                        f"expected {layout[key]}"
+                        f"{path}: array {key} has shape {arr.shape}, expected {layout[key]}"
                     )
+                if arr.dtype != np.float64:
+                    raise DataFormatError(f"{path}: array {key} has dtype {arr.dtype}, expected float64")
+                if not np.isfinite(arr).all():
+                    raise DataFormatError(f"{path}: array {key} holds {arr[~np.isfinite(arr)][0]}")
             return params, meta
     except (OSError, ValueError, NotImplementedError, zipfile.BadZipFile) as e:
         raise DataFormatError(f"{path}: unreadable checkpoint ({e})") from e

@@ -1,4 +1,6 @@
 import copy
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from polydrive.kernels import (
     MAP_EXTENT_LONG,
     MAP_ROWS,
 )
-from polydrive.trajectory import PointSeries, _rotation, fit_polynomial, sample_times
+from polydrive.trajectory import GRID_T, PINV, _rotation
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +51,7 @@ def moving_sample(samples):
 
 
 def straight_future(speed=5.0):
-    t = sample_times()
-    xy = np.stack([speed * t, np.zeros_like(t)], axis=1)
-    return PointSeries(t, xy)
+    return np.stack([speed * GRID_T, np.zeros_like(GRID_T)], axis=1)
 
 
 def to_nominal_frame(xy_dev, params):
@@ -73,10 +73,17 @@ def reference_poly_derivatives(coeffs, t):
     return float(p), float(d1), float(d2)
 
 
-def reference_synthesize_recovery(nominal_future, lateral, angular, duration):
-    poly = fit_polynomial(nominal_future)
-    _, vx0, _ = reference_poly_derivatives(poly.cx, 0.0)
-    _, vy0, _ = reference_poly_derivatives(poly.cy, 0.0)
+def polyfit_coeffs(xy):
+    """The fit that the grid basis replaced: np.polyfit per axis, (5, 2)."""
+    return np.stack([np.polyfit(GRID_T, xy[:, i], 4) for i in (0, 1)], axis=1)
+
+
+def reference_synthesize_recovery(ego_future, lateral, angular, duration, fit=PINV.__matmul__):
+    """The per-point recovery on the coefficients that fit gives: the grid
+    fit, or polyfit_coeffs for the tolerance test."""
+    cx, cy = fit(ego_future).T
+    _, vx0, _ = reference_poly_derivatives(cx, 0.0)
+    _, vy0, _ = reference_poly_derivatives(cy, 0.0)
     speed0 = float(np.hypot(vx0, vy0))
     if speed0 < augment.MIN_NOMINAL_SPEED:
         raise SkipSample("nominal future is degenerate (near-stationary)")
@@ -84,19 +91,19 @@ def reference_synthesize_recovery(nominal_future, lateral, angular, duration):
     offset = np.array([0.0, lateral])
 
     def nominal_in_dev(t):
-        px, vx, ax = reference_poly_derivatives(poly.cx, t)
-        py, vy, ay = reference_poly_derivatives(poly.cy, t)
+        px, vx, ax = reference_poly_derivatives(cx, t)
+        py, vy, ay = reference_poly_derivatives(cy, t)
         return rot @ (np.array([px, py]) - offset), rot @ np.array([vx, vy]), rot @ np.array([ax, ay])
 
     d = float(duration)
     pd, vd, ad = nominal_in_dev(d)
-    cx = augment._recovery_axis(0.0, speed0, pd[0], vd[0], ad[0], d)
-    cy = augment._recovery_axis(0.0, 0.0, pd[1], vd[1], ad[1], d)
+    rx = augment._recovery_axis(0.0, speed0, pd[0], vd[0], ad[0], d)
+    ry = augment._recovery_axis(0.0, 0.0, pd[1], vd[1], ad[1], d)
     out = np.empty((T_STEPS, 2))
-    for i, t in enumerate(sample_times()):
+    for i, t in enumerate(GRID_T):
         if t <= d + 1e-12:
-            out[i, 0] = np.polyval(cx, t)
-            out[i, 1] = np.polyval(cy, t)
+            out[i, 0] = np.polyval(rx, t)
+            out[i, 1] = np.polyval(ry, t)
         else:
             out[i] = nominal_in_dev(float(t))[0]
     return out
@@ -120,7 +127,7 @@ def reference_to_deviated(xy, params):
 
 def reference_inject_deviation(sample, params):
     future = reference_synthesize_recovery(
-        sample.ego_future_series(), params.lateral_signed, params.angular_amplitude,
+        sample.ego_future, params.lateral_signed, params.angular_amplitude,
         params.recovery_duration,
     )
     out = copy.deepcopy(sample)
@@ -210,15 +217,14 @@ def sample_bytes(s):
 class TestRecoverySynthesis:
     def test_rejoins_nominal_path(self):
         rng = np.random.default_rng(3)
-        t = sample_times()
+        t = GRID_T
         for _ in range(100):
             speed = rng.uniform(2.0, 8.0)
             curve = rng.uniform(-0.05, 0.05)
             xy = np.stack([speed * t, curve * (speed * t) ** 2], axis=1)
-            nominal = PointSeries(t, xy)
             p = random_deviation_params(rng)
             fut = synthesize_recovery(
-                nominal, p.lateral_signed, p.angular_amplitude, p.recovery_duration
+                xy, p.lateral_signed, p.angular_amplitude, p.recovery_duration
             )
             back = to_nominal_frame(fut, p)
             nom = np.stack(
@@ -258,16 +264,14 @@ class TestRecoverySynthesis:
             assert (np.diff(err[peak:]) <= 1e-9).all()
 
     def test_stationary_future_rejected(self):
-        t = sample_times()
-        nominal = PointSeries(t, np.zeros((t.size, 2)))
         with pytest.raises(SkipSample):
-            synthesize_recovery(nominal, 0.4, 0.0, 1.0)
+            synthesize_recovery(np.zeros((T_STEPS, 2)), 0.4, 0.0, 1.0)
 
 
 class TestInjectDeviation:
     def test_zero_amplitude_is_identity(self, moving_sample):
         p = DeviationParams(0.0, 0.0, 1.0, 1.5)
-        out = inject_deviation(moving_sample, p, moving_sample.ego_future_series())
+        out = inject_deviation(moving_sample, p)
         assert np.allclose(out.e, moving_sample.e, atol=1e-12)
         assert np.allclose(out.v, moving_sample.v, atol=1e-12)
         assert np.allclose(out.ctx, moving_sample.ctx, atol=1e-12)
@@ -277,26 +281,26 @@ class TestInjectDeviation:
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = random_deviation_params(rng)
-            out = inject_deviation(moving_sample, p, moving_sample.ego_future_series())
+            out = inject_deviation(moving_sample, p)
             np.testing.assert_allclose(out.e[-1, -1], 0.0, atol=1e-9)
 
     def test_old_past_unchanged_in_nominal_frame(self, moving_sample):
         # Before the ramp starts the past is a pure frame change.
         p = DeviationParams(0.4, 0.0, 0.5, 1.5)  # ramp covers only last 0.5 s
-        out = inject_deviation(moving_sample, p, moving_sample.ego_future_series())
+        out = inject_deviation(moving_sample, p)
         back = to_nominal_frame(out.e[0, 0][None], p)[0]
         np.testing.assert_allclose(back, moving_sample.e[0, 0], atol=1e-9)
 
     def test_context_updated(self, moving_sample):
         p = DeviationParams(0.8, np.arctan(0.08), 1.0, 1.5, "left")
-        out = inject_deviation(moving_sample, p, moving_sample.ego_future_series())
+        out = inject_deviation(moving_sample, p)
         assert out.ctx[3] != moving_sample.ctx[3]
         assert out.ctx[4] != moving_sample.ctx[4]
         assert out.deviated and not moving_sample.deviated
 
     def test_neighbor_futures_only_rotate(self, moving_sample):
         p = DeviationParams(0.6, np.arctan(0.06), 1.0, 1.2, "right")
-        out = inject_deviation(moving_sample, p, moving_sample.ego_future_series())
+        out = inject_deviation(moving_sample, p)
         rot = _rotation(-p.angular_amplitude)
         for n in range(dataset.N_NEIGHBORS):
             if moving_sample.v_mask[n]:
@@ -392,7 +396,7 @@ class TestMapRebinParity:
             m = densify(s.m)
             ref_cells, ref_labels = reference_rebuild_map(m, *deviation_transforms(params))
             try:
-                got = inject_deviation(s, params, s.ego_future_series()).m
+                got = inject_deviation(s, params).m
                 deviated += 1
             except SkipSample:
                 got = augment._rebuild_map(s.m, params)
@@ -498,17 +502,17 @@ class TestLoopParity:
         # 1.0 is the tenth future tick and 2.0 the last: no tick follows the
         # nominal future there.  The seventh tick is 0.7000000000000001, one
         # step above 0.7, and is still a recovery tick.
-        assert 0.7 < sample_times()[6] < 0.7 + 1e-12
+        assert 0.7 < GRID_T[6] < 0.7 + 1e-12
         recovered = 0
         for s in busy_windows[::4]:
             for lat, ang in ((0.4, 0.0), (-0.8, np.arctan(0.08)), (0.2, -np.arctan(0.02))):
                 try:
-                    ref = reference_synthesize_recovery(s.ego_future_series(), lat, ang, duration)
+                    ref = reference_synthesize_recovery(s.ego_future, lat, ang, duration)
                 except SkipSample:
                     with pytest.raises(SkipSample):
-                        synthesize_recovery(s.ego_future_series(), lat, ang, duration)
+                        synthesize_recovery(s.ego_future, lat, ang, duration)
                     continue
-                got = synthesize_recovery(s.ego_future_series(), lat, ang, duration)
+                got = synthesize_recovery(s.ego_future, lat, ang, duration)
                 assert got.tobytes() == ref.tobytes()
                 recovered += 1
         assert recovered > 100
@@ -526,13 +530,44 @@ class TestLoopParity:
                 ref = reference_inject_deviation(s, params)
             except SkipSample:
                 with pytest.raises(SkipSample):
-                    inject_deviation(s, params, s.ego_future_series())
+                    inject_deviation(s, params)
                 continue
-            got = inject_deviation(s, params, s.ego_future_series())
+            got = inject_deviation(s, params)
             assert sample_bytes(got) == sample_bytes(ref)
             assert sample_bytes(s) == before  # the input is not written to
             deviated += 1
         assert deviated > 150
+
+
+@pytest.fixture(scope="module")
+def both_towns(busy_windows):
+    """Every other busy train-town window, and every window of two
+    test-town episodes."""
+    test_town = sw.build_town("test")
+    out = busy_windows[::2]
+    for seed in (3, 4):
+        log = sw.record_episode(test_town, seed=seed, duration=30.0, n_cars=8, n_pedestrians=3)
+        out = out + dataset.extract_windows(log, test_town)
+    return out
+
+
+class TestGridFit:
+    """The recovery reads the window's grid fit, PINV @ ego_future, in place
+    of np.polyfit: a declared float move of the recovery labels alone."""
+
+    def test_augment_matches_polyfit_reference(self, both_towns, monkeypatch):
+        config = AugmentConfig(mode="full", fraction=1.0)
+        got = augment_samples(both_towns, config, 4)
+        polyfit_recovery = partial(reference_synthesize_recovery, fit=polyfit_coeffs)
+        monkeypatch.setattr(augment, "synthesize_recovery", polyfit_recovery)
+        ref = augment_samples(both_towns, config, 4)
+        assert len(both_towns) >= 600 and len({s.episode_seed for s in both_towns}) == 5
+        # The same SkipSample decisions, so the same deviated count.
+        assert [s.deviated for s in got] == [s.deviated for s in ref]
+        assert 0 < sum(s.deviated for s in got) < len(got)
+        for a, b in zip(got, ref):
+            assert samples_equal(replace(a, ego_future=b.ego_future), b)
+            np.testing.assert_allclose(a.ego_future, b.ego_future, rtol=0, atol=1e-12)
 
 
 class TestPositionNoise:

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import shutil
 import struct
 import zipfile
 
@@ -433,6 +434,26 @@ class TestPipeline:
             h2 = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             assert h1 == h2
 
+    def test_augment_golden_bytes(self, tmp_path, monkeypatch, capsys):
+        # One recorded 30 s episode, augmented with every operator on: 213 of
+        # its 261 windows deviated, the others skipped as near-stationary.
+        # The recovery reads the window's grid fit, PINV @ ego_future.  The
+        # paths are relative, as the header's config hash covers the input's.
+        monkeypatch.chdir(tmp_path)
+        src, out = tmp_path / "train.jsonl", tmp_path / "aug.jsonl"
+        assert main(["record", "--seed", "5", "--out", ".", "episodes = 1", "duration = 30.0"]) == 0
+        rc = main(["augment", "--seed", "1", "--out", "aug.jsonl", 'input = "train.jsonl"',
+                   "mode = full", "fraction = 1.0", "sigma_long = 0.1", "sigma_lat = 0.05",
+                   "p_remove = 0.1", "p_add = 0.02"])
+        assert rc == 0
+        samples, _ = dataset.read_dataset(out)
+        assert (len(samples), sum(s.deviated for s in samples)) == (261, 213)
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (src, out)]
+        assert digests == [
+            "984a3b326060d6b20aeeb2c3a5c523f04c15b14e8c7b31d2eb5a0de74fac448f",
+            "5b4d6a1ff14b4d84e23a5758b11c3b8632a0a37e70729d334cc0b4b0776f3f30",
+        ]
+
     def test_augment_train_eval(self, tiny_dataset, tmp_path, capsys):
         aug = tmp_path / "aug.jsonl"
         rc = main(
@@ -558,29 +579,49 @@ class TestPipeline:
         rc, err = self._eval_bad_checkpoint(bytes(data), tiny_dataset, tmp_path, capsys)
         assert rc == 2 and err.startswith(f"polydrive eval-offline: {tmp_path}/bad.npz: "), err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("head0.W1", np.nan, "array head0.W1 holds nan"),
+        ("ego_enc.b0", -np.inf, "array ego_enc.b0 holds -inf"),
+        ("map_enc.b0", np.float32, "array map_enc.b0 has dtype float32, expected float64"),
+    ])
+    def test_bad_checkpoint_value_is_2(self, key, value, message, tiny_dataset, tmp_path, capsys):
+        # A NaN weight once ended eval-offline with exit 3, naming a layer,
+        # and a float32 array was taken.
+        path = tmp_path / "m.npz"
+        model.save_checkpoint(_checkpoint_value(model.init_params(0), key, 7, value), path)
+        rc, err = self._eval_bad_checkpoint(path.read_bytes(), tiny_dataset, tmp_path, capsys)
+        assert (rc, err) == (2, f"polydrive eval-offline: {tmp_path}/bad.npz: {message}\n")
+
     def test_mutated_checkpoints_never_trace_back(self, tiny_dataset, tmp_path, capsys):
         # Seeded mutants of one checkpoint: truncations, changed bytes and
         # deleted runs of up to 64 bytes, placed anywhere in the file or in
-        # its first or last 4 KB (zip headers, small arrays, the directory).
-        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        # its first or last 4 KB (zip headers, small arrays, the directory),
+        # and one weight of one array set to NaN or +-inf.
+        params = model.init_params(0)
+        model.save_checkpoint(params, tmp_path / "m.npz")
         data = (tmp_path / "m.npz").read_bytes()
         rng = random.Random(22)
-        codes = []
-        for _ in range(40):
+        codes = {}
+        for _ in range(48):
             mutant = bytearray(data)
             where = rng.choice(("anywhere", "head", "tail"))
             at = {"anywhere": rng.randrange(len(data)), "head": rng.randrange(4096),
                   "tail": len(data) - 1 - rng.randrange(4096)}[where]
-            kind = rng.choice(("truncate", "change", "delete"))
+            kind = rng.choice(("truncate", "change", "delete", "value"))
             if kind == "truncate":
                 del mutant[at:]
             elif kind == "change":
                 mutant[at] ^= rng.randrange(1, 256)
-            else:
+            elif kind == "delete":
                 del mutant[at : at + rng.randint(1, 64)]
+            else:
+                key = rng.choice(sorted(params))
+                value = rng.choice((np.nan, np.inf, -np.inf))
+                model.save_checkpoint(_checkpoint_value(params, key, at, value), tmp_path / "v.npz")
+                mutant = (tmp_path / "v.npz").read_bytes()
             rc, _ = self._eval_bad_checkpoint(bytes(mutant), tiny_dataset, tmp_path, capsys)
-            codes.append(rc)
-        assert codes.count(2) >= 30
+            codes.setdefault(kind == "value", []).append(rc)
+        assert codes[False].count(2) >= 30 and len(codes[True]) >= 5 and set(codes[True]) == {2}
 
     def test_empty_dataset_eval_offline_is_2(self, tmp_path, capsys):
         dataset.write_dataset([], tmp_path / "empty.jsonl")
@@ -611,6 +652,18 @@ class TestPipeline:
             f"polydrive eval-offline: {tmp_path}/m.npz: array map_enc.W0 has shape (4680, 64), "
             "expected (4680, 128)\n"
         )
+
+
+def _checkpoint_value(params, key, at, value):
+    """A copy of params with one weight of params[key] set to value, or with
+    that array cast to value's type."""
+    params = dict(params)
+    if isinstance(value, type):
+        params[key] = params[key].astype(value)
+    else:
+        params[key] = params[key].copy()
+        params[key].flat[at % params[key].size] = value
+    return params
 
 
 def edit_record(src, dst, lineno, edit):
@@ -696,6 +749,19 @@ class TestDatasetValues:
         assert rc == 3
         err = capsys.readouterr().err
         assert err == "polydrive augment: numerical failure: overflow encountered in multiply\n"
+        assert not out.exists()
+
+    def test_noise_beyond_the_reader_bound_is_3(self, tiny_dataset, tmp_path, capsys):
+        # Position noise of sigma 1e6 once wrote a dataset whose values its
+        # own reader refuses (exit 2 on the next read).
+        out = tmp_path / "a.jsonl"
+        rc = main(["augment", "--out", str(out), f'input = "{tiny_dataset}/val.jsonl"',
+                   "sigma_long = 1e6", "sigma_lat = 1e6"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("polydrive augment: numerical failure: episode 300001 tick 19: "
+                              "field 'e' holds ")
+        assert err.endswith(", not a number of size at most 1e+06\n") and err.count("\n") == 1
         assert not out.exists()
 
     def test_mutated_datasets_never_trace_back(self, tiny_dataset, tmp_path, capsys):
@@ -898,6 +964,46 @@ class TestClosedLoopAndReport:
         assert err.startswith(f"polydrive report: {traces}/task_1.jsonl: {message}")
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
+
+    def test_mutated_traces_never_trace_back(self, expert_run, tmp_path, capsys):
+        # Seeded mutants of one trace.  On its bytes: truncations, changed
+        # bytes and deleted runs of 1-64 bytes.  On one tick's states: a
+        # float set to NaN, +-inf or 1e300, or with the top bit of its
+        # exponent flipped.
+        src = sorted((expert_run / "traces").glob("*.jsonl"))[0]
+        text = src.read_bytes()
+        traces, out = tmp_path / "traces", tmp_path / "r"
+        traces.mkdir()
+        path = traces / "task_1.jsonl"
+        rng = random.Random(28)
+        codes = {}
+        for _ in range(40):
+            kind = rng.choice(("truncate", "change", "delete", "value"))
+            if kind == "value":
+                kind = rng.choice(("nan", "inf", "-inf", "1e300", "flip"))
+                edit = edit_array("s", "<f8", _mutate_value(rng, kind))
+                edit_record(src, path, rng.randrange(2, text.count(b"\n") + 1), edit)
+            else:
+                mutant = bytearray(text)
+                at = rng.randrange(len(mutant))
+                if kind == "truncate":
+                    del mutant[at:]
+                elif kind == "change":
+                    mutant[at] ^= rng.randrange(1, 256)
+                else:
+                    del mutant[at : at + rng.randint(1, 64)]
+                path.write_bytes(bytes(mutant))
+            shutil.rmtree(out, ignore_errors=True)
+            rc = main(["report", "--out", str(out), f'traces = "{traces}"'])
+            err = capsys.readouterr().err
+            assert rc in (0, 2), (kind, rc, err)
+            assert err.count("\n") == (rc == 2) and "Traceback" not in err, err
+            assert out.exists() == (rc == 0)
+            codes.setdefault(kind, []).append(rc)
+        # Every state set out of range is refused; a flipped exponent bit
+        # may leave a value in range.
+        refused = [rc for k in ("nan", "inf", "-inf", "1e300") for rc in codes.get(k, [])]
+        assert len(refused) >= 5 and set(refused) == {2}
 
     def test_format_1_trace_is_2(self, expert_run, tmp_path, capsys):
         # Format 1 stored the clock, states, every agent's commands and the

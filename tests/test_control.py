@@ -16,12 +16,7 @@ from polydrive.control import (
 )
 from polydrive.dataset import NavigationCommand, samples_equal
 from polydrive.simworld import TARGET_SPEED, TICK, WHEELBASE
-from polydrive.trajectory import (
-    PointSeries,
-    PolyTrajectory2D,
-    fit_polynomial,
-    sample_times,
-)
+from polydrive.trajectory import GRID_T, PINV, PolyTrajectory2D
 from test_trajectory import sample_trajectory
 
 
@@ -31,14 +26,13 @@ def town():
 
 
 def straight_poly(speed):
-    t = sample_times()
-    xy = np.stack([speed * t, np.zeros_like(t)], axis=1)
-    return fit_polynomial(PointSeries(t, xy))
+    xy = np.stack([speed * GRID_T, np.zeros_like(GRID_T)], axis=1)
+    return PolyTrajectory2D(*(PINV @ xy).T)
 
 
 def reference_speed_target(poly):
-    """The speed target on a validated PointSeries of the sampled trajectory."""
-    pts = sample_trajectory(poly).xy
+    """The speed target on the sampled trajectory's points."""
+    pts = sample_trajectory(poly)
     arc = float(np.linalg.norm(pts[0]))
     arc += float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
     return min(arc / 2.0, TARGET_SPEED)
@@ -111,7 +105,7 @@ class TestPidTrack:
         # less than 30% overshoot.
         state = sw.AgentState(0, "car", 0.0, 0.5, 0.0, TARGET_SPEED)
         pid = PidState()
-        t = sample_times()
+        t = GRID_T
         overshoot = 0.0
         ys = []
         for _ in range(40):
@@ -120,7 +114,7 @@ class TestPidTrack:
                 [state.x + state.speed * t, np.zeros_like(t)], axis=1
             )
             rel = (ahead - [state.x, state.y]) @ np.array([[c, -s], [s, c]])
-            poly = fit_polynomial(PointSeries(t, rel))
+            poly = PolyTrajectory2D(*(PINV @ rel).T)
             steer, accel, pid = pid_track(poly, state, pid)
             state.x += state.speed * np.cos(state.heading) * TICK
             state.y += state.speed * np.sin(state.heading) * TICK

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from test_kernels import densify, sparsify
 from test_simworld import array_crossing_ped_distances, array_leading_vehicles, scalar_nearest_lane
-from test_trajectory import Pose2D, xy_to_frame
+from test_trajectory import Pose2D, normal_equations_fit, xy_to_frame
 
 from polydrive import dataset, kernels, simworld as sw
 from polydrive.augment import AugmentConfig, augment_samples
@@ -31,7 +31,7 @@ from polydrive.dataset import (
 )
 from polydrive.errors import DataFormatError
 from polydrive.model import init_params, save_checkpoint
-from polydrive.trajectory import PointSeries, fit_polynomial, sample_times
+from polydrive.trajectory import GRID_T
 
 
 @pytest.fixture(scope="module")
@@ -285,14 +285,11 @@ class TestHistoryTensor:
 class TestFutureFit:
     def test_matches_generic_fit_on_grid(self):
         rng = np.random.default_rng(0)
-        t = sample_times()
         for _ in range(50):
             xy = rng.normal(0.0, 4.0, (T_STEPS, 2))
             smoothed = fit_future_points(xy)
-            poly = fit_polynomial(PointSeries(t, xy))
-            expected = np.stack(
-                [np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=1
-            )
+            cx, cy = (normal_equations_fit(GRID_T, xy[:, i], 4) for i in (0, 1))
+            expected = np.stack([np.polyval(cx, GRID_T), np.polyval(cy, GRID_T)], axis=1)
             np.testing.assert_allclose(smoothed, expected, atol=1e-8)
 
 
@@ -1080,6 +1077,30 @@ class TestSerialization:
             f.write("{broken\n")
         with pytest.raises(DataFormatError, match="line 4: "):
             read_dataset(path)
+
+    def test_line_boundaries(self, samples, tmp_path):
+        # Records are decoded as they are read; the line numbers and messages
+        # are those of the whole-file split that came before.
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"")
+        with pytest.raises(DataFormatError, match=r"d\.jsonl: empty file$"):
+            read_dataset(path)
+        write_dataset(samples[:2], path)
+        text = path.read_bytes()
+        header, first, second = text.splitlines()
+        for lines, lineno in (([header, b"", first, second], 2), ([header, first, second, b""], 4),
+                              ([b""], 1)):
+            path.write_bytes(b"".join(line + b"\n" for line in lines))
+            with pytest.raises(DataFormatError) as err:
+                read_dataset(path)
+            assert str(err.value) == (
+                f"{path}: line {lineno}: Expecting value: line 1 column 1 (char 0)"
+            )
+        path.write_bytes(text[:-1])  # no final newline
+        back, _ = read_dataset(path)
+        assert len(back) == 2
+        for a, b in zip(back, samples):
+            assert_same_bits(a, b)
 
 
 def _b64(edit):

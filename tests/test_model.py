@@ -8,6 +8,7 @@ from test_kernels import densify, sparsify
 from polydrive import dataset, model, simworld as sw
 from polydrive.dataset import N_NEIGHBORS, NavigationCommand
 from polydrive.errors import DataFormatError, NumericalError
+from polydrive.trajectory import GRID_T
 from polydrive.model import (
     TrainConfig,
     adam_step,
@@ -233,7 +234,7 @@ class TestForward:
         rng = np.random.default_rng(1)
         coeffs = rng.normal(size=(3, 10))
         pts = coeffs_to_points(coeffs)
-        t = model._T
+        t = GRID_T
         for i in range(3):
             np.testing.assert_allclose(pts[i, :, 0], np.polyval(coeffs[i, :5], t))
             np.testing.assert_allclose(pts[i, :, 1], np.polyval(coeffs[i, 5:], t))

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydrive.errors import InsufficientDataError, InvalidInputError
+from polydrive.errors import InvalidInputError
 from polydrive.trajectory import (
     DEGREE,
     DT,
+    GRID_T,
     HORIZON,
-    PointSeries,
+    PINV,
+    VAND,
     PolyTrajectory2D,
-    fit_polynomial,
-    sample_times,
     wrap_heading,
 )
 
@@ -24,71 +24,60 @@ def normal_equations_fit(t, values, degree):
     return np.linalg.solve(v.T @ v, v.T @ values)
 
 
-def random_series(rng, n=24, t_span=2.0):
-    t = np.sort(rng.uniform(-t_span, t_span, n))
-    xy = rng.normal(0.0, 5.0, (n, 2))
-    return PointSeries(t, xy)
-
-
 class TestFit:
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            pts = random_series(rng)
-            poly = fit_polynomial(pts)
-            cx = normal_equations_fit(pts.t, pts.xy[:, 0], DEGREE)
-            cy = normal_equations_fit(pts.t, pts.xy[:, 1], DEGREE)
-            np.testing.assert_allclose(poly.cx, cx, rtol=0, atol=1e-6)
-            np.testing.assert_allclose(poly.cy, cy, rtol=0, atol=1e-6)
+            xy = rng.normal(0.0, 5.0, (GRID_T.size, 2))
+            cx, cy = (PINV @ xy).T
+            np.testing.assert_allclose(cx, normal_equations_fit(GRID_T, xy[:, 0], DEGREE),
+                                       rtol=0, atol=1e-6)
+            np.testing.assert_allclose(cy, normal_equations_fit(GRID_T, xy[:, 1], DEGREE),
+                                       rtol=0, atol=1e-6)
 
     def test_recovers_exact_polynomial_data(self):
         rng = np.random.default_rng(1)
-        t = np.linspace(-1.0, 2.0, 12)
         for _ in range(50):
             cx = rng.normal(0.0, 2.0, DEGREE + 1)
             cy = rng.normal(0.0, 2.0, DEGREE + 1)
-            xy = np.stack([np.polyval(cx, t), np.polyval(cy, t)], axis=1)
-            poly = fit_polynomial(PointSeries(t, xy))
-            np.testing.assert_allclose(poly.cx, cx, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(poly.cy, cy, rtol=0, atol=1e-9)
-
-    def test_minimum_point_count(self):
-        t = np.linspace(0.0, 1.0, DEGREE)  # one short
-        with pytest.raises(InsufficientDataError):
-            fit_polynomial(PointSeries(t, np.zeros((DEGREE, 2))))
+            xy = np.stack([np.polyval(cx, GRID_T), np.polyval(cy, GRID_T)], axis=1)
+            coeffs = PINV @ xy
+            np.testing.assert_allclose(coeffs[:, 0], cx, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(coeffs[:, 1], cy, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(VAND @ coeffs, xy, rtol=0, atol=1e-9)
 
     def test_rejects_non_finite(self):
-        t = np.linspace(0.0, 1.0, 8)
-        xy = np.zeros((8, 2))
+        # The fit passes a NaN on; the trajectory made of it refuses it.
+        xy = np.zeros((GRID_T.size, 2))
         xy[3, 0] = np.nan
         with pytest.raises(InvalidInputError):
-            fit_polynomial(PointSeries(t, xy))
+            PolyTrajectory2D(*(PINV @ xy).T)
 
 
 def sample_trajectory(poly):
-    """The trajectory evaluated at sample_times(), as a validated PointSeries:
-    the reference control.trajectory_speed_target is checked against."""
-    t = sample_times()
-    xy = np.stack([np.polyval(poly.cx, t), np.polyval(poly.cy, t)], axis=1)
-    return PointSeries(t, xy)
+    """The trajectory evaluated at GRID_T, (T, 2): the reference
+    control.trajectory_speed_target is checked against."""
+    return np.stack([np.polyval(poly.cx, GRID_T), np.polyval(poly.cy, GRID_T)], axis=1)
 
 
 class TestSampling:
     def test_sample_times_grid(self):
-        t = sample_times()
+        t = GRID_T
         assert t.size == int(round(HORIZON / DT))
         np.testing.assert_allclose(t[0], DT)
         np.testing.assert_allclose(t[-1], HORIZON)
         np.testing.assert_allclose(np.diff(t), DT)
+        assert VAND.shape == (t.size, DEGREE + 1) and PINV.shape == (DEGREE + 1, t.size)
 
     def test_sample_trajectory_evaluates_polynomial(self):
         poly = PolyTrajectory2D(
             np.array([0.1, -0.2, 0.3, 1.0, 0.0]),
             np.array([0.0, 0.5, -0.1, 2.0, -1.0]),
         )
-        pts = sample_trajectory(poly)
-        np.testing.assert_allclose(pts.xy[:, 0], np.polyval(poly.cx, pts.t))
-        np.testing.assert_allclose(pts.xy[:, 1], np.polyval(poly.cy, pts.t))
+        xy = sample_trajectory(poly)
+        np.testing.assert_allclose(xy[:, 0], np.polyval(poly.cx, GRID_T))
+        np.testing.assert_allclose(xy[:, 1], np.polyval(poly.cy, GRID_T))
+        np.testing.assert_allclose(xy, VAND @ np.stack([poly.cx, poly.cy], axis=1), atol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -139,18 +128,18 @@ class TestFrames:
     )
     def test_round_trip_identity(self, x, y, h, seed):
         rng = np.random.default_rng(seed)
-        pts = random_series(rng, n=10)
-        local = to_frame(pts.xy, x, y, h)
+        pts = rng.normal(0.0, 5.0, (10, 2))
+        local = to_frame(pts, x, y, h)
         # Undo the transform: rotate back by the heading, then translate.
         c, s = np.cos(wrap_heading(h)), np.sin(wrap_heading(h))
         back = local @ np.array([[c, s], [-s, c]]) + [x, y]
-        np.testing.assert_allclose(back, pts.xy, atol=1e-9)
+        np.testing.assert_allclose(back, pts, atol=1e-9)
 
     def test_to_frame_is_rigid(self):
         rng = np.random.default_rng(3)
-        pts = random_series(rng, n=10)
-        local = to_frame(pts.xy, 4.0, -2.0, 0.7)
-        d_world = np.linalg.norm(np.diff(pts.xy, axis=0), axis=1)
+        pts = rng.normal(0.0, 5.0, (10, 2))
+        local = to_frame(pts, 4.0, -2.0, 0.7)
+        d_world = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         d_local = np.linalg.norm(np.diff(local, axis=0), axis=1)
         np.testing.assert_allclose(d_local, d_world, atol=1e-9)
 
