@@ -147,7 +147,7 @@ def _rebuild_map(m: np.ndarray, params: DeviationParams) -> np.ndarray:
     dists = np.array([1e9 if np.isnan(p[0]) else np.linalg.norm(p) for p in tracks[:, -1]])
     if len(ids) and ids[0] == 0:
         tracks[0] = _warp_past(tracks[0], _PAST_T, params)
-    (out,) = kernels.bin_proximity(_to_deviated(tracks, params), dists, K_WINDOW)
+    (out,) = kernels.bin_proximity(_to_deviated(tracks, params), dists)
     xy = out["xy"]
     xy[np.isnan(xy)] = 0.0  # payload slots of absent ticks
     out["label"] = ids[out["label"]]

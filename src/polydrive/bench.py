@@ -164,6 +164,31 @@ def _runs(flags: np.ndarray, min_len: int = 1) -> list[int]:
     return starts[ends - starts >= min_len].tolist()
 
 
+def light_entries(trace: EpisodeLog, network: RoadNetwork) -> list[tuple[int, bool]]:
+    """(tick, green) for each time the ego enters the core of a lit junction,
+    junction by junction: the first tick within CORE_RADIUS of its centre,
+    and whether the light of its approach was green then.  The pose at that
+    tick is already mid-turn, so the approach axis is that of the road
+    segment nearest the last tick more than 3 m outside the core.  A
+    junction is lit from that approach when the trace has a light group for
+    its (node, axis).  The one red-light rule: both the red_light_run events
+    and a drive's light counts come from it."""
+    pos = trace.states[:, trace.car_indices()[0], :2]
+    junction_d = np.linalg.norm(pos[:, None, :] - network.junction_pos, axis=2)
+    entries = []
+    for node_id, d in zip(network.junction_ids, junction_d.T):
+        for i in np.flatnonzero((d[:-1] > CORE_RADIUS) & (d[1:] <= CORE_RADIUS)).tolist():
+            j = i
+            while j > 0 and d[j] <= CORE_RADIUS + 3.0:
+                j -= 1
+            dist, _ = segment_features(pos[j : j + 1], network.seg_a, network.seg_b)
+            axis = network.signal_axis(int(np.argmin(dist[0])))
+            group = trace.group_index.get((int(node_id), axis))
+            if group is not None:
+                entries.append((i + 1, bool(trace.lights[i + 1, group])))
+    return entries
+
+
 def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[InfractionEvent]:
     """Post-hoc scan of the ego row of a trace for all infraction kinds."""
     ego = trace.car_indices()[0]
@@ -215,19 +240,9 @@ def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[Infracti
         for i in _runs(d < threshold):
             events.append(InfractionEvent(label, i, tuple(pos[i])))
 
-    # Red-light runs: stop-line (junction core boundary) crossings during red.
-    for node_id, d in zip(network.junction_ids, junction_d.T):
-        crossing = (d[:-1] > CORE_RADIUS) & (d[1:] <= CORE_RADIUS)
-        for i in np.flatnonzero(crossing):
-            # The pose at the crossing tick is already mid-turn; classify the
-            # approach from the last tick clearly before the junction, by the
-            # road segment the car was on.
-            j = int(i)
-            while j > 0 and d[j] <= CORE_RADIUS + 3.0:
-                j -= 1
-            axis = network.signal_axis(int(np.argmin(dist[j])))
-            if not trace.light_green_at(int(i + 1), int(node_id), axis):
-                events.append(InfractionEvent("red_light_run", int(i + 1), tuple(pos[i + 1])))
+    for i, green in light_entries(trace, network):
+        if not green:
+            events.append(InfractionEvent("red_light_run", i, tuple(pos[i])))
 
     events.sort(key=lambda e: (e.tick, e.kind))
     return events
@@ -275,26 +290,16 @@ def run_task(
         map_perturb=map_perturb,
         noise_seed=task.seed,
     )
+    return score(result, network)
+
+
+def score(result: DriveResult, network: RoadNetwork) -> DriveResult:
+    """The drive with its infractions and light counts set from its trace."""
+    entries = light_entries(result.trace, network)
     result.infractions = detect_infractions(result.trace, network)
+    result.lights_encountered = len(entries)
+    result.lights_run = sum(not green for _, green in entries)
     return result
-
-
-def run_suite(
-    network: RoadNetwork,
-    tasks: list[BenchTask],
-    params=None,
-    expert: bool = False,
-    noise_sigma=(0.0, 0.0),
-    map_perturb=(0.0, 0.0),
-    progress=None,
-) -> list[tuple[BenchTask, DriveResult]]:
-    out = []
-    for i, task in enumerate(tasks):
-        result = run_task(network, task, params, expert, noise_sigma, map_perturb)
-        out.append((task, result))
-        if progress:
-            progress(i, task, result)
-    return out
 
 
 def aggregate_report(

@@ -17,7 +17,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from . import augment, bench, dataset, model, simworld
+from . import augment, bench, codec, dataset, model, simworld
 from .control import DriveResult
 from .errors import DataFormatError, NumericalError, PolydriveError
 
@@ -105,7 +105,7 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         value = value.strip()
         try:
-            out[key] = json.loads(value)
+            out[key] = codec.loads(value)
         except json.JSONDecodeError:
             out[key] = value
     return out
@@ -256,16 +256,14 @@ def cmd_eval_offline(cfg: dict, out: str | None) -> None:
 
 
 # Trace metadata: key -> (type, and the BenchTask or DriveResult attribute
-# it holds).  eval-closedloop writes these keys and report reads them back.
+# it holds).  eval-closedloop writes these keys and report reads them back;
+# report scores the rest from the states.
 TRACE_META = {
     "task_kind": (str, bench.BenchTask, "kind"),
     "task_seed": (int, bench.BenchTask, "seed"),
     "town": (str, bench.BenchTask, "town"),
     "reached_goal": (bool, DriveResult, "reached_goal"),
-    "elapsed": (float, DriveResult, "elapsed"),
     "distance_m": (float, DriveResult, "distance_m"),
-    "lights_encountered": (int, DriveResult, "lights_encountered"),
-    "lights_run": (int, DriveResult, "lights_run"),
 }
 
 
@@ -294,11 +292,6 @@ def _read_trace(path: str) -> simworld.EpisodeLog:
             raise DataFormatError(
                 f"{path}: trace metadata {key!r} must be {kind.__name__}, got {meta.get(key)!r}"
             )
-    if not 0 <= meta["lights_run"] <= meta["lights_encountered"]:
-        raise DataFormatError(
-            f"{path}: trace metadata lights_run {meta['lights_run']} is not within "
-            f"0 .. lights_encountered {meta['lights_encountered']}"
-        )
     if len(trace) == 0 or "car" not in trace.kinds:
         raise DataFormatError(f"{path}: trace has no ticks or no car (the ego is the first car)")
     return trace
@@ -306,10 +299,11 @@ def _read_trace(path: str) -> simworld.EpisodeLog:
 
 def _scored_trace(trace: simworld.EpisodeLog, network) -> tuple[bench.BenchTask, DriveResult]:
     args = {bench.BenchTask: {"lane_ids": ()},
-            DriveResult: {"trace": trace, "infractions": bench.detect_infractions(trace, network)}}
+            DriveResult: {"trace": trace, "elapsed": len(trace) * simworld.TICK}}
     for key, (kind, owner, attr) in TRACE_META.items():
         args[owner][attr] = kind(trace.meta[key])
-    return bench.BenchTask(**args[bench.BenchTask]), DriveResult(**args[DriveResult])
+    task = bench.BenchTask(**args[bench.BenchTask])
+    return task, bench.score(DriveResult(**args[DriveResult]), network)
 
 
 def _read_offline_eval(path: str) -> dict:
@@ -317,13 +311,17 @@ def _read_offline_eval(path: str) -> dict:
     was nothing to measure."""
     try:
         with open(path) as f:
-            block = json.load(f)
+            block = codec.loads(f.read())
     except ValueError as e:  # JSON and UTF-8 errors
         raise DataFormatError(f"{path}: {e}") from e
     mae = block.get("mae") if isinstance(block, dict) else None
-    # NaN passes: files written before null replaced it hold NaN.
+    # NaN passes: files written before null replaced it hold NaN.  An int
+    # must fit a float, as the report prints each value as one.
     numbers = (int, float, type(None))
-    if not isinstance(mae, dict) or any(type(v) not in numbers for v in mae.values()):
+    if not isinstance(mae, dict) or any(
+        type(v) not in numbers or type(v) is int and abs(v) > sys.float_info.max
+        for v in mae.values()
+    ):
         raise DataFormatError(
             f"{path}: not an eval-offline output (an object whose 'mae' holds numbers or null)"
         )
@@ -355,22 +353,16 @@ def cmd_eval_closedloop(cfg: dict, out: str) -> None:
     if kinds:
         tasks = [t for t in tasks if t.kind in kinds]
     os.makedirs(os.path.join(out, TRACE_DIRNAME), exist_ok=True)
-    results = bench.run_suite(
-        network,
-        tasks,
-        params,
-        expert=expert,
-        noise_sigma=(_get(cfg, "sigma_long"), _get(cfg, "sigma_lat")),
-        map_perturb=(_get(cfg, "p_remove"), _get(cfg, "p_add")),
-        progress=lambda i, t, r: print(
-            f"[{i + 1:3d}/{len(tasks)}] {t.kind:<12} seed {t.seed}  "
-            f"{'ok' if r.reached_goal else 'FAIL'}  "
-            f"{len(r.infractions)} infraction(s)"
-        ),
-    )
+    noise_sigma = (_get(cfg, "sigma_long"), _get(cfg, "sigma_lat"))
+    map_perturb = (_get(cfg, "p_remove"), _get(cfg, "p_add"))
+    results = []
+    for i, task in enumerate(tasks):
+        result = bench.run_task(network, task, params, expert, noise_sigma, map_perturb)
+        results.append((task, result))
+        print(f"[{i + 1:3d}/{len(tasks)}] {task.kind:<12} seed {task.seed}  "
+              f"{'ok' if result.reached_goal else 'FAIL'}  {len(result.infractions)} infraction(s)")
     for task, result in results:
-        path = os.path.join(out, TRACE_DIRNAME, f"task_{task.seed}.jsonl")
-        _write_trace(path, task, result)
+        _write_trace(os.path.join(out, TRACE_DIRNAME, f"task_{task.seed}.jsonl"), task, result)
     _emit_report(results, offline_eval, cfg, out)
 
 

@@ -70,9 +70,18 @@ def check_version(header: dict, version: int) -> None:
         )
 
 
+def loads(text: str | bytes):
+    """json.loads; JSON nested too deeply to decode is a ValueError, as other
+    bad JSON is, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _parse_line(path, lineno: int, line: bytes, decode):
     try:
-        obj = json.loads(line.decode())
+        obj = loads(line.decode())
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
         return decode(obj)

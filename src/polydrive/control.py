@@ -212,6 +212,8 @@ class LiveSampler:
 
 @dataclass
 class DriveResult:
+    """A drive's outcome; bench.score sets the infractions and light counts from the trace."""
+
     reached_goal: bool
     elapsed: float
     trace: EpisodeLog
@@ -219,10 +221,6 @@ class DriveResult:
     lights_encountered: int = 0
     lights_run: int = 0
     distance_m: float = 0.0
-
-    def __post_init__(self):
-        if self.lights_run > self.lights_encountered:
-            raise ValueError("lights_run cannot exceed lights_encountered")
 
 
 def route_timeout(route_length: float) -> float:
@@ -259,10 +257,6 @@ def drive_task(
     pid = PidState()
 
     rows = []
-    lit_events = [ev for ev in route.events if ev.lit]
-    passed = [False] * len(lit_events)
-    lights_encountered = 0
-    lights_run = 0
     reached = False
     distance = 0.0
     tick = 0
@@ -292,15 +286,7 @@ def drive_task(
         distance += float(np.linalg.norm(xy - prev_xy))
         prev_xy = xy.copy()
 
-        # Stop-line crossings at lit junctions along the planned route.
         s_now = route.project(xy, ego.route_s if ego.route is route else 0.0)
-        for j, ev in enumerate(lit_events):
-            if not passed[j] and s_now > ev.s_stop:
-                passed[j] = True
-                lights_encountered += 1
-                if not world.light_green(ev.node_id, ev.axis):
-                    lights_run += 1
-
         if (
             float(np.linalg.norm(xy - goal_xy)) <= GOAL_TOLERANCE
             and s_now > goal_s - 30.0
@@ -312,7 +298,5 @@ def drive_task(
         reached_goal=reached,
         elapsed=tick * TICK,
         trace=EpisodeLog.from_world(world, rows, policy="expert" if expert else "model"),
-        lights_encountered=lights_encountered,
-        lights_run=lights_run,
         distance_m=distance,
     )

@@ -18,16 +18,14 @@ import numpy as np
 
 from . import kernels, simworld
 from .codec import check_version, pack, read_records, unpack, unpack_rows, write_records
-from .kernels import MAP_COLS, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
+from .kernels import K_WINDOW, MAP_COLS, MAP_ENTRY, MAP_EXTENT_LAT, MAP_EXTENT_LONG, MAP_ROWS
 from .simworld import EpisodeLog, RoadNetwork
 from .trajectory import PINV, VAND, wrap_heading
 
 T_STEPS = 20
-K_WINDOW = 3
 N_NEIGHBORS = 5
 WINDOW_TICKS = 2 * T_STEPS  # 2 s past + 2 s future
 DATASET_FORMAT_VERSION = 2
-MAP_ENTRY = kernels.map_entry(K_WINDOW)
 MAP_SIZE = MAP_ROWS * MAP_COLS * T_STEPS  # cells of one map
 
 # Context feature caps (meters / rad / m/s); see ContextFeatures order below.
@@ -230,7 +228,7 @@ def assemble_sample(
     v_mask = np.zeros((n_win, N_NEIGHBORS), dtype=bool)
     v_mask[:, :n_nb] = True
     # Map labels are track rows, so owners are numbered in ascending agent id.
-    maps = kernels.bin_proximity(rel[:, :, :T_STEPS], dists[n_win:], K_WINDOW)
+    maps = kernels.bin_proximity(rel[:, :, :T_STEPS], dists[n_win:])
     ctx = compute_context(network, frames, c, s, cars, peds, light_green)
     if tracks.shape[2] == WINDOW_TICKS:
         # Neighbor futures relative to their center; the ego's less 0.0 keeps its bits.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from functools import cache
 
 import numpy as np
 
@@ -22,22 +21,18 @@ MAP_EXTENT_LONG = 65.0
 MAP_EXTENT_LAT = 10.5
 CELL_LONG = MAP_EXTENT_LONG / MAP_ROWS  # 5.0
 CELL_LAT = MAP_EXTENT_LAT / MAP_COLS  # 3.5
+K_WINDOW = 3  # consecutive positions stored per occupied cell
+# An occupied (row, col, tick) cell's flat index, owner and last K (x, y).
+MAP_ENTRY = np.dtype([("cell", "<u2"), ("label", "<i8"), ("xy", "<f8", (2 * K_WINDOW,))])
 
 
-@cache  # building it anew costs about 1 us, at every live tick's binning
-def map_entry(window):
-    """An occupied (row, col, tick) cell's flat index, owner and last K (x, y)."""
-    return np.dtype([("cell", "<u2"), ("label", "<i8"), ("xy", "<f8", (2 * window,))])
-
-
-def bin_proximity(rel, dists, window):
+def bin_proximity(rel, dists):
     """Bin vehicle track fragments into ego-centered occupancy maps.
 
     rel     : (..., A, T, 2) positions in the ego frame, agent-major, per window.
     dists   : (..., A) distance of each agent to the ego at the window center;
               when two agents land in one cell at one tick the nearer wins.
-    window  : K, the number of consecutive positions stored per cell.
-    Returns one map_entry(K) array per window, in C order of the leading
+    Returns one MAP_ENTRY array per window, in C order of the leading
     axes: an entry per occupied (row, col, tick) cell, sorted by cell, whose
     label is the agent row that owns it.
     """
@@ -60,9 +55,9 @@ def bin_proximity(rel, dists, window):
     keep = order[first]
     track, tick, cell = track[keep], tick[keep], ranked[first]
     per_window = MAP_ROWS * MAP_COLS * n_ticks
-    entries = np.empty(keep.size, map_entry(window))
+    entries = np.empty(keep.size, MAP_ENTRY)
     entries["cell"], entries["label"] = cell % per_window, track % n_agents
-    past = np.maximum(tick[:, None] - (window - 1) + np.arange(window), 0)
+    past = np.maximum(tick[:, None] - (K_WINDOW - 1) + np.arange(K_WINDOW), 0)
     # Each (x, y) pair gathered as one complex128 item: the same bits, copied.
     pairs = tracks.view(np.complex128)[..., 0]
     entries["xy"] = pairs[track[:, None], past].view(np.float64)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import codec
 from .dataset import MAP_SIZE, N_NEIGHBORS, Sample
 from .errors import DataFormatError, NumericalError
 from .trajectory import VAND, PolyTrajectory2D
@@ -512,7 +513,7 @@ def load_checkpoint(path):
                 raise DataFormatError(f"{path}: a checkpoint member is compressed or encrypted")
             if "__meta__" not in data:
                 raise DataFormatError(f"{path}: missing checkpoint metadata")
-            meta = json.loads(bytes(data["__meta__"]).decode())
+            meta = codec.loads(bytes(data["__meta__"]).decode())
             if not isinstance(meta, dict) or meta.get("format_version") != CKPT_FORMAT_VERSION:
                 raise DataFormatError(f"{path}: unsupported checkpoint version")
             layout = {k: v.shape for k, v in init_params().items()}

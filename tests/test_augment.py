@@ -436,7 +436,7 @@ class TestMapRebinParity:
         tracks = np.array([np.tile(xy, (T_STEPS, 1)) for xy in at.values()])
         tracks[5, -1] = (-40.0, 0.0)
         dists = np.linalg.norm(tracks[:, -1], axis=1)
-        (m,) = kernels.bin_proximity(tracks, dists, K_WINDOW)
+        (m,) = kernels.bin_proximity(tracks, dists)
         params = DeviationParams(0.8, 0.0, 1.0, 1.5, "left")
         got = augment._rebuild_map(m, params)
         assert_entries(got, *reference_rebuild_map(densify(m), *deviation_transforms(params)))

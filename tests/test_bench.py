@@ -402,6 +402,12 @@ class TestDetectors:
         d = np.linalg.norm(track - node.pos, axis=1)
         expected = int(np.flatnonzero((d[:-1] > CORE_RADIUS) & (d[1:] <= CORE_RADIUS))[0]) + 1
         assert events[0].tick == expected
+        # The same entry gives the light counts, green or red; a junction
+        # without a light group for the approach is not lit.
+        assert bench.light_entries(trace, town) == [(expected, False)]
+        trace = make_trace(town, track, groups=groups, lights=green)
+        assert bench.light_entries(trace, town) == [(expected, True)]
+        assert bench.light_entries(make_trace(town, track, groups=groups[1:]), town) == []
 
 
 class TestAggregation:

@@ -29,6 +29,39 @@ def _set_float(text: str, index: int, value: float) -> str:
     return base64.b64encode(a.tobytes()).decode()
 
 
+# JSON nested deeper than the decoder's recursion limit.
+DEEP = "[" * 200_000
+
+# A config that sets every key, as one file for the whole pipeline.
+FULL_CONFIG = """\
+# every key
+input = "d/train.jsonl"
+train = "d/train.jsonl"
+val = "d/val.jsonl"
+checkpoint = "m.npz"
+data = "d/val.jsonl"
+offline_data = "d/val.jsonl"
+traces = "cl/traces"
+offline_eval = "mae.json"
+town = "train"
+episodes = 2
+duration = 8.0
+mode = "full"
+fraction = 0.5
+sigma_long = 0.1
+sigma_lat = 0.05
+p_remove = 0.1
+p_add = 0.02
+learning_rate = 1e-5
+batch_size = 8
+epochs = 2
+neighbor_loss = true
+suite_seed = 3
+expert = false
+kinds = straight, one_turn  # comma-separated
+"""
+
+
 class _Stop(Exception):
     """Raised by a stub to end a command once it has seen its arguments."""
 
@@ -195,6 +228,60 @@ class TestExitCodes:
     def test_missing_required_key_is_1(self, tmp_path, capsys):
         rc = main(["augment", "--out", str(tmp_path / "a.jsonl")])
         assert rc == 1
+
+    def test_deeply_nested_config_is_1(self, tmp_path, capsys):
+        (tmp_path / "deep.cfg").write_text(f"episodes = {DEEP}\n")
+        for args in (["--config", str(tmp_path / "deep.cfg")], [f"duration = {DEEP}"]):
+            assert main(["record", "--out", str(tmp_path / "d"), *args]) == 1
+            assert capsys.readouterr().err == (
+                "polydrive record: bad config: JSON nested too deeply to decode\n"
+            )
+        assert not (tmp_path / "d").exists()
+
+    def test_mutated_configs_never_trace_back(self, monkeypatch, tmp_path, capsys):
+        # Seeded mutants of a config that sets every key.  On its bytes:
+        # truncations, changed bytes and deleted runs of 1-64 bytes.  On one
+        # value: a number set to NaN, +-inf or 1e300, a value of another
+        # type, or one nested too deeply.  The command reads every key as
+        # the commands read it.
+        def read_every_key(cfg, out):
+            for key in cli.KNOBS:
+                cli._get(cfg, key)
+            config_hash(cfg)
+
+        monkeypatch.setitem(cli.COMMANDS, "record", (read_every_key, True))
+        text = FULL_CONFIG.encode()
+        path = tmp_path / "c.cfg"
+        numeric = [k for k, knob in cli.KNOBS.items() if knob.kind in (int, float)]
+        args = ["record", "--config", str(path), "--out", str(tmp_path / "d")]
+        path.write_bytes(text)
+        assert main(args) == 0
+        rng = random.Random(29)
+        codes = {}
+        for _ in range(60):
+            kind = rng.choice(("truncate", "change", "delete", "value"))
+            if kind == "value":
+                kind = rng.choice(("nan", "inf", "-inf", "1e300", "type", "deep"))
+                if kind == "type":  # of another type than every key's but town's
+                    key, value = rng.choice(sorted(set(cli.KNOBS) - {"town"})), rng.choice(
+                        ("[1]", '{"a": 1}', "null"))
+                else:
+                    key = rng.choice(numeric)
+                    value = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+                             "1e300": "1e300", "deep": DEEP}[kind]
+                lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+                         for line in FULL_CONFIG.splitlines()]
+                path.write_text("\n".join(lines) + "\n")
+            else:
+                path.write_bytes(_mutated_bytes(text, kind, rng))
+            rc = main(args)
+            err = capsys.readouterr().err
+            assert rc in (0, 1), (kind, rc, err)
+            assert err.count("\n") == (rc == 1) and "Traceback" not in err, err
+            codes.setdefault(kind, []).append(rc)
+        refused = [rc for k in ("nan", "inf", "-inf", "type", "deep") for rc in codes.get(k, [])]
+        assert len(refused) >= 8 and set(refused) == {1}
+        assert codes["change"].count(1) >= 5
 
     def test_bad_config_file_is_1(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -505,6 +592,14 @@ class TestPipeline:
         assert rec["val_loss"] is None
         assert rec["train_loss"] > 0
 
+    def test_deeply_nested_checkpoint_metadata_is_2(self, tiny_dataset, tmp_path, capsys):
+        np.savez(tmp_path / "m.npz", __meta__=np.frombuffer(DEEP.encode(), dtype=np.uint8))
+        rc, err = self._eval_bad_checkpoint(
+            (tmp_path / "m.npz").read_bytes(), tiny_dataset, tmp_path, capsys
+        )
+        assert (rc, err) == (2, f"polydrive eval-offline: {tmp_path}/bad.npz: unreadable "
+                                "checkpoint (JSON nested too deeply to decode)\n")
+
     def test_corrupt_checkpoint_is_2(self, tiny_dataset, tmp_path, capsys):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"not a checkpoint")
@@ -666,6 +761,20 @@ def _checkpoint_value(params, key, at, value):
     return params
 
 
+def _mutated_bytes(data: bytes, kind: str, rng) -> bytes:
+    """data cut at a random offset ("truncate"), with the byte there changed
+    ("change"), or with a run of 1-64 bytes deleted from there ("delete")."""
+    mutant = bytearray(data)
+    at = rng.randrange(len(mutant))
+    if kind == "truncate":
+        del mutant[at:]
+    elif kind == "change":
+        mutant[at] ^= rng.randrange(1, 256)
+    else:
+        del mutant[at : at + rng.randint(1, 64)]
+    return bytes(mutant)
+
+
 def edit_record(src, dst, lineno, edit):
     """A copy of the JSONL file src at dst, with edit applied to the record
     on line lineno."""
@@ -709,6 +818,16 @@ def _mutate_value(rng, kind, field=None):
 
 class TestDatasetValues:
     """The dataset reader refuses values that no recording writes."""
+
+    def test_deeply_nested_dataset_is_2(self, tiny_dataset, tmp_path, capsys):
+        header = (tiny_dataset / "val.jsonl").read_text().splitlines()[0]
+        (tmp_path / "deep.jsonl").write_text(f"{header}\n{DEEP}\n")
+        rc = main(["augment", "--out", str(tmp_path / "a.jsonl"), f'input = "{tmp_path}/deep.jsonl"'])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"polydrive augment: {tmp_path}/deep.jsonl: line 2: JSON nested too deeply to decode\n"
+        )
+        assert not (tmp_path / "a.jsonl").exists()
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(_set(4, -5, "label"), "map label -5 is negative", id="negative-label"),
@@ -780,15 +899,7 @@ class TestDatasetValues:
         for _ in range(40):
             kind = rng.choice(("truncate", "change", "delete", "value", "label", "swap"))
             if kind in ("truncate", "change", "delete"):
-                mutant = bytearray(text.encode())
-                at = rng.randrange(len(mutant))
-                if kind == "truncate":
-                    del mutant[at:]
-                elif kind == "change":
-                    mutant[at] ^= rng.randrange(1, 256)
-                else:
-                    del mutant[at : at + rng.randint(1, 64)]
-                path.write_bytes(bytes(mutant))
+                path.write_bytes(_mutated_bytes(text.encode(), kind, rng))
             else:
                 key, dtype, edit = "m", dataset.MAP_ENTRY, _swap_cells
                 if kind == "value":
@@ -844,6 +955,8 @@ class TestClosedLoopAndReport:
         a.pop("config_hash")
         b.pop("config_hash")
         assert a == b
+        # report counts the lights from the states, as eval-closedloop does
+        assert a["red_lights"]["encountered"] > 0
 
     def test_neighbor_free_offline_mae_is_null(self, expert_run, tiny_dataset, tmp_path, capsys):
         # eval_mae has no neighbor error to report without neighbor windows;
@@ -939,8 +1052,6 @@ class TestClosedLoopAndReport:
                          "trace metadata 'reached_goal' must be bool, got 1", id="goal-int"),
             pytest.param(lambda h, r: ({**h, "distance_m": float("nan")}, r),
                          "trace metadata 'distance_m' must be float, got nan", id="distance-nan"),
-            pytest.param(lambda h, r: ({**h, "lights_run": h["lights_encountered"] + 1}, r),
-                         "trace metadata lights_run ", id="lights-run-above-encountered"),
             # String node ids and axes once matched no light, so every light
             # scored as green.
             pytest.param(lambda h, r: ({**h, "groups": [[str(g[0]), str(g[1]), *g[2:]]
@@ -984,15 +1095,7 @@ class TestClosedLoopAndReport:
                 edit = edit_array("s", "<f8", _mutate_value(rng, kind))
                 edit_record(src, path, rng.randrange(2, text.count(b"\n") + 1), edit)
             else:
-                mutant = bytearray(text)
-                at = rng.randrange(len(mutant))
-                if kind == "truncate":
-                    del mutant[at:]
-                elif kind == "change":
-                    mutant[at] ^= rng.randrange(1, 256)
-                else:
-                    del mutant[at : at + rng.randint(1, 64)]
-                path.write_bytes(bytes(mutant))
+                path.write_bytes(_mutated_bytes(text, kind, rng))
             shutil.rmtree(out, ignore_errors=True)
             rc = main(["report", "--out", str(out), f'traces = "{traces}"'])
             err = capsys.readouterr().err
@@ -1056,6 +1159,73 @@ class TestClosedLoopAndReport:
         assert err.startswith(f"polydrive report: {tmp_path}/mae.json: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "r").exists()
+
+    def test_deeply_nested_trace_is_2(self, expert_run, tmp_path, capsys):
+        src = sorted((expert_run / "traces").glob("*.jsonl"))[0]
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "task_1.jsonl").write_text(src.read_text().splitlines()[0] + f"\n{DEEP}\n")
+        rc = main(["report", "--out", str(tmp_path / "r"), f'traces = "{traces}"'])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"polydrive report: {traces}/task_1.jsonl: line 2: JSON nested too deeply to decode\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_deeply_nested_offline_eval_is_2(self, tmp_path, capsys):
+        (tmp_path / "mae.json").write_text(f'{{"mae": {{"ego": {DEEP}')
+        rc = main(["report", "--out", str(tmp_path / "r"), f'traces = "{tmp_path}"',
+                   f'offline_eval = "{tmp_path}/mae.json"'])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"polydrive report: {tmp_path}/mae.json: JSON nested too deeply to decode\n"
+        )
+        assert not (tmp_path / "r").exists()
+
+    def test_mutated_offline_evals_never_trace_back(self, expert_run, tiny_dataset, tmp_path,
+                                                    capsys):
+        # Seeded mutants of an eval-offline output, which report reads.  On
+        # its bytes: truncations, changed bytes and deleted runs of 1-64
+        # bytes.  On one mae value: NaN, +-inf or 1e300, which pass (NaN and
+        # inf as null), or a 400-digit integer, a value of another type or
+        # one nested too deeply, which are refused.
+        model.save_checkpoint(model.init_params(0), tmp_path / "m.npz")
+        src = tmp_path / "mae.json"
+        assert main(["eval-offline", "--out", str(src), f'checkpoint = "{tmp_path}/m.npz"',
+                     f'data = "{tiny_dataset}/val.jsonl"']) == 0
+        text = src.read_bytes()
+        block = json.loads(text)
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        shutil.copy(sorted((expert_run / "traces").glob("*.jsonl"))[0], traces)
+        path, out = tmp_path / "bad.json", tmp_path / "r"
+        rng = random.Random(29)
+        codes = {}
+        for _ in range(40):
+            kind = rng.choice(("truncate", "change", "delete", "value"))
+            if kind == "value":
+                kind = rng.choice(("nan", "inf", "-inf", "1e300", "int", "type", "deep"))
+                value = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e300": "1e300",
+                         "int": "9" * 400, "deep": DEEP}.get(kind) or rng.choice(
+                             ('"0.5"', "true", "[1]", "{}"))
+                key = rng.choice(sorted(block["mae"]))
+                path.write_text(
+                    json.dumps({**block, "mae": {**block["mae"], key: "@"}}).replace('"@"', value)
+                )
+            else:
+                path.write_bytes(_mutated_bytes(text, kind, rng))
+            shutil.rmtree(out, ignore_errors=True)
+            rc = main(["report", "--out", str(out), f'traces = "{traces}"',
+                       f'offline_eval = "{path}"'])
+            err = capsys.readouterr().err
+            assert rc in (0, 2), (kind, rc, err)
+            assert err.count("\n") == (rc == 2) and "Traceback" not in err, err
+            assert out.exists() == (rc == 0)
+            codes.setdefault(kind, []).append(rc)
+        passed = [rc for k in ("nan", "inf", "-inf", "1e300") for rc in codes.get(k, [])]
+        refused = [rc for k in ("int", "type", "deep") for rc in codes.get(k, [])]
+        assert len(passed) >= 3 and set(passed) == {0}
+        assert len(refused) >= 3 and set(refused) == {2}
 
     def test_empty_trace_dir_is_2(self, tmp_path, capsys):
         empty = tmp_path / "none"

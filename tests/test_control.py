@@ -7,7 +7,6 @@ from polydrive.control import (
     LiveSampler,
     PidChannel,
     PidState,
-    DriveResult,
     drive_task,
     live_navigation_command,
     pid_track,
@@ -319,16 +318,6 @@ class TestLiveSampleEquivalence:
 
 
 class TestDriveTask:
-    def test_result_invariant(self, town):
-        with pytest.raises(ValueError):
-            DriveResult(
-                reached_goal=False,
-                elapsed=1.0,
-                trace=None,
-                lights_encountered=1,
-                lights_run=2,
-            )
-
     def test_zero_model_times_out_without_collisions(self, town):
         tasks = [t for t in bench.generate_suite("train", 3) if t.kind == "straight"]
         task = tasks[0]

@@ -145,7 +145,7 @@ def reference_assemble_sample(network, frame, ego_speed, ego_past, car_tracks, p
     for row, aid in enumerate(sorted(rel), start=1):
         rel_tracks[row] = rel[aid]
         dists[row] = float(np.linalg.norm(rel_tracks[row][-1]))
-    (m,) = kernels.bin_proximity(rel_tracks, dists, K_WINDOW)
+    (m,) = kernels.bin_proximity(rel_tracks, dists)
     ego = (frame.x, frame.y, frame.heading, ego_speed)
     cars = [st for _, _, st in car_tracks]
     ctx = reference_context(network, ego, cars, peds, light_green)
@@ -587,13 +587,13 @@ class TestFloatContext:
 class TestProximityMap:
     def test_ego_occupies_center_cell(self):
         tracks = np.zeros((1, T_STEPS, 2))
-        cells, labels = densify(*kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW))
+        cells, labels = densify(*kernels.bin_proximity(tracks, np.zeros(1)))
         center = labels[labels.shape[0] // 2, labels.shape[1] // 2]
         assert (center == 0).all()
 
     def test_outside_extent_ignored(self):
         tracks = np.full((1, T_STEPS, 2), 1e4)
-        (m,) = kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW)
+        (m,) = kernels.bin_proximity(tracks, np.zeros(1))
         assert len(m) == 0
         cells, labels = densify(m)
         assert (labels == -1).all()
@@ -602,14 +602,14 @@ class TestProximityMap:
     def test_nearer_vehicle_wins_contested_cell(self):
         tracks = np.zeros((2, T_STEPS, 2))
         tracks[1] += 0.01  # same cell
-        cells, labels = densify(*kernels.bin_proximity(tracks, np.array([5.0, 1.0]), K_WINDOW))
+        cells, labels = densify(*kernels.bin_proximity(tracks, np.array([5.0, 1.0])))
         occupied = labels[labels >= 0]
         assert (occupied == 1).all()
 
     def test_cell_stores_k_window_fragment(self):
         rng = np.random.default_rng(1)
         tracks = rng.normal(0.0, 1.0, (1, T_STEPS, 2))
-        cells, labels = densify(*kernels.bin_proximity(tracks, np.zeros(1), K_WINDOW))
+        cells, labels = densify(*kernels.bin_proximity(tracks, np.zeros(1)))
         i = T_STEPS - 1
         pos = np.argwhere(labels[:, :, i] == 0)
         assert pos.size  # the track ends near the origin

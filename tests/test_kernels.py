@@ -265,12 +265,11 @@ def reference_bin_proximity(rel, dists, window, cells, labels):
 def sparsify(cells, labels):
     """The map entries of dense (13, 3, T, 2K) payload and (13, 3, T) label
     grids: one per cell whose label is not -1, by cell."""
-    window = cells.shape[-1] // 2
     occupied = np.flatnonzero(labels.ravel() >= 0)
-    entries = np.empty(len(occupied), kernels.map_entry(window))
+    entries = np.empty(len(occupied), kernels.MAP_ENTRY)
     entries["cell"] = occupied
     entries["label"] = labels.ravel()[occupied]
-    entries["xy"] = cells.reshape(-1, 2 * window)[occupied]
+    entries["xy"] = cells.reshape(-1, 2 * kernels.K_WINDOW)[occupied]
     return entries
 
 
@@ -290,12 +289,12 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def _assert_same_binning(rel, dists, window=3):
+def _assert_same_binning(rel, dists):
     """One window binned as the reference loop bins it; returns its dense labels."""
     shape = (kernels.MAP_ROWS, kernels.MAP_COLS, rel.shape[1])
-    want = (np.zeros(shape + (2 * window,)), np.full(shape, -1, dtype=np.int64))
-    reference_bin_proximity(rel, dists, window, *want)
-    (got,) = kernels.bin_proximity(rel, dists, window)
+    want = (np.zeros(shape + (2 * kernels.K_WINDOW,)), np.full(shape, -1, dtype=np.int64))
+    reference_bin_proximity(rel, dists, kernels.K_WINDOW, *want)
+    (got,) = kernels.bin_proximity(rel, dists)
     assert_same_bits(got, sparsify(*want))
     for g, w in zip(densify(got, rel.shape[1]), want):
         assert_same_bits(g, w)
@@ -311,7 +310,7 @@ class TestBinProximity:
             dists = rng.uniform(0.0, 40.0, n_agents)
             if trial % 3 == 0:
                 dists = np.round(dists / 10.0) * 10.0  # many equal distances
-            _assert_same_binning(rel, dists, window=int(rng.integers(1, 5)))
+            _assert_same_binning(rel, dists)
 
     def test_equal_distances_keep_the_earlier_row(self):
         rel = np.zeros((4, 20, 2))
@@ -342,8 +341,7 @@ class TestBinProximity:
         # The first K-1 ticks repeat the oldest position in the window.
         rng = np.random.default_rng(6)
         rel = rng.uniform(-3.0, 3.0, (3, 20, 2))
-        for window in (1, 2, 3, 4, 25):
-            _assert_same_binning(rel, np.array([0.0, 2.0, 1.0]), window)
+        _assert_same_binning(rel, np.array([0.0, 2.0, 1.0]))
 
     def test_stacked_windows_match_single_calls(self):
         # k windows stacked on leading axes: cells shared by several agents,
@@ -356,16 +354,15 @@ class TestBinProximity:
             rel[:, 1::3] = rel[:, :1] + rng.uniform(-0.4, 0.4, (k, 1, n_ticks, 2))[:, : rel[:, 1::3].shape[1]]
             rel[:, 2::4, n_ticks // 2 :] += 100.0  # off the map from mid-window on
             dists = np.round(rng.uniform(0.0, 30.0, (k, n_agents)) / 10.0) * 10.0
-            window = int(rng.integers(1, 5))
             lead = (k,) if trial % 2 else (2, k)
             if len(lead) == 2:
                 rel, dists = np.stack([rel, rel[::-1]]), np.stack([dists, dists[::-1]])
-            maps = kernels.bin_proximity(rel, dists, window)
+            maps = kernels.bin_proximity(rel, dists)
             assert len(maps) == int(np.prod(lead))  # one per window, in C order
             for entries, i in zip(maps, np.ndindex(*lead)):
-                (one,) = kernels.bin_proximity(rel[i], dists[i], window)
+                (one,) = kernels.bin_proximity(rel[i], dists[i])
                 assert_same_bits(entries, one)
-                _assert_same_binning(rel[i], dists[i], window)
+                _assert_same_binning(rel[i], dists[i])
                 x, y = rel[i][..., 0], rel[i][..., 1]
                 on_map = (x >= -32.5) & (x < 32.5) & (y >= -5.25) & (y < 5.25)
                 contested += int(on_map.sum()) - len(entries)

@@ -15,7 +15,7 @@ from test_kernels import (
     reference_segment_features,
 )
 
-from polydrive import bench, kernels, model, simworld as sw
+from polydrive import bench, cli, kernels, model, simworld as sw
 from polydrive.errors import DataFormatError, SpawnError
 
 
@@ -1039,6 +1039,22 @@ def jsonl_sha256(log, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def suite_drives(train_town):
+    """The expert on the first one_turn task of suite 3, then untrained
+    models for 600 ticks on two nav_dynamic tasks whose events cover all six
+    infraction kinds."""
+    suite = bench.generate_suite("train", 3)
+    dynamic = [t for t in suite if t.kind == "nav_dynamic"]
+    expert_task = [t for t in suite if t.kind == "one_turn"][0]
+    results = [(expert_task, bench.run_task(train_town, expert_task, expert=True))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "route_timeout", lambda length: 599.5 * sw.TICK)
+        for task, seed in ((dynamic[1], 1), (dynamic[11], 7)):
+            results.append((task, bench.run_task(train_town, task, model.init_params(seed))))
+    return results
+
+
 class TestGoldenBytes:
     """The bytes of recorded episodes and of one expert drive, pinned: the
     world's numbers may only move in a change that says so."""
@@ -1076,22 +1092,32 @@ class TestGoldenBytes:
             "6d71974b53e3d08bb464841aba1ea2dbf26d03e23958fe348643d2c12c292d2a"
         )
 
-    def test_model_suite_report(self, train_town, monkeypatch):
-        # The expert on the first one_turn task of suite 3, then untrained
-        # models for 600 ticks on two nav_dynamic tasks whose events cover
-        # all six infraction kinds.
-        suite = bench.generate_suite("train", 3)
-        dynamic = [t for t in suite if t.kind == "nav_dynamic"]
-        expert_task = [t for t in suite if t.kind == "one_turn"][0]
-        results = [(expert_task, bench.run_task(train_town, expert_task, expert=True))]
-        monkeypatch.setattr(bench, "route_timeout", lambda length: 599.5 * sw.TICK)
-        for task, seed in ((dynamic[1], 1), (dynamic[11], 7)):
-            results.append((task, bench.run_task(train_town, task, model.init_params(seed))))
-        report = bench.aggregate_report(results)
+    def test_model_suite_report(self, suite_drives):
+        report = bench.aggregate_report(suite_drives)
         assert all(row["events"] for row in report["infractions"].values())
         assert hashlib.sha256(bench.report_to_json(report).encode()).hexdigest() == (
-            "99ecf460b249f77975f764f2a619cd5740f1659f58c7b6e4211e1b1caa58bce4"
+            "46c2e15189631f0f2760e876c97f0773213e2db09c25b0d2423fd1adda1892a6"
         )
+
+    def test_light_counts_come_from_the_trace(self, suite_drives, tmp_path):
+        # Both untrained drives enter a lit junction core off their route,
+        # which a count along the planned route would miss.
+        report = bench.aggregate_report(suite_drives)
+        assert report["red_lights"] == {"encountered": 5, "run": 1, "ratio_pct": 20.0}
+        assert report["red_lights"]["run"] == report["infractions"]["red_light_run"]["events"]
+        assert [(r.lights_encountered, r.lights_run) for _, r in suite_drives] == [
+            (3, 0), (1, 0), (1, 1)
+        ]
+        # report re-scores the traces that eval-closedloop writes from their
+        # states, and gets the report that eval-closedloop wrote.
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for task, result in suite_drives:
+            cli._write_trace(str(traces / f"task_{task.seed}.jsonl"), task, result)
+        assert cli.main(["report", "--out", str(tmp_path / "r"), f'traces = "{traces}"']) == 0
+        rescored = json.loads((tmp_path / "r" / "report.json").read_text())
+        del rescored["config_hash"]
+        assert rescored == json.loads(bench.report_to_json(report))
 
 
 class TestJunctionPriority:
