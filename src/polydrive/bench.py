@@ -191,6 +191,11 @@ def light_entries(trace: EpisodeLog, network: RoadNetwork) -> list[tuple[int, bo
 
 def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[InfractionEvent]:
     """Post-hoc scan of the ego row of a trace for all infraction kinds."""
+    return _infractions(trace, network, light_entries(trace, network))
+
+
+def _infractions(trace, network, entries) -> list[InfractionEvent]:
+    """detect_infractions, given the trace's light_entries."""
     ego = trace.car_indices()[0]
     pos = trace.states[:, ego, :2]
     heading = trace.states[:, ego, 2]
@@ -240,7 +245,7 @@ def detect_infractions(trace: EpisodeLog, network: RoadNetwork) -> list[Infracti
         for i in _runs(d < threshold):
             events.append(InfractionEvent(label, i, tuple(pos[i])))
 
-    for i, green in light_entries(trace, network):
+    for i, green in entries:
         if not green:
             events.append(InfractionEvent("red_light_run", i, tuple(pos[i])))
 
@@ -296,7 +301,7 @@ def run_task(
 def score(result: DriveResult, network: RoadNetwork) -> DriveResult:
     """The drive with its infractions and light counts set from its trace."""
     entries = light_entries(result.trace, network)
-    result.infractions = detect_infractions(result.trace, network)
+    result.infractions = _infractions(result.trace, network, entries)
     result.lights_encountered = len(entries)
     result.lights_run = sum(not green for _, green in entries)
     return result

@@ -74,7 +74,7 @@ KNOBS = {
     "traces": Knob(None, str, None, "a path string"),
     "offline_eval": Knob(None, str, None, "a path string"),
     "town": Knob("train", None, None, "train or test"),  # build_town refuses others: exit 2
-    "episodes": Knob(10, int, lambda n: n >= 1, "a whole number, at least 1"),
+    "episodes": Knob(10, int, lambda n: 1 <= n <= 10**6, "a whole number in [1, 1000000]"),
     "duration": Knob(180.0, float, lambda t: 0.0 < t <= 86400.0, "a finite number in (0, 86400]"),
     "mode": Knob("full", None, augment.MODES.__contains__, "none, partial or full"),
     "fraction": Knob(0.2, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
@@ -83,8 +83,8 @@ KNOBS = {
     "p_remove": Knob(0.0, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
     "p_add": Knob(0.0, float, lambda p: 0.0 <= p <= 1.0, "a finite number in [0, 1]"),
     "learning_rate": Knob(1e-5, float, lambda r: r > 0.0, "a finite number, positive"),
-    "batch_size": Knob(8, int, lambda n: n >= 1, "a whole number, at least 1"),
-    "epochs": Knob(30, int, lambda n: n >= 0, "a whole number, at least 0"),
+    "batch_size": Knob(8, int, lambda n: 1 <= n <= 10**6, "a whole number in [1, 1000000]"),
+    "epochs": Knob(30, int, lambda n: 0 <= n <= 10**6, "a whole number in [0, 1000000]"),
     "neighbor_loss": Knob(True, bool, None, "true or false"),
     "suite_seed": Knob(None, int, lambda n: n >= 0, "a whole number, 0 or more"),  # None: --seed
     "expert": Knob(False, bool, None, "true or false"),

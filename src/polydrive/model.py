@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,19 +52,13 @@ class TrainConfig:
     seed: int = 0
     neighbor_loss: bool = True
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
 
 def _mlp_params(rng, sizes) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights and zero biases."""
     out = {}
     for i in range(len(sizes) - 1):
-        out[f"W{i}"] = _glorot(rng, sizes[i], sizes[i + 1])
+        bound = np.sqrt(6.0 / (sizes[i] + sizes[i + 1]))
+        out[f"W{i}"] = rng.uniform(-bound, bound, size=(sizes[i], sizes[i + 1]))
         out[f"b{i}"] = np.zeros(sizes[i + 1])
     return out
 
@@ -141,11 +135,11 @@ def _mlp2_tanh_forward(params, prefix, x, rows=None):
     return np.tanh(z1), cache + (np.tanh(z1),)
 
 
-def _mlp2_backward(params, prefix, grads, dz1, cache, sparse_rows=False):
+def _mlp2_backward(params, prefix, grads, dz1, cache, rows=None):
     """Accumulate the block's gradients; returns dz0, the first layer's.
 
-    With ``sparse_rows`` the first-layer weight gets its gradient only on the
-    rows whose input is non-zero somewhere in the batch; every other row of
+    With ``rows`` (every input non-zero somewhere in the batch) the first-layer
+    weight gets its gradient only on those rows; every other row of
     ``x.T @ dz0`` is a sum of zero products, so it stays exactly 0.
     """
     x, a0 = cache[0], cache[1]
@@ -153,11 +147,10 @@ def _mlp2_backward(params, prefix, grads, dz1, cache, sparse_rows=False):
     grads[f"{prefix}.b1"] += dz1.sum(axis=0)
     da0 = dz1 @ params[f"{prefix}.W1"].T
     dz0 = da0 * (1.0 - a0 * a0)
-    if sparse_rows:
-        occ = np.flatnonzero(x.any(axis=0))
-        grads[f"{prefix}.W0"][occ] += x[:, occ].T @ dz0
-    else:
+    if rows is None:
         grads[f"{prefix}.W0"] += x.T @ dz0
+    else:
+        grads[f"{prefix}.W0"][rows] += x[:, rows].T @ dz0
     grads[f"{prefix}.b0"] += dz0.sum(axis=0)
     return dz0
 
@@ -242,17 +235,21 @@ def _squared_errors(pe, pv, feats, neighbor_loss: bool) -> tuple[float, float]:
     return ego, float(np.sum(((pv - feats["yv"]) ** 2) * feats["vmask"][:, :, None, None]))
 
 
-def loss_and_grad(params, feats, neighbor_loss: bool = True):
-    """Batch-mean point L2 loss and analytic gradients over all parameters."""
+def loss_and_grad(params, feats, grads, rows, neighbor_loss: bool = True):
+    """Batch-mean point L2 loss; writes its analytic gradients into ``grads``,
+    one buffer per run (zero_like_params), of whose map_enc.W0 only ``rows``,
+    the rows the last call returned (none at the first), may be non-zero.
+    Zeroes those and every other array; returns the loss and the map_enc.W0
+    rows this call wrote, sorted."""
     b = feats["xe"].shape[0]
     ego_coeffs, nbr_coeffs, cache = forward_batch(params, feats)
     pe = coeffs_to_points(ego_coeffs)
     pv = coeffs_to_points(nbr_coeffs)
-    mask = feats["vmask"]
     ego_sum, nbr_sum = _squared_errors(pe, pv, feats, neighbor_loss)
     loss = ego_sum / b + nbr_sum / b
 
-    grads = zero_like_params(params)
+    for key, g in grads.items():
+        g[rows if key == "map_enc.W0" else ...] = 0.0
     # d loss / d coefficient vectors.
     ge_pts = 2.0 * (pe - feats["ye"]) / b  # (B, 20, 2)
     d_ego = _coeff_grad(ge_pts)
@@ -272,7 +269,7 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
 
     # Neighbor decoder/encoder (shared blocks) over all present slots.
     if neighbor_loss:
-        gv_pts = 2.0 * ((pv - feats["yv"]) * mask[:, :, None, None]) / b
+        gv_pts = 2.0 * ((pv - feats["yv"]) * feats["vmask"][:, :, None, None]) / b
         for k in range(N_NEIGHBORS):
             d_nbr = _coeff_grad(gv_pts[:, k])
             enc_cache, dec_cache = cache["nbr"][k]
@@ -290,14 +287,15 @@ def loss_and_grad(params, feats, neighbor_loss: bool = True):
     map_a = cache["map_a"]
     dz1_map = d_map_a * (1.0 - map_a * map_a)
     # Most proximity-map cells are empty, so most map inputs of a batch are 0.
-    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"], sparse_rows=True)
+    occ = np.flatnonzero(cache["map"][0].any(axis=0))
+    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"], occ)
     _ctx_backward(params, grads, d_ctx_a, feats["xc"], cache["ctx_a"])
 
     # Ego encoder.
     ego_a = cache["ego_a"]
     dz1_ego = d_ego_a * (1.0 - ego_a * ego_a)
     _mlp2_backward(params, "ego_enc", grads, dz1_ego, cache["ego"])
-    return loss, grads
+    return loss, occ
 
 
 def predict(params, sample: Sample) -> PolyTrajectory2D:
@@ -321,24 +319,25 @@ def predict(params, sample: Sample) -> PolyTrajectory2D:
 # -- optimizer -----------------------------------------------------------------
 
 
-# Adam updates a weight in slices of this many rows (256 KB per array for
-# map_enc.W0), so that the 14 passes of the update stay in cache.
+# Adam updates map_enc.W0 in slices of this many rows (256 KB per array), so
+# that the 14 passes of the update stay in cache.
 ADAM_ROWS = 256
 
 
 def init_adam_state(params) -> dict:
     """Moments, step count, scratch buffers and an initially empty live span
-    [lo, hi) per ADAM_ROWS block of each parameter.  A row outside its span
-    has had only zero gradients, so m = v = +0.0 there, and Adam leaves it
-    bit for bit: the step is +0.0 / (0 + eps) = +0.0, and p - 0.0 is p, -0.0 too."""
-    size = max(p[:ADAM_ROWS].size for p in params.values())
+    [lo, hi) per ADAM_ROWS block of map_enc.W0.  Gradients of +-0.0 only leave
+    m = v = +0.0, and Adam then leaves a weight bit for bit: the step is
+    +0.0 / (0 + eps) = +0.0, and p - 0.0 is p, -0.0 too.  So a row outside its
+    span, and any row or array that never had a non-zero gradient, stays put."""
+    w0 = params["map_enc.W0"]
+    size = max([w0[:ADAM_ROWS].size] + [p.size for p in params.values() if p is not w0])
     return {
         "m": zero_like_params(params),
         "v": zero_like_params(params),
         "t": 0,
         "scratch": (np.empty(size), np.empty(size)),
-        "spans": {k: [[min(s + ADAM_ROWS, len(p)), s] for s in range(0, len(p), ADAM_ROWS)]
-                  for k, p in params.items()},
+        "spans": [[min(s + ADAM_ROWS, len(w0)), s] for s in range(0, len(w0), ADAM_ROWS)],
     }
 
 
@@ -369,22 +368,24 @@ def _adam_update(p, g, m, v, config: TrainConfig, t: int, scratch) -> None:
     np.subtract(p, s2, out=p)
 
 
-def adam_step(params, grads, state, config: TrainConfig):
+def adam_step(params, grads, rows, state, config: TrainConfig):
     """Bias-corrected Adam (Kingma & Ba); updates params and state in place.
-    Each block reads the gradient outside its live span, widens the span to
-    the non-zero rows there and updates it as one slice: exact, see init_adam_state."""
+    Each ADAM_ROWS block of map_enc.W0 widens its live span to its ``rows``
+    (sorted, a superset of the non-zero gradient rows, as loss_and_grad
+    returns them) and updates it as one slice; other arrays are updated whole."""
     state["t"] += 1
+    t, scratch = state["t"], state["scratch"]
     for key, p in params.items():
-        g, m, v = grads[key], state["m"][key], state["v"][key]
-        for start, span in zip(range(0, len(p), ADAM_ROWS), state["spans"][key]):
-            (lo, hi), end = span, min(start + ADAM_ROWS, len(p))
-            for a, b in ((start, lo), (max(lo, hi), end)) if lo > start or hi < end else ():
-                live = np.flatnonzero(g[a:b].reshape(b - a, -1).any(axis=1)) if a < b else ()
-                if len(live):
-                    span[:] = min(span[0], a + int(live[0])), max(span[1], a + int(live[-1]) + 1)
-            rows = slice(*span)
-            if rows.start < rows.stop:
-                _adam_update(p[rows], g[rows], m[rows], v[rows], config, state["t"], state["scratch"])
+        if key != "map_enc.W0":
+            _adam_update(p, grads[key], state["m"][key], state["v"][key], config, t, scratch)
+    p, g, m, v = (d["map_enc.W0"] for d in (params, grads, state["m"], state["v"]))
+    cut = np.searchsorted(rows, range(0, len(p) + ADAM_ROWS, ADAM_ROWS)).tolist()
+    for span, a, b in zip(state["spans"], cut, cut[1:]):
+        if a < b:
+            span[:] = min(span[0], int(rows[a])), max(span[1], int(rows[b - 1]) + 1)
+        if span[0] < span[1]:
+            live = slice(*span)
+            _adam_update(p[live], g[live], m[live], v[live], config, t, scratch)
     return params, state
 
 
@@ -411,17 +412,10 @@ def eval_mae(params, samples: list[Sample]) -> dict[str, float]:
             dv = np.linalg.norm(pv - feats["yv"], axis=-1)  # (B, N, 20)
             nbr_d.append(dv[mask].mean(axis=1))
             nbr2_d.append(dv[mask][:, -1])
-    out = {
-        "ego": float(np.mean(np.concatenate(ego_d))),
-        "ego_2s": float(np.mean(np.concatenate(ego2_d))),
-    }
-    if nbr_d:
-        out["neighbors"] = float(np.mean(np.concatenate(nbr_d)))
-        out["neighbors_2s"] = float(np.mean(np.concatenate(nbr2_d)))
-    else:
-        out["neighbors"] = float("nan")
-        out["neighbors_2s"] = float("nan")
-    return out
+    keys = ("ego", "ego_2s", "neighbors", "neighbors_2s")
+    # Without a present neighbor the neighbor errors are NaN.
+    return {k: float(np.mean(np.concatenate(d))) if d else float("nan")
+            for k, d in zip(keys, (ego_d, ego2_d, nbr_d, nbr2_d))}
 
 
 def eval_loss(params, samples, config: TrainConfig) -> float:
@@ -449,6 +443,7 @@ def train(
     rng = np.random.default_rng((config.seed, 0x7A))
     params = init_params(config.seed)
     state = init_adam_state(params)
+    grads, rows = zero_like_params(params), np.empty(0, dtype=np.intp)
     curve = []
     best = {k: v.copy() for k, v in params.items()}
     best_val = np.inf
@@ -458,12 +453,11 @@ def train(
         epoch_loss = 0.0
         n_batches = 0
         for i in range(0, n, config.batch_size):
-            batch = [train_samples[j] for j in order[i : i + config.batch_size]]
-            feats = featurize(batch)
-            loss, grads = loss_and_grad(params, feats, config.neighbor_loss)
+            feats = featurize([train_samples[j] for j in order[i : i + config.batch_size]])
+            loss, rows = loss_and_grad(params, feats, grads, rows, config.neighbor_loss)
             if not np.isfinite(loss):
                 raise NumericalError(f"training diverged at epoch {epoch}")
-            params, state = adam_step(params, grads, state, config)
+            params, state = adam_step(params, grads, rows, state, config)
             epoch_loss += loss
             n_batches += 1
         val_loss = eval_loss(params, val_samples, config) if val_samples else np.nan
@@ -491,7 +485,7 @@ def train(
 def save_checkpoint(params, path, config: TrainConfig | None = None, extra=None):
     meta = {
         "format_version": CKPT_FORMAT_VERSION,
-        "config": config.to_dict() if config else None,
+        "config": asdict(config) if config else None,
         "extra": extra or {},
         "keys": sorted(params),
     }

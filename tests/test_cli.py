@@ -88,7 +88,7 @@ BAD_VALUES = {
     "input": ["0"], "train": ["1.5"], "val": ["true"], "checkpoint": ["3"], "data": ["null"],
     "offline_data": ["[1]"], "traces": ["{}"], "offline_eval": ["0"],
     "town": [],
-    "episodes": ["abc", "0"],
+    "episodes": ["abc", "0", "1e300", "1000001"],
     "duration": ["NaN", "0", "1e308"],
     "mode": ["5", "bogus"],
     "fraction": ["abc", "1.5"],
@@ -97,8 +97,8 @@ BAD_VALUES = {
     "p_remove": ["[0.5]", "1.5"],
     "p_add": ['"x"', "-1"],
     "learning_rate": ["true", "0"],
-    "batch_size": ["8.7", "0"],
-    "epochs": ["x", "-1"],
+    "batch_size": ["8.7", "0", "1e300", "1000001"],
+    "epochs": ["x", "-1", "1e300", "1000001"],
     "neighbor_loss": ["0", '"false"'],
     "suite_seed": ["1.5", "-1"],
     "expert": ["1", "False"],
@@ -181,6 +181,14 @@ class TestConfigParsing:
         assert captured.err == f"polydrive report: bad config: {message}\n"
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["episodes", "epochs", "batch_size"])
+    def test_counts_are_bounded_above(self, key):
+        # A count of 1e300 is a whole number, but a run over it would not end.
+        assert load_config(None, [f"{key} = 1000000"], seed=0)[key] == 1000000
+        for raw in ("1000001", "1e300"):
+            with pytest.raises(ValueError, match=f"config key '{key}' must be a whole number in"):
+                load_config(None, [f"{key} = {raw}"], seed=0)
 
     def test_readme_table_matches_knobs(self):
         # Rows of the README's knob table: | `key` | read by | default | allowed values |

@@ -1,11 +1,12 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from test_kernels import densify, sparsify
 
-from polydrive import dataset, model, simworld as sw
+from polydrive import augment, dataset, model, simworld as sw
 from polydrive.dataset import N_NEIGHBORS, NavigationCommand
 from polydrive.errors import DataFormatError, NumericalError
 from polydrive.trajectory import GRID_T
@@ -28,6 +29,7 @@ from polydrive.model import (
 )
 
 FD_H = 1e-5
+NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +57,19 @@ def batch(samples):
     return featurize(picks)
 
 
+def grads_of(params, feats, neighbor_loss=True):
+    """The loss and its gradients, from loss_and_grad on a fresh buffer."""
+    grads = zero_like_params(params)
+    loss, _ = loss_and_grad(params, feats, grads, NO_ROWS, neighbor_loss)
+    return loss, grads
+
+
 def fd_grad(params, feats, key, idx, neighbor_loss=True):
     orig = params[key].flat[idx]
     params[key].flat[idx] = orig + FD_H
-    lp, _ = loss_and_grad(params, feats, neighbor_loss)
+    lp, _ = grads_of(params, feats, neighbor_loss)
     params[key].flat[idx] = orig - FD_H
-    lm, _ = loss_and_grad(params, feats, neighbor_loss)
+    lm, _ = grads_of(params, feats, neighbor_loss)
     params[key].flat[idx] = orig
     return (lp - lm) / (2 * FD_H)
 
@@ -69,7 +78,7 @@ class TestGradients:
     def test_all_blocks_match_finite_differences(self, batch):
         rng = np.random.default_rng(0)
         params = init_params(seed=1)
-        _, grads = loss_and_grad(params, batch)
+        _, grads = grads_of(params, batch)
         worst = 0.0
         for key in params:
             g = grads[key]
@@ -82,7 +91,7 @@ class TestGradients:
 
     def test_unselected_heads_get_exactly_zero_grad(self, batch):
         params = init_params(seed=2)
-        _, grads = loss_and_grad(params, batch)
+        _, grads = grads_of(params, batch)
         used = set(int(v) for v in batch["nc"])
         for h in range(model.N_HEADS):
             for suffix in ("W0", "b0", "W1", "b1"):
@@ -95,7 +104,7 @@ class TestGradients:
         assert picks
         feats = featurize(picks)
         params = init_params(seed=3)
-        _, grads = loss_and_grad(params, feats)
+        _, grads = grads_of(params, feats)
         h_sel = int(NavigationCommand.KEEP_LANE)
         for h in range(model.N_HEADS):
             g = grads[f"head{h}.W1"]
@@ -106,7 +115,7 @@ class TestGradients:
 
     def test_neighbor_loss_flag_zeroes_neighbor_grads(self, batch):
         params = init_params(seed=4)
-        _, grads = loss_and_grad(params, batch, neighbor_loss=False)
+        _, grads = grads_of(params, batch, neighbor_loss=False)
         for key in grads:
             if key.startswith(("nbr_enc", "nbr_dec")):
                 assert (grads[key] == 0.0).all()
@@ -119,8 +128,8 @@ class TestGradients:
         ]
         feats = featurize(lonely)
         params = init_params(seed=5)
-        loss, grads = loss_and_grad(params, feats)
-        ego_loss, ego_grads = loss_and_grad(params, feats, neighbor_loss=False)
+        loss, grads = grads_of(params, feats)
+        ego_loss, ego_grads = grads_of(params, feats, neighbor_loss=False)
         assert loss == ego_loss
         for key in grads:
             if key.startswith(("nbr_enc", "nbr_dec")):
@@ -141,7 +150,7 @@ class TestGradients:
             se = np.sum((coeffs_to_points(ego) - feats["ye"]) ** 2)
             sv = np.sum(((coeffs_to_points(nbr) - feats["yv"]) ** 2) * feats["vmask"][:, :, None, None])
             sv = sv if neighbor_loss else 0.0
-            assert loss_and_grad(params, feats, neighbor_loss)[0] == float(se / 5) + float(sv / 5)
+            assert grads_of(params, feats, neighbor_loss)[0] == float(se / 5) + float(sv / 5)
             sums.append(float(se) + float(sv))
         config = TrainConfig(neighbor_loss=neighbor_loss)
         monkeypatch.setattr(model, "EVAL_BATCH", 5)
@@ -154,11 +163,30 @@ class TestGradients:
         _, _, cache = forward_batch(params, batch)
         dz1 = np.random.default_rng(6).standard_normal((len(batch["xm"]), 64))
         grads = zero_like_params(params)
-        dz0 = model._mlp2_backward(params, "map_enc", grads, dz1, cache["map"], sparse_rows=True)
         x = cache["map"][0]
-        occ = x.any(axis=0)
-        assert 0 < occ.sum() < occ.size
+        occ = np.flatnonzero(x.any(axis=0))
+        assert 0 < len(occ) < x.shape[1]
+        dz0 = model._mlp2_backward(params, "map_enc", grads, dz1, cache["map"], occ)
         np.testing.assert_array_equal(grads["map_enc.W0"], x.T @ dz0)
+
+    def test_reused_buffer_matches_fresh_buffer(self, batch, samples):
+        # One buffer over batches of different map occupancy: each call
+        # zeroes the small arrays and the map rows the last call reported,
+        # so every gradient is bitwise that of a fresh buffer.  The reported
+        # rows are the batch's occupied map inputs.
+        other = featurize(samples[-8:])
+        occ_a, occ_b = batch["xm"].any(axis=0), other["xm"].any(axis=0)
+        assert (occ_a & ~occ_b).any() and (occ_b & ~occ_a).any()
+        params = init_params(seed=18)
+        grads, rows = zero_like_params(params), NO_ROWS
+        for feats, neighbor_loss in [(batch, True), (other, False), (batch, True), (other, True)]:
+            loss, rows = loss_and_grad(params, feats, grads, rows, neighbor_loss)
+            want_loss, want = grads_of(params, feats, neighbor_loss)
+            assert loss == want_loss
+            np.testing.assert_array_equal(rows, np.flatnonzero(feats["xm"].any(axis=0)))
+            assert np.isin(np.flatnonzero(grads["map_enc.W0"].any(axis=1)), rows).all()
+            for k in want:
+                assert grads[k].tobytes() == want[k].tobytes(), k
 
 
 class TestForward:
@@ -258,6 +286,9 @@ def reference_adam_step(params, grads, state, config):
     return new_params, state
 
 
+ALL_ROWS = np.arange(model.LAYER_SIZES["map_enc"][0])
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = init_params(seed=9)
@@ -265,14 +296,15 @@ class TestAdam:
         grads = zero_like_params(params)
         state = init_adam_state(params)
         cfg = TrainConfig()
-        new_params, _ = adam_step(params, grads, state, cfg)
+        new_params, _ = adam_step(params, grads, ALL_ROWS, state, cfg)
         for k in before:
-            np.testing.assert_array_equal(new_params[k], before[k])
+            assert new_params[k].tobytes() == before[k].tobytes(), k
 
     def test_matches_reference_adam_bitwise(self, batch, samples):
         # Two batches with different map occupancy, alternated, so that rows
         # occupied only in one of them keep moving on their momentum while
-        # the other batch is trained on.
+        # the other batch is trained on.  adam_step reads the one buffer
+        # and the rows that loss_and_grad reports, as train does.
         other = featurize(samples[-8:])
         occ_a, occ_b = batch["xm"].any(axis=0), other["xm"].any(axis=0)
         assert (occ_a != occ_b).any()
@@ -282,13 +314,14 @@ class TestAdam:
 
         params = {k: v.copy() for k, v in init.items()}
         state = init_adam_state(params)
+        grads, rows = zero_like_params(params), NO_ROWS
         ref = {k: v.copy() for k, v in init.items()}
         ref_state = {"m": zero_like_params(ref), "v": zero_like_params(ref), "t": 0}
         for feats in batches:
-            _, grads = loss_and_grad(params, feats)
-            params, state = adam_step(params, grads, state, cfg)
-            _, grads = loss_and_grad(ref, feats)
-            ref, ref_state = reference_adam_step(ref, grads, ref_state, cfg)
+            _, rows = loss_and_grad(params, feats, grads, rows)
+            params, state = adam_step(params, grads, rows, state, cfg)
+            _, ref_grads = grads_of(ref, feats)
+            ref, ref_state = reference_adam_step(ref, ref_grads, ref_state, cfg)
 
         for k in ref:
             np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
@@ -311,33 +344,43 @@ class TestAdam:
         ref_state = {"m": zero_like_params(ref), "v": zero_like_params(ref), "t": 0}
         for _ in range(3):
             grads = {k: rng.standard_normal(v.shape) for k, v in params.items()}
-            params, state = adam_step(params, grads, state, cfg)
+            params, state = adam_step(params, grads, ALL_ROWS, state, cfg)
             ref, ref_state = reference_adam_step(ref, grads, ref_state, cfg)
         for k in ref:
             np.testing.assert_array_equal(params[k], ref[k], err_msg=k)
             np.testing.assert_array_equal(state["v"][k], ref_state["v"][k], err_msg=k)
 
     def test_scalar_hand_check(self):
+        # One element of a small array and one of map_enc.W0, each 1.0 with
+        # a gradient of 0.5; every other element stays put.
         cfg = TrainConfig(learning_rate=1e-3)
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([0.5])}
+        params = init_params(seed=19)
+        params["ctx_enc.b0"][3] = params["map_enc.W0"][700, 5] = 1.0
+        before = {k: v.copy() for k, v in params.items()}
+        grads = zero_like_params(params)
+        grads["ctx_enc.b0"][3] = grads["map_enc.W0"][700, 5] = 0.5
         state = init_adam_state(params)
-        new_params, state = adam_step(params, grads, state, cfg)
+        new_params, state = adam_step(params, grads, np.array([700]), state, cfg)
         m = (1 - cfg.beta1) * 0.5
         v = (1 - cfg.beta2) * 0.25
         m_hat = m / (1 - cfg.beta1)
         v_hat = v / (1 - cfg.beta2)
         expect = 1.0 - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        np.testing.assert_allclose(new_params["w"][0], expect, rtol=1e-12)
+        np.testing.assert_allclose(new_params["ctx_enc.b0"][3], expect, rtol=1e-12)
+        np.testing.assert_allclose(new_params["map_enc.W0"][700, 5], expect, rtol=1e-12)
+        for k in before:
+            moved = new_params[k] != before[k]
+            assert moved.sum() == (k in ("ctx_enc.b0", "map_enc.W0")), k
 
     def test_determinism_over_steps(self, batch):
         def run():
             params = init_params(seed=10)
             state = init_adam_state(params)
+            grads, rows = zero_like_params(params), NO_ROWS
             cfg = TrainConfig(learning_rate=1e-4)
             for _ in range(20):
-                _, grads = loss_and_grad(params, batch)
-                params, state = adam_step(params, grads, state, cfg)
+                _, rows = loss_and_grad(params, batch, grads, rows)
+                params, state = adam_step(params, grads, rows, state, cfg)
             return params
 
         a, b = run(), run()
@@ -346,13 +389,13 @@ class TestAdam:
 
 
 def _run_span_parity(params, grad_steps, cfg):
-    """adam_step and reference_adam_step over the same gradients, compared
-    bit for bit (so -0.0 differs from +0.0) after every step."""
+    """adam_step and reference_adam_step over the same (gradients, reported
+    rows), compared bit for bit (so -0.0 differs from +0.0) after every step."""
     ref = {k: v.copy() for k, v in params.items()}
     state = init_adam_state(params)
     ref_state = {"m": zero_like_params(ref), "v": zero_like_params(ref), "t": 0}
-    for step, grads in enumerate(grad_steps, start=1):
-        params, state = adam_step(params, grads, state, cfg)
+    for step, (grads, rows) in enumerate(grad_steps, start=1):
+        params, state = adam_step(params, grads, rows, state, cfg)
         ref, ref_state = reference_adam_step(ref, grads, ref_state, cfg)
         for k in ref:
             assert params[k].tobytes() == ref[k].tobytes(), (step, k, "p")
@@ -362,12 +405,14 @@ def _run_span_parity(params, grad_steps, cfg):
 
 
 class TestAdamSpans:
-    """adam_step updates only each ADAM_ROWS block's live span; these pin it
-    bitwise to the update of every row on hand-built sparse gradients."""
+    """adam_step updates only each ADAM_ROWS block's live span of map_enc.W0,
+    widened from the reported rows, and every other array whole; these pin
+    it bitwise to the update of every row on hand-built sparse gradients."""
 
     STEPS = 8
     # (step, key, rows, columns or None for the whole row, value): gradient
-    # entries, on top of zero.  map_enc.W0 has 4,680 = 18 x 256 + 72 rows.
+    # entries, on top of zero.  Each step reports the map_enc.W0 rows of its
+    # entries.  map_enc.W0 has 4,680 = 18 x 256 + 72 rows.
     ENTRIES = [
         # block 2 (512-767): rows 600 and 610 at step 1, with gap rows
         # between; then the span widens below (520) and above (700) at step
@@ -378,10 +423,13 @@ class TestAdamSpans:
         (6, "map_enc.W0", [605], None, -1.1),
         # block 3: one row, non-zero in a single column only
         (2, "map_enc.W0", [900], [77], 0.9),
-        # block 4: rows of -0.0 at every step (the span stays empty), and
-        # a -0.0 row inside block 2's span
+        # reported rows whose gradient is zero: block 4's rows of -0.0 at
+        # every step, a -0.0 row inside block 2's span, and block 11's row
+        # 3000 (-0.0 weights) with +0.0.  Each opens or sits in a span, and
+        # its weights and zero moments keep their bits.
         *[(t, "map_enc.W0", list(range(1100, 1111)), None, -0.0) for t in range(1, 9)],
         (4, "map_enc.W0", [606], None, -0.0),
+        (3, "map_enc.W0", [3000], None, 0.0),
         # block 5: empty until step 3, then its first and last rows at once
         (3, "map_enc.W0", [1280, 1535], None, 0.5),
         # block 6 starts at its first row, block 7 at its last; each widens
@@ -395,36 +443,34 @@ class TestAdamSpans:
         (2, "map_enc.W0", [4650], None, 0.4),
         (5, "map_enc.W0", [4679], [0, 127], -0.6),
         (7, "map_enc.W0", [4608], None, 0.2),
-        # a 1-D bias, widening on both sides
+        # arrays updated whole: a 1-D bias and a small weight
         (1, "map_enc.b0", [40], None, 0.25),
         (5, "map_enc.b0", [3, 127], None, -0.35),
-        # a small weight, one block, whose rows arrive out of order
         (2, "ctx_enc.W0", [5], None, 0.1),
         (4, "ctx_enc.W0", [0, 7], None, 0.15),
     ]
-    # The bounding range of the non-zero rows each block ever had.
+    # The bounding range of the rows each block of map_enc.W0 ever reported.
     SPANS = {
-        "map_enc.W0": {
-            2: [520, 701], 3: [900, 901], 5: [1280, 1536], 6: [1536, 1601], 7: [1800, 2048],
-            18: [4608, 4680],
-        },
-        "map_enc.b0": {0: [3, 128]},
-        "ctx_enc.W0": {0: [0, 8]},
+        2: [520, 701], 3: [900, 901], 4: [1100, 1111], 5: [1280, 1536], 6: [1536, 1601],
+        7: [1800, 2048], 11: [3000, 3001], 18: [4608, 4680],
     }
+    ZERO_ROWS = [*range(1100, 1111), 606, 3000]
 
     def _grad_steps(self, params):
-        steps = [zero_like_params(params) for _ in range(self.STEPS)]
+        steps = [(zero_like_params(params), set()) for _ in range(self.STEPS)]
         for step, key, rows, cols, value in self.ENTRIES:
-            g = steps[step - 1][key]
+            g, reported = steps[step - 1][0][key], steps[step - 1][1]
             if cols is None:
                 g[rows] = value
             else:
                 g[np.ix_(rows, cols)] = value
-        return steps
+            if key == "map_enc.W0":
+                reported.update(rows)
+        return [(grads, np.array(sorted(rows), dtype=np.intp)) for grads, rows in steps]
 
     def _params(self):
         params = init_params(seed=16)
-        # -0.0 weights in rows that never get a gradient, and in a bias
+        # -0.0 weights in rows that never get a non-zero gradient, and in a bias
         params["map_enc.W0"][1100:1104] = -0.0
         params["map_enc.W0"][3000, :5] = -0.0
         params["map_enc.b0"][64] = -0.0
@@ -436,9 +482,10 @@ class TestAdamSpans:
         steps = self._grad_steps(params)
         params, state = _run_span_parity(params, steps, TrainConfig(learning_rate=1e-3))
         ever = {k: np.zeros(len(v), dtype=bool) for k, v in params.items()}
-        for grads in steps:
+        for grads, _ in steps:
             for k, g in grads.items():
                 ever[k] |= g.reshape(len(g), -1).any(axis=1)
+        assert not ever["map_enc.W0"][self.ZERO_ROWS].any()
         for k in params:
             dead = ~ever[k]
             assert params[k][dead].tobytes() == init[k][dead].tobytes(), k
@@ -450,18 +497,16 @@ class TestAdamSpans:
     def test_spans_bound_the_rows_ever_live(self):
         params = self._params()
         state = init_adam_state(params)
-        for grads in self._grad_steps(params):
-            params, state = adam_step(params, grads, state, TrainConfig())
-        for key, p in params.items():
-            spans = state["spans"][key]
-            assert len(spans) == -(-len(p) // model.ADAM_ROWS), key
-            for i, span in enumerate(spans):
-                want = self.SPANS.get(key, {}).get(i)
-                if want is None:
-                    assert span[0] >= span[1], (key, i, span)
-                else:
-                    assert span == want, (key, i, span)
-        assert len(state["spans"]["map_enc.W0"]) == 19
+        for grads, rows in self._grad_steps(params):
+            params, state = adam_step(params, grads, rows, state, TrainConfig())
+        spans = state["spans"]
+        assert len(spans) == 19
+        for i, span in enumerate(spans):
+            want = self.SPANS.get(i)
+            if want is None:
+                assert span[0] >= span[1], (i, span)
+            else:
+                assert span == want, (i, span)
 
     def test_dense_then_sparse(self):
         # Every span fills at the first step; later sparse gradients still
@@ -469,11 +514,44 @@ class TestAdamSpans:
         rng = np.random.default_rng(17)
         params = init_params(seed=17)
         dense = {k: rng.standard_normal(v.shape) for k, v in params.items()}
-        steps = [dense] + self._grad_steps(params)[:4]
+        steps = [(dense, ALL_ROWS)] + self._grad_steps(params)[:4]
         _, state = _run_span_parity(params, steps, TrainConfig(learning_rate=1e-3))
-        for key, p in params.items():
-            starts = range(0, len(p), model.ADAM_ROWS)
-            assert state["spans"][key] == [[s, min(s + model.ADAM_ROWS, len(p))] for s in starts]
+        n = len(ALL_ROWS)
+        starts = range(0, n, model.ADAM_ROWS)
+        assert state["spans"] == [[s, min(s + model.ADAM_ROWS, n)] for s in starts]
+
+
+def reference_train(train_samples, config):
+    """train() without validation data as a textbook loop: a fresh zeroed
+    gradient buffer at every step, and reference_adam_step over every row.
+    Returns the parameters and each epoch's mean training loss."""
+    rng = np.random.default_rng((config.seed, 0x7A))
+    params = init_params(config.seed)
+    state = {"m": zero_like_params(params), "v": zero_like_params(params), "t": 0}
+    n, curve = len(train_samples), []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss, n_batches = 0.0, 0
+        for i in range(0, n, config.batch_size):
+            feats = featurize([train_samples[j] for j in order[i : i + config.batch_size]])
+            loss, grads = grads_of(params, feats, config.neighbor_loss)
+            params, state = reference_adam_step(params, grads, state, config)
+            epoch_loss += loss
+            n_batches += 1
+        curve.append(epoch_loss / n_batches)
+    return params, curve
+
+
+@pytest.fixture(scope="module")
+def dense_samples(samples):
+    """A full, fraction-1.0 augmented set whose map inputs are nearly all
+    occupied at some step, with a last batch of one sample."""
+    cfg = augment.AugmentConfig(
+        mode="full", fraction=1.0, sigma_long=0.1, sigma_lat=0.05, p_remove=0.1, p_add=0.02
+    )
+    out = augment.augment_samples(samples, cfg, seed=3)[:65]
+    assert len(out) % 8 == 1
+    return out
 
 
 class TestTraining:
@@ -506,6 +584,39 @@ class TestTraining:
         for k in sorted(params):
             h.update(params[k].tobytes())
         assert h.hexdigest() == "3e6fc6324733263bc9ba86cd865a69c59819127410718ed2a827f2eac4b835b4"
+
+    @pytest.mark.parametrize("case", ["sparse", "dense", "no-neighbor-loss"])
+    def test_matches_textbook_loop_bitwise(self, samples, dense_samples, case):
+        # train's one gradient buffer, its zeroing of the reported rows and
+        # Adam's live spans against fresh gradients and every row updated.
+        data = dense_samples if case == "dense" else samples[:80]
+        cfg = TrainConfig(learning_rate=3e-4, epochs=3, seed=5, neighbor_loss=case != "no-neighbor-loss")
+        params, curve = train(data, [], cfg)
+        ref, ref_curve = reference_train(data, cfg)
+        for k in ref:
+            assert params[k].tobytes() == ref[k].tobytes(), k
+        assert [row["train_loss"] for row in curve] == ref_curve
+
+    def test_step_allocates_no_gradient(self, samples, monkeypatch):
+        # One gradient buffer per run: what a training step allocates for a
+        # while stays well under map_enc.W0's 4.8 MB gradient.  Each entry
+        # is the peak above the current allocation since the last Adam step.
+        peaks, step = [], model.adam_step
+
+        def measured(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - current)
+            tracemalloc.reset_peak()
+            return step(*args)
+
+        monkeypatch.setattr(model, "adam_step", measured)
+        tracemalloc.start()
+        try:
+            train(samples[:80], [], TrainConfig(learning_rate=3e-4, epochs=2, seed=5))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 20
+        assert max(peaks[1:]) <= 2.5e6, peaks
 
     def test_leakage_control(self, samples):
         # with a negligible learning rate the parameters stay put, so the
