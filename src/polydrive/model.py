@@ -45,9 +45,6 @@ LAYER_SIZES = {
 class TrainConfig:
     learning_rate: float = 1e-5
     batch_size: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     epochs: int = 30
     seed: int = 0
     neighbor_loss: bool = True
@@ -114,43 +111,35 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericalError(f"non-finite activations in layer {name}")
 
 
-def _mlp2_forward(params, prefix, x, rows=None):
-    """Two-layer block; ``rows`` limits the first layer to those inputs.
-
-    With ``rows`` the inputs outside it must be 0: their products are then
-    left out of ``x @ W0``, which changes the order of its sums.
-    """
-    if rows is None:
-        z0 = x @ params[f"{prefix}.W0"] + params[f"{prefix}.b0"]
-    else:
-        z0 = x[:, rows] @ params[f"{prefix}.W0"][rows] + params[f"{prefix}.b0"]
+def _mlp2_forward(params, prefix, x, rows=slice(None)):
+    """Two-layer block whose first layer reads only the inputs ``rows``, all
+    by default; the inputs it leaves out must be 0.  The cache holds the
+    inputs it read."""
+    x = x[:, rows]
+    z0 = x @ params[f"{prefix}.W0"][rows] + params[f"{prefix}.b0"]
     a0 = np.tanh(z0)
     z1 = a0 @ params[f"{prefix}.W1"] + params[f"{prefix}.b1"]
     _check_finite(prefix, z1)
     return z1, (x, a0)
 
 
-def _mlp2_tanh_forward(params, prefix, x, rows=None):
+def _mlp2_tanh_forward(params, prefix, x, rows=slice(None)):
     z1, cache = _mlp2_forward(params, prefix, x, rows)
     return np.tanh(z1), cache + (np.tanh(z1),)
 
 
-def _mlp2_backward(params, prefix, grads, dz1, cache, rows=None):
+def _mlp2_backward(params, prefix, grads, dz1, cache, rows=slice(None)):
     """Accumulate the block's gradients; returns dz0, the first layer's.
 
-    With ``rows`` (every input non-zero somewhere in the batch) the first-layer
-    weight gets its gradient only on those rows; every other row of
-    ``x.T @ dz0`` is a sum of zero products, so it stays exactly 0.
+    The first-layer weight gets its gradient only on the forward's ``rows``;
+    its other inputs are 0, so every other row of the gradient stays 0.
     """
     x, a0 = cache[0], cache[1]
     grads[f"{prefix}.W1"] += a0.T @ dz1
     grads[f"{prefix}.b1"] += dz1.sum(axis=0)
     da0 = dz1 @ params[f"{prefix}.W1"].T
     dz0 = da0 * (1.0 - a0 * a0)
-    if rows is None:
-        grads[f"{prefix}.W0"] += x.T @ dz0
-    else:
-        grads[f"{prefix}.W0"][rows] += x[:, rows].T @ dz0
+    grads[f"{prefix}.W0"][rows] += x.T @ dz0
     grads[f"{prefix}.b0"] += dz0.sum(axis=0)
     return dz0
 
@@ -167,15 +156,21 @@ def _ctx_backward(params, grads, da, x, a):
     grads["ctx_enc.b0"] += dz.sum(axis=0)
 
 
-def _encode(params, feats, map_rows=None):
-    """Shared trunk: the cache up to the context C and the heads' input [C, ego]."""
+def _encode(params, feats):
+    """Shared trunk: the cache up to the context C and the heads' input [C, ego].
+
+    Most proximity-map cells are empty, so the map block reads only the
+    batch's occupied inputs, its sorted ``rows``.
+    """
     ego_a, ego_cache = _mlp2_tanh_forward(params, "ego_enc", feats["xe"])
-    map_a, map_cache = _mlp2_tanh_forward(params, "map_enc", feats["xm"], map_rows)
+    rows = np.flatnonzero(feats["xm"].any(axis=0))
+    map_a, map_cache = _mlp2_tanh_forward(params, "map_enc", feats["xm"], rows)
     ctx_a = _ctx_forward(params, feats["xc"])
     context = np.concatenate([map_a, ctx_a], axis=1)
     return {
         "ego": ego_cache,
         "map": map_cache,
+        "rows": rows,
         "ctx_a": ctx_a,
         "context": context,
         "he": np.concatenate([context, ego_a], axis=1),
@@ -286,32 +281,25 @@ def loss_and_grad(params, feats, grads, rows, neighbor_loss: bool = True):
     d_ctx_a = d_context[:, 64:]
     map_a = cache["map_a"]
     dz1_map = d_map_a * (1.0 - map_a * map_a)
-    # Most proximity-map cells are empty, so most map inputs of a batch are 0.
-    occ = np.flatnonzero(cache["map"][0].any(axis=0))
-    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"], occ)
+    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"], cache["rows"])
     _ctx_backward(params, grads, d_ctx_a, feats["xc"], cache["ctx_a"])
 
     # Ego encoder.
     ego_a = cache["ego_a"]
     dz1_ego = d_ego_a * (1.0 - ego_a * ego_a)
     _mlp2_backward(params, "ego_enc", grads, dz1_ego, cache["ego"])
-    return loss, occ
+    return loss, cache["rows"]
 
 
 def predict(params, sample: Sample) -> PolyTrajectory2D:
     """Ego trajectory of one sample, from the head its command selects.
 
-    Only the trunk and that head run, and the first map layer reads only the
-    rows of ``map_enc.W0`` whose input is non-zero.  A live sample occupies
-    a few hundred of the 4,680 map inputs at most (238 over the closedloop
-    benchmark's 720 ticks), and the gather stays cheaper up to about 1,250
-    (one BLAS thread on a 2-vCPU Xeon: 1,200 gathered rows take 161 us, 238
-    take 34 us, the dense product 169 us).  Leaving out the zero products
-    reorders the sums, so the result matches forward_batch's selected row to
-    about 1e-15, not bitwise.  Neighbor futures need forward_batch.
+    Only the trunk and that head run, on forward_batch's batch-of-one shapes,
+    so the result is bitwise forward_batch's selected row.  Neighbor futures
+    need forward_batch.
     """
     feats = featurize([sample])
-    he = _encode(params, feats, np.flatnonzero(feats["xm"][0]))["he"]
+    he = _encode(params, feats)["he"]
     out, _ = _mlp2_forward(params, f"head{int(sample.nc)}", he)
     return PolyTrajectory2D.from_coeff_vector(out[0])
 
@@ -319,6 +307,10 @@ def predict(params, sample: Sample) -> PolyTrajectory2D:
 # -- optimizer -----------------------------------------------------------------
 
 
+# Adam's decay rates and denominator term (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 # Adam updates map_enc.W0 in slices of this many rows (256 KB per array), so
 # that the 14 passes of the update stay in cache.
 ADAM_ROWS = 256
@@ -345,24 +337,23 @@ def _adam_update(p, g, m, v, config: TrainConfig, t: int, scratch) -> None:
     """One Adam update of p, m and v in place.
 
     The operations run in the order of the expressions
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p - lr*m_hat/(sqrt(v_hat)+eps)``, so every element is bitwise what
+    ``m = BETA1*m + (1-BETA1)*g``, ``v = BETA2*v + (1-BETA2)*g*g`` and
+    ``p - lr*m_hat/(sqrt(v_hat)+EPSILON)``, so every element is bitwise what
     evaluating them on fresh arrays gives.
     """
-    b1, b2 = config.beta1, config.beta2
     s1 = scratch[0][: p.size].reshape(p.shape)
     s2 = scratch[1][: p.size].reshape(p.shape)
-    np.multiply(m, b1, out=m)
-    np.multiply(g, 1 - b1, out=s1)
+    np.multiply(m, BETA1, out=m)
+    np.multiply(g, 1 - BETA1, out=s1)
     np.add(m, s1, out=m)
-    np.multiply(v, b2, out=v)
-    np.multiply(g, 1 - b2, out=s1)
+    np.multiply(v, BETA2, out=v)
+    np.multiply(g, 1 - BETA2, out=s1)
     np.multiply(s1, g, out=s1)
     np.add(v, s1, out=v)
-    np.divide(v, 1 - b2**t, out=s1)
+    np.divide(v, 1 - BETA2**t, out=s1)
     np.sqrt(s1, out=s1)
-    np.add(s1, config.epsilon, out=s1)
-    np.divide(m, 1 - b1**t, out=s2)
+    np.add(s1, EPSILON, out=s1)
+    np.divide(m, 1 - BETA1**t, out=s2)
     np.multiply(s2, config.learning_rate, out=s2)
     np.divide(s2, s1, out=s2)
     np.subtract(p, s2, out=p)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from test_kernels import reference_segment_features
@@ -15,9 +17,10 @@ from polydrive.bench import (
     render_text,
     report_to_json,
 )
-from polydrive.control import DriveResult
+from polydrive.control import DriveResult, drive_task
 from polydrive.errors import InvalidInputError
 from polydrive.simworld import CAR_RADIUS, CORE_RADIUS, EpisodeLog, TICK
+from polydrive.trajectory import PINV, PolyTrajectory2D
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +235,48 @@ def drives():
                 result = bench.run_task(network, task, model.init_params(seed))
         out.append((town_id, seed, network, result))
     return out
+
+
+class TestTracker:
+    def test_oracle_trajectories_reach_the_goal(self, monkeypatch):
+        # The control half of the closed loop: in place of the model, an
+        # oracle gives the fit of the expert's own next 20 ticks, from a copy
+        # of the world stepped under the autopilot.  The live sampler, the
+        # PID tracker and the scoring are the real ones.  Tasks 700000-700002
+        # reach their goals in 233, 311 and 256 ticks, at most 7.4 mm off the
+        # route's centerline.  They start on it, on straight lanes, so a
+        # flipped steering sign still reaches the goals, up to 0.41 m off it.
+        worlds = []
+
+        def capture(params, world, *args, **kwargs):
+            worlds.append(world)
+            return drive_task(params, world, *args, **kwargs)
+
+        def oracle(params, sample):
+            world = worlds[-1]
+            ego = world.agents[0]
+            future = copy.deepcopy(world, memo={id(world.network): world.network})
+            path = []
+            for _ in range(20):
+                future.step()
+                path.append(future.agents[0].xy)
+            c, s = np.cos(ego.heading), np.sin(ego.heading)
+            coeffs = PINV @ ((np.array(path) - ego.xy) @ np.array([[c, -s], [s, c]]))
+            return PolyTrajectory2D(coeffs[:, 0], coeffs[:, 1])
+
+        monkeypatch.setattr(bench, "drive_task", capture)
+        monkeypatch.setattr(model, "predict", oracle)
+        network = sw.build_town("test")
+        tasks = [t for t in generate_suite("test", 7) if t.kind == "straight"][:3]
+        assert [t.seed for t in tasks] == [700000, 700001, 700002]
+        results = [bench.run_task(network, t) for t in tasks]
+        assert [(r.reached_goal, r.infractions) for r in results] == [(True, [])] * 3
+        for task, result in zip(tasks, results):
+            route, s, offsets = task.route(network), 0.0, []
+            for xy in result.trace.states[:, 0, :2]:
+                s = route.project(xy, s)
+                offsets.append(np.linalg.norm(xy - route.point_at(s)[0]))
+            assert max(offsets) < 0.05, task.seed
 
 
 class TestScorerParity:

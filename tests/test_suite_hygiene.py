@@ -130,7 +130,10 @@ def test_traced_names_are_read():
 
 
 # Defaults that no call in src/ or perfbench/ passes, kept on purpose.
-DEFAULT_UNPASSED_ALLOWED = {"cli.main(argv)"}  # the console script calls main()
+DEFAULT_UNPASSED_ALLOWED = {
+    "cli.main(argv)",  # the console script calls main()
+    "simworld.AgentState.route_s",  # World.step and drive_task assign it
+}
 
 
 def defaulted_parameters(modules: dict[str, ast.Module]) -> list[tuple[str, str, str, int | None]]:
@@ -163,10 +166,31 @@ def defaulted_parameters(modules: dict[str, ast.Module]) -> list[tuple[str, str,
     return found
 
 
+def defaulted_fields(modules: dict[str, ast.Module]) -> list[tuple[str, str, str, int]]:
+    """(label, class name, field, position) of each field with a default of
+    every module-level dataclass, whose __init__ takes its fields in order."""
+    found = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)) for d in decorators):
+                continue
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            found.extend(
+                (f"{name}.{node.name}.{f.target.id}", node.name, f.target.id, i)
+                for i, f in enumerate(fields)
+                if f.value is not None
+            )
+    return found
+
+
 def unpassed_defaults(modules: dict[str, ast.Module], callers: list[ast.AST]) -> list[str]:
-    """Defaulted parameters that no call of the same name in ``callers``
-    passes, by keyword or by position; a call with *args or **kwargs passes
-    whatever it may."""
+    """Defaulted parameters and dataclass fields that no call of the same
+    name in ``callers`` passes, by keyword or by position; a call with *args
+    or **kwargs passes whatever it may, and a keyword of a replace call
+    (dataclasses.replace) passes that field of every dataclass."""
     passed: dict[str, list[tuple[int, set, bool]]] = {}
     for tree in callers:
         for node in ast.walk(tree):
@@ -175,14 +199,20 @@ def unpassed_defaults(modules: dict[str, ast.Module], callers: list[ast.AST]) ->
                 star = any(isinstance(a, ast.Starred) for a in node.args)
                 keywords = {k.arg for k in node.keywords}
                 passed.setdefault(name, []).append((len(node.args), keywords, star))
-    return sorted(
-        label
-        for label, call, param, pos in defaulted_parameters(modules)
-        if not any(
+    replaced = set().union(*(keywords for _, keywords, _ in passed.get("replace", [])))
+
+    def unpassed(call, param, pos):
+        return not any(
             param in keywords or None in keywords or pos is not None and (pos < n or star)
             for n, keywords, star in passed.get(call, [])
         )
-    )
+
+    params = [label for label, *use in defaulted_parameters(modules) if unpassed(*use)]
+    fields = [
+        label for label, *use in defaulted_fields(modules)
+        if unpassed(*use) and not replaced & {use[1], None}
+    ]
+    return sorted(params + fields)
 
 
 def test_every_default_is_passed_somewhere():
@@ -211,3 +241,25 @@ def test_unpassed_defaults_are_found():
     assert unpassed_defaults(modules, [ast.parse("f(*a)\nk.m(**kw)")]) == [
         "mod.K.__init__(x)", "mod.K.s(w)", "mod.f(d)",
     ]
+    # Dataclass fields with a default, passed by position, by keyword or
+    # through dataclasses.replace.
+    source = (
+        "@dataclass\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: int = 0\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = 0\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class F:\n"
+        "    e: int = 0\n"
+        "class Plain:\n"
+        "    g: int = 0\n"
+    )
+    modules = {"dc": ast.parse(source)}
+    assert unpassed_defaults(modules, []) == ["dc.D.b", "dc.D.c", "dc.D.d", "dc.F.e"]
+    # A str.replace call's positions pass no field; replace's keywords do.
+    calls = ast.parse("D(0, 1)\nD(0, d=2)\nreplace(x, c=[])\nkey.replace('e', 'f')\n")
+    assert unpassed_defaults(modules, [calls]) == ["dc.F.e"]
+    assert unpassed_defaults(modules, [ast.parse("D(*row)\ndataclasses.replace(x, **kw)")]) == []
+    assert unpassed_defaults(modules, [ast.parse("F(1)")]) == ["dc.D.b", "dc.D.c", "dc.D.d"]
