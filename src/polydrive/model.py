@@ -1,6 +1,6 @@
 """Branched trajectory predictor with analytic gradients.
 
-Encoders (MLPs, tanh hidden / identity output):
+Encoders (MLP blocks, tanh on the hidden layer and on the output):
   ego history   (T*K*2 -> 64 -> 32)
   neighbor histories, one shared block for all N slots (T*K*2 -> 64 -> 32)
   proximity map (flattened -> 128 -> 64)
@@ -111,99 +111,75 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise NumericalError(f"non-finite activations in layer {name}")
 
 
-def _mlp2_forward(params, prefix, x, rows=slice(None)):
-    """Two-layer block whose first layer reads only the inputs ``rows``, all
-    by default; the inputs it leaves out must be 0.  The cache holds the
-    inputs it read."""
+def _block_forward(params, prefix, x, rows=slice(None)):
+    """One MLP block of one or two layers: tanh after the hidden layer, and
+    after the output in an encoder (``*_enc``).  The first layer reads only
+    the inputs ``rows``, all by default; the inputs it leaves out must be 0.
+    Returns the output and the cache (inputs read, hidden or None, output)."""
     x = x[:, rows]
-    z0 = x @ params[f"{prefix}.W0"][rows] + params[f"{prefix}.b0"]
-    a0 = np.tanh(z0)
-    z1 = a0 @ params[f"{prefix}.W1"] + params[f"{prefix}.b1"]
-    _check_finite(prefix, z1)
-    return z1, (x, a0)
+    z = x @ params[f"{prefix}.W0"][rows] + params[f"{prefix}.b0"]
+    a = None
+    if f"{prefix}.W1" in params:
+        a = np.tanh(z)
+        z = a @ params[f"{prefix}.W1"] + params[f"{prefix}.b1"]
+    _check_finite(prefix, z)
+    out = np.tanh(z) if prefix.endswith("_enc") else z
+    return out, (x, a, out)
 
 
-def _mlp2_tanh_forward(params, prefix, x, rows=slice(None)):
-    z1, cache = _mlp2_forward(params, prefix, x, rows)
-    return np.tanh(z1), cache + (np.tanh(z1),)
-
-
-def _mlp2_backward(params, prefix, grads, dz1, cache, rows=slice(None)):
-    """Accumulate the block's gradients; returns dz0, the first layer's.
+def _block_backward(params, prefix, grads, d_out, cache, rows=slice(None)):
+    """Accumulate the block's gradients from ``d_out``, the gradient at its
+    output; returns dz, the first layer's pre-activation gradient.
 
     The first-layer weight gets its gradient only on the forward's ``rows``;
     its other inputs are 0, so every other row of the gradient stays 0.
     """
-    x, a0 = cache[0], cache[1]
-    grads[f"{prefix}.W1"] += a0.T @ dz1
-    grads[f"{prefix}.b1"] += dz1.sum(axis=0)
-    da0 = dz1 @ params[f"{prefix}.W1"].T
-    dz0 = da0 * (1.0 - a0 * a0)
-    grads[f"{prefix}.W0"][rows] += x.T @ dz0
-    grads[f"{prefix}.b0"] += dz0.sum(axis=0)
-    return dz0
-
-
-def _ctx_forward(params, x):
-    z = x @ params["ctx_enc.W0"] + params["ctx_enc.b0"]
-    _check_finite("ctx_enc", z)
-    return np.tanh(z)
-
-
-def _ctx_backward(params, grads, da, x, a):
-    dz = da * (1.0 - a * a)
-    grads["ctx_enc.W0"] += x.T @ dz
-    grads["ctx_enc.b0"] += dz.sum(axis=0)
+    x, a, out = cache
+    dz = d_out * (1.0 - out * out) if prefix.endswith("_enc") else d_out
+    if a is not None:
+        grads[f"{prefix}.W1"] += a.T @ dz
+        grads[f"{prefix}.b1"] += dz.sum(axis=0)
+        dz = (dz @ params[f"{prefix}.W1"].T) * (1.0 - a * a)
+    grads[f"{prefix}.W0"][rows] += x.T @ dz
+    grads[f"{prefix}.b0"] += dz.sum(axis=0)
+    return dz
 
 
 def _encode(params, feats):
-    """Shared trunk: the cache up to the context C and the heads' input [C, ego].
-
-    Most proximity-map cells are empty, so the map block reads only the
-    batch's occupied inputs, its sorted ``rows``.
-    """
-    ego_a, ego_cache = _mlp2_tanh_forward(params, "ego_enc", feats["xe"])
+    """Shared trunk: the cache up to the context C and the heads' input
+    [C, ego].  Most proximity-map cells are empty, so the map block reads
+    only the batch's occupied inputs, its sorted ``rows``."""
+    ego_a, ego_cache = _block_forward(params, "ego_enc", feats["xe"])
     rows = np.flatnonzero(feats["xm"].any(axis=0))
-    map_a, map_cache = _mlp2_tanh_forward(params, "map_enc", feats["xm"], rows)
-    ctx_a = _ctx_forward(params, feats["xc"])
+    map_a, map_cache = _block_forward(params, "map_enc", feats["xm"], rows)
+    ctx_a, ctx_cache = _block_forward(params, "ctx_enc", feats["xc"])
     context = np.concatenate([map_a, ctx_a], axis=1)
     return {
         "ego": ego_cache,
         "map": map_cache,
+        "ctx": ctx_cache,
         "rows": rows,
-        "ctx_a": ctx_a,
         "context": context,
         "he": np.concatenate([context, ego_a], axis=1),
-        "map_a": map_a,
-        "ego_a": ego_a,
     }
 
 
 def forward_batch(params, feats):
-    """All-branch forward; returns coefficient outputs and the cache."""
+    """Ego coefficients from the heads the commands select, each run once on
+    its own rows; neighbor coefficients from one encoder and one decoder pass
+    over all B * N slot rows (batch-major).  Returns both and the cache."""
     cache = _encode(params, feats)
-    context = cache["context"]
-    head_out = []
-    head_cache = []
+    b = len(feats["nc"])
+    ego_coeffs = np.empty((b, 10))
+    cache["heads"] = []
     for h in range(N_HEADS):
-        out, h_cache = _mlp2_forward(params, f"head{h}", cache["he"])
-        head_out.append(out)
-        head_cache.append(h_cache)
-    b = feats["xe"].shape[0]
-    nc = feats["nc"]
-    ego_coeffs = np.stack(head_out, axis=0)[nc, np.arange(b)]
-
-    nbr_coeffs = np.empty((b, N_NEIGHBORS, 10))
-    nbr_caches = []
-    for k in range(N_NEIGHBORS):
-        enc_a, enc_cache = _mlp2_tanh_forward(params, "nbr_enc", feats["xv"][:, k])
-        hv = np.concatenate([context, enc_a], axis=1)
-        out, dec_cache = _mlp2_forward(params, "nbr_dec", hv)
-        nbr_coeffs[:, k] = out
-        nbr_caches.append((enc_cache, dec_cache))
-    cache["heads"] = head_cache
-    cache["nbr"] = nbr_caches
-    return ego_coeffs, nbr_coeffs, cache
+        sel = feats["nc"] == h
+        ego_coeffs[sel], h_cache = _block_forward(params, f"head{h}", cache["he"][sel])
+        cache["heads"].append((sel, h_cache))
+    nbr_a, cache["nbr_enc"] = _block_forward(params, "nbr_enc", feats["xv"].reshape(b * N_NEIGHBORS, -1))
+    hv = np.concatenate([np.repeat(cache["context"], N_NEIGHBORS, axis=0), nbr_a], axis=1)
+    nbr_coeffs, cache["nbr_dec"] = _block_forward(params, "nbr_dec", hv)
+    return ego_coeffs, nbr_coeffs.reshape(b, N_NEIGHBORS, 10), cache
 
 
 def coeffs_to_points(coeffs: np.ndarray) -> np.ndarray:
@@ -234,8 +210,9 @@ def loss_and_grad(params, feats, grads, rows, neighbor_loss: bool = True):
     """Batch-mean point L2 loss; writes its analytic gradients into ``grads``,
     one buffer per run (zero_like_params), of whose map_enc.W0 only ``rows``,
     the rows the last call returned (none at the first), may be non-zero.
-    Zeroes those and every other array; returns the loss and the map_enc.W0
-    rows this call wrote, sorted."""
+    Zeroes those and every other array, then runs each block's backward once,
+    on the rows its forward read.  Returns the loss and the map_enc.W0 rows
+    this call wrote, sorted."""
     b = feats["xe"].shape[0]
     ego_coeffs, nbr_coeffs, cache = forward_batch(params, feats)
     pe = coeffs_to_points(ego_coeffs)
@@ -248,59 +225,41 @@ def loss_and_grad(params, feats, grads, rows, neighbor_loss: bool = True):
     # d loss / d coefficient vectors.
     ge_pts = 2.0 * (pe - feats["ye"]) / b  # (B, 20, 2)
     d_ego = _coeff_grad(ge_pts)
-    d_context = np.zeros_like(cache["context"])
 
     # Ego heads: each backward over the rows its command selects.
     d_he = np.zeros_like(cache["he"])
-    for h in range(N_HEADS):
-        sel = feats["nc"] == h
-        if not sel.any():
-            continue
-        x_h, a0_h = cache["heads"][h]
-        dz0 = _mlp2_backward(params, f"head{h}", grads, d_ego[sel], (x_h[sel], a0_h[sel]))
+    for h, (sel, h_cache) in enumerate(cache["heads"]):
+        dz0 = _block_backward(params, f"head{h}", grads, d_ego[sel], h_cache)
         d_he[sel] += dz0 @ params[f"head{h}.W0"].T
+    d_context = np.zeros_like(cache["context"])
     d_context += d_he[:, :80]
-    d_ego_a = d_he[:, 80:]
 
-    # Neighbor decoder/encoder (shared blocks) over all present slots.
+    # Neighbor decoder/encoder (shared blocks) over all B * N slot rows.
     if neighbor_loss:
         gv_pts = 2.0 * ((pv - feats["yv"]) * feats["vmask"][:, :, None, None]) / b
-        for k in range(N_NEIGHBORS):
-            d_nbr = _coeff_grad(gv_pts[:, k])
-            enc_cache, dec_cache = cache["nbr"][k]
-            dz0 = _mlp2_backward(params, "nbr_dec", grads, d_nbr, dec_cache)
-            d_hv = dz0 @ params["nbr_dec.W0"].T
-            d_context += d_hv[:, :80]
-            d_enc_a = d_hv[:, 80:]
-            a1 = enc_cache[2]
-            dz1 = d_enc_a * (1.0 - a1 * a1)
-            _mlp2_backward(params, "nbr_enc", grads, dz1, enc_cache)
+        d_nbr = _coeff_grad(gv_pts.reshape(b * N_NEIGHBORS, 20, 2))
+        dz0 = _block_backward(params, "nbr_dec", grads, d_nbr, cache["nbr_dec"])
+        d_hv = dz0 @ params["nbr_dec.W0"].T
+        d_context += d_hv[:, :80].reshape(b, N_NEIGHBORS, 80).sum(axis=1)
+        _block_backward(params, "nbr_enc", grads, d_hv[:, 80:], cache["nbr_enc"])
 
-    # Context vector backprop into map / ctx encoders.
-    d_map_a = d_context[:, :64]
-    d_ctx_a = d_context[:, 64:]
-    map_a = cache["map_a"]
-    dz1_map = d_map_a * (1.0 - map_a * map_a)
-    _mlp2_backward(params, "map_enc", grads, dz1_map, cache["map"], cache["rows"])
-    _ctx_backward(params, grads, d_ctx_a, feats["xc"], cache["ctx_a"])
-
-    # Ego encoder.
-    ego_a = cache["ego_a"]
-    dz1_ego = d_ego_a * (1.0 - ego_a * ego_a)
-    _mlp2_backward(params, "ego_enc", grads, dz1_ego, cache["ego"])
+    # Context vector backprop into the map and ctx encoders; the ego encoder.
+    _block_backward(params, "map_enc", grads, d_context[:, :64], cache["map"], cache["rows"])
+    _block_backward(params, "ctx_enc", grads, d_context[:, 64:], cache["ctx"])
+    _block_backward(params, "ego_enc", grads, d_he[:, 80:], cache["ego"])
     return loss, cache["rows"]
 
 
 def predict(params, sample: Sample) -> PolyTrajectory2D:
     """Ego trajectory of one sample, from the head its command selects.
 
-    Only the trunk and that head run, on forward_batch's batch-of-one shapes,
-    so the result is bitwise forward_batch's selected row.  Neighbor futures
-    need forward_batch.
+    Only the trunk and that head run, on the shapes forward_batch gives them
+    for a batch of one, so the result is bitwise forward_batch's selected
+    row.  Neighbor futures need forward_batch.
     """
     feats = featurize([sample])
     he = _encode(params, feats)["he"]
-    out, _ = _mlp2_forward(params, f"head{int(sample.nc)}", he)
+    out, _ = _block_forward(params, f"head{int(sample.nc)}", he)
     return PolyTrajectory2D.from_coeff_vector(out[0])
 
 
@@ -481,7 +440,9 @@ def save_checkpoint(params, path, config: TrainConfig | None = None, extra=None)
         "keys": sorted(params),
     }
     arrays = {k.replace(".", "__"): params[k] for k in sorted(params)}
-    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+    # A file object, since np.savez appends ".npz" to a path that lacks it.
+    with open(path, "wb") as f:
+        np.savez(f, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
 
 
 def load_checkpoint(path):

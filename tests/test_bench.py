@@ -242,10 +242,13 @@ class TestTracker:
         # The control half of the closed loop: in place of the model, an
         # oracle gives the fit of the expert's own next 20 ticks, from a copy
         # of the world stepped under the autopilot.  The live sampler, the
-        # PID tracker and the scoring are the real ones.  Tasks 700000-700002
-        # reach their goals in 233, 311 and 256 ticks, at most 7.4 mm off the
-        # route's centerline.  They start on it, on straight lanes, so a
-        # flipped steering sign still reaches the goals, up to 0.41 m off it.
+        # PID tracker and the scoring are the real ones.  Straight tasks
+        # 700000-700002 reach their goals in 233, 311 and 256 ticks, at most
+        # 7.4 mm off the route's centerline.  They start on it, on straight
+        # lanes, so a flipped steering sign still reaches the goals, up to
+        # 0.41 m off it.  One-turn tasks 700025-700027 steer through a turn:
+        # they reach their goals in 654, 820 and 809 ticks, at most 0.71 m
+        # off the centerline, and a flipped sign fails all three, off-road.
         worlds = []
 
         def capture(params, world, *args, **kwargs):
@@ -267,16 +270,18 @@ class TestTracker:
         monkeypatch.setattr(bench, "drive_task", capture)
         monkeypatch.setattr(model, "predict", oracle)
         network = sw.build_town("test")
-        tasks = [t for t in generate_suite("test", 7) if t.kind == "straight"][:3]
-        assert [t.seed for t in tasks] == [700000, 700001, 700002]
+        suite = generate_suite("test", 7)
+        straight, one_turn = ([t for t in suite if t.kind == kind][:3] for kind in ("straight", "one_turn"))
+        tasks = straight + one_turn
+        assert [t.seed for t in tasks] == [700000, 700001, 700002, 700025, 700026, 700027]
         results = [bench.run_task(network, t) for t in tasks]
-        assert [(r.reached_goal, r.infractions) for r in results] == [(True, [])] * 3
+        assert [(r.reached_goal, r.infractions) for r in results] == [(True, [])] * 6
         for task, result in zip(tasks, results):
             route, s, offsets = task.route(network), 0.0, []
             for xy in result.trace.states[:, 0, :2]:
                 s = route.project(xy, s)
                 offsets.append(np.linalg.norm(xy - route.point_at(s)[0]))
-            assert max(offsets) < 0.05, task.seed
+            assert max(offsets) < (0.05 if task.kind == "straight" else 0.75), task.seed
 
 
 class TestScorerParity:

@@ -573,6 +573,25 @@ class TestPipeline:
         block = json.loads((tmp_path / "mae.json").read_text())
         assert set(block["mae"]) >= {"ego", "ego_2s", "neighbors", "neighbors_2s"}
 
+    def test_checkpoint_path_without_suffix(self, tiny_dataset, tmp_path, capsys):
+        # np.savez appends ".npz" to a path that lacks it; the checkpoint must
+        # land at the path given, next to its history, where eval-offline
+        # reads it.
+        ckpt = tmp_path / "ck"
+        rc = main(
+            ["train", "--seed", "0", "--out", str(ckpt),
+             f'train = "{tiny_dataset}/train.jsonl"', f'val = "{tiny_dataset}/val.jsonl"',
+             "epochs = 1"]
+        )
+        assert rc == 0
+        assert ckpt.exists() and (tmp_path / "ck.history.json").exists()
+        assert not (tmp_path / "ck.npz").exists()
+        rc = main(
+            ["eval-offline", "--out", str(tmp_path / "mae.json"),
+             f'checkpoint = "{ckpt}"', f'data = "{tiny_dataset}/val.jsonl"']
+        )
+        assert rc == 0
+
     def test_one_episode_recording_trains(self, tmp_path, capsys):
         # One episode goes wholly to the train split, so val is empty.
         rc = main(
