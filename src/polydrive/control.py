@@ -32,7 +32,6 @@ from .simworld import (
     TICK,
     AgentState,
     EpisodeLog,
-    RoadNetwork,
     Route,
     World,
     autopilot_command,
@@ -101,72 +100,30 @@ def pid_track(
 # -- live sample construction ---------------------------------------------------
 
 
-# Radial margin (m) between the zone test and the route's junction spans that
-# decide where it can be skipped; floating error here is about 1e-10 m.
-ZONE_MARGIN = 1e-3
-
-
-def _zone_crossing(route: Route, s_now: float, step: float, network: RoadNetwork):
-    """Arc lengths (s_in, s_out) where the walk enters and leaves the first
-    junction zone it meets, or None when it meets none.
-
-    The result is what testing every point of the walk gives.  But a point
-    is tested only inside the route's junction spans for a radius
-    ZONE_MARGIN larger, and the exit walk only adds up its steps while the
-    spans for a radius ZONE_MARGIN smaller hold it inside.
-    """
-    n_steps = int(round(NC_LOOKAHEAD_S / TICK))
-    length = route.length
-    spans = route.junction_spans(NC_ZONE_RADIUS + ZONE_MARGIN)
-    s_last = max(min(s_now + n_steps * step, length), 0.0)
-    k = 0
-    for i in range(n_steps + 1):
-        s_in = min(s_now + i * step, length)
-        at = max(s_in, 0.0)  # where point_at looks
-        while k < len(spans) and spans[k][1] < at:
-            k += 1
-        if k == len(spans) or s_last < spans[k][0]:
-            return None
-        if at < spans[k][0]:
-            continue
-        node_id, d = network.nearest_junction(route.point_at(s_in)[0])
-        if d < NC_ZONE_RADIUS:
-            break
-    else:
-        return None
-    node_pos = network.nodes[node_id].pos
-    inside_to = s_in
-    for lo, hi, nid in route.junction_spans(NC_ZONE_RADIUS - ZONE_MARGIN):
-        if nid == node_id and lo <= max(s_in, 0.0) < hi:
-            inside_to = min(hi, length)
-    s = s_in
-    while s < inside_to:  # surely inside the zone: the test below would not stop
-        s += step
-    while s < length:
-        pos, _ = route.point_at(s)
-        if float(np.linalg.norm(pos - node_pos)) >= NC_ZONE_RADIUS:
-            break
-        s += step
-    return s_in, min(s, length)
-
-
-def live_navigation_command(
-    route: Route, s_now: float, speed: float, network: RoadNetwork
-) -> NavigationCommand:
+def live_navigation_command(route: Route, s_now: float, speed: float) -> NavigationCommand:
     """Route-based counterpart of the offline maneuver classifier.
 
-    Walks the route at the current speed (floored at 0.5 m/s) over the 5 s
-    lookahead; if a junction zone (15 m radius) is entered, the route-tangent
-    heading change across the zone decides left / right / cross.
+    The first of the route's junction zones (15 m radius, its junction_spans)
+    that the ego is in, or that starts within the 5 s lookahead at the current
+    speed (floored at 0.5 m/s), decides left / right / cross from the
+    route-tangent heading change between the zone's entry (the ego, once
+    inside) and its exit; with no such zone, keep lane.
     """
-    crossing = _zone_crossing(route, s_now, max(speed, 0.5) * TICK, network)
-    if crossing is None:
-        return NavigationCommand.KEEP_LANE
-    _, u_in = route.point_at(crossing[0])
-    _, u_out = route.point_at(crossing[1])
-    h_in = float(np.arctan2(u_in[1], u_in[0]))
-    h_out = float(np.arctan2(u_out[1], u_out[0]))
-    return turn_command(h_in, h_out)
+    length = route.length
+    s0 = max(min(s_now, length), 0.0)
+    step = max(speed, 0.5) * TICK
+    s_last = max(min(s_now + round(NC_LOOKAHEAD_S / TICK) * step, length), 0.0)
+    for lo, hi, _ in route.junction_spans(NC_ZONE_RADIUS):
+        if hi <= s0 and hi < length:  # passed; a zone the route ends in still holds the ego
+            continue
+        if lo > s_last:
+            break
+        _, u_in = route.point_at(max(lo, s0))
+        _, u_out = route.point_at(min(hi, length))
+        h_in = float(np.arctan2(u_in[1], u_in[0]))
+        h_out = float(np.arctan2(u_out[1], u_out[0]))
+        return turn_command(h_in, h_out)
+    return NavigationCommand.KEEP_LANE
 
 
 class LiveSampler:
@@ -199,7 +156,7 @@ class LiveSampler:
     def build(self) -> Sample:
         """The model inputs for the most recent observed tick, as a batch of one."""
         snap, ego = self.snap, self.world.agents[0]
-        nc = live_navigation_command(ego.route, ego.route_s, float(snap[0, 3]), self.world.network)
+        nc = live_navigation_command(ego.route, ego.route_s, float(snap[0, 3]))
         ring = self.tracks[None, :, self.head + 1 : self.head + 1 + T_STEPS]
         return assemble_sample(
             self.world.network, snap[:1], ring, [snap[self.other_rows].tolist()],
@@ -286,10 +243,9 @@ def drive_task(
         distance += float(np.linalg.norm(xy - prev_xy))
         prev_xy = xy.copy()
 
-        s_now = route.project(xy, ego.route_s if ego.route is route else 0.0)
         if (
             float(np.linalg.norm(xy - goal_xy)) <= GOAL_TOLERANCE
-            and s_now > goal_s - 30.0
+            and ego.route_s > goal_s - 30.0
         ):
             reached = True
             break

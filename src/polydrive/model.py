@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import codec
-from .dataset import MAP_SIZE, N_NEIGHBORS, Sample
+from .dataset import K_WINDOW, MAP_SIZE, N_NEIGHBORS, T_STEPS, Sample
 from .errors import DataFormatError, NumericalError
 from .trajectory import VAND, PolyTrajectory2D
 
@@ -31,14 +31,17 @@ N_HEADS = 4
 POS_SCALE = 0.05
 CTX_SCALE = np.array([1 / 50.0, 1.0, 1 / 50.0, 1 / 3.5, 1.0, 1 / 50.0, 1 / 8.0, 1 / 30.0])
 
+# Block widths, input first (a history holds T * K points, a map cell K).
 LAYER_SIZES = {
-    "ego_enc": (120, 64, 32),
-    "nbr_enc": (120, 64, 32),
-    "map_enc": (4680, 128, 64),
+    "ego_enc": (T_STEPS * K_WINDOW * 2, 64, 32),
+    "nbr_enc": (T_STEPS * K_WINDOW * 2, 64, 32),
+    "map_enc": (MAP_SIZE * K_WINDOW * 2, 128, 64),
     "ctx_enc": (8, 16),
-    "head": (112, 64, 10),
-    "nbr_dec": (112, 64, 10),
 }
+# C = [map encoding, ctx encoding]; a head reads [C, ego], nbr_dec [C, nbr].
+CONTEXT_WIDTH = LAYER_SIZES["map_enc"][-1] + LAYER_SIZES["ctx_enc"][-1]
+LAYER_SIZES["head"] = (CONTEXT_WIDTH + LAYER_SIZES["ego_enc"][-1], 64, 10)
+LAYER_SIZES["nbr_dec"] = (CONTEXT_WIDTH + LAYER_SIZES["nbr_enc"][-1], 64, 10)
 
 
 @dataclass
@@ -82,14 +85,14 @@ def zero_like_params(params) -> dict[str, np.ndarray]:
 def featurize(samples: list[Sample]) -> dict[str, np.ndarray]:
     b = len(samples)
     feats = {
-        "xe": np.empty((b, 120)),
-        "xv": np.empty((b, N_NEIGHBORS, 120)),
+        "xe": np.empty((b, LAYER_SIZES["ego_enc"][0])),
+        "xv": np.empty((b, N_NEIGHBORS, LAYER_SIZES["nbr_enc"][0])),
         "vmask": np.empty((b, N_NEIGHBORS)),
-        "xm": np.zeros((b, 4680)),
+        "xm": np.zeros((b, LAYER_SIZES["map_enc"][0])),
         "xc": np.empty((b, 8)),
         "nc": np.empty(b, dtype=np.int64),
-        "ye": np.empty((b, 20, 2)),
-        "yv": np.empty((b, N_NEIGHBORS, 20, 2)),
+        "ye": np.empty((b, T_STEPS, 2)),
+        "yv": np.empty((b, N_NEIGHBORS, T_STEPS, 2)),
     }
     for i, s in enumerate(samples):
         feats["xe"][i] = s.e.ravel() * POS_SCALE
@@ -223,7 +226,7 @@ def loss_and_grad(params, feats, grads, rows, neighbor_loss: bool = True):
     for key, g in grads.items():
         g[rows if key == "map_enc.W0" else ...] = 0.0
     # d loss / d coefficient vectors.
-    ge_pts = 2.0 * (pe - feats["ye"]) / b  # (B, 20, 2)
+    ge_pts = 2.0 * (pe - feats["ye"]) / b  # (B, T, 2)
     d_ego = _coeff_grad(ge_pts)
 
     # Ego heads: each backward over the rows its command selects.
@@ -232,21 +235,22 @@ def loss_and_grad(params, feats, grads, rows, neighbor_loss: bool = True):
         dz0 = _block_backward(params, f"head{h}", grads, d_ego[sel], h_cache)
         d_he[sel] += dz0 @ params[f"head{h}.W0"].T
     d_context = np.zeros_like(cache["context"])
-    d_context += d_he[:, :80]
+    d_context += d_he[:, :CONTEXT_WIDTH]
 
     # Neighbor decoder/encoder (shared blocks) over all B * N slot rows.
     if neighbor_loss:
         gv_pts = 2.0 * ((pv - feats["yv"]) * feats["vmask"][:, :, None, None]) / b
-        d_nbr = _coeff_grad(gv_pts.reshape(b * N_NEIGHBORS, 20, 2))
+        d_nbr = _coeff_grad(gv_pts.reshape(b * N_NEIGHBORS, T_STEPS, 2))
         dz0 = _block_backward(params, "nbr_dec", grads, d_nbr, cache["nbr_dec"])
         d_hv = dz0 @ params["nbr_dec.W0"].T
-        d_context += d_hv[:, :80].reshape(b, N_NEIGHBORS, 80).sum(axis=1)
-        _block_backward(params, "nbr_enc", grads, d_hv[:, 80:], cache["nbr_enc"])
+        d_context += d_hv[:, :CONTEXT_WIDTH].reshape(b, N_NEIGHBORS, CONTEXT_WIDTH).sum(axis=1)
+        _block_backward(params, "nbr_enc", grads, d_hv[:, CONTEXT_WIDTH:], cache["nbr_enc"])
 
     # Context vector backprop into the map and ctx encoders; the ego encoder.
-    _block_backward(params, "map_enc", grads, d_context[:, :64], cache["map"], cache["rows"])
-    _block_backward(params, "ctx_enc", grads, d_context[:, 64:], cache["ctx"])
-    _block_backward(params, "ego_enc", grads, d_he[:, 80:], cache["ego"])
+    n_map = LAYER_SIZES["map_enc"][-1]
+    _block_backward(params, "map_enc", grads, d_context[:, :n_map], cache["map"], cache["rows"])
+    _block_backward(params, "ctx_enc", grads, d_context[:, n_map:], cache["ctx"])
+    _block_backward(params, "ego_enc", grads, d_he[:, CONTEXT_WIDTH:], cache["ego"])
     return loss, cache["rows"]
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pathlib
+import re
 import tomllib
 
 import pytest
@@ -98,6 +99,52 @@ def test_uncalled_functions_are_found():
     strings = ast.parse("x = ('simworld', 'World.step')\ny = 'not a name'")
     assert imported_names(strings) == set()
     assert imported_names(strings, strings=True) == {"simworld", "World", "step"}
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(modules: dict[str, ast.Module], readers: list[ast.AST]) -> list[str]:
+    """Module-level UPPER_CASE names, assigned with or without an annotation,
+    that no tree of ``readers`` reads, by name or as an attribute."""
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in readers
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    found = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            else:
+                targets = [node.target] if isinstance(node, ast.AnnAssign) else []
+            found += [
+                f"{name}.{n.id}"
+                for target in targets if isinstance(target, (ast.Name, ast.Tuple))
+                for n in ast.walk(target)
+                if isinstance(n, ast.Name) and CONSTANT.fullmatch(n.id) and n.id not in read
+            ]
+    return sorted(found)
+
+
+def test_every_constant_is_read_outside_the_tests():
+    modules = {p.stem: ast.parse(p.read_text(), str(p)) for p in SOURCES}
+    readers = list(modules.values())
+    readers += [ast.parse(p.read_text(), str(p)) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_constants(modules, readers) == []
+
+
+def test_unread_constants_are_found():
+    source = (
+        "USED = 1\nUNUSED = 2\n_HIDDEN: float = 3.0\nA, (B, lower) = 1, (2, 3)\nC = D = USED\n"
+        "lower = 4\ndef f():\n    LOCAL = 5\n"
+    )
+    tree = ast.parse(source)
+    assert unread_constants({"m": tree}, [tree]) == ["m.A", "m.B", "m.C", "m.D", "m.UNUSED", "m._HIDDEN"]
+    readers = [tree, ast.parse("import m\nm.UNUSED\nprint(A, _HIDDEN)\n")]
+    assert unread_constants({"m": tree}, readers) == ["m.B", "m.C", "m.D"]
 
 
 def traced_names(tree: ast.Module) -> list[tuple[str, str]]:
