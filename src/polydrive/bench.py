@@ -16,7 +16,7 @@ import numpy as np
 
 from .control import DriveResult, drive_task, route_timeout
 from .errors import InvalidInputError
-from .kernels import segment_features
+from .kernels import runs, segment_features
 from .simworld import (
     CAR_RADIUS,
     CORE_RADIUS,
@@ -156,14 +156,6 @@ def generate_suite(town: str, seed: int) -> list[BenchTask]:
 # -- infraction detection ----------------------------------------------------------
 
 
-def _runs(flags: np.ndarray, min_len: int = 1) -> list[int]:
-    """Start indices of consecutive-True runs of at least min_len ticks."""
-    # Each run starts where the padded flags rise and ends where they fall.
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], flags.astype(np.int8), [0]])))
-    starts, ends = edges[0::2], edges[1::2]
-    return starts[ends - starts >= min_len].tolist()
-
-
 def light_entries(trace: EpisodeLog, network: RoadNetwork) -> list[tuple[int, bool]]:
     """(tick, green) for each time the ego enters the core of a lit junction,
     junction by junction: the first tick within CORE_RADIUS of its centre,
@@ -177,15 +169,15 @@ def light_entries(trace: EpisodeLog, network: RoadNetwork) -> list[tuple[int, bo
     junction_d = np.linalg.norm(pos[:, None, :] - network.junction_pos, axis=2)
     entries = []
     for node_id, d in zip(network.junction_ids, junction_d.T):
-        for i in np.flatnonzero((d[:-1] > CORE_RADIUS) & (d[1:] <= CORE_RADIUS)).tolist():
-            j = i
+        for i in [start for start, _ in runs(d <= CORE_RADIUS) if start > 0]:
+            j = i - 1
             while j > 0 and d[j] <= CORE_RADIUS + 3.0:
                 j -= 1
             dist, _ = segment_features(pos[j : j + 1], network.seg_a, network.seg_b)
             axis = network.signal_axis(int(np.argmin(dist[0])))
             group = trace.group_index.get((int(node_id), axis))
             if group is not None:
-                entries.append((i + 1, bool(trace.lights[i + 1, group])))
+                entries.append((i, bool(trace.lights[i, group])))
     return entries
 
 
@@ -228,11 +220,11 @@ def _infractions(trace, network, entries) -> list[InfractionEvent]:
 
     events: list[InfractionEvent] = []
     hold = int(round(OPPOSITE_LANE_HOLD_S / TICK)) + 1
-    for i in _runs(opposite, min_len=hold):
+    for i in [start for start, end in runs(opposite) if end - start >= hold]:
         events.append(InfractionEvent("opposite_lane", i, tuple(pos[i])))
-    for i in _runs(sidewalk):
+    for i, _ in runs(sidewalk):
         events.append(InfractionEvent("sidewalk", i, tuple(pos[i])))
-    for i in _runs(static):
+    for i, _ in runs(static):
         events.append(InfractionEvent("collision_static", i, tuple(pos[i])))
 
     # Collisions with other agents, debounced per partner.
@@ -242,7 +234,7 @@ def _infractions(trace, network, entries) -> list[InfractionEvent]:
         else:
             threshold, label = CAR_RADIUS + PED_RADIUS, "collision_pedestrian"
         d = np.linalg.norm(trace.states[:, r, :2] - pos, axis=1)
-        for i in _runs(d < threshold):
+        for i, _ in runs(d < threshold):
             events.append(InfractionEvent(label, i, tuple(pos[i])))
 
     for i, green in entries:

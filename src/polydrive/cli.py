@@ -292,6 +292,14 @@ def _read_trace(path: str) -> simworld.EpisodeLog:
             raise DataFormatError(
                 f"{path}: trace metadata {key!r} must be {kind.__name__}, got {meta.get(key)!r}"
             )
+    for key, valid, want in (
+        ("task_kind", meta["task_kind"] in bench.TASK_KINDS, "a task kind"),
+        ("distance_m", meta["distance_m"] >= 0, "0 or more"),
+    ):
+        if not valid:
+            raise DataFormatError(
+                f"{path}: trace metadata {key!r} must be {want}, got {meta[key]!r}"
+            )
     if len(trace) == 0 or "car" not in trace.kinds:
         raise DataFormatError(f"{path}: trace has no ticks or no car (the ego is the first car)")
     return trace

@@ -16,13 +16,7 @@ import numpy as np
 
 from . import augment, model
 from .dataset import (
-    NC_LOOKAHEAD_S,
-    NC_ZONE_RADIUS,
-    T_STEPS,
-    NavigationCommand,
-    Sample,
-    assemble_sample,
-    turn_command,
+    NC_LOOKAHEAD_S, T_STEPS, NavigationCommand, Sample, assemble_sample, zone_command
 )
 from .simworld import (
     ACCEL_MAX,
@@ -101,29 +95,19 @@ def pid_track(
 
 
 def live_navigation_command(route: Route, s_now: float, speed: float) -> NavigationCommand:
-    """Route-based counterpart of the offline maneuver classifier.
+    """The offline rule, dataset.zone_command, on the route: its junction
+    spans in arc length, the 5 s lookahead at the current speed (floored at
+    0.5 m/s) and the route's tangent heading."""
 
-    The first of the route's junction zones (15 m radius, its junction_spans)
-    that the ego is in, or that starts within the 5 s lookahead at the current
-    speed (floored at 0.5 m/s), decides left / right / cross from the
-    route-tangent heading change between the zone's entry (the ego, once
-    inside) and its exit; with no such zone, keep lane.
-    """
+    def heading_at(s):
+        _, u = route.point_at(s)
+        return float(np.arctan2(u[1], u[0]))
+
     length = route.length
     s0 = max(min(s_now, length), 0.0)
     step = max(speed, 0.5) * TICK
     s_last = max(min(s_now + round(NC_LOOKAHEAD_S / TICK) * step, length), 0.0)
-    for lo, hi, _ in route.junction_spans(NC_ZONE_RADIUS):
-        if hi <= s0 and hi < length:  # passed; a zone the route ends in still holds the ego
-            continue
-        if lo > s_last:
-            break
-        _, u_in = route.point_at(max(lo, s0))
-        _, u_out = route.point_at(min(hi, length))
-        h_in = float(np.arctan2(u_in[1], u_in[0]))
-        h_out = float(np.arctan2(u_out[1], u_out[0]))
-        return turn_command(h_in, h_out)
-    return NavigationCommand.KEEP_LANE
+    return zone_command(route.junction_spans(), s0, s_last, length, heading_at)
 
 
 class LiveSampler:

@@ -9,7 +9,6 @@ degree-4 polynomials and resampled on the 0.1 s grid).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import partial
@@ -33,7 +32,6 @@ CTX_LIGHT_CAP = 50.0
 CTX_INTER_CAP = 50.0
 CTX_LEAD_CAP = 50.0
 CTX_PED_CAP = 30.0
-NC_ZONE_RADIUS = 15.0
 NC_LOOKAHEAD_S = 5.0
 
 
@@ -136,60 +134,48 @@ def compute_context(network: RoadNetwork, egos, c, s, cars, peds, light_green) -
     return np.array(rows).reshape(-1, 8)
 
 
-def _zone_exit(track: np.ndarray, i: int, node_pos: np.ndarray) -> int:
-    """First tick from i on, short of the last, at least NC_ZONE_RADIUS from
-    node_pos by the 1-D np.linalg.norm (a BLAS dot, which may round apart
-    from a row-wise norm), else the last: row norms with a margin pick the
-    candidates, 64 ticks at a time, and the 1-D norm decides."""
-    n = len(track)
-    for lo in range(i, n - 1, 64):
-        hi = min(lo + 64, n - 1)
-        d = np.linalg.norm(track[lo:hi] - node_pos, axis=1)
-        for j in lo + np.flatnonzero(d >= NC_ZONE_RADIUS - 1e-6):
-            if float(np.linalg.norm(track[j] - node_pos)) >= NC_ZONE_RADIUS:
-                return int(j)
-    return n - 1
-
-
 def turn_command(h_in, h_out) -> NavigationCommand:
     """Left, right or cross from the heading change across a junction zone,
     by the lane links' turn rule."""
     return NavigationCommand[simworld.heading_turn(h_in, h_out)[1].upper()]
 
 
+def zone_command(spans, s0, s_last, end, heading_at) -> NavigationCommand:
+    """The navigation command, one rule for recorded drives and live routes.
+    spans are the sorted (lo, hi) junction zones on the ego's path, entry to
+    exit; s0 is the ego, s_last the end of its lookahead and end the path's
+    end, in the path's unit (ticks or metres); heading_at(s) is its heading.
+    The first zone that holds s0 (or that the path ends in), or that starts
+    by s_last, decides left / right / cross from the heading change between
+    its entry (the ego, once inside) and its exit; with none, keep lane."""
+    for lo, hi in spans:
+        if hi <= s0 and hi < end:  # passed
+            continue
+        if lo > s_last:
+            break
+        return turn_command(heading_at(max(lo, s0)), heading_at(min(hi, end)))
+    return NavigationCommand.KEEP_LANE
+
+
 def compute_navigation_command(
     log: EpisodeLog, centers: range, network: RoadNetwork
 ) -> list[NavigationCommand]:
-    """The upcoming maneuver at each center tick, from the recorded ego motion:
-    if the ego enters a junction zone (15 m radius) within the next 5 s, the
-    signed heading change across the zone decides left / right / cross, else
-    keep lane.  One junction-distance table covers the ticks looked ahead to;
-    each entry tick is classified once, and one between an earlier entry and
-    its exit shares that exit."""
+    """The upcoming maneuver at each center tick, by zone_command on the
+    recorded ego motion: each junction's zones are its runs of ticks within
+    NC_ZONE_RADIUS (row norms), each up to the first tick outside; the path
+    ends at tick n, one past the last, and the lookahead is 5 s of ticks."""
     n = len(log)
     lookahead = int(round(NC_LOOKAHEAD_S / simworld.TICK))
-    lo, hi = centers.start, min(n - 1, centers.stop - 1 + lookahead)
-    track = log.states[:, 0, :2]
-    # nearest_junction's row norms, one row per tick.
-    d = np.linalg.norm(network.junction_pos - track[lo : hi + 1, None], axis=2)
-    inside = np.flatnonzero(d.min(axis=1) < NC_ZONE_RADIUS).tolist()
-    out, by_entry = [], {}
-    exits: dict[int, tuple[int, int]] = {}  # node id -> (entry, its exit)
-    for c in centers:
-        k = bisect_left(inside, c - lo)
-        i = lo + inside[k] if k < len(inside) else n
-        if i > min(n - 1, c + lookahead):
-            out.append(NavigationCommand.KEEP_LANE)
-            continue
-        if i not in by_entry:
-            node_id = network.junction_ids[int(np.argmin(d[i - lo]))]
-            first, j = exits.get(node_id, (n, n))
-            if not first <= i <= j:
-                j = _zone_exit(track, i, network.nodes[node_id].pos)
-                exits[node_id] = (i, j)
-            by_entry[i] = turn_command(log.states[i][0, 2], log.states[j][0, 2])
-        out.append(by_entry[i])
-    return out
+    # Per tick, the ego's distance to each junction; a junction per row of inside.
+    d = np.linalg.norm(network.junction_pos - log.states[:, :1, :2], axis=2)
+    inside = (d < simworld.NC_ZONE_RADIUS).T
+    near = inside[inside.any(axis=1)]  # the junctions the ego comes near
+    spans = sorted(span for flags in near for span in kernels.runs(flags))
+    # The recorded headings, and the last one again for tick n, the log's end.
+    heading = np.append(log.states[:, 0, 2], log.states[-1, 0, 2]).tolist()
+    return [
+        zone_command(spans, c, min(n - 1, c + lookahead), n, heading.__getitem__) for c in centers
+    ]
 
 
 def assemble_sample(
@@ -255,6 +241,8 @@ def extract_windows(log: EpisodeLog, network: RoadNetwork) -> list[Sample]:
     xy = log.states[:, [ego_row, *by_id], :2].transpose(1, 0, 2).reshape(1 + len(by_id), 2 * n)
     windows = np.lib.stride_tricks.sliding_window_view(xy, 2 * WINDOW_TICKS, axis=1)[:, ::2]
     seed = int(log.meta.get("seed", 0))
+    # One command pass per log: a zone entered in one chunk may end chunks later.
+    ncs = compute_navigation_command(log, range(T_STEPS - 1, n - T_STEPS), network)
     samples: list[Sample] = []
     for lo in range(T_STEPS - 1, n - T_STEPS, EXTRACT_CHUNK):
         centers = range(lo, min(lo + EXTRACT_CHUNK, n - T_STEPS))
@@ -264,7 +252,7 @@ def extract_windows(log: EpisodeLog, network: RoadNetwork) -> list[Sample]:
             network, state[:, ego_row], tracks.reshape(len(centers), len(xy), WINDOW_TICKS, 2),
             state[:, other_rows].tolist(), state[:, ped_rows, :2].tolist(),
             [partial(log.light_green_at, c) for c in centers],
-            compute_navigation_command(log, centers, network),
+            ncs[lo - T_STEPS + 1 : centers.stop - T_STEPS + 1],
         )
         for sample, c in zip(batch, centers):
             sample.episode_seed, sample.center_tick = seed, c

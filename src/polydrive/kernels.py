@@ -150,6 +150,13 @@ def integrate_cars(states, cmds, dt, wheelbase, v_max):
     return out
 
 
+def runs(flags) -> list[tuple[int, int]]:
+    """(start, end) of each run of True in a 1-D array, the end exclusive."""
+    # Each run starts where the padded flags rise and ends where they fall.
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], flags.astype(np.int8), [0]])))
+    return list(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+
+
 def segment_features(xy, a_pts, b_pts):
     """Distance and signed lateral offset of n points to S road segments.
 

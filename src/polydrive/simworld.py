@@ -20,6 +20,7 @@ LANE_OFFSET = LANE_WIDTH / 2.0  # centerline offset from the road axis
 HALF_ROAD = LANE_WIDTH  # two lanes, one per direction
 CORE_RADIUS = 7.0  # junction core: lanes are pulled back this far
 CORE_OCCUPIED_RADIUS = 7.2
+NC_ZONE_RADIUS = 15.0  # junction zone of the navigation command
 STUB_LEN = 30.0
 WHEELBASE = 2.5
 SPEED_LIMIT = 8.33  # hard world cap, m/s
@@ -354,7 +355,7 @@ class Route:
         self.point_list: list[tuple[float, float]] = []
         self.cumlen_list: list[float] = []
         self.events: list[RouteEvent] = []
-        self._spans: dict[float, tuple[int, list]] = {}
+        self._spans: tuple[int, list] = (-1, [])
         for lid in lane_ids:
             self.extend(lid)
 
@@ -392,15 +393,15 @@ class Route:
         )
         return s
 
-    def junction_spans(self, radius: float) -> list[tuple[float, float, int]]:
-        """Arc-length intervals (lo, hi, node_id), sorted, where the route runs
-        within ``radius`` of a junction.
+    def junction_spans(self) -> list[tuple[float, float]]:
+        """Arc-length intervals (lo, hi), sorted, where the route runs within
+        NC_ZONE_RADIUS of a junction.
 
-        Solved per segment from |a + t (b - a) - c| = radius, with t mapped to
-        arc length the way point_at maps it back, and joined where they
-        touch.  Computed on first use, and again once the route has grown.
+        Solved per segment from |a + t (b - a) - c| = NC_ZONE_RADIUS, with t
+        mapped to arc length the way point_at maps it back, and joined where
+        they touch.  Computed on first use, and again once the route has grown.
         """
-        n_points, spans = self._spans.get(radius, (-1, []))
+        n_points, spans = self._spans
         if n_points == len(self.point_list):
             return spans
         points, cumlen = self.points, self.cumlen
@@ -411,7 +412,7 @@ class Route:
         ry = points[:-1, 1, None] - jy
         qa = dx * dx + dy * dy
         qb = rx * dx + ry * dy
-        disc = qb * qb - qa * (rx * rx + ry * ry - radius * radius)
+        disc = qb * qb - qa * (rx * rx + ry * ry - NC_ZONE_RADIUS * NC_ZONE_RADIUS)
         root = np.sqrt(np.maximum(disc, 0.0))
         t0 = np.maximum((-qb - root) / qa, 0.0)
         t1 = np.minimum((-qb + root) / qa, 1.0)
@@ -424,9 +425,8 @@ class Route:
         first = np.ones(junction.size, dtype=bool)
         first[1:] = (junction[1:] != junction[:-1]) | (lo[1:] > hi[:-1])
         last = np.roll(first, -1)
-        ids = np.asarray(self.network.junction_ids)[junction[first]]
-        spans = sorted(zip(lo[first].tolist(), hi[last].tolist(), ids.tolist()))
-        self._spans[radius] = (len(points), spans)
+        spans = sorted(zip(lo[first].tolist(), hi[last].tolist()))
+        self._spans = (len(points), spans)
         return spans
 
     def next_event(self, s: float) -> RouteEvent | None:

@@ -5,7 +5,7 @@ import pytest
 from test_kernels import reference_segment_features
 from test_simworld import reference_drivable
 
-from polydrive import bench, model, simworld as sw
+from polydrive import bench, kernels, model, simworld as sw
 from polydrive.bench import (
     BenchTask,
     InfractionEvent,
@@ -110,7 +110,8 @@ class TestSuiteGeneration:
 
 
 def reference_runs(flags, min_len=1):
-    """bench._runs as a loop over the ticks."""
+    """kernels.runs as a loop over the ticks: (start, end) of each run of at
+    least min_len."""
     starts = []
     i = 0
     n = flags.size
@@ -120,7 +121,7 @@ def reference_runs(flags, min_len=1):
             while j < n and flags[j]:
                 j += 1
             if j - i >= min_len:
-                starts.append(i)
+                starts.append((i, j))
             i = j
         else:
             i += 1
@@ -170,7 +171,7 @@ def reference_detect_infractions(trace, network):
     for kind, flags, min_len in (
         ("opposite_lane", opposite, hold), ("sidewalk", sidewalk, 1), ("collision_static", static, 1)
     ):
-        events += [InfractionEvent(kind, i, tuple(pos[i])) for i in reference_runs(flags, min_len)]
+        events += [InfractionEvent(kind, i, tuple(pos[i])) for i, _ in reference_runs(flags, min_len)]
     for r in range(trace.n_agents):
         if r == ego:
             continue
@@ -179,7 +180,7 @@ def reference_detect_infractions(trace, network):
         else:
             threshold, label = CAR_RADIUS + sw.PED_RADIUS, "collision_pedestrian"
         d = np.linalg.norm(trace.states[:, r, :2] - pos, axis=1)
-        events += [InfractionEvent(label, i, tuple(pos[i])) for i in reference_runs(d < threshold)]
+        events += [InfractionEvent(label, i, tuple(pos[i])) for i, _ in reference_runs(d < threshold)]
     for node_id, node_pos in zip(network.junction_ids, network.junction_pos):
         d = np.linalg.norm(pos - node_pos, axis=1)
         for i in range(n - 1):
@@ -324,10 +325,10 @@ class TestDetectors:
         cases = [np.zeros(0, dtype=bool), np.ones(7, dtype=bool), np.zeros(7, dtype=bool)]
         cases += [rng.random(int(rng.integers(1, 60))) < p for p in (0.2, 0.5, 0.9) * 40]
         for flags in cases:
+            got = kernels.runs(flags)
+            assert all(type(i) is int for run in got for i in run)
             for min_len in (1, 2, 6):
-                got = bench._runs(flags, min_len=min_len)
-                assert got == reference_runs(flags, min_len)
-                assert all(type(i) is int for i in got)
+                assert [(i, j) for i, j in got if j - i >= min_len] == reference_runs(flags, min_len)
 
     def test_clean_lane_following_has_no_events(self, town):
         track, _ = straight_lane_track(town)
@@ -458,6 +459,10 @@ class TestDetectors:
         trace = make_trace(town, track, groups=groups, lights=green)
         assert bench.light_entries(trace, town) == [(expected, True)]
         assert bench.light_entries(make_trace(town, track, groups=groups[1:]), town) == []
+        # An entry on the second tick counts; a trace that starts in the core has none.
+        for first, want in ((expected - 1, [(1, False)]), (expected, [])):
+            trace = make_trace(town, track[first:], groups=groups, lights=red[first:])
+            assert bench.light_entries(trace, town) == want
 
 
 class TestAggregation:

@@ -1079,6 +1079,13 @@ class TestClosedLoopAndReport:
                          "trace metadata 'reached_goal' must be bool, got 1", id="goal-int"),
             pytest.param(lambda h, r: ({**h, "distance_m": float("nan")}, r),
                          "trace metadata 'distance_m' must be float, got nan", id="distance-nan"),
+            # A kind no suite holds was counted as a task with no success row,
+            # and a negative distance was printed as driven.
+            pytest.param(lambda h, r: ({**h, "task_kind": "bogus"}, r),
+                         "trace metadata 'task_kind' must be a task kind, got 'bogus'", id="kind-bogus"),
+            pytest.param(lambda h, r: ({**h, "distance_m": -1e9}, r),
+                         "trace metadata 'distance_m' must be 0 or more, got -1000000000.0",
+                         id="distance-negative"),
             # String node ids and axes once matched no light, so every light
             # scored as green.
             pytest.param(lambda h, r: ({**h, "groups": [[str(g[0]), str(g[1]), *g[2:]]

@@ -139,7 +139,7 @@ def reference_zone_crossing(route, s_now, step, network):
         s = min(s_now + i * step, route.length)
         pos, _ = route.point_at(s)
         node_id, d = network.nearest_junction(pos)
-        if d < dataset.NC_ZONE_RADIUS:
+        if d < sw.NC_ZONE_RADIUS:
             entry = (s, node_id)
             break
     if entry is None:
@@ -149,7 +149,7 @@ def reference_zone_crossing(route, s_now, step, network):
     s = s_in
     while s < route.length:
         pos, _ = route.point_at(s)
-        if float(np.linalg.norm(pos - node_pos)) >= dataset.NC_ZONE_RADIUS:
+        if float(np.linalg.norm(pos - node_pos)) >= sw.NC_ZONE_RADIUS:
             break
         s += step if step > 1e-9 else 0.5
     return s_in, min(s, route.length)
@@ -203,7 +203,7 @@ class TestLiveNavigationCommand:
         rng = np.random.default_rng(8)
         for car in world.cars:
             route = car.route
-            edges = [v for lo, hi, _ in route.junction_spans(dataset.NC_ZONE_RADIUS)
+            edges = [v for lo, hi in route.junction_spans()
                      for v in (lo - 1e-9, lo, lo + 1e-9, hi - 1e-9, hi + 1e-9)]
             for s_now in (-3.0, 0.0, route.length, *edges, *rng.uniform(0.0, route.length, 25)):
                 for speed in (0.0, 0.7, 3.3, sw.SPEED_LIMIT):
@@ -214,17 +214,17 @@ class TestLiveNavigationCommand:
         # a fine grid, a point is within the zone radius of a junction exactly
         # where a span holds it.  Within 1e-9 m of a span end the two may
         # round apart, so those points are left out.
-        radius = dataset.NC_ZONE_RADIUS
+        radius = sw.NC_ZONE_RADIUS
         route = sw.spawn_scenario(town, n_cars=1, n_pedestrians=0, seed=6).agents[0].route
-        spans = route.junction_spans(radius)
+        spans = route.junction_spans()
         assert len(spans) >= 5
-        ends = np.array([v for lo, hi, _ in spans for v in (lo, hi)])
+        ends = np.array([v for span in spans for v in span])
         inside = 0
         for s in np.arange(0.0, route.length, 0.05):
             if np.abs(ends - s).min() <= 1e-9:
                 continue
             _, d = town.nearest_junction(route.point_at(s)[0])
-            in_span = any(lo <= s <= hi for lo, hi, _ in spans)
+            in_span = any(lo <= s <= hi for lo, hi in spans)
             assert (d < radius) == in_span
             inside += in_span
         assert inside > 1000

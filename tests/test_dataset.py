@@ -174,7 +174,7 @@ def reference_extract_windows(log, network):
             network, frame, float(log.states[c][ego_row, 3]), log.states[past, ego_row, :2],
             car_tracks, [tuple(log.states[c][r, :2]) for r in log.ped_indices()],
             lambda node_id, axis, _tick=c: log.light_green_at(_tick, node_id, axis),
-            reference_window_command(log, c, network),
+            reference_navigation_command(log, c, network),
         )
         sample.ego_future = fit_future_points(xy_to_frame(log.states[fut, ego_row, :2], frame))
         row_of = {log.agent_ids[r]: r for r in other_rows}
@@ -667,27 +667,47 @@ class TestNavigationCommand:
         assert command_at(self._turn_log(town, +1), 0, town) == NavigationCommand.LEFT
         assert command_at(self._turn_log(town, -1), 0, town) == NavigationCommand.RIGHT
 
+    def test_the_log_end_in_and_out_of_a_zone(self, town):
+        # The zone the log ends in holds its last tick; one left on the last
+        # tick is passed there.  Eastbound 1.75 m off the junction, the zone
+        # ends 14.9 m past it.
+        node = town.nodes[town.junction_ids[0]]
+        for last_x, want in ((14.4, NavigationCommand.CROSS), (14.9, NavigationCommand.KEEP_LANE)):
+            log = self._straight_log(town, start=(node.pos[0] + last_x - 39.5, node.pos[1] - 1.75))
+            got = compute_navigation_command(log, range(len(log)), town)[-2:]
+            assert got == [NavigationCommand.CROSS, want]
+            assert want == reference_navigation_command(log, 79, town) == command_at(log, 79, town)
+
 
 def reference_navigation_command(log, center_tick, network):
-    """The per-tick walk: nearest_junction for the entry, 1-D norms for the exit."""
+    """The per-tick walk: the first tick from the center, up to 5 s ahead,
+    within the zone radius of a junction (nearest_junction's row norms).  Of
+    the zones that hold it, the one entered first (then the one left first)
+    decides, from the heading there to the heading at its exit: the first
+    tick outside, or the last tick."""
     n = len(log)
     horizon = min(n - 1, center_tick + int(round(dataset.NC_LOOKAHEAD_S / sw.TICK)))
-    entry = None
+    xy = log.states[:, 0, :2]
+
+    def holds(k, i):
+        return np.linalg.norm(network.junction_pos - xy[i], axis=1)[k] < sw.NC_ZONE_RADIUS
+
     for i in range(center_tick, horizon + 1):
-        node_id, d = network.nearest_junction(log.states[i][0, :2])
-        if d < dataset.NC_ZONE_RADIUS:
-            entry = (i, node_id)
+        if network.nearest_junction(xy[i])[1] < sw.NC_ZONE_RADIUS:
             break
-    if entry is None:
+    else:
         return NavigationCommand.KEEP_LANE
-    i, node_id = entry
-    node_pos = network.nodes[node_id].pos
-    j = i
-    while (
-        j < n - 1
-        and float(np.linalg.norm(log.states[j][0, :2] - node_pos)) < dataset.NC_ZONE_RADIUS
-    ):
-        j += 1
+
+    def entry_and_exit(k):
+        a = b = i
+        while a > 0 and holds(k, a - 1):
+            a -= 1
+        while b < n and holds(k, b):
+            b += 1
+        return a, b
+
+    k = min((k for k in range(len(network.junction_ids)) if holds(k, i)), key=entry_and_exit)
+    j = min(entry_and_exit(k)[1], n - 1)
     dh = float((log.states[j][0, 2] - log.states[i][0, 2] + np.pi) % (2 * np.pi) - np.pi)
     if dh > np.deg2rad(sw.TURN_DEG):
         return NavigationCommand.LEFT
@@ -696,38 +716,53 @@ def reference_navigation_command(log, center_tick, network):
     return NavigationCommand.CROSS
 
 
-def reference_window_command(log, center_tick, network):
-    """The per-window compute_navigation_command: a norm table over its own
-    lookahead, no memo."""
-    n = len(log)
-    horizon = min(n - 1, center_tick + int(round(dataset.NC_LOOKAHEAD_S / sw.TICK)))
-    track = log.states[:, 0, :2]
-    d = np.linalg.norm(network.junction_pos - track[center_tick : horizon + 1, None], axis=2)
-    inside = np.flatnonzero(d.min(axis=1) < dataset.NC_ZONE_RADIUS)
-    if not inside.size:
-        return NavigationCommand.KEEP_LANE
-    i = center_tick + int(inside[0])
-    node_id = network.junction_ids[int(np.argmin(d[inside[0]]))]
-    j = dataset._zone_exit(track, i, network.nodes[node_id].pos)
-    return turn_command(log.states[i][0, 2], log.states[j][0, 2])
-
-
 def command_at(log, center_tick, network):
     return compute_navigation_command(log, range(center_tick, center_tick + 1), network)[0]
 
 
 def _assert_same_commands(log, network):
     """compute_navigation_command over every tick, at once and in runs of
-    7, 50 and 1, against both per-tick references."""
+    7, 50 and 1, against the per-tick walk."""
     n = len(log)
     got = compute_navigation_command(log, range(n), network)
-    want = [reference_navigation_command(log, c, network) for c in range(n)]
-    assert got == want == [reference_window_command(log, c, network) for c in range(n)]
+    assert got == [reference_navigation_command(log, c, network) for c in range(n)]
     for step in (7, 50, 1):
         runs = [compute_navigation_command(log, range(lo, min(lo + step, n)), network)
                 for lo in range(0, n, step)]
-        assert sum(runs, []) == want
+        assert sum(runs, []) == got
     return set(got)
+
+
+class TestZoneCommand:
+    LEFT_AT_8 = staticmethod(lambda s: 0.0 if s < 8.0 else np.pi / 2)  # a left turn at 8
+
+    def command(self, spans, s0, s_last, end=100.0):
+        return dataset.zone_command(spans, s0, s_last, end, self.LEFT_AT_8)
+
+    def test_no_spans_keep_lane(self):
+        assert self.command([], 5.0, 50.0) == NavigationCommand.KEEP_LANE
+
+    def test_a_zone_left_at_s0_is_passed(self):
+        assert self.command([(5.0, 10.0)], 4.0, 50.0) == NavigationCommand.LEFT
+        assert self.command([(5.0, 10.0)], 10.0, 50.0) == NavigationCommand.KEEP_LANE
+        assert self.command([(5.0, 10.0)], np.nextafter(10.0, 0.0), 50.0) == NavigationCommand.CROSS
+        # The next zone decides, from its own entry to its exit.
+        assert self.command([(1.0, 5.0), (6.0, 9.0)], 5.0, 50.0) == NavigationCommand.LEFT
+        assert self.command([(1.0, 5.0), (9.0, 12.0)], 5.0, 50.0) == NavigationCommand.CROSS
+
+    def test_the_zone_the_path_ends_in_holds_the_ego(self):
+        assert self.command([(5.0, 10.0)], 10.0, 10.0, end=10.0) == NavigationCommand.CROSS
+        assert self.command([(5.0, 10.0)], 6.0, 10.0, end=10.0) == NavigationCommand.LEFT
+        assert self.command([(5.0, 10.0)], 10.0, 10.0, end=12.0) == NavigationCommand.KEEP_LANE
+
+    def test_a_zone_that_starts_at_the_lookahead_end_is_taken(self):
+        assert self.command([(7.0, 9.0)], 2.0, 7.0) == NavigationCommand.LEFT
+        assert self.command([(7.0, 9.0)], 2.0, np.nextafter(7.0, 0.0)) == NavigationCommand.KEEP_LANE
+
+    def test_the_ego_inside_reads_its_own_heading(self):
+        # Inside from 8 on, the heading there already holds the turn.
+        assert self.command([(5.0, 10.0)], 8.0, 50.0) == NavigationCommand.CROSS
+        assert self.command([(5.0, 10.0), (20.0, 30.0)], 8.0, 50.0) == NavigationCommand.CROSS
 
 
 class TestTurnCommand:
@@ -752,10 +787,11 @@ class TestTurnCommand:
 
 class TestNavigationCommandParity:
     def test_overlapping_zones_keep_their_own_exits(self):
-        # Two junctions 20 m apart, so their zones overlap: an entry nearest
-        # the second lies within the first zone's (entry, exit) span, and
-        # must still leave by the second zone's own exit.  The heading turns
-        # steadily, so the two exits give different commands.
+        # Two junctions 20 m apart, so their zones overlap.  The zone entered
+        # first decides while the ego is in both, by its own exit, even
+        # where the second junction is the nearer; each zone keeps its own
+        # exit.  The heading turns steadily, so the exits give different
+        # commands.
         nodes = [sw.Node(0, np.array([0.0, 0.0]), "junction", True),
                  sw.Node(1, np.array([20.0, 0.0]), "junction", True)]
         lane = sw.Lane(0, 0, 0, 1, nodes[0].pos, nodes[1].pos, np.array([1.0, 0.0]), 20.0)
@@ -767,6 +803,14 @@ class TestNavigationCommandParity:
         log = sw.EpisodeLog({}, ["car"], [0], [], np.arange(n) * sw.TICK, states, np.zeros((n, 0)))
         seen = _assert_same_commands(log, net)
         assert {NavigationCommand.LEFT, NavigationCommand.CROSS} <= seen
+        x, heading = states[:, 0, 0], states[:, 0, 2]
+        first_exit, second_exit = np.searchsorted(x, [15.0, 35.0])
+        got = compute_navigation_command(log, range(n), net)
+        both = np.flatnonzero((x > 10.0) & (x < 15.0))  # in both zones, nearer the second
+        assert both.size > 5
+        for c in both:
+            assert got[c] == turn_command(heading[c], heading[first_exit])
+            assert got[c] != turn_command(heading[c], heading[second_exit])
 
     @pytest.mark.parametrize("town_id", ["train", "test"])
     def test_every_tick_of_recorded_episodes(self, town_id):
@@ -780,11 +824,12 @@ class TestNavigationCommandParity:
     def test_ego_exactly_on_the_zone_radius(self, town_id):
         # Offsets of exactly 15 m at random angles put the ego within an ulp
         # of the zone edge; a quarter of the ticks are such points where the
-        # row-wise and the 1-D norm fall on either side of it.  The others
-        # sit at 15 m, or well inside or outside the zone.
+        # row-wise and the 1-D norm fall on either side of it.  The row norm
+        # decides both the entry and the exit.  The other ticks sit at 15 m,
+        # or well inside or outside the zone.
         net = sw.build_town(town_id)
         rng = np.random.default_rng(12)
-        radius = dataset.NC_ZONE_RADIUS
+        radius = sw.NC_ZONE_RADIUS
 
         def on_edge(node, n):
             theta = rng.uniform(-np.pi, np.pi, n)
